@@ -159,3 +159,87 @@ class CycNum:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
         return self.coeffs[0]
+
+
+# ---------------------------------------------------------------------------
+# The rational group algebra Q[C_m].
+
+class GroupRing:
+    """The group algebra Q[C_m] of the cyclic group of order m; instances are
+    interned per m.  ``zeta_pow(k)`` is the basis element e_k."""
+
+    _interned = {}
+
+    def __new__(cls, m):
+        inst = cls._interned.get(m)
+        if inst is not None:
+            return inst
+        if m < 1:
+            raise ValueError("m must be positive")
+        inst = super().__new__(cls)
+        inst.m = m
+        inst.zero = GroupNum(inst, (Fraction(0),) * m)
+        inst._basis = tuple(
+            GroupNum(inst, tuple(Fraction(int(i == k)) for i in range(m))) for k in range(m)
+        )
+        inst.one = inst._basis[0]
+        cls._interned[m] = inst
+        return inst
+
+    def __repr__(self):
+        return f"GroupRing({self.m})"
+
+    def coerce(self, x):
+        if isinstance(x, GroupNum):
+            if x.ring is not self:
+                raise ValueError("mixed group rings")
+            return x
+        return self.one * x
+
+    def zeta_pow(self, k):
+        """The basis element e_k."""
+        return self._basis[k % self.m]
+
+
+@dataclass(frozen=True)
+class GroupNum:
+    """Element sum_k coeffs[k] e_k of Q[C_m]."""
+
+    ring: GroupRing
+    coeffs: tuple
+
+    def __add__(self, other):
+        other = self.ring.coerce(other)
+        return GroupNum(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GroupNum(self.ring, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-self.ring.coerce(other))
+
+    def __rsub__(self, other):
+        return self.ring.coerce(other) + (-self)
+
+    def __mul__(self, other):
+        """Cyclic convolution, or scaling by a rational."""
+        if not isinstance(other, GroupNum):
+            c = Fraction(other)
+            return GroupNum(self.ring, tuple(c * a for a in self.coeffs))
+        if other.ring is not self.ring:
+            raise ValueError("mixed group rings")
+        m = self.ring.m
+        out = [Fraction(0)] * m
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in terms:
+                    out[(i + j) % m] += a * b
+        return GroupNum(self.ring, tuple(out))
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return any(self.coeffs)

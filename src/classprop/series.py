@@ -15,8 +15,9 @@ determinant coset of the special linear group.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
-from .cyclo import CycNum, CycRing
+from .cyclo import CycNum, CycRing, GroupRing
 from .gf import Field, count_irreducibles, residue_class_counts
 
 
@@ -258,6 +259,38 @@ def sl_coset_series(q, t, mu, order):
                         K = K * base.pow(c)
         total = total + K.scale(ring.zeta_pow(-a * mu))
     out = total.rationalize()
+    out.coeffs[0] = Fraction(1)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _det_graded_series(q, t, order):
+    """Series over Q[C_{q-1}] whose u^n coefficient at e_mu is the proportion
+    of GL_n(q) lying in the det = zeta^mu coset with no charpoly factor of
+    degree <= t (so each coset proportion is q - 1 times it).
+
+    det is uniform on GL_n for n >= 1, so all of GL grades to
+    1 + E u/((q-1)(1-u)) with E = sum_s e_s; removing the irreducibles of
+    degree j <= t and det residue s multiplies by
+    prod_{i>=1} (1 - e_s q^{-ij} u^j) once per such irreducible.
+    """
+    ring = GroupRing(q - 1)
+    E = sum((ring.zeta_pow(s) for s in range(q - 1)), ring.zero)
+    out = Series([ring.one] + [E * Fraction(1, q - 1)] * order, ring)
+    for (j, s), c in sorted(residue_class_counts(Field(q), t).items()):
+        out = out * euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring).pow(c)
+    return out
+
+
+def sl_coset_series_graded(q, t, mu, order):
+    """sl_coset_series read off the single det-graded product."""
+    if not 0 <= mu < max(q - 1, 1):
+        raise ValueError("coset label out of range")
+    Field(q)  # validates that q is a prime power
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    graded = _det_graded_series(q, t, order)
+    out = Series([(q - 1) * c.coeffs[mu] for c in graded.coeffs])
     out.coeffs[0] = Fraction(1)
     return out
 

@@ -15,6 +15,7 @@ from classprop.series import (
     gl_no_small_factor_series,
     residue_product_series,
     sl_coset_series,
+    sl_coset_series_graded,
     unitary_residue_product_series,
 )
 
@@ -265,6 +266,17 @@ def test_coset_series_negation_duality(q, t):
         a = sl_coset_series(q, t, mu, order)
         b = sl_coset_series(q, t, (q - 1 - mu) % (q - 1), order)
         assert a.coeffs == b.coeffs
+
+
+@pytest.mark.parametrize("q,t", [(q, t) for q in (3, 4, 5, 7, 8, 9) for t in (1, 2)])
+def test_graded_coset_route_matches_character_route(q, t):
+    # the det-graded product over Q[C_{q-1}] against the character sum in
+    # Q(zeta_{q-1}), exactly, for every coefficient and coset
+    for mu in range(q - 1):
+        old = sl_coset_series(q, t, mu, 8)
+        new = sl_coset_series_graded(q, t, mu, 8)
+        assert all(type(c) is Fraction for c in new.coeffs)
+        assert new.coeffs == old.coeffs, (q, t, mu)
 
 
 # ---------------------------------------------------------------------------
