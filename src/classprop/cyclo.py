@@ -1,49 +1,20 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m) for small m.
+"""Exact arithmetic in the rational group algebra Q[C_m] of a cyclic group.
 
-Elements are coordinate vectors of Fractions on the power basis
-1, zeta, ..., zeta^(d-1) with d = deg Phi_m, reduced modulo the m-th
-cyclotomic polynomial.  For m = 1 and m = 2 the field degenerates to Q with
-zeta = 1 and zeta = -1, which the same code handles uniformly.
+An element sum_k c_k e_k is stored as the tuple of its m Fraction
+coefficients, indexed by the residue k mod m; e_0 is the identity and
+multiplication is cyclic convolution, e_j e_k = e_{j+k mod m}.  Series with
+coefficients here are graded by a residue, such as the determinant class of
+a matrix: the coefficient of e_k collects the terms of grade k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(m):
-    """Integer coefficients of Phi_m, constant first, monic."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    # divide x^m - 1 by all Phi_d for proper divisors d; the division is
-    # exact over the integers.
-    num = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            num = _zdiv_exact(num, list(cyclotomic_poly(d)))
-    return tuple(num)
-
-
-def _zdiv_exact(a, b):
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
-        if c:
-            assert c % b[-1] == 0
-            fac = c // b[-1]
-            out[i - (len(b) - 1)] = fac
-            for k, bk in enumerate(b):
-                a[i - (len(b) - 1) + k] -= fac * bk
-    assert not any(a[: len(b) - 1]) or all(x == 0 for x in a)
-    return out
 
 
 class CycRing:
-    """The field Q(zeta_m); instances are interned per m."""
+    """The group algebra Q[C_m]; instances are interned per m."""
 
     _interned = {}
 
@@ -51,15 +22,15 @@ class CycRing:
         inst = cls._interned.get(m)
         if inst is not None:
             return inst
+        if m < 1:
+            raise ValueError("m must be positive")
         inst = super().__new__(cls)
         inst.m = m
-        inst.phi = cyclotomic_poly(m)
-        inst.degree = len(inst.phi) - 1
-        inst.zero = CycNum(inst, (Fraction(0),) * inst.degree)
-        one = [Fraction(0)] * inst.degree
-        one[0] = Fraction(1)
-        inst.one = CycNum(inst, tuple(one))
-        inst._zeta_pows = None
+        inst.zero = CycNum(inst, (Fraction(0),) * m)
+        inst._basis = tuple(
+            CycNum(inst, tuple(Fraction(int(i == k)) for i in range(m))) for k in range(m)
+        )
+        inst.one = inst._basis[0]
         cls._interned[m] = inst
         return inst
 
@@ -69,40 +40,18 @@ class CycRing:
     def coerce(self, x):
         if isinstance(x, CycNum):
             if x.ring is not self:
-                raise ValueError("mixed cyclotomic rings")
+                raise ValueError("mixed group rings")
             return x
-        x = Fraction(x)
-        coeffs = [Fraction(0)] * self.degree
-        coeffs[0] = x
-        return CycNum(self, tuple(coeffs))
+        return self.one * x
 
     def zeta_pow(self, k):
-        """zeta^k as a ring element."""
-        if self._zeta_pows is None:
-            pows = []
-            for i in range(self.m):
-                vec = [Fraction(0)] * max(i + 1, self.degree)
-                vec[i] = Fraction(1)
-                pows.append(CycNum(self, tuple(self.reduce(vec))))
-            self._zeta_pows = pows
-        return self._zeta_pows[k % self.m]
-
-    def reduce(self, vec):
-        """Reduce a Fraction vector modulo Phi_m to length deg Phi_m."""
-        vec = list(vec)
-        d = self.degree
-        for i in range(len(vec) - 1, d - 1, -1):
-            c = vec[i]
-            if c:
-                for k, pk in enumerate(self.phi):
-                    vec[i - d + k] -= c * pk
-        vec = vec[:d] + [Fraction(0)] * (d - len(vec))
-        return vec[:d]
+        """The basis element e_k."""
+        return self._basis[k % self.m]
 
 
 @dataclass(frozen=True)
 class CycNum:
-    """Element of Q(zeta_m) on the power basis."""
+    """Element sum_k coeffs[k] e_k of Q[C_m]."""
 
     ring: CycRing
     coeffs: tuple
@@ -123,111 +72,10 @@ class CycNum:
         return self.ring.coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self.ring.coerce(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return CycNum(self.ring, tuple(self.ring.reduce(prod)))
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        result = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    @property
-    def is_rational(self):
-        return not any(self.coeffs[1:])
-
-    @property
-    def rational(self):
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
-
-# ---------------------------------------------------------------------------
-# The rational group algebra Q[C_m].
-
-class GroupRing:
-    """The group algebra Q[C_m] of the cyclic group of order m; instances are
-    interned per m.  ``zeta_pow(k)`` is the basis element e_k."""
-
-    _interned = {}
-
-    def __new__(cls, m):
-        inst = cls._interned.get(m)
-        if inst is not None:
-            return inst
-        if m < 1:
-            raise ValueError("m must be positive")
-        inst = super().__new__(cls)
-        inst.m = m
-        inst.zero = GroupNum(inst, (Fraction(0),) * m)
-        inst._basis = tuple(
-            GroupNum(inst, tuple(Fraction(int(i == k)) for i in range(m))) for k in range(m)
-        )
-        inst.one = inst._basis[0]
-        cls._interned[m] = inst
-        return inst
-
-    def __repr__(self):
-        return f"GroupRing({self.m})"
-
-    def coerce(self, x):
-        if isinstance(x, GroupNum):
-            if x.ring is not self:
-                raise ValueError("mixed group rings")
-            return x
-        return self.one * x
-
-    def zeta_pow(self, k):
-        """The basis element e_k."""
-        return self._basis[k % self.m]
-
-
-@dataclass(frozen=True)
-class GroupNum:
-    """Element sum_k coeffs[k] e_k of Q[C_m]."""
-
-    ring: GroupRing
-    coeffs: tuple
-
-    def __add__(self, other):
-        other = self.ring.coerce(other)
-        return GroupNum(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupNum(self.ring, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self.ring.coerce(other))
-
-    def __rsub__(self, other):
-        return self.ring.coerce(other) + (-self)
-
-    def __mul__(self, other):
         """Cyclic convolution, or scaling by a rational."""
-        if not isinstance(other, GroupNum):
+        if not isinstance(other, CycNum):
             c = Fraction(other)
-            return GroupNum(self.ring, tuple(c * a for a in self.coeffs))
+            return CycNum(self.ring, tuple(c * a for a in self.coeffs))
         if other.ring is not self.ring:
             raise ValueError("mixed group rings")
         m = self.ring.m
@@ -237,7 +85,7 @@ class GroupNum:
             if a:
                 for j, b in terms:
                     out[(i + j) % m] += a * b
-        return GroupNum(self.ring, tuple(out))
+        return CycNum(self.ring, tuple(out))
 
     __rmul__ = __mul__
 

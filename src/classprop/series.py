@@ -1,4 +1,4 @@
-"""Truncated power series with exact coefficients over Q or Q(zeta_m).
+"""Truncated power series with exact coefficients over Q or Q[C_m].
 
 The series here expand infinite products of the shape
 prod_{i>=1} (1 - c a^i u^j) through the classical q-exponential identity
@@ -8,8 +8,9 @@ prod_{i>=1} (1 - c a^i u^j) through the classical q-exponential identity
 which the test suite verifies against a high-truncation direct product before
 anything else relies on it.  On top of that sit the generating series for the
 proportion of matrices whose characteristic polynomial has no irreducible
-factor of degree <= t, for the full general linear group and for each
-determinant coset of the special linear group.
+factor of degree <= t, for the full general linear group and, graded by
+the determinant over the group algebra Q[C_{q-1}], for each determinant
+coset of the special linear group.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .cyclo import CycNum, CycRing, GroupRing
+from .cyclo import CycRing
 from .gf import Field, count_irreducibles, residue_class_counts
 
 
 class Series:
     """Fixed-order truncated power series.
 
-    ``ring`` is None for rational coefficients or a CycRing; arithmetic
-    requires matching order and ring.
+    ``ring`` is None for rational coefficients or a CycRing (the group
+    algebra Q[C_m]); arithmetic requires matching order and ring.
     """
 
     __slots__ = ("ring", "coeffs")
@@ -92,13 +93,6 @@ class Series:
                         out[i + j] = out[i + j] + a * b
         return Series(out, self.ring)
 
-    def scale(self, c):
-        if self.ring is not None:
-            c = self.ring.coerce(c)
-        else:
-            c = Fraction(c)
-        return Series([c * a for a in self.coeffs], self.ring)
-
     def pow(self, k):
         if k < 0:
             return self.reciprocal().pow(-k)
@@ -112,39 +106,18 @@ class Series:
         return result
 
     def reciprocal(self):
-        c0 = self.coeffs[0]
-        one = Fraction(1) if self.ring is None else self.ring.one
-        if self.ring is None:
-            if c0 == 0:
-                raise ZeroDivisionError("reciprocal of a non-unit series")
-            inv0 = one / c0
-        else:
-            if c0 != self.ring.one:
-                raise ValueError("cyclotomic reciprocal implemented for unit constant term")
-            inv0 = one
-        n = self.order
-        out = [inv0] + [Fraction(0) if self.ring is None else self.ring.zero] * n
-        for k in range(1, n + 1):
-            acc = None
-            for i in range(1, k + 1):
-                a = self.coeffs[i]
-                if a:
-                    term = a * out[k - i]
-                    acc = term if acc is None else acc + term
-            if acc is not None:
-                out[k] = -(inv0 * acc)
-        return Series(out, self.ring)
-
-    def to_ring(self, ring):
+        """1/self for a rational series with nonzero constant term."""
         if self.ring is not None:
-            raise ValueError("already cyclotomic")
-        return Series(self.coeffs, ring)
-
-    def rationalize(self):
-        """Project a cyclotomic series with rational coefficients back to Q."""
-        if self.ring is None:
-            return self
-        return Series([c.rational for c in self.coeffs])
+            raise ValueError("reciprocal needs rational coefficients")
+        c0 = self.coeffs[0]
+        if c0 == 0:
+            raise ZeroDivisionError("reciprocal of a non-unit series")
+        inv0 = 1 / c0
+        out = [inv0] + [Fraction(0)] * self.order
+        for k in range(1, self.order + 1):
+            acc = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
+            out[k] = -inv0 * acc
+        return Series(out)
 
     def __eq__(self, other):
         return (
@@ -227,42 +200,6 @@ def gl_no_small_factor_series(q, t, order):
     return out
 
 
-def sl_coset_series(q, t, mu, order):
-    """Coefficient n (n >= 1) is the proportion, inside the determinant coset
-    with det = zeta^mu, of elements with no charpoly factor of degree <= t.
-
-    Computed in Q(zeta_{q-1}) by weighting the determinant-graded refinements
-    of the generating series with the characters of the det-class group; the
-    result is rational and is returned over Q.  The constant coefficient is
-    set to 1 by convention.
-    """
-    if not 0 <= mu < max(q - 1, 1):
-        raise ValueError("coset label out of range")
-    F = Field(q)  # also validates that q is a prime power
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    ring = CycRing(q - 1)
-    counts = residue_class_counts(F, t)
-    total = Series.zero(order, ring)
-    for a in range(q - 1):
-        if a == 0:
-            K = gl_no_small_factor_series(q, t, order).to_ring(ring)
-        else:
-            K = Series.one(order, ring)
-            for j in range(1, t + 1):
-                for s in range(q - 1):
-                    c = counts.get((j, s), 0)
-                    if c:
-                        base = euler_base_series(
-                            Fraction(1, q**j), ring.zeta_pow(a * s), j, order, ring
-                        )
-                        K = K * base.pow(c)
-        total = total + K.scale(ring.zeta_pow(-a * mu))
-    out = total.rationalize()
-    out.coeffs[0] = Fraction(1)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _det_graded_series(q, t, order):
     """Series over Q[C_{q-1}] whose u^n coefficient at e_mu is the proportion
@@ -274,7 +211,7 @@ def _det_graded_series(q, t, order):
     degree j <= t and det residue s multiplies by
     prod_{i>=1} (1 - e_s q^{-ij} u^j) once per such irreducible.
     """
-    ring = GroupRing(q - 1)
+    ring = CycRing(q - 1)
     E = sum((ring.zeta_pow(s) for s in range(q - 1)), ring.zero)
     out = Series([ring.one] + [E * Fraction(1, q - 1)] * order, ring)
     for (j, s), c in sorted(residue_class_counts(Field(q), t).items()):
@@ -282,8 +219,14 @@ def _det_graded_series(q, t, order):
     return out
 
 
-def sl_coset_series_graded(q, t, mu, order):
-    """sl_coset_series read off the single det-graded product."""
+def sl_coset_series(q, t, mu, order):
+    """Coefficient n (n >= 1) is the proportion, inside the determinant coset
+    with det = zeta^mu, of elements with no charpoly factor of degree <= t.
+
+    Read off the det-graded product over Q[C_{q-1}], which every coset of
+    the same (q, t, order) shares.  The constant coefficient is set to 1 by
+    convention.
+    """
     if not 0 <= mu < max(q - 1, 1):
         raise ValueError("coset label out of range")
     Field(q)  # validates that q is a prime power
@@ -296,13 +239,15 @@ def sl_coset_series_graded(q, t, mu, order):
 
 
 # ---------------------------------------------------------------------------
-# Telescoping residue products.  With a nontrivial character weight the full
-# product over irreducibles collapses to 1; these builders expose the
-# truncated partial products so the collapse can be checked exactly.
+# Telescoping residue products over Q[C_m].  With E = sum_k e_k the full
+# products over irreducibles are 1 - E u/(1 - u) (linear) and 1 - E u/(1 + u)
+# (unitary); the weight a sends e_k to e_{ak}, and E to sum_k e_{ak}.  These
+# builders expose the truncated partial products so the identities can be
+# checked exactly.
 
 def residue_product_series(q, a, order):
     """prod over monic irreducibles phi (nonzero constant term, any degree)
-    of (1 - zeta^{a r(phi)} u^{deg phi}), truncated."""
+    of (1 - e_{a r(phi)} u^{deg phi}) over Q[C_{q-1}], truncated."""
     ring = CycRing(q - 1)
     F = Field(q)
     counts = residue_class_counts(F, order)
@@ -316,8 +261,8 @@ def residue_product_series(q, a, order):
 
 def unitary_residue_product_series(q0, a, order):
     """Unitary analogue over GF(q0^2): self-conjugate irreducibles contribute
-    (1 - omega^{s(phi)} u^deg), conjugate pairs (1 - omega^{s(phi)} u^{2 deg}),
-    with omega = zeta_{q0+1}^a."""
+    (1 - e_{a s(phi)} u^deg), conjugate pairs (1 - e_{a s(phi)} u^{2 deg}),
+    over Q[C_{q0+1}]."""
     from .gf import conjugate_tilde, irreducibles, unitary_residue
 
     ring = CycRing(q0 + 1)

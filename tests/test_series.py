@@ -1,11 +1,11 @@
-"""Tests for exact cyclotomic arithmetic and the truncated series algebra."""
+"""Tests for the group algebra Q[C_m] and the truncated series algebra."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from classprop.cyclo import CycNum, CycRing, cyclotomic_poly
+from classprop.cyclo import CycRing
 from classprop.gf import Field, has_small_degree_factor
 from classprop.series import (
     Series,
@@ -15,30 +15,11 @@ from classprop.series import (
     gl_no_small_factor_series,
     residue_product_series,
     sl_coset_series,
-    sl_coset_series_graded,
     unitary_residue_product_series,
 )
 
 # ---------------------------------------------------------------------------
-# Cyclotomic ring.
-
-KNOWN_CYCLOTOMICS = {
-    1: (-1, 1),
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    5: (1, 1, 1, 1, 1),
-    6: (1, -1, 1),
-    8: (1, 0, 0, 0, 1),
-    9: (1, 0, 0, 1, 0, 0, 1),
-    12: (1, 0, -1, 0, 1),
-}
-
-
-@pytest.mark.parametrize("m,poly", sorted(KNOWN_CYCLOTOMICS.items()))
-def test_cyclotomic_poly_values(m, poly):
-    assert cyclotomic_poly(m) == poly
-
+# Group algebra Q[C_m].
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8, 12])
 def test_zeta_has_order_m(m):
@@ -53,22 +34,16 @@ def test_zeta_has_order_m(m):
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8, 12])
 def test_root_sum_vanishes(m):
+    # E = sum_k e_k is killed by every 1 - e_k, so every character other
+    # than the trivial one sends the root sum E to 0; the det-graded coset
+    # series relies on E e_k = E
     R = CycRing(m)
-    s = R.zero
+    E = R.zero
     for k in range(m):
-        s = s + R.zeta_pow(k)
-    assert s == R.zero
-
-
-def test_rationality_detection():
-    R = CycRing(5)
-    s = R.zero
-    for k in range(1, 5):
-        s = s + R.zeta_pow(k)
-    assert s.is_rational and s.rational == Fraction(-1)
-    assert not R.zeta_pow(1).is_rational
-    with pytest.raises(ValueError):
-        R.zeta_pow(1).rational
+        E = E + R.zeta_pow(k)
+    for k in range(m):
+        assert E * (R.one - R.zeta_pow(k)) == R.zero
+    assert E * E == E * m
 
 
 def test_ring_arithmetic_random():
@@ -110,10 +85,8 @@ def test_reciprocal_of_nonunit_rejected():
     s = Series([0, 1, 0])
     with pytest.raises(ZeroDivisionError):
         s.reciprocal()
-    R = CycRing(4)
-    s = Series([R.zeta_pow(1), R.one, R.zero], R)
     with pytest.raises(ValueError):
-        s.reciprocal()
+        Series.one(2, CycRing(4)).reciprocal()
 
 
 def test_pow_matches_repeated_mul():
@@ -268,15 +241,31 @@ def test_coset_series_negation_duality(q, t):
         assert a.coeffs == b.coeffs
 
 
-@pytest.mark.parametrize("q,t", [(q, t) for q in (3, 4, 5, 7, 8, 9) for t in (1, 2)])
-def test_graded_coset_route_matches_character_route(q, t):
-    # the det-graded product over Q[C_{q-1}] against the character sum in
-    # Q(zeta_{q-1}), exactly, for every coefficient and coset
-    for mu in range(q - 1):
-        old = sl_coset_series(q, t, mu, 8)
-        new = sl_coset_series_graded(q, t, mu, 8)
-        assert all(type(c) is Fraction for c in new.coeffs)
-        assert new.coeffs == old.coeffs, (q, t, mu)
+# Coefficients n = 3, 4 of every coset at q in {5, 7}, t in {1, 2}, as the
+# character-sum route over Q(zeta_{q-1}) computed them before it was replaced
+# by the det-graded product over Q[C_{q-1}].
+FROZEN_COSET_COEFFS = {
+    (5, 1): [("10/31", "625/1872"), ("10/31", "1/3"), ("10/31", "49/144"), ("10/31", "1/3")],
+    (5, 2): [("10/31", "3/13"), ("10/31", "1/4"), ("10/31", "3/13"), ("10/31", "1/4")],
+    (7, 1): [("6/19", "2217/6400"), ("1/3", "11/32"), ("1/3", "2217/6400"),
+             ("6/19", "11/32"), ("1/3", "2217/6400"), ("1/3", "11/32")],
+    (7, 2): [("6/19", "6/25"), ("1/3", "1/4"), ("1/3", "6/25"),
+             ("6/19", "1/4"), ("1/3", "6/25"), ("1/3", "1/4")],
+}
+
+
+@pytest.mark.parametrize("q,t", sorted(FROZEN_COSET_COEFFS))
+def test_coset_series_frozen_values(q, t):
+    for mu, want in enumerate(FROZEN_COSET_COEFFS[q, t]):
+        s = sl_coset_series(q, t, mu, 4)
+        assert (s.coeff(3), s.coeff(4)) == tuple(Fraction(w) for w in want), (q, t, mu)
+
+
+def test_coset_series_returns_fresh_series():
+    # cosets share one memoised graded product; a caller's edit must not leak
+    s = sl_coset_series(5, 1, 1, 4)
+    s.coeffs[3] = Fraction(0)
+    assert sl_coset_series(5, 1, 1, 4).coeff(3) == Fraction(10, 31)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +337,14 @@ def test_coset_label_validated():
 
 
 # ---------------------------------------------------------------------------
-# Residue-weighted products over irreducibles telescope to 1 for any
-# nontrivial character weight.
+# Residue-weighted products over irreducibles telescope in Q[C_m]: to
+# 1 - E u/(1 - u) for the linear product and 1 - E u/(1 + u) for the unitary
+# one, with E = sum_k e_k.  The weight a sends e_k to e_{ak} and E to
+# sum_k e_{ak}, which is E itself when a is a unit mod m.
+
+def _weighted_root_sum(R, a):
+    return sum((R.zeta_pow(a * k) for k in range(R.m)), R.zero)
+
 
 @pytest.mark.parametrize(
     "q,a,order",
@@ -358,22 +353,34 @@ def test_coset_label_validated():
 def test_linear_residue_product_collapses(q, a, order):
     s = residue_product_series(q, a, order)
     R = s.ring
+    E = _weighted_root_sum(R, a)
     assert s.coeffs[0] == R.one
-    assert all(c == R.zero for c in s.coeffs[1:])
+    assert all(c == -E for c in s.coeffs[1:])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_linear_residue_product_trivial_weight(q):
-    # with weight 1 the product telescopes to (1 - qu)/(1 - u) instead
+    # with weight 0 every e_k becomes e_0: the product is (1 - qu)/(1 - u)
     order = 6
-    s = residue_product_series(q, 0, order).rationalize()
-    assert s.coeff(0) == 1
-    assert all(s.coeff(n) == -(q - 1) for n in range(1, order + 1))
+    s = residue_product_series(q, 0, order)
+    R = s.ring
+    assert s.coeff(0) == R.one
+    assert all(s.coeff(n) == R.coerce(-(q - 1)) for n in range(1, order + 1))
 
 
 @pytest.mark.parametrize("q0,a,order", [(2, 1, 6), (2, 2, 6), (3, 1, 4), (3, 3, 4)])
 def test_unitary_residue_product_collapses(q0, a, order):
     s = unitary_residue_product_series(q0, a, order)
     R = s.ring
+    E = _weighted_root_sum(R, a)
     assert s.coeffs[0] == R.one
-    assert all(c == R.zero for c in s.coeffs[1:])
+    assert all(c == E * (-1) ** n for n, c in enumerate(s.coeffs) if n)
+
+
+@pytest.mark.parametrize("q0,order", [(2, 6), (3, 4)])
+def test_unitary_residue_product_trivial_weight(q0, order):
+    # weight 0: 1 - (q0 + 1)u/(1 + u)
+    s = unitary_residue_product_series(q0, 0, order)
+    R = s.ring
+    assert s.coeff(0) == R.one
+    assert all(s.coeff(n) == R.coerce((q0 + 1) * (-1) ** n) for n in range(1, order + 1))
