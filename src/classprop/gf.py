@@ -13,14 +13,11 @@ helpers take the field as first argument.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as _dcfield
 from functools import lru_cache
 
 MAX_Q = 81
 
-# Largest number of candidate polynomials we are willing to sieve when a
-# count is requested by enumeration.  Keeps q <= 5, j <= 6 enumerable while
-# routing larger parameter ranges to the cross-validated closed forms.
+# Largest number of candidate polynomials count_enumerated will sieve.
 DEFAULT_ENUM_CAP = 30_000
 
 
@@ -449,19 +446,6 @@ def irreducibles(F, d):
     return cache[d]
 
 
-def smallest_irreducible_factor_degree(F, f):
-    """Factor-free oracle by trial division; intended for cross-checks."""
-    f = pmonic(F, f)
-    deg = pdeg(f)
-    if deg < 1:
-        raise ValueError("need a nonconstant polynomial")
-    for d in range(1, deg // 2 + 1):
-        for g in irreducibles(F, d):
-            if not pmod(F, f, g):
-                return d
-    return deg
-
-
 def has_small_degree_factor(F, f, t):
     """Whether f has an irreducible factor of degree <= t.
 
@@ -564,9 +548,9 @@ def unitary_residue(F, q0, f):
 # "Ntilde" over GF(q^2), fixed by the tilde conjugate
 # "Mtilde" unordered pairs {f, tilde(f)} over GF(q^2) with f != tilde(f)
 #
-# Enumeration is the ground truth wherever the candidate space fits the cap;
-# the closed forms below are validated against it across that whole range and
-# extend the counts to parameters where enumeration is impossible.
+# Counts come from the closed forms below.  count_enumerated recomputes them
+# by enumeration; the tests check the two agree wherever the candidate space
+# fits DEFAULT_ENUM_CAP.
 
 FAMILIES = ("N", "Nstar", "Mstar", "Ntilde", "Mtilde")
 
@@ -604,7 +588,10 @@ def _count_formula_Ntilde(q, j):
     return sum(mobius(j // d) * (q**d + 1) for d in range(1, j + 1) if j % d == 0) // j
 
 
-def count_formula(family, q, j):
+def count_irreducibles(family, q, j):
+    """Number of irreducibles of the given family and degree j over GF(q)."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
     if family == "N":
         return _count_formula_N(q, j)
     if family == "Nstar":
@@ -619,7 +606,8 @@ def count_formula(family, q, j):
 
 
 def count_enumerated(family, q, j, cap=DEFAULT_ENUM_CAP):
-    """Count by explicit enumeration; ValueError when over the cap."""
+    """Count by explicit enumeration; ValueError when over the cap.  The
+    test oracle for count_irreducibles."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     base = q * q if family in ("Ntilde", "Mtilde") else q
@@ -636,57 +624,6 @@ def count_enumerated(family, q, j, cap=DEFAULT_ENUM_CAP):
         return fixed if family == "Nstar" else (len(polys) - fixed) // 2
     fixed = sum(1 for f in polys if conjugate_tilde(F, q, f) == f)
     return fixed if family == "Ntilde" else (len(polys) - fixed) // 2
-
-
-def _enumerable(base, j, cap):
-    """Enumeration needs a constructible base field and a search space
-    within the cap; the formulas carry every other parameter."""
-    if base > MAX_Q or base**j > cap:
-        return False
-    try:
-        prime_power(base)
-    except ValueError:
-        return False
-    return True
-
-
-def count_irreducibles(family, q, j, method="auto", cap=DEFAULT_ENUM_CAP):
-    if method == "enumeration":
-        return count_enumerated(family, q, j, cap)
-    if method == "formula":
-        return count_formula(family, q, j)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    base = q * q if family in ("Ntilde", "Mtilde") else q
-    if _enumerable(base, j, cap):
-        return count_enumerated(family, q, j, cap)
-    return count_formula(family, q, j)
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Counts for one family at one q, j = 1..jmax, with provenance per j."""
-
-    family: str
-    q: int
-    values: dict = _dcfield(default_factory=dict)
-    provenance: dict = _dcfield(default_factory=dict)
-
-    @classmethod
-    def build(cls, family, q, jmax, method="auto", cap=DEFAULT_ENUM_CAP):
-        values, prov = {}, {}
-        for j in range(1, jmax + 1):
-            base = q * q if family in ("Ntilde", "Mtilde") else q
-            if method == "auto":
-                use = "enumeration" if _enumerable(base, j, cap) else "formula"
-            else:
-                use = method
-            values[j] = count_irreducibles(family, q, j, method=use, cap=cap)
-            prov[j] = use
-        return cls(family, q, values, prov)
-
-    def __getitem__(self, j):
-        return self.values[j]
 
 
 def residue_class_counts(F, jmax):

@@ -51,9 +51,6 @@ class Enclosure:
     def contains(self, x):
         return self.lo <= x <= self.hi
 
-    def overlaps(self, other):
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def scale(self, c):
         c = Fraction(c)
         if c < 0:

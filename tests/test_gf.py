@@ -1,14 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from classprop import gf
+from classprop import gf, limits, series
 from classprop.gf import (
     Field,
     conjugate_star,
     conjugate_tilde,
     count_enumerated,
-    count_formula,
     count_irreducibles,
     count_monic_irreducible,
     det_residue,
@@ -277,7 +277,7 @@ def test_nstar_odd_degrees_vanish():
 def test_ntilde_even_degrees_vanish():
     for q in (2, 3):
         for j in (2, 4, 6):
-            assert count_formula("Ntilde", q, j) == 0
+            assert count_irreducibles("Ntilde", q, j) == 0
             if (q * q) ** j <= gf.DEFAULT_ENUM_CAP:
                 assert count_enumerated("Ntilde", q, j) == 0
 
@@ -302,7 +302,7 @@ FORMULA_VS_ENUM = [
 ] + [
     (fam, q, j)
     for fam in ("Ntilde", "Mtilde")
-    for q in (2, 3, 4, 5, 7)
+    for q in (2, 3, 4, 5, 7, 8, 9)
     for j in range(1, 5)
     if (q * q) ** j <= gf.DEFAULT_ENUM_CAP
 ]
@@ -310,16 +310,16 @@ FORMULA_VS_ENUM = [
 
 @pytest.mark.parametrize("family,q,j", FORMULA_VS_ENUM)
 def test_count_formula_matches_enumeration(family, q, j):
-    assert count_formula(family, q, j) == count_enumerated(family, q, j)
+    assert count_irreducibles(family, q, j) == count_enumerated(family, q, j)
 
 
 def test_pair_counts_consistent():
     for q in (2, 3, 4, 5):
         for j in range(1, 5):
-            n = count_formula("N", q, j)
-            assert n == count_formula("Nstar", q, j) + 2 * count_formula("Mstar", q, j)
-            n2 = count_formula("N", q * q, j)
-            assert n2 == count_formula("Ntilde", q, j) + 2 * count_formula("Mtilde", q, j)
+            n = count_irreducibles("N", q, j)
+            assert n == count_irreducibles("Nstar", q, j) + 2 * count_irreducibles("Mstar", q, j)
+            n2 = count_irreducibles("N", q * q, j)
+            assert n2 == count_irreducibles("Ntilde", q, j) + 2 * count_irreducibles("Mtilde", q, j)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -333,11 +333,24 @@ def test_degree_partition_identity(q):
         assert total == q**J
 
 
-def test_count_table_provenance():
-    table = gf.CountTable.build("Ntilde", 9, 3)
-    assert table.provenance[1] == "enumeration"
-    assert table.provenance[3] == "formula"
-    assert table[1] == count_formula("Ntilde", 9, 1) == 10
+def test_count_rejects_degree_zero():
+    with pytest.raises(ValueError):
+        count_irreducibles("N", 2, 0)
+
+
+def test_runtime_counts_never_enumerate(monkeypatch):
+    # enumeration is a test oracle only; series and limits use closed forms
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"count_enumerated{args} called at runtime")
+
+    monkeypatch.setattr(gf, "count_enumerated", refuse)
+    tol = Fraction(1, 10**6)
+    assert limits.bound_suite((2, 3), (1, 2), tol)["all_pass"]
+    for tag, q in [("GL", 3), ("SU", 3), ("Sp_odd", 3), ("Sp_even", 4), ("O_half", 3)]:
+        enc = limits.limit_value(limits.LimitFamily(tag, q, 2), tol)
+        assert 0 < enc.lo <= enc.hi < 1
+    s = series.gl_no_small_factor_series(9, 4, 8)
+    assert all(0 <= c <= 1 for c in s.coeffs)
 
 
 def test_enumeration_cap_enforced():
