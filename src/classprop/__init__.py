@@ -2,10 +2,10 @@
 has no irreducible factor of small degree.
 
 The layers build on each other: finite fields and polynomial counting
-(``gf``), cyclotomic integer arithmetic (``cyclo``), exact generating
-functions (``series``), rigorous limit enclosures (``limits``), enumerated
-matrix groups with their subspace actions (``matgroup``), and statistics,
-bounds, and generation probes over them (``stats``).  The ``cli`` module
+(``gf``), the rational group algebra of a cyclic group (``cyclo``), exact
+generating functions (``series``), rigorous limit enclosures (``limits``),
+enumerated matrix groups with their subspace actions (``matgroup``), and
+statistics, bounds, and generation probes over them (``stats``).  The ``cli`` module
 wraps everything in a batch command line tool.
 """
 

@@ -589,9 +589,7 @@ def _count_formula_Ntilde(q, j):
 
 
 def count_irreducibles(family, q, j):
-    """Number of irreducibles of the given family and degree j over GF(q)."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
+    """Number of irreducibles of the given family and degree j >= 1 over GF(q)."""
     if family == "N":
         return _count_formula_N(q, j)
     if family == "Nstar":

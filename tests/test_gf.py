@@ -333,11 +333,6 @@ def test_degree_partition_identity(q):
         assert total == q**J
 
 
-def test_count_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        count_irreducibles("N", 2, 0)
-
-
 def test_runtime_counts_never_enumerate(monkeypatch):
     # enumeration is a test oracle only; series and limits use closed forms
     def refuse(*args, **kwargs):

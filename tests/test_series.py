@@ -368,19 +368,12 @@ def test_linear_residue_product_trivial_weight(q):
     assert all(s.coeff(n) == R.coerce(-(q - 1)) for n in range(1, order + 1))
 
 
-@pytest.mark.parametrize("q0,a,order", [(2, 1, 6), (2, 2, 6), (3, 1, 4), (3, 3, 4)])
+@pytest.mark.parametrize(
+    "q0,a,order", [(2, 1, 6), (2, 2, 6), (3, 1, 4), (3, 3, 4), (2, 0, 6), (3, 0, 4)]
+)
 def test_unitary_residue_product_collapses(q0, a, order):
     s = unitary_residue_product_series(q0, a, order)
     R = s.ring
     E = _weighted_root_sum(R, a)
     assert s.coeffs[0] == R.one
     assert all(c == E * (-1) ** n for n, c in enumerate(s.coeffs) if n)
-
-
-@pytest.mark.parametrize("q0,order", [(2, 6), (3, 4)])
-def test_unitary_residue_product_trivial_weight(q0, order):
-    # weight 0: 1 - (q0 + 1)u/(1 + u)
-    s = unitary_residue_product_series(q0, 0, order)
-    R = s.ring
-    assert s.coeff(0) == R.one
-    assert all(s.coeff(n) == R.coerce((q0 + 1) * (-1) ** n) for n in range(1, order + 1))
