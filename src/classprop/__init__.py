@@ -5,8 +5,8 @@ The layers build on each other: finite fields and polynomial counting
 (``gf``), the rational group algebra of a cyclic group (``cyclo``), exact
 generating functions (``series``), rigorous limit enclosures (``limits``),
 enumerated matrix groups with their subspace actions (``matgroup``), and
-statistics, bounds, and generation probes over them (``stats``).  The ``cli`` module
-wraps everything in a batch command line tool.
+statistics, bounds, and generation probes over them (``stats``).  The
+``cli`` module wraps everything in a batch command line tool.
 """
 
 __version__ = "1.0.0"

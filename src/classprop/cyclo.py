@@ -91,3 +91,16 @@ class CycNum:
 
     def __bool__(self):
         return any(self.coeffs)
+
+    def __pow__(self, k):
+        """k-th power by square and multiply; perfbench's tests count its products."""
+        if k < 0:
+            raise ValueError("negative powers not supported")
+        result = self.ring.one
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base
+            k >>= 1
+        return result
