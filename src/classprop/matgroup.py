@@ -231,6 +231,25 @@ class MatSpace:
             basis.append(tuple(v))
         return basis
 
+    def _null_basis(self, rows):
+        """Basis of the vectors with zero dot product against every row.
+
+        rows is a list of row lists of length n (any count); it is reduced in
+        place.  With the rows of a matrix this is its right null space.
+        """
+        n, neg = self.n, self.F.neg_t
+        pivots = self._elim(rows, n)
+        basis = []
+        for fc in range(n):
+            if fc in pivots:
+                continue
+            v = [0] * n
+            v[fc] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = neg[rows[r][fc]]
+            basis.append(tuple(v))
+        return basis
+
     def solve(self, a, b):
         """One solution x of a x = b, or None."""
         n = self.n
@@ -732,8 +751,18 @@ def _seed_and_pool(family, space, form):
 # ---------------------------------------------------------------------------
 # Closure and group tables.
 
-def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP):
-    """All products of the generators, breadth first from the identity."""
+def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
+    """All products of the generators, breadth first from the identity.
+
+    space supplies ``identity`` and ``mul``: a MatSpace, or a permutation
+    group such as ``stats.PermGroup``.  Returns the element list and the
+    element -> position dict.  Growing past cap elements raises
+    ResourceCapExceeded.  stop_over: once more than this many elements are
+    found, return the partial closure at once (a cheap "generates something
+    large" signal).
+    """
+    if stop_over is None:
+        stop_over = cap
     seen = {space.identity: 0}
     elements = [space.identity]
     frontier = [space.identity]
@@ -750,6 +779,8 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP):
                         )
                     seen[p] = len(elements)
                     elements.append(p)
+                    if len(elements) > stop_over:
+                        return elements, seen
                     nxt.append(p)
         frontier = nxt
     return elements, seen

@@ -540,6 +540,14 @@ def test_generation_probe_montecarlo():
     assert rec.hits == again.hits
 
 
+def test_generation_probe_frozen_hits():
+    g11 = psl2(11)
+    x = next(c[0] for c in g11.conjugacy_classes()
+             if g11.element_order(g11.elements[c[0]]) == 11)
+    rec = generation_probe(g11, x, trials=2000, seed=5)
+    assert rec.hits == 1825
+
+
 def test_generation_probe_rejects_identity_and_bad_trials():
     g7 = psl2(7)
     with pytest.raises(ValueError):
