@@ -69,13 +69,6 @@ def mobius(n):
 # ---------------------------------------------------------------------------
 # Prime-field polynomial helpers, used only to pick and check the modulus.
 
-def _zp_trim(f):
-    i = len(f)
-    while i and f[i - 1] == 0:
-        i -= 1
-    return tuple(f[:i])
-
-
 def _zp_mod(p, a, b):
     a = list(a)
     db, lead = len(b) - 1, b[-1]
@@ -86,7 +79,7 @@ def _zp_mod(p, a, b):
             factor = c * inv_lead % p
             for k in range(db + 1):
                 a[i - db + k] = (a[i - db + k] - factor * b[k]) % p
-    return _zp_trim(a)
+    return pnorm(a)
 
 
 def _zp_irreducible(p, f):
@@ -174,7 +167,7 @@ class Field:
         self.add_t = [[(self._vec_add(a, b)) for b in range(q)] for a in range(q)]
         self.mul_t = [[raw_mul(a, b) for b in range(q)] for a in range(q)]
         self.neg_t = [self._vec_neg(a) for a in range(q)]
-        self.frob_t = [self._pow_raw(a, p) for a in range(q)]
+        self.frob_t = [self.pow(a, p) for a in range(q)]
 
         self.zeta = self._least_primitive()
         self.dlog = [None] * q
@@ -212,18 +205,6 @@ class Field:
             a //= p
             mult *= p
         return out
-
-    def _pow_raw(self, a, k):
-        # Only used during table construction, before mul_t is complete for
-        # fast paths; relies on mul_t rows already filled for needed args.
-        result = 1
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul_t[result][base]
-            base = self.mul_t[base][base]
-            k >>= 1
-        return result
 
     def _least_primitive(self):
         q = self.q

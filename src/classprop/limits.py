@@ -181,11 +181,7 @@ def _exp_upper(x, terms):
         return 1 / _exp_lower(-x, terms)
     if x >= terms + 2:
         raise ValueError("too few Taylor terms for this argument")
-    s = Fraction(0)
-    term = Fraction(1)
-    for k in range(terms + 1):
-        s += term
-        term = term * x / (k + 1)
+    s = _exp_lower(x, terms)  # the Taylor partial sum, as x >= 0
     # remaining terms are dominated by a geometric series with ratio x/(terms+2)
     rem = x ** (terms + 1) / factorial(terms + 1)
     rem = rem * (terms + 2) / (terms + 2 - x)

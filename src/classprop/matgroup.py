@@ -1,7 +1,8 @@
 """Matrix groups over small finite fields by explicit enumeration.
 
 Matrices are flat row-major tuples of field codes, so they hash and compare
-cheaply.  Groups are built by breadth-first closure from hard-coded generator
+cheaply.  Groups are built by breadth-first closure (``bfs_closure``, which
+also closes the permutation groups of ``stats``) from hard-coded generator
 seeds; the element count is checked against the classical order formula, and
 when a seed undergenerates (a real phenomenon: the 4-dimensional plus-type
 orthogonal group over GF(2) is not generated by its reflections) the builder
@@ -218,18 +219,7 @@ class MatSpace:
 
     def kernel_basis(self, a):
         """Basis of the right null space, as vectors."""
-        n, F = self.n, self.F
-        rows = self.rows(a)
-        pivots = self._elim(rows, n)
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [0] * n
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = F.neg_t[rows[r][fc]]
-            basis.append(tuple(v))
-        return basis
+        return self._null_basis(self.rows(a))
 
     def _null_basis(self, rows):
         """Basis of the vectors with zero dot product against every row.
@@ -404,17 +394,20 @@ class FormSpec:
     def quad_value(self, space, v):
         if self.kind != "quadratic":
             raise ValueError("not a quadratic form")
-        F = space.F
-        n = self.n
-        acc = 0
-        for i in range(n):
-            if not v[i]:
-                continue
+        return _eval_quad(space, self.quad, v)
+
+
+def _eval_quad(space, quad, v):
+    """Value at v of the quadratic form with upper-triangular coefficients."""
+    n, F = space.n, space.F
+    acc = 0
+    for i in range(n):
+        if v[i]:
             for j in range(i, n):
-                c = self.quad[i * n + j]
+                c = quad[i * n + j]
                 if c and v[j]:
                     acc = F.add(acc, F.mul(c, F.mul(v[i], v[j])))
-        return acc
+    return acc
 
 
 def _quad_to_gram(space, quad):
@@ -1000,38 +993,6 @@ def _subtable(table, family):
     )
 
 
-def subgroup_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
-    """Closure of arbitrary invertible generators.
-
-    stop_over: if the closure exceeds this size, return None early.  The
-    early exit is a cheap "generates something large" signal.
-    """
-    for g in gens:
-        if space.det(g) == 0:
-            raise ValueError("generators must be invertible")
-    seen = {space.identity: 0}
-    elements = [space.identity]
-    frontier = [space.identity]
-    mul = space.mul
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                p = mul(g, h)
-                if p not in seen:
-                    if stop_over is not None and len(elements) >= stop_over:
-                        return None
-                    if len(elements) >= cap:
-                        raise ResourceCapExceeded(
-                            f"subgroup closure exceeded cap {cap}"
-                        )
-                    seen[p] = len(elements)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return elements
-
-
 # ---------------------------------------------------------------------------
 # Samplers.
 
@@ -1125,18 +1086,7 @@ def all_subspaces(space, k):
 
 def perp_basis_dot(space, basis):
     """Perp of the span under the plain dot product, as a canonical basis."""
-    n, F = space.n, space.F
-    rows = [list(b) for b in basis]
-    pivots = space._elim(rows, n)
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = F.neg_t[rows[r][fc]]
-        out.append(tuple(v))
-    return rref_basis(space, out)
+    return rref_basis(space, space._null_basis([list(b) for b in basis]))
 
 
 def perp_basis_form(space, form, basis):
@@ -1329,18 +1279,6 @@ def enumerate_action(table_or_space, spec, form=None, cap=DEFAULT_ACTION_CAP):
 # ---------------------------------------------------------------------------
 # Fixed points.
 
-def _eval_quad(space, quad, v):
-    n, F = space.n, space.F
-    acc = 0
-    for i in range(n):
-        if v[i]:
-            for j in range(i, n):
-                c = quad[i * n + j]
-                if c and v[j]:
-                    acc = F.add(acc, F.mul(c, F.mul(v[i], v[j])))
-    return acc
-
-
 def _element_lut(space, g, cache):
     lut = cache.get("lut")
     if lut is None:
@@ -1473,11 +1411,9 @@ def _fixed_form_indices(space, g, action):
     x0 = space.solve(gm1, c)
     if x0 is None:
         return []
-    out = []
-    for kv in _span(space, space.kernel_basis(gm1)):
-        v = tuple(space.F.add(x, y) for x, y in zip(x0, kv))
-        out.append(space.vec_code(v))
-    return sorted(out)
+    c0 = space.vec_code(x0)
+    kernel = subspace_vectors(space, space.kernel_basis(gm1))
+    return sorted(space.code_add(c0, kc) for kc in kernel)
 
 
 def fixed_points_by_type(space, g, action):
@@ -1486,19 +1422,6 @@ def fixed_points_by_type(space, g, action):
     for idx in _fixed_form_indices(space, g, action):
         out[action.points[idx][1]] += 1
     return out
-
-
-def _span(space, basis):
-    F = space.F
-    vecs = [(0,) * space.n]
-    for b in basis:
-        new = []
-        for c in range(1, space.q):
-            cb = tuple(F.mul(c, x) for x in b)
-            for v in vecs:
-                new.append(tuple(F.add(x, y) for x, y in zip(v, cb)))
-        vecs.extend(new)
-    return vecs
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Proportions of elements with no small invariant subspace (exact, series, or
 Monte Carlo), fixed-point expectations over cosets and conjugation-stable
 subsets, fixed-point-ratio bound checks, symmetric-group analogues, the
 signed-permutation parity statistic, and a generation probe for small simple
-groups.
+groups.  Permutation groups are closed by ``matgroup.bfs_closure``, the same
+closure that builds the matrix group tables.
 """
 
 import itertools
@@ -22,7 +23,7 @@ from .matgroup import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     MatSpace,
-    ResourceCapExceeded,
+    bfs_closure,
     build_group,
     enumerate_action,
     fixed_point_indices,
@@ -435,28 +436,22 @@ def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
             rows[(ai, bid, False)] = [-1, -1, 0, 0]  # max fp, argmax, checked, violations
             if include_tau and _tau_acts(act.spec, n):
                 rows[(ai, bid, True)] = [-1, -1, 0, 0]
-    scalars = _scalar_indices(table)
+    # each side skips the elements that act trivially on it
+    sides = [(False, _scalar_indices(table))]
+    if include_tau:
+        sides.append((True, set()))
     for i, g in enumerate(table.elements):
         cache = {}
-        if i not in scalars:
+        for tau, trivial in sides:
+            if i in trivial:
+                continue
             for ai, act in enumerate(actions):
-                fp = fixed_points(table.space, g, act, cache=cache)
-                npts = len(act)
-                for bid, bound in bounds[ai]:
-                    row = rows[(ai, bid, False)]
-                    row[2] += 1
-                    if fp > row[0]:
-                        row[0], row[1] = fp, i
-                    if fp * bound.denominator >= bound.numerator * npts:
-                        row[3] += 1
-        if include_tau:
-            for ai, act in enumerate(actions):
-                if not _tau_acts(act.spec, n):
+                if tau and not _tau_acts(act.spec, n):
                     continue
-                fp = fixed_points(table.space, g, act, tau=True, cache=cache)
+                fp = fixed_points(table.space, g, act, tau=tau, cache=cache)
                 npts = len(act)
                 for bid, bound in bounds[ai]:
-                    row = rows[(ai, bid, True)]
+                    row = rows[(ai, bid, tau)]
                     row[2] += 1
                     if fp > row[0]:
                         row[0], row[1] = fp, i
@@ -635,7 +630,11 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
 # Generation probe.
 
 class PermGroup:
-    """A finite permutation group enumerated from generators."""
+    """A finite permutation group enumerated from generators.
+
+    It has the ``identity`` and ``mul`` that ``bfs_closure`` asks of its
+    space; elements are kept in sorted order.
+    """
 
     def __init__(self, degree, gens, name="", cap=2_000_000):
         self.degree = degree
@@ -646,20 +645,7 @@ class PermGroup:
         for g in self.gens:
             if sorted(g) != list(ident):
                 raise ValueError("generator is not a permutation")
-        elements = {ident}
-        frontier = [ident]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in self.gens:
-                    b = tuple(map(a.__getitem__, g))
-                    if b not in elements:
-                        elements.add(b)
-                        if len(elements) > cap:
-                            raise ResourceCapExceeded("closure exceeds cap")
-                        new.append(b)
-            frontier = new
-        self.elements = sorted(elements)
+        self.elements = sorted(bfs_closure(self, self.gens, cap)[0])
         self.index = {e: i for i, e in enumerate(self.elements)}
 
     def order(self):
@@ -741,21 +727,7 @@ def _generates(group, x, s):
     subgroup has index at least 2.
     """
     half = group.order() // 2
-    have = {group.identity}
-    frontier = [group.identity]
-    pair = (x, s)
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in pair:
-                b = tuple(map(a.__getitem__, g))
-                if b not in have:
-                    have.add(b)
-                    if len(have) > half:
-                        return True
-                    new.append(b)
-        frontier = new
-    return False
+    return len(bfs_closure(group, (x, s), stop_over=half)[0]) > half
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,80 @@
-"""Differential tests: the shared group closure and helpers against the
-separate copies they replace, on every input from small groups."""
+"""Differential tests: the one group closure and the shared helpers against
+standalone reference copies of the separate implementations they replaced,
+on every input from small groups."""
 
 import pytest
 
 from classprop.matgroup import (
     _eval_quad,
-    _span,
     all_subspaces,
     bfs_closure,
     build_group,
     perp_basis_dot,
     rref_basis,
-    subgroup_closure,
     subspace_vectors,
 )
 from classprop.stats import _generates, psl2
+
+
+def _ref_closure(identity, mul, gens, stop_over=None):
+    """Breadth-first closure; None once it exceeds stop_over elements."""
+    seen = {identity}
+    elements = [identity]
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in gens:
+                p = mul(g, h)
+                if p not in seen:
+                    if stop_over is not None and len(elements) >= stop_over:
+                        return None
+                    seen.add(p)
+                    elements.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return elements
+
+
+def _perm_mul(a, b):
+    return tuple(map(a.__getitem__, b))
+
+
+def _ref_span(space, basis):
+    F = space.F
+    vecs = [(0,) * space.n]
+    for b in basis:
+        new = []
+        for c in range(1, space.q):
+            cb = tuple(F.mul(c, x) for x in b)
+            for v in vecs:
+                new.append(tuple(F.add(x, y) for x, y in zip(v, cb)))
+        vecs.extend(new)
+    return vecs
+
+
+def _ref_null(space, rows):
+    n, F = space.n, space.F
+    rows = [list(r) for r in rows]
+    pivots = space._elim(rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * n
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg_t[rows[r][fc]]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_quad(space, quad, v):
+    F, n = space.F, space.n
+    acc = 0
+    for i in range(n):
+        for j in range(i, n):
+            acc = F.add(acc, F.mul(quad[i * n + j], F.mul(v[i], v[j])))
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -24,20 +84,18 @@ def tables():
 
 def test_matrix_closure_matches(tables):
     for tb in tables:
-        gens = list(tb.gens)
-        elements, seen = bfs_closure(tb.space, gens)
-        assert elements == subgroup_closure(tb.space, gens) == list(tb.elements)
+        sp, gens = tb.space, list(tb.gens)
+        elements, seen = bfs_closure(sp, gens)
+        assert elements == _ref_closure(sp.identity, sp.mul, gens)
+        assert elements == list(tb.elements)
         assert seen == tb.index
-        for stop in (1, 10, len(elements) - 1):
-            partial, _ = bfs_closure(tb.space, gens, stop_over=stop)
-            assert subgroup_closure(tb.space, gens, stop_over=stop) is None
-            assert partial == elements[: stop + 1]
 
 
 def test_permutation_closure_matches():
     g7 = psl2(7)
-    elements, _ = bfs_closure(g7, g7.gens)
-    assert sorted(elements) == g7.elements
+    ref = _ref_closure(g7.identity, _perm_mul, g7.gens)
+    assert g7.elements == sorted(ref)
+    assert bfs_closure(g7, g7.gens)[0] == ref
 
 
 def test_generates_matches_on_every_pair():
@@ -45,8 +103,8 @@ def test_generates_matches_on_every_pair():
     half = g7.order() // 2
     for x in g7.elements:
         for s in g7.elements:
-            partial, _ = bfs_closure(g7, (x, s), stop_over=half)
-            assert _generates(g7, x, s) == (len(partial) > half)
+            ref = _ref_closure(g7.identity, _perm_mul, (x, s), stop_over=half)
+            assert _generates(g7, x, s) == (ref is None)
 
 
 def _inputs(tb):
@@ -55,8 +113,8 @@ def _inputs(tb):
     sp = tb.space
     out = [b for k in range(sp.n + 1) for b in all_subspaces(sp, k)]
     for g in tb.elements:
-        out.append(sp.kernel_basis(sp.sub(g, sp.identity)))
-        out.append(sp.kernel_basis(sp.add(g, sp.identity)))
+        out.append(_ref_null(sp, sp.rows(sp.sub(g, sp.identity))))
+        out.append(_ref_null(sp, sp.rows(sp.add(g, sp.identity))))
     return out
 
 
@@ -64,8 +122,8 @@ def test_spans_match(tables):
     for tb in tables:
         sp = tb.space
         for basis in _inputs(tb):
-            old = frozenset(sp.vec_code(v) for v in _span(sp, basis))
-            assert old == subspace_vectors(sp, basis)
+            ref = frozenset(sp.vec_code(v) for v in _ref_span(sp, basis))
+            assert subspace_vectors(sp, basis) == ref
 
 
 def test_null_spaces_match(tables):
@@ -73,10 +131,10 @@ def test_null_spaces_match(tables):
         sp = tb.space
         for g in tb.elements:
             for a in (g, sp.sub(g, sp.identity), sp.add(g, sp.identity)):
-                assert sp.kernel_basis(a) == sp._null_basis(sp.rows(a))
+                assert sp.kernel_basis(a) == _ref_null(sp, sp.rows(a))
         for basis in _inputs(tb):
-            new = rref_basis(sp, sp._null_basis([list(b) for b in basis]))
-            assert perp_basis_dot(sp, basis) == new
+            ref = rref_basis(sp, _ref_null(sp, basis))
+            assert perp_basis_dot(sp, basis) == ref
 
 
 def test_quadratic_values_match(tables):
@@ -86,4 +144,6 @@ def test_quadratic_values_match(tables):
     for g in tb.elements:
         for v in vectors:
             w = sp.mat_vec(g, v)
-            assert _eval_quad(sp, form.quad, w) == form.quad_value(sp, w)
+            ref = _ref_quad(sp, form.quad, w)
+            assert form.quad_value(sp, w) == ref
+            assert _eval_quad(sp, form.quad, w) == ref

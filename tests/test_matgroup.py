@@ -33,7 +33,6 @@ from classprop.matgroup import (
     sieve_free,
     singular_vector_count,
     standard_form,
-    subgroup_closure,
     subspace_vectors,
     tau_membership,
     tau_sieve_free,
@@ -753,19 +752,21 @@ def test_random_gl_roughly_uniform_on_small_group():
     assert all(140 <= c <= 260 for c in counts.values())
 
 
-def test_subgroup_closure_generates_group():
+def test_bfs_closure_stop_over_returns_a_prefix():
     tb = build_group("GL", 3, 2)
-    els = subgroup_closure(tb.space, list(tb.gens))
-    assert len(els) == 168
+    full, _ = bfs_closure(tb.space, list(tb.gens))
+    assert full == list(tb.elements)
+    partial, seen = bfs_closure(tb.space, list(tb.gens), stop_over=10)
+    assert partial == full[:11]
+    assert seen == {g: i for i, g in enumerate(partial)}
+    assert bfs_closure(tb.space, list(tb.gens), stop_over=168)[0] == full
 
 
-def test_subgroup_closure_stop_over_and_cap():
+def test_bfs_closure_cap():
     tb = build_group("GL", 3, 2)
-    assert subgroup_closure(tb.space, list(tb.gens), stop_over=10) is None
     with pytest.raises(ResourceCapExceeded):
-        subgroup_closure(tb.space, list(tb.gens), cap=10)
-    with pytest.raises(ValueError):
-        subgroup_closure(tb.space, [tuple([0] * 9)])
+        bfs_closure(tb.space, list(tb.gens), cap=10)
+    assert len(bfs_closure(tb.space, list(tb.gens), cap=168)[0]) == 168
 
 
 def test_bfs_closure_of_single_rotation():
