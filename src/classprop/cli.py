@@ -24,8 +24,8 @@ so a fixed (config, seed) pair produces byte-identical output.  CSV output
 is offered for the tabular commands (limit, series, enumerate) with the
 same rational rendering.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-cap exceeded.  The group-table cache directory is taken from the
+Exit codes: 0 success, 1 verification failure, 2 usage error (including an
+unwritable --out path), 3 resource cap exceeded.  The group-table cache directory is taken from the
 CLASSPROP_CACHE environment variable when set.
 """
 
@@ -55,7 +55,6 @@ from .matgroup import (
     DEFAULT_GROUP_CAP,
     build_group,
     membership_sets,
-    tau_membership,
 )
 from .series import gl_no_small_factor_series, sl_coset_series
 from .stats import (
@@ -233,6 +232,8 @@ def cmd_limit(cfg):
 
 def cmd_series(cfg):
     if cfg.family == "gl":
+        if cfg.coset is not None:
+            raise ValueError("gl series take no coset")
         s = gl_no_small_factor_series(cfg.q, cfg.t, cfg.order)
     else:
         mu = cfg.coset if cfg.coset is not None else 0
@@ -276,22 +277,12 @@ def cmd_enumerate(cfg):
             ["family", cfg.family], ["n", cfg.n], ["q", cfg.q],
             ["order", table.order()]]
     if cfg.t is not None:
-        if cfg.coset == "tau":
-            members = tau_membership(table, cfg.t)
-            denom = table.order()
-        else:
-            members = membership_sets(table, cfg.t, cfg.coset)
-            if cfg.coset in ("S", "O"):
-                denom = table.order() // 2
-            elif cfg.coset is None:
-                denom = table.order()
-            else:
-                denom = len(table.coset_indices(cfg.coset))
-        value = Fraction(len(members), denom)
+        rep = proportion(table, cfg.t, cfg.coset)
+        members = int(rep.value * rep.sample_size)
         result.update({"t": cfg.t, "coset": cfg.coset,
-                       "members": len(members), "proportion": value})
+                       "members": members, "proportion": rep.value})
         rows += [["t", cfg.t], ["coset", cfg.coset],
-                 ["members", len(members)], ["proportion", value]]
+                 ["members", members], ["proportion", rep.value]]
     return True, result, rows
 
 
@@ -575,7 +566,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"classprop: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write(cfg, text)
+    try:
+        _write(cfg, text)
+    except OSError as exc:
+        print(f"classprop: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if not ok:
         failures = result.get("failures") if isinstance(result, dict) else None
         if failures is not None:

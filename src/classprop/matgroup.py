@@ -972,13 +972,30 @@ def _table_from_payload(family, n, q, payload):
 
 
 def _subtable(table, family):
-    keep = [i for i, l in enumerate(table.labels) if l == 0]
+    """The label-0 half of an orthogonal table, in table order.
+
+    Its generators are the Schreier generators t s rep(t s)^-1 over the
+    transversal {1, r}, r the first label-1 element, so actions and
+    conjugation use the subgroup itself rather than the ambient group.
+    """
+    space, labels, index = table.space, table.labels, table.index
+    keep = [i for i, l in enumerate(labels) if l == 0]
     elements = tuple(table.elements[i] for i in keep)
     want = group_order(family, table.n, table.q)
     if len(elements) != want:
         raise AssertionError(
             f"{family}: label-0 part has {len(elements)} elements, wanted {want}"
         )
+    r = table.elements[labels.index(1)]
+    rinv = space.inv(r)
+    gens = []
+    for t in (space.identity, r):
+        for s in table.gens:
+            x = space.mul(t, s)
+            if labels[index[x]]:
+                x = space.mul(x, rinv)
+            if x != space.identity and x not in gens:
+                gens.append(x)
     return GroupTable(
         family=family,
         n=table.n,
@@ -988,7 +1005,7 @@ def _subtable(table, family):
         elements=elements,
         index={g: i for i, g in enumerate(elements)},
         labels=tuple(0 for _ in elements),
-        gens=table.gens,
+        gens=tuple(gens),
         label_kind=table.label_kind,
     )
 

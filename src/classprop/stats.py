@@ -68,7 +68,7 @@ class ProportionReport:
     coset: object
     method: str
     value: object  # Fraction for exact methods, float for montecarlo
-    sample_size: int = None
+    sample_size: int = None  # elements scanned or drawn; None for series
     ci_low: float = None
     ci_high: float = None
 
@@ -114,7 +114,7 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
             if denom == 0:
                 raise ValueError(f"empty coset label {coset!r}")
         value = Fraction(len(members), denom)
-        return ProportionReport(family, n, q, t, coset, method, value)
+        return ProportionReport(family, n, q, t, coset, method, value, denom)
     if method == "series":
         if family not in ("GL", "SL") or coset in ("tau", "S", "O"):
             raise ValueError("series proportions cover GL and its determinant cosets")
@@ -395,11 +395,24 @@ def _tau_acts(spec, n):
     return spec.kind in ("flag", "antiflag")
 
 
-def _scalar_indices(table):
+def _trivial_indices(table, tau):
+    """Indices of the elements g (tau=False) or coset elements g tau that fix
+    every point of every subspace-type action.
+
+    On the plain side these are the scalars.  For n = 2, tau is inner:
+    perp<v> = <J v> with J = [[0, -1], [1, 0]], so the c J act trivially
+    on the tau side.  For n >= 3 no coset element acts trivially.
+    """
     space = table.space
+    if not tau:
+        base = space.identity
+    elif table.n == 2:
+        base = space.from_rows([[0, space.F.neg_t[1]], [1, 0]])
+    else:
+        return set()
     out = set()
     for c in range(1, table.q):
-        idx = table.index.get(space.scalar(c))
+        idx = table.index.get(space.mul(space.scalar(c), base))
         if idx is not None:
             out.add(idx)
     return out
@@ -409,7 +422,8 @@ def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
     """Scan every nontrivial element against the subspace-action fpr bounds.
 
     Actions are the k-subspace, k-flag, and k-antiflag actions for k up to
-    n/2.  Elements acting trivially (scalars) are excluded; the
+    n/2.  Elements acting trivially are excluded: the scalars, and for n = 2
+    the coset elements c J tau (see _trivial_indices).  The
     inverse-transpose coset is included for GL on the actions it permutes.
     Returns one summary report per (action, bound, coset side) carrying the
     extremal element and the violation count, which must be zero.
@@ -436,14 +450,12 @@ def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
             rows[(ai, bid, False)] = [-1, -1, 0, 0]  # max fp, argmax, checked, violations
             if include_tau and _tau_acts(act.spec, n):
                 rows[(ai, bid, True)] = [-1, -1, 0, 0]
-    # each side skips the elements that act trivially on it
-    sides = [(False, _scalar_indices(table))]
-    if include_tau:
-        sides.append((True, set()))
+    sides = [False, True] if include_tau else [False]
+    trivial = {tau: _trivial_indices(table, tau) for tau in sides}
     for i, g in enumerate(table.elements):
         cache = {}
-        for tau, trivial in sides:
-            if i in trivial:
+        for tau in sides:
+            if i in trivial[tau]:
                 continue
             for ai, act in enumerate(actions):
                 if tau and not _tau_acts(act.spec, n):

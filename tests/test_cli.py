@@ -88,6 +88,28 @@ def test_series_rejects_non_integer_coset(tmp_path, capsys):
     assert "determinant labels" in capsys.readouterr().err
 
 
+def test_series_rejects_coset_for_gl(tmp_path, capsys):
+    code, _ = run(tmp_path, "series", "--family", "gl", "--q", "3",
+                  "--t", "1", "--coset", "1", "--order", "4")
+    assert code == cli.EXIT_USAGE
+    assert "no coset" in capsys.readouterr().err
+
+
+def test_enumerate_rejects_missing_coset_label(tmp_path, capsys):
+    code, _ = run(tmp_path, "enumerate", "--family", "GL", "--n", "2",
+                  "--q", "3", "--t", "1", "--coset", "5")
+    assert code == cli.EXIT_USAGE
+    assert "empty coset label 5" in capsys.readouterr().err
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = cli.main(["presets", "--out", str(out)])
+    assert code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("classprop: cannot write")
+    assert not out.exists()
+
+
 def test_series_byte_identical_across_runs(tmp_path):
     args = ("series", "--family", "sl", "--q", "3", "--t", "1",
             "--coset", "1", "--order", "8")

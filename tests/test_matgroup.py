@@ -199,6 +199,8 @@ def test_build_group_orders(family, n, q, want):
     assert group_order(family, n, q) == want
     assert len(set(tb.elements)) == want
     assert tb.index[tb.space.identity] == 0
+    # the generators regenerate the table, SO and Omega subtables included
+    assert set(bfs_closure(tb.space, tb.gens)[0]) == set(tb.elements)
 
 
 @pytest.mark.parametrize("family,n,q", [("Sp", 4, 2), ("O-", 4, 2), ("GU", 2, 2), ("O", 3, 3)])

@@ -84,6 +84,7 @@ def test_proportion_accepts_a_table():
     tb = build_group("GL", 3, 2)
     rep = proportion(tb, 2)
     assert rep.value == Fraction(48, 168)
+    assert rep.sample_size == 168
     assert rep.family == "GL" and rep.n == 3 and rep.q == 2
 
 
@@ -214,6 +215,16 @@ def test_coset_average_intransitive_reports_orbits():
     assert rep.value == 2
 
 
+def test_subtable_acts_with_its_own_generators():
+    # Omega+_4(2) splits the 6 totally singular 2-spaces into two orbits of 3
+    tb = build_group("Omega+", 4, 2)
+    spec = ActionSpec("subspace", 2, restrict="totally_singular")
+    assert sorted(len(o) for o in orbits(tb, spec)) == [3, 3]
+    rep = coset_average_fixed_points(tb, spec)
+    assert rep.orbit_values == (Fraction(1), Fraction(1))
+    assert permutation_group(tb, spec).order() == 36
+
+
 def test_coset_average_empty_coset_label():
     tb = build_group("GL", 2, 3)
     with pytest.raises(ValueError):
@@ -324,6 +335,15 @@ def test_fpr_bound_check_excludes_scalars():
     reports = fpr_bound_check(tb, include_tau=False)
     assert all(r.checked == 46 for r in reports)  # 48 minus two scalars
     assert all(r.violations == 0 for r in reports)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_fpr_bound_check_n2_tau_excludes_inner_elements(q):
+    # for n = 2, tau is inner and the q - 1 elements c J tau act trivially
+    tb = build_group("GL", 2, q)
+    reports = fpr_bound_check(tb)
+    assert all(r.violations == 0 for r in reports)
+    assert all(r.checked == tb.order() - (q - 1) for r in reports)
 
 
 def test_fpr_bound_check_flag_refinement_present_at_n4():
