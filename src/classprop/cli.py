@@ -25,8 +25,8 @@ is offered for the tabular commands (limit, series, enumerate) with the
 same rational rendering.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-unwritable --out path), 3 resource cap exceeded.  The group-table cache directory is taken from the
-CLASSPROP_CACHE environment variable when set.
+unwritable --out path), 3 resource cap exceeded.  The group-table cache
+directory is taken from the CLASSPROP_CACHE environment variable when set.
 """
 
 import argparse
@@ -322,51 +322,46 @@ def _suite_bounds(cfg):
     return report["all_pass"], report
 
 
-def _suite_inverse_transpose(cfg):
-    n = cfg.n if cfg.n is not None else 3
-    q = cfg.q if cfg.q is not None else 2
-    t = cfg.t if cfg.t is not None else 1
-    ok = inverse_transpose_identity_check(n, q, t)
-    record = {"n": n, "q": q, "t": t, "holds": ok}
-    return ok, {"cases": [record], "failures": [] if ok else [record]}
+_IDENTITIES = {
+    "inverse-transpose": (inverse_transpose_identity_check, 3, 2),
+    "orthogonal-reflection": (orthogonal_reflection_identity_check, 5, 3),
+}
 
 
-def _suite_orthogonal_reflection(cfg):
-    n = cfg.n if cfg.n is not None else 5
-    q = cfg.q if cfg.q is not None else 3
+def _suite_identity(cfg):
+    """One identity check; n and q default per identity, t to 1."""
+    check, n, q = _IDENTITIES[cfg.suite]
+    n = cfg.n if cfg.n is not None else n
+    q = cfg.q if cfg.q is not None else q
     t = cfg.t if cfg.t is not None else 1
-    ok = orthogonal_reflection_identity_check(n, q, t)
+    ok = check(n, q, t)
     record = {"n": n, "q": q, "t": t, "holds": ok}
     return ok, {"cases": [record], "failures": [] if ok else [record]}
 
 
 def _suite_identities(cfg):
+    grid = [("inverse-transpose", n, q) for n, q in ((2, 2), (3, 2), (3, 3))]
+    grid.append(("orthogonal-reflection", 5, 3))
     cases = []
-    failures = []
-    for n, q, t in [(2, 2, 1), (3, 2, 1), (3, 3, 1)]:
-        ok = inverse_transpose_identity_check(n, q, t)
-        record = {"identity": "inverse-transpose", "n": n, "q": q, "t": t,
-                  "holds": ok}
-        cases.append(record)
-        if not ok:
-            failures.append(record)
-    for n, q, t in [(5, 3, 1)]:
-        ok = orthogonal_reflection_identity_check(n, q, t)
-        record = {"identity": "orthogonal-reflection", "n": n, "q": q, "t": t,
-                  "holds": ok}
-        cases.append(record)
-        if not ok:
-            failures.append(record)
+    for name, n, q in grid:
+        ok = _IDENTITIES[name][0](n, q, 1)
+        cases.append({"identity": name, "n": n, "q": q, "t": 1, "holds": ok})
+    failures = [c for c in cases if not c["holds"]]
     return not failures, {"cases": cases, "failures": failures}
 
 
-def _suite_expectation(cfg):
+def _suite_table(cfg):
+    """The group of a table suite: GL_3(2) unless the flags name another."""
     family = cfg.family or "GL"
     n = cfg.n if cfg.n is not None else 3
     q = cfg.q if cfg.q is not None else 2
+    return build_group(family, n, q, cap=cfg.cap or DEFAULT_GROUP_CAP)
+
+
+def _suite_expectation(cfg):
+    table = _suite_table(cfg)
     t = cfg.t if cfg.t is not None else 1
     k = cfg.k if cfg.k is not None else 1
-    table = build_group(family, n, q, cap=cfg.cap or DEFAULT_GROUP_CAP)
     members = membership_sets(table, t, cfg.coset)
     if not members:
         raise ValueError("the sieved subset is empty at these parameters")
@@ -381,35 +376,30 @@ def _suite_expectation(cfg):
             worst = slack
         if not rec["ok"]:
             failures.append({"x": x, **rec})
-    summary = {"family": family, "n": n, "q": q, "t": t, "k": k,
-               "members": len(members), "checked": len(table.elements),
-               "min_slack": worst, "failures": failures}
+    summary = {"family": table.family, "n": table.n, "q": table.q,
+               "t": t, "k": k, "members": len(members),
+               "checked": len(table.elements), "min_slack": worst,
+               "failures": failures}
     return not failures, summary
 
 
 def _suite_fpr(cfg):
-    family = cfg.family or "GL"
-    n = cfg.n if cfg.n is not None else 3
-    q = cfg.q if cfg.q is not None else 2
-    table = build_group(family, n, q, cap=cfg.cap or DEFAULT_GROUP_CAP)
+    table = _suite_table(cfg)
     reports = fpr_bound_check(table, kmax=cfg.k)
     bad = [r for r in reports if r.violations]
     return not bad, {"reports": reports, "failures": bad}
 
 
 def _suite_coset_average(cfg):
-    family = cfg.family or "GL"
-    n = cfg.n if cfg.n is not None else 3
-    q = cfg.q if cfg.q is not None else 2
+    table = _suite_table(cfg)
     k = cfg.k if cfg.k is not None else 1
-    table = build_group(family, n, q, cap=cfg.cap or DEFAULT_GROUP_CAP)
     rep = coset_average_fixed_points(table, ActionSpec("subspace", k),
                                      coset=cfg.coset)
     values = rep.orbit_values if rep.orbit_values is not None else (rep.value,)
     ok = all(v == 1 for v in values)
-    record = {"family": family, "n": n, "q": q, "k": k, "coset": cfg.coset,
-              "value": rep.value, "orbit_values": rep.orbit_values,
-              "transitive": rep.transitive}
+    record = {"family": table.family, "n": table.n, "q": table.q, "k": k,
+              "coset": cfg.coset, "value": rep.value,
+              "orbit_values": rep.orbit_values, "transitive": rep.transitive}
     return ok, {"cases": [record], "failures": [] if ok else [record]}
 
 
@@ -417,8 +407,8 @@ _SUITES = {
     "exactness-bridge": _suite_exactness_bridge,
     "bounds": _suite_bounds,
     "identities": _suite_identities,
-    "inverse-transpose": _suite_inverse_transpose,
-    "orthogonal-reflection": _suite_orthogonal_reflection,
+    "inverse-transpose": _suite_identity,
+    "orthogonal-reflection": _suite_identity,
     "expectation": _suite_expectation,
     "fpr": _suite_fpr,
     "coset-average": _suite_coset_average,

@@ -222,21 +222,17 @@ class MatSpace:
         return self._null_basis(self.rows(a))
 
     def _null_basis(self, rows):
-        """Basis of the vectors with zero dot product against every row.
-
-        rows is a list of row lists of length n (any count); it is reduced in
-        place.  With the rows of a matrix this is its right null space.
-        """
-        n, neg = self.n, self.F.neg_t
+        """Basis of the vectors with zero dot product against every row (for
+        a matrix's rows, its right null space); rows is reduced in place."""
+        n, F = self.n, self.F
         pivots = self._elim(rows, n)
+        free = [c for c in range(n) if c not in pivots]
         basis = []
-        for fc in range(n):
-            if fc in pivots:
-                continue
+        for fc in free:
             v = [0] * n
             v[fc] = 1
             for r, pc in enumerate(pivots):
-                v[pc] = neg[rows[r][fc]]
+                v[pc] = F.neg_t[rows[r][fc]]
             basis.append(tuple(v))
         return basis
 
@@ -747,12 +743,10 @@ def _seed_and_pool(family, space, form):
 def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     """All products of the generators, breadth first from the identity.
 
-    space supplies ``identity`` and ``mul``: a MatSpace, or a permutation
-    group such as ``stats.PermGroup``.  Returns the element list and the
-    element -> position dict.  Growing past cap elements raises
-    ResourceCapExceeded.  stop_over: once more than this many elements are
-    found, return the partial closure at once (a cheap "generates something
-    large" signal).
+    space is a MatSpace or a stats.PermGroup (anything with ``identity`` and
+    ``mul``).  Returns (elements, element -> position).  More than cap
+    elements raise ResourceCapExceeded; more than stop_over return the
+    partial closure at once.
     """
     if stop_over is None:
         stop_over = cap
@@ -972,12 +966,8 @@ def _table_from_payload(family, n, q, payload):
 
 
 def _subtable(table, family):
-    """The label-0 half of an orthogonal table, in table order.
-
-    Its generators are the Schreier generators t s rep(t s)^-1 over the
-    transversal {1, r}, r the first label-1 element, so actions and
-    conjugation use the subgroup itself rather than the ambient group.
-    """
+    """The label-0 half of an orthogonal table, in table order, generated by
+    its Schreier generators t s rep(t s)^-1 over the transversal {1, r}."""
     space, labels, index = table.space, table.labels, table.index
     keep = [i for i, l in enumerate(labels) if l == 0]
     elements = tuple(table.elements[i] for i in keep)
@@ -1552,8 +1542,7 @@ def _orth_O_set_even(table, t):
         if MatSpace(2, q).rank(gram) != 2:
             continue
         perp = perp_basis_form(space, form, w)
-        sub, gw = _restrict(space, g, perp)
-        if not has_small_degree_factor(sub.F, sub.charpoly(gw), t):
+        if sieve_free(*_restrict(space, g, perp), t):
             out.append(i)
     return out
 
@@ -1570,8 +1559,7 @@ def _orth_set_odd(table, t, eigen):
         if form.bilinear(space, v, v) == 0:
             continue
         perp = perp_basis_form(space, form, (v,))
-        sub, gw = _restrict(space, g, perp)
-        if not has_small_degree_factor(sub.F, sub.charpoly(gw), t):
+        if sieve_free(*_restrict(space, g, perp), t):
             out.append(i)
     return out
 

@@ -396,26 +396,15 @@ def _tau_acts(spec, n):
 
 
 def _trivial_indices(table, tau):
-    """Indices of the elements g (tau=False) or coset elements g tau that fix
-    every point of every subspace-type action.
-
-    On the plain side these are the scalars.  For n = 2, tau is inner:
-    perp<v> = <J v> with J = [[0, -1], [1, 0]], so the c J act trivially
-    on the tau side.  For n >= 3 no coset element acts trivially.
-    """
+    """Indices of the g (or, with tau, the g tau) fixing every point: the
+    scalars, and for n = 2, where tau is inner (perp<v> = <J v> with
+    J = [[0, -1], [1, 0]]), the c J.  For n >= 3 no g tau acts trivially."""
     space = table.space
-    if not tau:
-        base = space.identity
-    elif table.n == 2:
-        base = space.from_rows([[0, space.F.neg_t[1]], [1, 0]])
-    else:
+    if tau and table.n != 2:
         return set()
-    out = set()
-    for c in range(1, table.q):
-        idx = table.index.get(space.mul(space.scalar(c), base))
-        if idx is not None:
-            out.add(idx)
-    return out
+    base = space.from_rows([[0, space.F.neg_t[1]], [1, 0]]) if tau else space.identity
+    mats = (space.mul(space.scalar(c), base) for c in range(1, table.q))
+    return {table.index[g] for g in mats if g in table.index}
 
 
 def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
@@ -642,10 +631,9 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
 # Generation probe.
 
 class PermGroup:
-    """A finite permutation group enumerated from generators.
+    """A finite permutation group enumerated from generators, sorted.
 
-    It has the ``identity`` and ``mul`` that ``bfs_closure`` asks of its
-    space; elements are kept in sorted order.
+    It has the ``identity`` and ``mul`` that ``bfs_closure`` asks of a space.
     """
 
     def __init__(self, degree, gens, name="", cap=2_000_000):
