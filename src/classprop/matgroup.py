@@ -20,6 +20,8 @@ import os
 import pickle
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import (
     Field,
     has_small_degree_factor,
@@ -31,6 +33,9 @@ from .gf import (
 
 DEFAULT_GROUP_CAP = 20_000_000
 DEFAULT_ACTION_CAP = 2_000_000
+
+# products per batched step of ``products``; bounds the working arrays
+_PRODUCT_CHUNK = 2048
 
 CACHE_ENV = "CLASSPROP_CACHE"
 _CACHE_LAYOUT = "matgroup-cache-1"
@@ -65,6 +70,9 @@ class MatSpace:
         self.identity = tuple(
             1 if i == j else 0 for i in range(n) for j in range(n)
         )
+        # flat lookup tables: x + y is _add[x * q + y], x * y is _mul[x * q + y]
+        self._add = np.array(self.F.add_t, dtype=np.intp).ravel()
+        self._mul = np.array(self.F.mul_t, dtype=np.intp).ravel()
 
     def from_rows(self, rows):
         return tuple(x for row in rows for x in row)
@@ -90,6 +98,21 @@ class MatSpace:
                         acc = add_t[acc][mul_t[x][b[k * n + j]]]
                 out.append(acc)
         return tuple(out)
+
+    def products(self, frontier, gens):
+        """Every g*h for g in frontier and h in gens, frontier-major, as
+        tuples: the same values, in the same order, as nested ``mul`` calls."""
+        n, q = self.n, self.q
+        add, mul = self._add, self._mul
+        hs = np.array(gens, dtype=np.intp).reshape(-1, n, n)
+        for part in frontier_chunks(frontier, gens):
+            aq = np.array(part, dtype=np.intp).reshape(-1, n, n) * q
+            acc = None
+            for k in range(n):
+                # term[f, g, i, j] = a_f[i, k] * h_g[k, j]
+                term = mul[aq[:, None, :, k, None] + hs[None, :, k, None, :]]
+                acc = term if acc is None else add[acc * q + term]
+            yield from map(tuple, acc.reshape(-1, n * n).tolist())
 
     def mat_vec(self, a, v):
         n, F = self.n, self.F
@@ -739,6 +762,16 @@ def _seed_and_pool(family, space, form):
 
 # ---------------------------------------------------------------------------
 # Closure and group tables.
+
+def frontier_chunks(frontier, gens):
+    """Consecutive slices of frontier, each with at most _PRODUCT_CHUNK
+    products against gens (at least one element); none when gens is empty."""
+    if not gens:
+        return
+    step = max(1, _PRODUCT_CHUNK // len(gens))
+    for start in range(0, len(frontier), step):
+        yield frontier[start : start + step]
+
 
 def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     """All products of the generators, breadth first from the identity.

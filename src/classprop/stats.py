@@ -28,6 +28,7 @@ from .matgroup import (
     enumerate_action,
     fixed_point_indices,
     fixed_points,
+    frontier_chunks,
     membership_sets,
     point_permutation,
     random_coset_gl,
@@ -653,6 +654,13 @@ class PermGroup:
 
     def mul(self, a, b):
         return tuple(map(a.__getitem__, b))
+
+    def products(self, frontier, gens):
+        """Every mul(g, h) for g in frontier and h in gens, frontier-major."""
+        hs = np.array(gens, dtype=np.intp)
+        for part in frontier_chunks(frontier, gens):
+            a = np.array(part, dtype=np.intp)
+            yield from map(tuple, a[:, hs].reshape(-1, self.degree).tolist())
 
     def inv(self, a):
         out = [0] * self.degree

@@ -1,10 +1,17 @@
 """Differential tests: the one group closure and the shared helpers against
 standalone reference copies of the separate implementations they replaced,
-on every input from small groups."""
+on every input from small groups; the batched products against one ``mul``
+call per product."""
+
+import random
 
 import pytest
 
+from classprop import matgroup
+from classprop.gf import prime_power
 from classprop.matgroup import (
+    MatSpace,
+    ResourceCapExceeded,
     _eval_quad,
     all_subspaces,
     bfs_closure,
@@ -38,6 +45,75 @@ def _ref_closure(identity, mul, gens, stop_over=None):
 
 def _perm_mul(a, b):
     return tuple(map(a.__getitem__, b))
+
+
+def _is_prime_power(q):
+    try:
+        prime_power(q)
+    except ValueError:
+        return False
+    return True
+
+
+PRIME_POWERS = [q for q in range(2, 82) if _is_prime_power(q)]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, matgroup._PRODUCT_CHUNK])
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_matrix_products_match_mul(q, chunk, monkeypatch):
+    monkeypatch.setattr(matgroup, "_PRODUCT_CHUNK", chunk)
+    rng = random.Random(q)
+    for n in range(1, 5):
+        sp = MatSpace(n, q)
+        rand = lambda: tuple(rng.randrange(q) for _ in range(n * n))  # noqa: E731
+        frontier = [rand() for _ in range(7)]
+        gens = [rand() for _ in range(3)]
+        got = list(sp.products(frontier, gens))
+        assert got == [sp.mul(g, h) for g in frontier for h in gens]
+        assert all(type(x) is int for p in got for x in p)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, matgroup._PRODUCT_CHUNK])
+def test_permutation_products_match_mul(chunk, monkeypatch):
+    monkeypatch.setattr(matgroup, "_PRODUCT_CHUNK", chunk)
+    g11 = psl2(11)
+    rng = random.Random(11)
+    frontier = rng.sample(g11.elements, 9)
+    gens = rng.sample(g11.elements, 2)
+    got = list(g11.products(frontier, gens))
+    assert got == [_perm_mul(g, h) for g in frontier for h in gens]
+    assert all(type(x) is int for p in got for x in p)
+
+
+@pytest.mark.parametrize("family, n, q", [
+    ("GL", 2, 4), ("GL", 2, 8), ("GL", 2, 9), ("GU", 3, 2), ("Sp", 4, 2),
+])
+def test_closure_matches_reference(family, n, q):
+    tb = build_group(family, n, q)
+    sp, gens = tb.space, list(tb.gens)
+    elements, seen = bfs_closure(sp, gens)
+    assert elements == _ref_closure(sp.identity, sp.mul, gens)
+    assert seen == {g: i for i, g in enumerate(elements)}
+    assert elements == list(tb.elements)
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_closure_prefix_and_cap_independent_of_chunk(chunk, monkeypatch):
+    tb = build_group("GL", 3, 2)
+    g7 = psl2(7)
+    cases = [(tb.space, list(tb.gens)), (g7, g7.gens)]
+    full = [bfs_closure(sp, gens)[0] for sp, gens in cases]
+    monkeypatch.setattr(matgroup, "_PRODUCT_CHUNK", chunk)
+    for (sp, gens), ref in zip(cases, full):
+        order = len(ref)
+        assert bfs_closure(sp, gens)[0] == ref
+        for stop in (1, 2, 5, 10, 37, order // 2, order - 1):
+            partial, seen = bfs_closure(sp, gens, stop_over=stop)
+            assert partial == ref[: stop + 1]
+            assert seen == {g: i for i, g in enumerate(partial)}
+        assert bfs_closure(sp, gens, cap=order)[0] == ref
+        with pytest.raises(ResourceCapExceeded):
+            bfs_closure(sp, gens, cap=order - 1)
 
 
 def _ref_span(space, basis):
