@@ -2,7 +2,8 @@
 
 Matrices are flat row-major tuples of field codes, so they hash and compare
 cheaply.  Groups are built by breadth-first closure (``bfs_closure``, which
-also closes the permutation groups of ``stats``) from hard-coded generator
+also closes the permutation groups of ``stats``; each BFS level is multiplied
+by the generators in batched numpy table lookups) from hard-coded generator
 seeds; the element count is checked against the classical order formula, and
 when a seed undergenerates (a real phenomenon: the 4-dimensional plus-type
 orthogonal group over GF(2) is not generated by its reflections) the builder
@@ -15,6 +16,7 @@ characteristic-polynomial conditions) works on the enumerated tables.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import pickle
@@ -35,7 +37,7 @@ DEFAULT_GROUP_CAP = 20_000_000
 DEFAULT_ACTION_CAP = 2_000_000
 
 # products per batched step of ``products``; bounds the working arrays
-_PRODUCT_CHUNK = 2048
+_PRODUCT_CHUNK = 256
 
 CACHE_ENV = "CLASSPROP_CACHE"
 _CACHE_LAYOUT = "matgroup-cache-1"
@@ -49,6 +51,15 @@ class ResourceCapExceeded(Exception):
 # Matrix spaces.
 
 _SPACE_CACHE = {}
+
+
+@functools.lru_cache(maxsize=None)
+def _product_tables(F):
+    """Flat lookup tables over the codes of F: x * y is mul[x * q + y] and
+    c + x * y is mac[(c * q + x) * q + y]."""
+    mul = np.array(F.mul_t, dtype=np.intp).ravel()
+    mac = np.array(F.add_t, dtype=np.intp)[:, mul].ravel()
+    return mul, mac
 
 
 class MatSpace:
@@ -70,9 +81,6 @@ class MatSpace:
         self.identity = tuple(
             1 if i == j else 0 for i in range(n) for j in range(n)
         )
-        # flat lookup tables: x + y is _add[x * q + y], x * y is _mul[x * q + y]
-        self._add = np.array(self.F.add_t, dtype=np.intp).ravel()
-        self._mul = np.array(self.F.mul_t, dtype=np.intp).ravel()
 
     def from_rows(self, rows):
         return tuple(x for row in rows for x in row)
@@ -103,15 +111,16 @@ class MatSpace:
         """Every g*h for g in frontier and h in gens, frontier-major, as
         tuples: the same values, in the same order, as nested ``mul`` calls."""
         n, q = self.n, self.q
-        add, mul = self._add, self._mul
+        mul, mac = _product_tables(self.F)
         hs = np.array(gens, dtype=np.intp).reshape(-1, n, n)
         for part in frontier_chunks(frontier, gens):
             aq = np.array(part, dtype=np.intp).reshape(-1, n, n) * q
-            acc = None
-            for k in range(n):
-                # term[f, g, i, j] = a_f[i, k] * h_g[k, j]
-                term = mul[aq[:, None, :, k, None] + hs[None, :, k, None, :]]
-                acc = term if acc is None else add[acc * q + term]
+            # acc[f, g, i, j] = sum over k of a_f[i, k] * h_g[k, j]
+            acc = mul[aq[:, None, :, 0, None] + hs[None, :, 0, None, :]]
+            for k in range(1, n):
+                acc *= q * q
+                acc += aq[:, None, :, k, None] + hs[None, :, k, None, :]
+                acc = mac[acc]
             yield from map(tuple, acc.reshape(-1, n * n).tolist())
 
     def mat_vec(self, a, v):
@@ -777,31 +786,29 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     """All products of the generators, breadth first from the identity.
 
     space is a MatSpace or a stats.PermGroup (anything with ``identity`` and
-    ``mul``).  Returns (elements, element -> position).  More than cap
-    elements raise ResourceCapExceeded; more than stop_over return the
-    partial closure at once.
+    ``products``, which multiplies a whole BFS level by the generators in
+    one batched call, frontier-major).  Returns (elements, element ->
+    position).  More than cap elements raise ResourceCapExceeded; more than
+    stop_over return the partial closure at once.
     """
     if stop_over is None:
         stop_over = cap
     seen = {space.identity: 0}
     elements = [space.identity]
     frontier = [space.identity]
-    mul = space.mul
     while frontier:
         nxt = []
-        for g in frontier:
-            for h in gens:
-                p = mul(g, h)
-                if p not in seen:
-                    if len(elements) >= cap:
-                        raise ResourceCapExceeded(
-                            f"group closure exceeded cap {cap}"
-                        )
-                    seen[p] = len(elements)
-                    elements.append(p)
-                    if len(elements) > stop_over:
-                        return elements, seen
-                    nxt.append(p)
+        for p in space.products(frontier, gens):
+            if p not in seen:
+                if len(elements) >= cap:
+                    raise ResourceCapExceeded(
+                        f"group closure exceeded cap {cap}"
+                    )
+                seen[p] = len(elements)
+                elements.append(p)
+                if len(elements) > stop_over:
+                    return elements, seen
+                nxt.append(p)
         frontier = nxt
     return elements, seen
 
@@ -885,6 +892,8 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     label-0 halves of their ambient orthogonal group.  For GU/SU the field
     argument is q0; matrices live over GF(q0^2).
     """
+    if n < 1:
+        raise ValueError(f"the dimension n must be at least 1, got {n}")
     if family.startswith("SO") and q % 2 == 0:
         raise ValueError("at even q use the Omega labels")
     if family.startswith("Omega") and q % 2 == 1:
@@ -919,10 +928,7 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
 
     seed, pool = _seed_and_pool(ambient, space, form)
     gens = [g for g in seed if admissible(g)]
-    if gens:
-        elements, index = bfs_closure(space, gens, cap)
-    else:
-        elements, index = [space.identity], {space.identity: 0}
+    elements, index = bfs_closure(space, gens, cap)
     exhausted = False
     rounds = 0
     while len(elements) != target:

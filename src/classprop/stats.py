@@ -634,7 +634,8 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
 class PermGroup:
     """A finite permutation group enumerated from generators, sorted.
 
-    It has the ``identity`` and ``mul`` that ``bfs_closure`` asks of a space.
+    It has the ``identity`` and ``products`` that ``bfs_closure`` asks of a
+    space.
     """
 
     def __init__(self, degree, gens, name="", cap=2_000_000):
@@ -756,12 +757,17 @@ class GenerationReport:
 def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     """Probability that x and a random partner generate the group.
 
-    x is an element tuple or index; the partner pool is the whole group
+    x is an element tuple or an index in 0..order-1 (any other index raises
+    ValueError); the partner pool is the whole group
     unless an explicit element list is given.  trials="exhaustive" scans the
     pool and returns an exact Fraction; an integer samples uniformly and
     returns a float with a 99% Wilson interval.  The identity is rejected.
     """
     if isinstance(x, int):
+        if not 0 <= x < group.order():
+            raise ValueError(
+                f"x index {x} is outside 0..{group.order() - 1}"
+            )
         xi = x
         x = group.elements[xi]
     else:

@@ -88,6 +88,22 @@ def test_series_rejects_non_integer_coset(tmp_path, capsys):
     assert "determinant labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [["--x", "9999"],
+                                   ["--x", "-1", "--trials", "10", "--seed", "1"]])
+def test_probe_rejects_out_of_range_x(tmp_path, capsys, extra):
+    code, text = run(tmp_path, "probe", "--group", "psl2-7", *extra)
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert "outside 0..167" in capsys.readouterr().err
+
+
+def test_enumerate_rejects_dimension_zero(tmp_path, capsys):
+    code, _ = run(tmp_path, "enumerate", "--family", "GL", "--n", "0",
+                  "--q", "2")
+    assert code == cli.EXIT_USAGE
+    assert "at least 1" in capsys.readouterr().err
+
+
 def test_series_rejects_coset_for_gl(tmp_path, capsys):
     code, _ = run(tmp_path, "series", "--family", "gl", "--q", "3",
                   "--t", "1", "--coset", "1", "--order", "4")

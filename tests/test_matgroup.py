@@ -37,6 +37,7 @@ from classprop.matgroup import (
     tau_membership,
     tau_sieve_free,
 )
+from classprop.stats import psl2
 
 
 # ---------------------------------------------------------------------------
@@ -769,6 +770,19 @@ def test_bfs_closure_cap():
     with pytest.raises(ResourceCapExceeded):
         bfs_closure(tb.space, list(tb.gens), cap=10)
     assert len(bfs_closure(tb.space, list(tb.gens), cap=168)[0]) == 168
+
+
+def test_bfs_closure_without_generators():
+    sp = MatSpace(3, 4)
+    assert bfs_closure(sp, []) == ([sp.identity], {sp.identity: 0})
+    g7 = psl2(7)
+    assert bfs_closure(g7, []) == ([g7.identity], {g7.identity: 0})
+
+
+def test_build_group_rejects_dimension_below_one():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            build_group("GL", n, 2)
 
 
 def test_bfs_closure_of_single_rotation():
