@@ -59,6 +59,7 @@ def _product_tables(F):
     c + x * y is mac[(c * q + x) * q + y]."""
     mul = np.array(F.mul_t, dtype=np.intp).ravel()
     mac = np.array(F.add_t, dtype=np.intp)[:, mul].ravel()
+    mul.flags.writeable = mac.flags.writeable = False  # shared by every caller
     return mul, mac
 
 

@@ -85,18 +85,6 @@ def test_permutation_products_match_mul(chunk, monkeypatch):
     assert all(type(x) is int for p in got for x in p)
 
 
-@pytest.mark.parametrize("family, n, q", [
-    ("GL", 2, 4), ("GL", 2, 8), ("GL", 2, 9), ("GU", 3, 2), ("Sp", 4, 2),
-])
-def test_closure_matches_reference(family, n, q):
-    tb = build_group(family, n, q)
-    sp, gens = tb.space, list(tb.gens)
-    elements, seen = bfs_closure(sp, gens)
-    assert elements == _ref_closure(sp.identity, sp.mul, gens)
-    assert seen == {g: i for i, g in enumerate(elements)}
-    assert elements == list(tb.elements)
-
-
 @pytest.mark.parametrize("chunk", [1, 3])
 def test_closure_prefix_and_cap_independent_of_chunk(chunk, monkeypatch):
     tb = build_group("GL", 3, 2)
@@ -159,7 +147,9 @@ def tables():
 
 
 def test_matrix_closure_matches(tables):
-    for tb in tables:
+    more = [build_group(*g) for g in (("GL", 2, 4), ("GL", 2, 8), ("GL", 2, 9),
+                                      ("GU", 3, 2), ("Sp", 4, 2))]
+    for tb in tables + more:
         sp, gens = tb.space, list(tb.gens)
         elements, seen = bfs_closure(sp, gens)
         assert elements == _ref_closure(sp.identity, sp.mul, gens)
