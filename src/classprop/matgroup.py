@@ -20,7 +20,7 @@ import functools
 import itertools
 import os
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -814,6 +814,40 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     return elements, seen
 
 
+def relation_classes(space, elements, index, pairs):
+    """Classes of the relation g ~ a g b, one (a, b) per pair, as sorted
+    lists of element indices ordered by smallest member.
+
+    With (s^-1, s) per generator s these are the conjugacy classes; with
+    (s, s^T) they are the twisted classes g ~ s g s^T, which index the
+    classes of the coset elements g tau since s (g tau) s^-1 = (s g s^T) tau.
+    Union-find over both index maps, taken from batched ``products``:
+    g -> g b over every g, then h -> a h over every h.
+    """
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for a, b in pairs:
+        right = [index[x] for x in space.products(elements, [b])]
+        left = [
+            index[x]
+            for start in range(0, len(elements), _PRODUCT_CHUNK)
+            for x in space.products([a], elements[start : start + _PRODUCT_CHUNK])
+        ]
+        for i, r in enumerate(right):
+            ri, rj = find(i), find(left[r])
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)  # the root is the smallest
+    classes = {}
+    for i in range(len(elements)):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
 @dataclass
 class GroupTable:
     family: str
@@ -826,6 +860,8 @@ class GroupTable:
     labels: tuple
     gens: tuple
     label_kind: str  # det | dickson | trivial
+    _classes: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __len__(self):
         return len(self.elements)
@@ -841,6 +877,22 @@ class GroupTable:
 
     def label_of(self, g):
         return self.labels[self.index[g]]
+
+    def conjugacy_classes(self, tau=False):
+        """Conjugacy classes of the table group under its generators (the
+        Schreier generators for a subtable), or with tau the twisted classes
+        g ~ s g s^T (GL and SL only); see ``relation_classes``.  Computed
+        once per table."""
+        if tau and self.family not in ("GL", "SL"):
+            raise ValueError("twisted classes index the tau coset of GL or SL")
+        if tau not in self._classes:
+            sp = self.space
+            if tau:
+                pairs = [(s, sp.transpose(s)) for s in self.gens]
+            else:
+                pairs = [(sp.inv(s), s) for s in self.gens]
+            self._classes[tau] = relation_classes(sp, self.elements, self.index, pairs)
+        return self._classes[tau]
 
 
 def _det_label(space, g, q):

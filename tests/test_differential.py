@@ -1,26 +1,45 @@
 """Differential tests: the one group closure and the shared helpers against
 standalone reference copies of the separate implementations they replaced,
 on every input from small groups; the batched products against one ``mul``
-call per product."""
+call per product; the per-class fixed-point evaluations against per-element
+scans."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from classprop import matgroup
 from classprop.gf import prime_power
 from classprop.matgroup import (
+    ActionSpec,
     MatSpace,
     ResourceCapExceeded,
     _eval_quad,
     all_subspaces,
     bfs_closure,
     build_group,
+    enumerate_action,
+    fixed_point_indices,
+    fixed_points,
+    membership_sets,
     perp_basis_dot,
     rref_basis,
     subspace_vectors,
 )
-from classprop.stats import _generates, psl2
+from classprop.stats import (
+    ExpectationReport,
+    FprReport,
+    _fpr_bounds,
+    _generates,
+    _tau_acts,
+    _trivial_indices,
+    coset_average_fixed_points,
+    fpr_bound_check,
+    orbits,
+    psl2,
+    subset_expectation,
+)
 
 
 def _ref_closure(identity, mul, gens, stop_over=None):
@@ -213,3 +232,217 @@ def test_quadratic_values_match(tables):
             ref = _ref_quad(sp, form.quad, w)
             assert form.quad_value(sp, w) == ref
             assert _eval_quad(sp, form.quad, w) == ref
+
+
+# ---------------------------------------------------------------------------
+# Conjugacy classes and the per-class fixed-point evaluations.
+
+def _ref_fpr_bound_check(table, include_tau=None):
+    """fpr_bound_check as one fixed-point evaluation per element."""
+    n, q = table.n, table.q
+    actions = []
+    for k in range(1, n // 2 + 1):
+        actions.append(enumerate_action(table, ActionSpec("subspace", k)))
+        if k < n - k:
+            actions.append(enumerate_action(table, ActionSpec("flag", k)))
+        actions.append(enumerate_action(table, ActionSpec("antiflag", k)))
+    if include_tau is None:
+        include_tau = table.family == "GL"
+    bounds = [_fpr_bounds(n, q, act.spec) for act in actions]
+    rows = {}
+    for ai, act in enumerate(actions):
+        for bid, _ in bounds[ai]:
+            rows[(ai, bid, False)] = [-1, -1, 0, 0]
+            if include_tau and _tau_acts(act.spec, n):
+                rows[(ai, bid, True)] = [-1, -1, 0, 0]
+    sides = [False, True] if include_tau else [False]
+    trivial = {tau: _trivial_indices(table, tau) for tau in sides}
+    for i, g in enumerate(table.elements):
+        cache = {}
+        for tau in sides:
+            if i in trivial[tau]:
+                continue
+            for ai, act in enumerate(actions):
+                if tau and not _tau_acts(act.spec, n):
+                    continue
+                fp = fixed_points(table.space, g, act, tau=tau, cache=cache)
+                for bid, bound in bounds[ai]:
+                    row = rows[(ai, bid, tau)]
+                    row[2] += 1
+                    if fp > row[0]:
+                        row[0], row[1] = fp, i
+                    if fp * bound.denominator >= bound.numerator * len(act):
+                        row[3] += 1
+    reports = []
+    for ai, bid, tau in sorted(rows):
+        mfp, arg, checked, viol = rows[(ai, bid, tau)]
+        bound = dict(bounds[ai])[bid]
+        ratio = Fraction(max(mfp, 0), len(actions[ai]))
+        reports.append(FprReport(actions[ai].spec, tau, bid, bound, arg, ratio,
+                                 bound - ratio, checked, viol))
+    return reports
+
+
+def _ref_coset_average(table, spec, coset=None):
+    """coset_average_fixed_points as one evaluation per coset element."""
+    act = enumerate_action(table, spec)
+    if coset is None:
+        indices, name = range(len(table.elements)), "whole group"
+    else:
+        indices, name = table.coset_indices(coset), f"label {coset} coset"
+    orbs = orbits(table, act)
+    orbit_of = {p: oi for oi, orb in enumerate(orbs) for p in orb}
+    sums = [0] * len(orbs)
+    for i in indices:
+        for p in fixed_point_indices(table.space, table.elements[i], act):
+            sums[orbit_of[p]] += 1
+    per = tuple(Fraction(s, len(indices)) for s in sums)
+    if len(orbs) == 1:
+        return ExpectationReport(act.spec, name, per[0])
+    return ExpectationReport(act.spec, name, sum(per), orbit_values=per)
+
+
+def _ref_subset_expectation(table, members, action, comparator=None):
+    act = action if not isinstance(action, ActionSpec) else enumerate_action(table, action)
+    total = sum(fixed_points(table.space, table.elements[i], act) for i in members)
+    return ExpectationReport(act.spec, f"{len(members)} elements",
+                             Fraction(total, len(members)), comparator)
+
+
+def _ref_perm_classes(group):
+    """Conjugacy classes by conjugating each new element by every element."""
+    seen = [False] * group.order()
+    classes = []
+    for i, e in enumerate(group.elements):
+        if seen[i]:
+            continue
+        orb = {group.index[group.mul(group.inv(g), group.mul(e, g))]
+               for g in group.elements}
+        for j in orb:
+            seen[j] = True
+        classes.append(sorted(orb))
+    return classes
+
+
+def _ref_matrix_classes(table, tau):
+    """Orbits of g -> s^-1 g s (tau: g -> s g s^T) over every s in the table."""
+    sp = table.space
+    seen = [False] * len(table)
+    classes = []
+    for i, e in enumerate(table.elements):
+        if seen[i]:
+            continue
+        if tau:
+            orb = {table.index[sp.mul(s, sp.mul(e, sp.transpose(s)))]
+                   for s in table.elements}
+        else:
+            orb = {table.index[sp.mul(sp.inv(s), sp.mul(e, s))]
+                   for s in table.elements}
+        for j in orb:
+            seen[j] = True
+        classes.append(sorted(orb))
+    return classes
+
+
+FPR_CASES = [("GL", 2, 2, None), ("GL", 2, 3, None), ("GL", 2, 4, None),
+             ("GL", 2, 5, None), ("GL", 3, 2, None), ("SL", 3, 3, None),
+             ("SL", 2, 3, True)]
+
+
+@pytest.mark.parametrize("fam,n,q,include_tau", FPR_CASES)
+def test_fpr_bound_check_per_class_matches_per_element(fam, n, q, include_tau):
+    tb = build_group(fam, n, q)
+    got = fpr_bound_check(tb, include_tau=include_tau)
+    assert got == _ref_fpr_bound_check(tb, include_tau=include_tau)
+
+
+COSET_AVERAGE_CASES = [
+    ("GL", 3, 2, None, ActionSpec("subspace", 1)),
+    ("GL", 3, 2, None, ActionSpec("flag", 1)),
+    ("GL", 3, 2, None, ActionSpec("antiflag", 1)),
+    ("GL", 4, 2, None, ActionSpec("subspace", 2)),
+    ("GL", 2, 3, 0, ActionSpec("subspace", 1)),
+    ("GL", 2, 3, 1, ActionSpec("subspace", 1)),
+    ("GL", 3, 3, 1, ActionSpec("subspace", 1)),
+    ("GL", 3, 3, 0, ActionSpec("flag", 1)),
+    ("GL", 2, 5, 3, ActionSpec("subspace", 1)),
+    ("GL", 2, 4, 1, ActionSpec("antiflag", 1)),
+    ("Sp", 4, 2, None, ActionSpec("subspace", 1, restrict="totally_singular")),
+    ("GU", 3, 2, 1, ActionSpec("subspace", 1, restrict="totally_singular")),
+    # intransitive: two orbits of points, and a subtable with two orbits
+    ("O+", 4, 2, None, ActionSpec("subspace", 1)),
+    ("Omega+", 4, 2, None, ActionSpec("subspace", 2, restrict="totally_singular")),
+]
+
+
+@pytest.mark.parametrize("fam,n,q,coset,spec", COSET_AVERAGE_CASES)
+def test_coset_average_per_class_matches_per_element(fam, n, q, coset, spec):
+    tb = build_group(fam, n, q)
+    got = coset_average_fixed_points(tb, spec, coset=coset)
+    assert got == _ref_coset_average(tb, spec, coset)
+
+
+def test_subset_expectation_per_class_matches_per_element():
+    gl4, gl3, sp4 = (build_group(*g) for g in (("GL", 4, 2), ("GL", 3, 2), ("Sp", 4, 2)))
+    cases = [
+        (gl4, membership_sets(gl4, 1), ActionSpec("subspace", 1), None),
+        (gl4, membership_sets(gl4, 1), ActionSpec("subspace", 2), None),
+        (gl3, list(range(168)), ActionSpec("subspace", 1), None),
+        (sp4, membership_sets(sp4, 2), enumerate_action(sp4, ActionSpec("quadratic_forms")),
+         None),
+        (gl3, membership_sets(gl3, 1), ActionSpec("subspace", 1), Fraction(1, 3)),
+    ]
+    for tb, members, action, comparator in cases:
+        got = subset_expectation(tb, members, action, comparator=comparator)
+        assert got == _ref_subset_expectation(tb, members, action, comparator)
+
+
+CLASS_TABLES = [("GL", 2, 2), ("GL", 2, 3), ("GL", 2, 4), ("GL", 2, 5),
+                ("GL", 3, 2), ("GL", 3, 3), ("GL", 4, 2), ("SL", 3, 3),
+                ("O+", 4, 2), ("Omega+", 4, 2), ("SO", 3, 3)]
+
+
+@pytest.mark.parametrize("group", CLASS_TABLES)
+def test_classes_partition_the_group_and_are_closed(group):
+    tb = build_group(*group)
+    sp = tb.space
+    for tau in (False, True) if tb.family in ("GL", "SL") else (False,):
+        classes = tb.conjugacy_classes(tau)
+        assert sum(len(c) for c in classes) == len(tb)
+        assert sorted(i for c in classes for i in c) == list(range(len(tb)))
+        assert all(c == sorted(c) for c in classes)
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        class_of = {i: ci for ci, c in enumerate(classes) for i in c}
+        for s in tb.gens:
+            a, b = (s, sp.transpose(s)) if tau else (sp.inv(s), s)
+            for i, g in enumerate(tb.elements):
+                assert class_of[tb.index[sp.mul(a, sp.mul(g, b))]] == class_of[i]
+
+
+@pytest.mark.parametrize("group,tau", [
+    (("GL", 2, 3), False), (("GL", 2, 3), True), (("GL", 3, 2), False),
+    (("GL", 3, 2), True), (("SL", 2, 5), False), (("SL", 2, 5), True),
+    (("Omega+", 4, 2), False),
+])
+def test_matrix_classes_match_orbits_under_every_element(group, tau):
+    tb = build_group(*group)
+    assert tb.conjugacy_classes(tau) == _ref_matrix_classes(tb, tau)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)])
+def test_gl_class_counts(n, q):
+    # GL_2(q) has q^2 - 1 classes and GL_3(q) has q^3 - q
+    want = q * q - 1 if n == 2 else q**3 - q
+    assert len(build_group("GL", n, q).conjugacy_classes()) == want
+
+
+def test_gl42_class_count():
+    assert len(build_group("GL", 4, 2).conjugacy_classes()) == 14
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_psl2_classes_match_reference(p):
+    group = psl2(p)
+    classes = group.conjugacy_classes()
+    assert len(classes) == (p + 5) // 2
+    assert classes == _ref_perm_classes(group)
