@@ -11,6 +11,7 @@ closure that builds the matrix group tables.
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .matgroup import (
     point_permutation,
     random_coset_gl,
     random_gl,
+    relation_classes,
     sieve_free,
     tau_membership,
     tau_sieve_free,
@@ -272,33 +274,47 @@ def coset_average_fixed_points(table, action, coset=None, cap=DEFAULT_ACTION_CAP
             raise ValueError(f"empty coset label {coset!r}")
         name = f"label {coset} coset"
     orbs = orbits(table, act, cap)
+    weights = _class_weights(table, indices)
     if len(orbs) == 1:
-        total = 0
-        for i in indices:
-            total += fixed_points(table.space, table.elements[i], act, cache={})
+        total = sum(
+            w * fixed_points(table.space, table.elements[i], act, cache={})
+            for i, w in weights
+        )
         return ExpectationReport(act.spec, name, Fraction(total, len(indices)))
+    # the group permutes each orbit, so per-orbit counts are class functions
     orbit_of = [0] * len(act)
     for oi, orb in enumerate(orbs):
         for p in orb:
             orbit_of[p] = oi
     sums = [0] * len(orbs)
-    for i in indices:
-        g = table.elements[i]
-        for p in fixed_point_indices(table.space, g, act, cache={}):
-            sums[orbit_of[p]] += 1
+    for i, w in weights:
+        for p in fixed_point_indices(table.space, table.elements[i], act, cache={}):
+            sums[orbit_of[p]] += w
     per = tuple(Fraction(s, len(indices)) for s in sums)
     return ExpectationReport(act.spec, name, sum(per), orbit_values=per)
 
 
+def _class_weights(table, members, tau=False):
+    """(smallest member, member count) per conjugacy class (twisted with
+    tau) that members meet, sorted.  A class function summed over members
+    is the sum of count times its value at the smallest member."""
+    count = Counter(members)
+    out = []
+    for cls in table.conjugacy_classes(tau):
+        inside = [i for i in cls if i in count]
+        if inside:
+            out.append((inside[0], sum(count[i] for i in inside)))
+    return sorted(out)
+
+
 def _check_conjugation_stable(table, members):
-    space = table.space
     mset = set(members)
-    for s in table.gens:
-        sinv = space.inv(s)
-        for i in members:
-            conj = space.mul(sinv, space.mul(table.elements[i], s))
-            if table.index[conj] not in mset:
-                raise ValueError("subset is not stable under conjugation")
+    if not all(0 <= i < len(table) for i in mset):
+        raise ValueError("element index out of range")
+    for cls in table.conjugacy_classes():
+        inside = sum(1 for i in cls if i in mset)
+        if inside and inside != len(cls):
+            raise ValueError("subset is not stable under conjugation")
 
 
 def subset_expectation(table, members, action, comparator=None,
@@ -314,9 +330,10 @@ def subset_expectation(table, members, action, comparator=None,
         raise ValueError("empty element subset")
     _check_conjugation_stable(table, members)
     act = _as_action(table, action, cap)
-    total = 0
-    for i in members:
-        total += fixed_points(table.space, table.elements[i], act, cache={})
+    total = sum(
+        w * fixed_points(table.space, table.elements[i], act, cache={})
+        for i, w in _class_weights(table, members)
+    )
     value = Fraction(total, len(members))
     return ExpectationReport(act.spec, f"{len(members)} elements", value, comparator)
 
@@ -409,14 +426,18 @@ def _trivial_indices(table, tau):
 
 
 def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
-    """Scan every nontrivial element against the subspace-action fpr bounds.
+    """Check every nontrivial element against the subspace-action fpr bounds.
 
     Actions are the k-subspace, k-flag, and k-antiflag actions for k up to
     n/2.  Elements acting trivially are excluded: the scalars, and for n = 2
     the coset elements c J tau (see _trivial_indices).  The
     inverse-transpose coset is included for GL on the actions it permutes.
+    The check is exhaustive over elements, but a fixed-point count is a
+    class function, so it is evaluated once per conjugacy class (per twisted
+    class g ~ s g s^T on the tau side) and weighted by the class size.
     Returns one summary report per (action, bound, coset side) carrying the
-    extremal element and the violation count, which must be zero.
+    extremal element (the smallest index attaining the maximum) and the
+    violation count, which must be zero.
     """
     if table.family not in ("GL", "SL"):
         raise ValueError("the fpr bounds are stated for linear groups")
@@ -440,25 +461,24 @@ def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
             rows[(ai, bid, False)] = [-1, -1, 0, 0]  # max fp, argmax, checked, violations
             if include_tau and _tau_acts(act.spec, n):
                 rows[(ai, bid, True)] = [-1, -1, 0, 0]
-    sides = [False, True] if include_tau else [False]
-    trivial = {tau: _trivial_indices(table, tau) for tau in sides}
-    for i, g in enumerate(table.elements):
-        cache = {}
-        for tau in sides:
-            if i in trivial[tau]:
-                continue
+    for tau in [False, True] if include_tau else [False]:
+        trivial = _trivial_indices(table, tau)
+        nontrivial = [i for i in range(len(table)) if i not in trivial]
+        for i, w in _class_weights(table, nontrivial, tau):
+            cache = {}
             for ai, act in enumerate(actions):
                 if tau and not _tau_acts(act.spec, n):
                     continue
-                fp = fixed_points(table.space, g, act, tau=tau, cache=cache)
+                fp = fixed_points(table.space, table.elements[i], act, tau=tau,
+                                  cache=cache)
                 npts = len(act)
                 for bid, bound in bounds[ai]:
                     row = rows[(ai, bid, tau)]
-                    row[2] += 1
+                    row[2] += w
                     if fp > row[0]:
                         row[0], row[1] = fp, i
                     if fp * bound.denominator >= bound.numerator * npts:
-                        row[3] += 1
+                        row[3] += w
     reports = []
     for (ai, bid, tau) in sorted(rows, key=lambda key: (key[0], key[1], key[2])):
         mfp, arg, checked, viol = rows[(ai, bid, tau)]
@@ -678,19 +698,8 @@ class PermGroup:
 
     def conjugacy_classes(self):
         """Element indices grouped by conjugacy, ordered by smallest member."""
-        pairs = [(g, self.inv(g)) for g in self.elements]
-        seen = [False] * len(self.elements)
-        classes = []
-        for i, e in enumerate(self.elements):
-            if seen[i]:
-                continue
-            orb = set()
-            for g, gi in pairs:
-                orb.add(self.index[self.mul(gi, self.mul(e, g))])
-            for j in orb:
-                seen[j] = True
-            classes.append(sorted(orb))
-        return classes
+        pairs = [(self.inv(s), s) for s in self.gens]
+        return relation_classes(self, self.elements, self.index, pairs)
 
 
 def psl2(p):

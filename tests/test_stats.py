@@ -268,8 +268,11 @@ def test_subset_expectation_rejects_bad_subsets():
         subset_expectation(tb, [], ActionSpec("subspace", 1))
     # a single non-central element is not conjugation stable
     members = membership_sets(tb, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not stable"):
         subset_expectation(tb, members[:1], ActionSpec("subspace", 1))
+    for bad in (168, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            subset_expectation(tb, members + [bad], ActionSpec("subspace", 1))
 
 
 def test_subset_expectation_carries_comparator():
