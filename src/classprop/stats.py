@@ -99,6 +99,9 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
     else:
         table = None
         family, n, q = spec
+    if family in ("GL", "SL") and coset not in (None, "tau", "S", "O"):
+        if coset not in range(q - 1 if family == "GL" else 1):
+            raise ValueError(f"empty coset label {coset!r}")
     if method == "enumeration":
         if table is None:
             table = build_group(family, n, q, cap=cap)

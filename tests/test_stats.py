@@ -119,6 +119,29 @@ def test_proportion_method_errors():
         proportion(("GL", 2, 3), 1, coset=7)
 
 
+@pytest.mark.parametrize("spec,coset,kwargs", [
+    (("GL", 3, 3), 5, dict(method="montecarlo", trials=100, seed=1)),
+    (("GL", 3, 3), -1, dict(method="montecarlo", trials=100, seed=1)),
+    (("GL", 3, 3), 2, dict(method="series")),
+    (("GL", 2, 2), 1, dict(method="series")),
+    (("SL", 2, 3), 1, dict(method="series")),
+    (("SL", 2, 3), 1, dict()),
+])
+def test_proportion_rejects_out_of_range_coset_labels(spec, coset, kwargs):
+    # GL labels are 0..q-2 and SL has only label 0, on every method route
+    with pytest.raises(ValueError, match=f"empty coset label {coset}"):
+        proportion(spec, 1, coset=coset, **kwargs)
+
+
+def test_proportion_accepts_every_valid_coset_label():
+    assert proportion(("SL", 2, 3), 1, coset=0, method="series").value == \
+        proportion(("SL", 2, 3), 1, coset=0).value
+    for mu in range(3):
+        rep = proportion(("GL", 2, 4), 1, coset=mu, method="montecarlo",
+                         trials=10, seed=1)
+        assert rep.sample_size == 10
+
+
 def test_proportion_montecarlo_general_path():
     exact = proportion(("GL", 2, 3), 1).value
     rep = proportion(("GL", 2, 3), 1, method="montecarlo", trials=4000, seed=5)
