@@ -833,6 +833,8 @@ def relation_classes(space, elements, index, pairs):
 
     for a, b in pairs:
         right = [index[x] for x in space.products(elements, [b])]
+        # a against slices of elements: one call on all of them would build
+        # arrays of the whole group's size
         left = [
             index[x]
             for start in range(0, len(elements), _PRODUCT_CHUNK)

@@ -406,6 +406,9 @@ CLASS_TABLES = [("GL", 2, 2), ("GL", 2, 3), ("GL", 2, 4), ("GL", 2, 5),
 def test_classes_partition_the_group_and_are_closed(group):
     tb = build_group(*group)
     sp = tb.space
+    if tb.family not in ("GL", "SL"):
+        with pytest.raises(ValueError, match="tau coset"):
+            tb.conjugacy_classes(True)
     for tau in (False, True) if tb.family in ("GL", "SL") else (False,):
         classes = tb.conjugacy_classes(tau)
         assert sum(len(c) for c in classes) == len(tb)
