@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import gcd
 
 MAX_Q = 81
 
@@ -615,4 +616,30 @@ def residue_class_counts(F, jmax):
                 continue
             s = det_residue(F, f)
             counts[(j, s)] = counts.get((j, s), 0) + 1
+    return counts
+
+
+def residue_counts_closed_form(q, jmax):
+    """Map (j, s) -> number of monic irreducibles of degree j over GF(q) with
+    nonzero constant term and det residue s, for j = 1..jmax; zero counts
+    are left out.
+
+    A root of such an irreducible generates GF(q^j), and its minimal
+    polynomial's det residue is the discrete log of its norm.  An element of
+    the subfield GF(q^(j/d)) has norm N(x)^d, and the norm is onto, so by
+    Moebius inversion over the subfields
+
+        c(j, s) = (1/j) sum_{d | j} mu(d) [g_d | s] g_d (q^(j/d) - 1)/(q - 1)
+
+    with g_d = gcd(d, q - 1).
+    """
+    m = q - 1
+    counts = {}
+    for j in range(1, jmax + 1):
+        terms = [(mobius(d), gcd(d, m), (q ** (j // d) - 1) // m)
+                 for d in range(1, j + 1) if j % d == 0]
+        for s in range(m):
+            c = sum(mu * g * n for mu, g, n in terms if s % g == 0) // j
+            if c:
+                counts[(j, s)] = c
     return counts

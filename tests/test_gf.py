@@ -25,6 +25,7 @@ from classprop.gf import (
     residue_class_counts,
     unitary_residue,
 )
+from oracles import residue_class_counts_sieve
 
 
 def rand_poly(rng, F, deg, monic=True, nonzero_const=False):
@@ -351,3 +352,15 @@ def test_runtime_counts_never_enumerate(monkeypatch):
 def test_enumeration_cap_enforced():
     with pytest.raises(ValueError):
         count_enumerated("Ntilde", 9, 3)
+
+
+# the grid of (q, largest degree) on which the residue sieve is enumerated
+RESIDUE_SIEVE_GRID = [
+    (2, 6), (3, 5), (4, 4), (5, 4), (7, 3), (8, 3), (9, 3),
+    (11, 2), (13, 2), (16, 2), (25, 2), (27, 2),
+]
+
+
+@pytest.mark.parametrize("q,jmax", RESIDUE_SIEVE_GRID)
+def test_residue_counts_closed_form_matches_sieve(q, jmax):
+    assert gf.residue_counts_closed_form(q, jmax) == residue_class_counts_sieve(Field(q), jmax)
