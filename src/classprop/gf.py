@@ -606,20 +606,7 @@ def count_enumerated(family, q, j, cap=DEFAULT_ENUM_CAP):
     return fixed if family == "Ntilde" else (len(polys) - fixed) // 2
 
 
-def residue_class_counts(F, jmax):
-    """Map (j, s) -> number of monic irreducibles of degree j over F with
-    nonzero constant term and det_residue s, for j = 1..jmax."""
-    counts = {}
-    for j in range(1, jmax + 1):
-        for f in irreducibles(F, j):
-            if f[0] == 0:
-                continue
-            s = det_residue(F, f)
-            counts[(j, s)] = counts.get((j, s), 0) + 1
-    return counts
-
-
-def residue_counts_closed_form(q, jmax):
+def residue_class_counts(q, jmax):
     """Map (j, s) -> number of monic irreducibles of degree j over GF(q) with
     nonzero constant term and det residue s, for j = 1..jmax; zero counts
     are left out.

@@ -214,7 +214,7 @@ def _det_graded_series(q, t, order):
     ring = CycRing(q - 1)
     E = sum((ring.zeta_pow(s) for s in range(q - 1)), ring.zero)
     out = Series([ring.one] + [E * Fraction(1, q - 1)] * order, ring)
-    for (j, s), c in sorted(residue_class_counts(Field(q), t).items()):
+    for (j, s), c in sorted(residue_class_counts(q, t).items()):
         out = out * euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring).pow(c)
     return out
 
@@ -249,8 +249,7 @@ def residue_product_series(q, a, order):
     """prod over monic irreducibles phi (nonzero constant term, any degree)
     of (1 - e_{a r(phi)} u^{deg phi}) over Q[C_{q-1}], truncated."""
     ring = CycRing(q - 1)
-    F = Field(q)
-    counts = residue_class_counts(F, order)
+    counts = residue_class_counts(q, order)
     out = Series.one(order, ring)
     for (d, s), c in sorted(counts.items()):
         factor = Series.one(order, ring)
