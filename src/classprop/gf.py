@@ -18,8 +18,6 @@ from math import gcd
 
 MAX_Q = 81
 
-# Largest number of candidate polynomials count_enumerated will sieve.
-DEFAULT_ENUM_CAP = 30_000
 
 
 def is_prime(n):
@@ -382,52 +380,6 @@ def ppowmod(F, base, k, mod):
     return result
 
 
-def peval(F, f, x):
-    acc = 0
-    add, mul = F.add_t, F.mul_t
-    for c in reversed(f):
-        acc = add[mul[acc][x]][c]
-    return acc
-
-
-def monic_polys(F, d):
-    """All monic polynomials of degree d, in constant-first lex order."""
-    for tail in itertools.product(range(F.q), repeat=d):
-        yield tail + (1,)
-
-
-def is_irreducible(F, f):
-    f = pnorm(f)
-    deg = pdeg(f)
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for g in irreducibles(F, d):
-            if not pmod(F, f, g):
-                return False
-    return True
-
-
-def irreducibles(F, d):
-    """Tuple of all monic irreducibles of degree d (cached per field)."""
-    cache = getattr(F, "_irr_cache", None)
-    if cache is None:
-        cache = F._irr_cache = {}
-    if d not in cache:
-        found = []
-        for f in monic_polys(F, d):
-            if d == 1 or not any(
-                not pmod(F, f, g)
-                for dd in range(1, d // 2 + 1)
-                for g in irreducibles(F, dd)
-            ):
-                found.append(f)
-        cache[d] = tuple(found)
-    return cache[d]
-
-
 def has_small_degree_factor(F, f, t):
     """Whether f has an irreducible factor of degree <= t.
 
@@ -453,75 +405,6 @@ def has_small_degree_factor(F, f, t):
 
 
 # ---------------------------------------------------------------------------
-# Conjugations on polynomials with nonzero constant term.
-
-def conjugate_star(F, f):
-    """phi*(z) = phi(0)^-1 z^n phi(1/z): roots are sent to their inverses."""
-    f = pnorm(f)
-    if not f or f[0] == 0:
-        raise ValueError("star conjugate needs a nonzero constant term")
-    c = F.inv(f[0])
-    row = F.mul_t[c]
-    return tuple(row[x] for x in reversed(f))
-
-
-def conjugate_tilde(F, q0, f):
-    """Conjugate-inverse twist over GF(q0^2): roots go to theta^(-q0).
-
-    F must be the quadratic extension GF(q0^2); the coefficient conjugation
-    is the q0-power map.
-    """
-    if F.q != q0 * q0:
-        raise ValueError("field must be GF(q0^2)")
-    f = pnorm(f)
-    if not f or f[0] == 0:
-        raise ValueError("tilde conjugate needs a nonzero constant term")
-    sigma = lambda x: F.pow(x, q0)
-    c = sigma(F.inv(f[0]))
-    row = F.mul_t[c]
-    return tuple(row[sigma(x)] for x in reversed(f))
-
-
-def det_residue(F, f):
-    """Discrete log of (-1)^deg * f(0) with respect to F.zeta."""
-    f = pnorm(f)
-    if not f or f[0] == 0:
-        raise ValueError("residue needs a nonzero constant term")
-    val = F.mul(F.minus_one_to(pdeg(f)), f[0])
-    return F.dlog[val]
-
-
-def unitary_residue(F, q0, f):
-    """Discrete log in the norm-one subgroup of GF(q0^2)*, order q0 + 1.
-
-    The base point is zeta^(q0-1) for the field's primitive zeta.  Defined
-    for f with f = tilde(f) via (-1)^deg f(0), otherwise via f(0)*tilde(f)(0);
-    both land in the subgroup.
-    """
-    if F.q != q0 * q0:
-        raise ValueError("field must be GF(q0^2)")
-    f = pnorm(f)
-    if not f or f[0] == 0:
-        raise ValueError("residue needs a nonzero constant term")
-    if conjugate_tilde(F, q0, f) == pmonic(F, f):
-        val = F.mul(F.minus_one_to(pdeg(f)), f[0])
-    else:
-        val = F.mul(f[0], conjugate_tilde(F, q0, f)[0])
-    table = getattr(F, "_norm_one_dlog", None)
-    if table is None:
-        gen = F.pow(F.zeta, q0 - 1)
-        table = {}
-        x = 1
-        for k in range(q0 + 1):
-            table[x] = k
-            x = F.mul(x, gen)
-        F._norm_one_dlog = table
-    if val not in table:
-        raise ValueError("value lies outside the norm-one subgroup")
-    return table[val]
-
-
-# ---------------------------------------------------------------------------
 # Counting irreducibles of the five flavours.
 #
 # "N"      monic irreducible of degree j over GF(q), nonzero constant term
@@ -530,12 +413,10 @@ def unitary_residue(F, q0, f):
 # "Ntilde" over GF(q^2), fixed by the tilde conjugate
 # "Mtilde" unordered pairs {f, tilde(f)} over GF(q^2) with f != tilde(f)
 #
-# Counts come from the closed forms below.  count_enumerated recomputes them
-# by enumeration; the tests check the two agree wherever the candidate space
-# fits DEFAULT_ENUM_CAP.
-
-FAMILIES = ("N", "Nstar", "Mstar", "Ntilde", "Mtilde")
-
+# residue_class_counts further splits "N" by det residue, the discrete log
+# of (-1)^j f(0) to the base Field(q).zeta.  Every count comes from a closed
+# form; nothing here enumerates polynomials.  The test-side oracles recount
+# by enumeration wherever the candidate space is small enough.
 
 def count_monic_irreducible(q, j):
     """All monic irreducibles of degree j over GF(q), z included."""
@@ -583,27 +464,6 @@ def count_irreducibles(family, q, j):
     if family == "Mtilde":
         return (_count_formula_N(q * q, j) - _count_formula_Ntilde(q, j)) // 2
     raise ValueError(f"unknown family {family!r}")
-
-
-def count_enumerated(family, q, j, cap=DEFAULT_ENUM_CAP):
-    """Count by explicit enumeration; ValueError when over the cap.  The
-    test oracle for count_irreducibles."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    base = q * q if family in ("Ntilde", "Mtilde") else q
-    if base**j > cap:
-        raise ValueError(
-            f"enumeration space {base}^{j} exceeds cap {cap} for {family}"
-        )
-    F = Field(base)
-    polys = [f for f in irreducibles(F, j) if f[0] != 0]
-    if family == "N":
-        return len(polys)
-    if family in ("Nstar", "Mstar"):
-        fixed = sum(1 for f in polys if conjugate_star(F, f) == f)
-        return fixed if family == "Nstar" else (len(polys) - fixed) // 2
-    fixed = sum(1 for f in polys if conjugate_tilde(F, q, f) == f)
-    return fixed if family == "Ntilde" else (len(polys) - fixed) // 2
 
 
 def residue_class_counts(q, jmax):

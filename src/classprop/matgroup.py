@@ -27,7 +27,6 @@ import numpy as np
 from .gf import (
     Field,
     has_small_degree_factor,
-    is_irreducible,
     pdivmod,
     pmul,
     pnorm,
@@ -332,19 +331,6 @@ class MatSpace:
             out = out + (0,) * (n + 1 - len(out))
         return out
 
-    def charpoly_minors(self, a):
-        """Characteristic polynomial via sums of principal minors (oracle)."""
-        n, F = self.n, self.F
-        coeffs = [0] * (n + 1)
-        coeffs[n] = 1
-        for k in range(1, n + 1):
-            total = 0
-            for sel in itertools.combinations(range(n), k):
-                sub = tuple(a[i * n + j] for i in sel for j in sel)
-                total = F.add(total, MatSpace(k, self.q).det(sub))
-            coeffs[n - k] = F.mul(F.minus_one_to(k), total)
-        return tuple(coeffs)
-
     def vec_code(self, v):
         code = 0
         for x in reversed(v):
@@ -455,8 +441,10 @@ def _quad_to_gram(space, quad):
 
 
 def _char2_irreducible_const(F):
+    """Least d with z^2 + z + d irreducible over F: a quadratic is
+    irreducible exactly when it has no root in F."""
     for d in range(1, F.q):
-        if is_irreducible(F, (d, 1, 1)):
+        if all(F.add(F.mul(x, F.add(x, 1)), d) for x in range(F.q)):
             return d
     raise AssertionError("no irreducible z^2+z+d found")
 
@@ -1517,14 +1505,6 @@ def _fixed_form_indices(space, g, action):
     return sorted(space.code_add(c0, kc) for kc in kernel)
 
 
-def fixed_points_by_type(space, g, action):
-    """Fixed quadratic-form points, split by plus and minus type."""
-    out = {"+": 0, "-": 0}
-    for idx in _fixed_form_indices(space, g, action):
-        out[action.points[idx][1]] += 1
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Element subsets defined by small invariant subspaces.
 
@@ -1554,17 +1534,6 @@ def _restrict(space, g, basis):
 def sieve_free(space, g, t):
     """True when charpoly(g) has no irreducible factor of degree <= t."""
     return not has_small_degree_factor(space.F, space.charpoly(g), t)
-
-
-def fixes_some_small_subspace(space, g, t):
-    """Direct scan over all subspaces of dimension <= t (duality oracle)."""
-    lut = space.all_vector_images(g)
-    for k in range(1, t + 1):
-        for basis in all_subspaces(space, k):
-            vecs = subspace_vectors(space, basis)
-            if all(lut[space.vec_code(b)] in vecs for b in basis):
-                return True
-    return False
 
 
 def membership_sets(table: GroupTable, t, coset=None):

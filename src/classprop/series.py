@@ -170,22 +170,6 @@ def euler_factor_series(q, j, m, order):
     return base.pow(m)
 
 
-def euler_direct_product_series(a, c, j, order, imax, ring=None):
-    """Truncated prod_{i=1..imax} (1 - c a^i u^j), the cross-check oracle."""
-    a = Fraction(a)
-    out = Series.one(order, ring)
-    if ring is not None:
-        c = ring.coerce(c)
-    apow = Fraction(1)
-    for _ in range(imax):
-        apow *= a
-        factor = Series.one(order, ring)
-        if j <= order:
-            factor.coeffs[j] = -(c * apow) if ring is not None else -Fraction(c) * apow
-        out = out * factor
-    return out
-
-
 # ---------------------------------------------------------------------------
 # No-small-factor generating series.
 
@@ -235,53 +219,4 @@ def sl_coset_series(q, t, mu, order):
     graded = _det_graded_series(q, t, order)
     out = Series([(q - 1) * c.coeffs[mu] for c in graded.coeffs])
     out.coeffs[0] = Fraction(1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Telescoping residue products over Q[C_m].  With E = sum_k e_k the full
-# products over irreducibles are 1 - E u/(1 - u) (linear) and 1 - E u/(1 + u)
-# (unitary); the weight a sends e_k to e_{ak}, and E to sum_k e_{ak}.  These
-# builders expose the truncated partial products so the identities can be
-# checked exactly.
-
-def residue_product_series(q, a, order):
-    """prod over monic irreducibles phi (nonzero constant term, any degree)
-    of (1 - e_{a r(phi)} u^{deg phi}) over Q[C_{q-1}], truncated."""
-    ring = CycRing(q - 1)
-    counts = residue_class_counts(q, order)
-    out = Series.one(order, ring)
-    for (d, s), c in sorted(counts.items()):
-        factor = Series.one(order, ring)
-        factor.coeffs[d] = -ring.zeta_pow(a * s)
-        out = out * factor.pow(c)
-    return out
-
-
-def unitary_residue_product_series(q0, a, order):
-    """Unitary analogue over GF(q0^2): self-conjugate irreducibles contribute
-    (1 - e_{a s(phi)} u^deg), conjugate pairs (1 - e_{a s(phi)} u^{2 deg}),
-    over Q[C_{q0+1}]."""
-    from .gf import conjugate_tilde, irreducibles, unitary_residue
-
-    ring = CycRing(q0 + 1)
-    F = Field(q0 * q0)
-    out = Series.one(order, ring)
-    for d in range(1, order + 1):
-        for f in irreducibles(F, d):
-            if not f[0]:
-                continue
-            g = conjugate_tilde(F, q0, f)
-            s = unitary_residue(F, q0, f)
-            if g == f:
-                step = d
-            elif f < g:
-                step = 2 * d
-            else:
-                continue
-            if step > order:
-                continue
-            factor = Series.one(order, ring)
-            factor.coeffs[step] = -ring.zeta_pow(a * s)
-            out = out * factor
     return out

@@ -1,10 +1,168 @@
 """Reference routes kept only to check the runtime ones.
 
-Each function here recomputes by enumeration, or by a slower direct
-formula, a quantity that ``classprop`` computes by a single runtime route.
+Each function here recomputes, by enumeration or by a slower direct
+formula, a quantity that ``classprop`` computes by one runtime route: the
+irreducible counts and det-residue class counts (closed forms at runtime),
+the Euler factors (the q-exponential identity), characteristic polynomials
+(Hessenberg reduction) and the no-small-invariant-subspace sets (the
+characteristic-polynomial sieve).
 """
 
-from classprop.gf import det_residue, irreducibles
+import itertools
+from fractions import Fraction
+
+from classprop.cyclo import CycRing
+from classprop.gf import Field, pdeg, pmod, pmonic, pnorm, residue_class_counts
+from classprop.matgroup import MatSpace, all_subspaces, fixed_point_indices, subspace_vectors
+from classprop.series import Series
+
+# Largest number of candidate polynomials count_enumerated will sieve.
+DEFAULT_ENUM_CAP = 30_000
+
+FAMILIES = ("N", "Nstar", "Mstar", "Ntilde", "Mtilde")
+
+
+# ---------------------------------------------------------------------------
+# Enumerated irreducibles over GF(q).
+
+def peval(F, f, x):
+    acc = 0
+    add, mul = F.add_t, F.mul_t
+    for c in reversed(f):
+        acc = add[mul[acc][x]][c]
+    return acc
+
+
+def monic_polys(F, d):
+    """All monic polynomials of degree d, in constant-first lex order."""
+    for tail in itertools.product(range(F.q), repeat=d):
+        yield tail + (1,)
+
+
+def is_irreducible(F, f):
+    f = pnorm(f)
+    deg = pdeg(f)
+    if deg < 1:
+        return False
+    if deg == 1:
+        return True
+    for d in range(1, deg // 2 + 1):
+        for g in irreducibles(F, d):
+            if not pmod(F, f, g):
+                return False
+    return True
+
+
+def irreducibles(F, d):
+    """Tuple of all monic irreducibles of degree d (cached per field)."""
+    cache = getattr(F, "_irr_cache", None)
+    if cache is None:
+        cache = F._irr_cache = {}
+    if d not in cache:
+        found = []
+        for f in monic_polys(F, d):
+            if d == 1 or not any(
+                not pmod(F, f, g)
+                for dd in range(1, d // 2 + 1)
+                for g in irreducibles(F, dd)
+            ):
+                found.append(f)
+        cache[d] = tuple(found)
+    return cache[d]
+
+
+# ---------------------------------------------------------------------------
+# Conjugations on polynomials with nonzero constant term.
+
+
+def conjugate_star(F, f):
+    """phi*(z) = phi(0)^-1 z^n phi(1/z): roots are sent to their inverses."""
+    f = pnorm(f)
+    if not f or f[0] == 0:
+        raise ValueError("star conjugate needs a nonzero constant term")
+    c = F.inv(f[0])
+    row = F.mul_t[c]
+    return tuple(row[x] for x in reversed(f))
+
+
+def conjugate_tilde(F, q0, f):
+    """Conjugate-inverse twist over GF(q0^2): roots go to theta^(-q0).
+
+    F must be the quadratic extension GF(q0^2); the coefficient conjugation
+    is the q0-power map.
+    """
+    if F.q != q0 * q0:
+        raise ValueError("field must be GF(q0^2)")
+    f = pnorm(f)
+    if not f or f[0] == 0:
+        raise ValueError("tilde conjugate needs a nonzero constant term")
+    sigma = lambda x: F.pow(x, q0)
+    c = sigma(F.inv(f[0]))
+    row = F.mul_t[c]
+    return tuple(row[sigma(x)] for x in reversed(f))
+
+
+def det_residue(F, f):
+    """Discrete log of (-1)^deg * f(0) with respect to F.zeta."""
+    f = pnorm(f)
+    if not f or f[0] == 0:
+        raise ValueError("residue needs a nonzero constant term")
+    val = F.mul(F.minus_one_to(pdeg(f)), f[0])
+    return F.dlog[val]
+
+
+def unitary_residue(F, q0, f):
+    """Discrete log in the norm-one subgroup of GF(q0^2)*, order q0 + 1.
+
+    The base point is zeta^(q0-1) for the field's primitive zeta.  Defined
+    for f with f = tilde(f) via (-1)^deg f(0), otherwise via f(0)*tilde(f)(0);
+    both land in the subgroup.
+    """
+    if F.q != q0 * q0:
+        raise ValueError("field must be GF(q0^2)")
+    f = pnorm(f)
+    if not f or f[0] == 0:
+        raise ValueError("residue needs a nonzero constant term")
+    if conjugate_tilde(F, q0, f) == pmonic(F, f):
+        val = F.mul(F.minus_one_to(pdeg(f)), f[0])
+    else:
+        val = F.mul(f[0], conjugate_tilde(F, q0, f)[0])
+    table = getattr(F, "_norm_one_dlog", None)
+    if table is None:
+        gen = F.pow(F.zeta, q0 - 1)
+        table = {}
+        x = 1
+        for k in range(q0 + 1):
+            table[x] = k
+            x = F.mul(x, gen)
+        F._norm_one_dlog = table
+    if val not in table:
+        raise ValueError("value lies outside the norm-one subgroup")
+    return table[val]
+
+
+# ---------------------------------------------------------------------------
+# Counts by enumeration.
+
+def count_enumerated(family, q, j, cap=DEFAULT_ENUM_CAP):
+    """Count by explicit enumeration; ValueError when over the cap.  The
+    test oracle for count_irreducibles."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    base = q * q if family in ("Ntilde", "Mtilde") else q
+    if base**j > cap:
+        raise ValueError(
+            f"enumeration space {base}^{j} exceeds cap {cap} for {family}"
+        )
+    F = Field(base)
+    polys = [f for f in irreducibles(F, j) if f[0] != 0]
+    if family == "N":
+        return len(polys)
+    if family in ("Nstar", "Mstar"):
+        fixed = sum(1 for f in polys if conjugate_star(F, f) == f)
+        return fixed if family == "Nstar" else (len(polys) - fixed) // 2
+    fixed = sum(1 for f in polys if conjugate_tilde(F, q, f) == f)
+    return fixed if family == "Ntilde" else (len(polys) - fixed) // 2
 
 
 def residue_class_counts_sieve(F, jmax):
@@ -18,3 +176,102 @@ def residue_class_counts_sieve(F, jmax):
             s = det_residue(F, f)
             counts[(j, s)] = counts.get((j, s), 0) + 1
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Series: the direct Euler product, and the telescoping residue products
+# over Q[C_m].  With E = sum_k e_k the full products over irreducibles are
+# 1 - E u/(1 - u) (linear) and 1 - E u/(1 + u) (unitary); the weight a sends
+# e_k to e_{ak}, and E to sum_k e_{ak}.  These builders expose the truncated
+# partial products so the identities can be checked exactly.
+
+def euler_direct_product_series(a, c, j, order, imax, ring=None):
+    """Truncated prod_{i=1..imax} (1 - c a^i u^j), the cross-check oracle."""
+    a = Fraction(a)
+    out = Series.one(order, ring)
+    if ring is not None:
+        c = ring.coerce(c)
+    apow = Fraction(1)
+    for _ in range(imax):
+        apow *= a
+        factor = Series.one(order, ring)
+        if j <= order:
+            factor.coeffs[j] = -(c * apow) if ring is not None else -Fraction(c) * apow
+        out = out * factor
+    return out
+
+
+def residue_product_series(q, a, order):
+    """prod over monic irreducibles phi (nonzero constant term, any degree)
+    of (1 - e_{a r(phi)} u^{deg phi}) over Q[C_{q-1}], truncated."""
+    ring = CycRing(q - 1)
+    counts = residue_class_counts(q, order)
+    out = Series.one(order, ring)
+    for (d, s), c in sorted(counts.items()):
+        factor = Series.one(order, ring)
+        factor.coeffs[d] = -ring.zeta_pow(a * s)
+        out = out * factor.pow(c)
+    return out
+
+
+def unitary_residue_product_series(q0, a, order):
+    """Unitary analogue over GF(q0^2): self-conjugate irreducibles contribute
+    (1 - e_{a s(phi)} u^deg), conjugate pairs (1 - e_{a s(phi)} u^{2 deg}),
+    over Q[C_{q0+1}]."""
+    ring = CycRing(q0 + 1)
+    F = Field(q0 * q0)
+    out = Series.one(order, ring)
+    for d in range(1, order + 1):
+        for f in irreducibles(F, d):
+            if not f[0]:
+                continue
+            g = conjugate_tilde(F, q0, f)
+            s = unitary_residue(F, q0, f)
+            if g == f:
+                step = d
+            elif f < g:
+                step = 2 * d
+            else:
+                continue
+            if step > order:
+                continue
+            factor = Series.one(order, ring)
+            factor.coeffs[step] = -ring.zeta_pow(a * s)
+            out = out * factor
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Matrices and element subsets.
+
+def charpoly_minors(space, a):
+    """Characteristic polynomial via sums of principal minors (oracle)."""
+    n, F = space.n, space.F
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for k in range(1, n + 1):
+        total = 0
+        for sel in itertools.combinations(range(n), k):
+            sub = tuple(a[i * n + j] for i in sel for j in sel)
+            total = F.add(total, MatSpace(k, space.q).det(sub))
+        coeffs[n - k] = F.mul(F.minus_one_to(k), total)
+    return tuple(coeffs)
+
+
+def fixes_some_small_subspace(space, g, t):
+    """Direct scan over all subspaces of dimension <= t (duality oracle)."""
+    lut = space.all_vector_images(g)
+    for k in range(1, t + 1):
+        for basis in all_subspaces(space, k):
+            vecs = subspace_vectors(space, basis)
+            if all(lut[space.vec_code(b)] in vecs for b in basis):
+                return True
+    return False
+
+
+def fixed_points_by_type(space, g, action):
+    """Fixed quadratic-form points, split by plus and minus type."""
+    out = {"+": 0, "-": 0}
+    for idx in fixed_point_indices(space, g, action):
+        out[action.points[idx][1]] += 1
+    return out

@@ -6,15 +6,9 @@ import pytest
 from classprop import gf, limits, series
 from classprop.gf import (
     Field,
-    conjugate_star,
-    conjugate_tilde,
-    count_enumerated,
     count_irreducibles,
     count_monic_irreducible,
-    det_residue,
     has_small_degree_factor,
-    irreducibles,
-    is_irreducible,
     pdeg,
     pdivmod,
     pgcd,
@@ -23,9 +17,19 @@ from classprop.gf import (
     pmul,
     pnorm,
     residue_class_counts,
+)
+from oracles import (
+    DEFAULT_ENUM_CAP,
+    conjugate_star,
+    conjugate_tilde,
+    count_enumerated,
+    det_residue,
+    irreducibles,
+    is_irreducible,
+    peval,
+    residue_class_counts_sieve,
     unitary_residue,
 )
-from oracles import residue_class_counts_sieve
 
 
 def rand_poly(rng, F, deg, monic=True, nonzero_const=False):
@@ -226,7 +230,7 @@ def test_tilde_root_map():
         root = F.neg(f[0])
         troot = F.pow(F.inv(root), 3)
         g = conjugate_tilde(F, 3, f)
-        assert gf.peval(F, g, troot) == 0
+        assert peval(F, g, troot) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +283,7 @@ def test_ntilde_even_degrees_vanish():
     for q in (2, 3):
         for j in (2, 4, 6):
             assert count_irreducibles("Ntilde", q, j) == 0
-            if (q * q) ** j <= gf.DEFAULT_ENUM_CAP:
+            if (q * q) ** j <= DEFAULT_ENUM_CAP:
                 assert count_enumerated("Ntilde", q, j) == 0
 
 
@@ -293,19 +297,19 @@ FORMULA_VS_ENUM = [
     ("N", q, j)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
     for j in range(1, 7)
-    if q**j <= gf.DEFAULT_ENUM_CAP
+    if q**j <= DEFAULT_ENUM_CAP
 ] + [
     (fam, q, j)
     for fam in ("Nstar", "Mstar")
     for q in (2, 3, 4, 5, 7, 8, 9)
     for j in range(1, 7)
-    if q**j <= gf.DEFAULT_ENUM_CAP
+    if q**j <= DEFAULT_ENUM_CAP
 ] + [
     (fam, q, j)
     for fam in ("Ntilde", "Mtilde")
     for q in (2, 3, 4, 5, 7, 8, 9)
     for j in range(1, 5)
-    if (q * q) ** j <= gf.DEFAULT_ENUM_CAP
+    if (q * q) ** j <= DEFAULT_ENUM_CAP
 ]
 
 
@@ -334,12 +338,24 @@ def test_degree_partition_identity(q):
         assert total == q**J
 
 
-def test_runtime_counts_never_enumerate(monkeypatch):
-    # enumeration is a test oracle only; series and limits use closed forms
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"count_enumerated{args} called at runtime")
+# names that moved from classprop into the test-side oracles module
+ORACLE_NAMES = (
+    "peval", "monic_polys", "is_irreducible", "irreducibles", "conjugate_star",
+    "conjugate_tilde", "det_residue", "unitary_residue", "count_enumerated",
+    "DEFAULT_ENUM_CAP", "FAMILIES", "euler_direct_product_series",
+    "residue_product_series", "unitary_residue_product_series",
+    "charpoly_minors", "fixes_some_small_subspace", "fixed_points_by_type",
+)
 
-    monkeypatch.setattr(gf, "count_enumerated", refuse)
+
+def test_runtime_counts_never_enumerate():
+    # enumeration is a test oracle only; series and limits use closed forms
+    import classprop
+    from classprop import cli, cyclo, matgroup, stats
+
+    for mod in (classprop, gf, cyclo, series, limits, matgroup, stats, cli):
+        assert not [name for name in ORACLE_NAMES if hasattr(mod, name)], mod
+    assert not hasattr(matgroup.MatSpace, "charpoly_minors")
     tol = Fraction(1, 10**6)
     assert limits.bound_suite((2, 3), (1, 2), tol)["all_pass"]
     for tag, q in [("GL", 3), ("SU", 3), ("Sp_odd", 3), ("Sp_even", 4), ("O_half", 3)]:
@@ -347,6 +363,9 @@ def test_runtime_counts_never_enumerate(monkeypatch):
         assert 0 < enc.lo <= enc.hi < 1
     s = series.gl_no_small_factor_series(9, 4, 8)
     assert all(0 <= c <= 1 for c in s.coeffs)
+    for mu in range(8):
+        s = series.sl_coset_series(9, 2, mu, 8)
+        assert all(0 <= c <= 1 for c in s.coeffs)
 
 
 def test_enumeration_cap_enforced():
@@ -364,3 +383,17 @@ RESIDUE_SIEVE_GRID = [
 @pytest.mark.parametrize("q,jmax", RESIDUE_SIEVE_GRID)
 def test_residue_counts_closed_form_matches_sieve(q, jmax):
     assert residue_class_counts(q, jmax) == residue_class_counts_sieve(Field(q), jmax)
+
+
+def test_residue_counts_sum_to_irreducible_counts():
+    # far past the sieve's reach: every prime power q <= 81, degrees up to 6
+    for q in range(2, gf.MAX_Q + 1):
+        try:
+            gf.prime_power(q)
+        except ValueError:
+            continue
+        counts = residue_class_counts(q, 6)
+        assert all(c > 0 and 0 <= s < q - 1 for (_, s), c in counts.items())
+        for j in range(1, 7):
+            total = sum(c for (jj, _), c in counts.items() if jj == j)
+            assert total == count_irreducibles("N", q, j), (q, j)

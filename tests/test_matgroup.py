@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from classprop import matgroup
 from classprop.gf import Field, has_small_degree_factor
 from classprop.matgroup import (
     ActionSpec,
@@ -18,8 +19,6 @@ from classprop.matgroup import (
     enumerate_action,
     fixed_point_indices,
     fixed_points,
-    fixed_points_by_type,
-    fixes_some_small_subspace,
     gaussian_binomial,
     group_order,
     membership_sets,
@@ -38,6 +37,7 @@ from classprop.matgroup import (
     tau_sieve_free,
 )
 from classprop.stats import psl2
+from oracles import charpoly_minors, fixed_points_by_type, fixes_some_small_subspace, is_irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_charpoly_matches_minor_expansion(q, n):
     sp = MatSpace(n, q)
     for _ in range(30):
         g = tuple(rng.randrange(q) for _ in range(n * n))
-        assert sp.charpoly(g) == sp.charpoly_minors(g)
+        assert sp.charpoly(g) == charpoly_minors(sp, g)
 
 
 def test_charpoly_identity_and_companion():
@@ -128,6 +128,13 @@ def test_standard_form_singular_counts():
             fm = standard_form("O-", n, q)
             assert singular_vector_count(sp, fp) == (q ** (m - 1) + 1) * (q**m - 1)
             assert singular_vector_count(sp, fm) == (q ** (m - 1) - 1) * (q**m + 1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 32, 64])
+def test_char2_irreducible_const_matches_irreducibility_test(q):
+    F = Field(q)
+    want = next(d for d in range(1, q) if is_irreducible(F, (d, 1, 1)))
+    assert matgroup._char2_irreducible_const(F) == want
 
 
 def test_symplectic_form_alternating():

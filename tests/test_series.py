@@ -10,11 +10,13 @@ from classprop.gf import Field, has_small_degree_factor
 from classprop.series import (
     Series,
     euler_base_series,
-    euler_direct_product_series,
     euler_factor_series,
     gl_no_small_factor_series,
-    residue_product_series,
     sl_coset_series,
+)
+from oracles import (
+    euler_direct_product_series,
+    residue_product_series,
     unitary_residue_product_series,
 )
 

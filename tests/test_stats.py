@@ -14,7 +14,6 @@ from classprop.matgroup import (
     ResourceCapExceeded,
     build_group,
     enumerate_action,
-    fixed_points_by_type,
     membership_sets,
 )
 from classprop.stats import (
@@ -41,6 +40,7 @@ from classprop.stats import (
     wilson_interval,
     _mc_gl2_t1,
 )
+from oracles import fixed_points_by_type
 
 
 # ---------------------------------------------------------------------------
