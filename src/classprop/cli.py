@@ -198,7 +198,12 @@ def _round_outward(lo, hi, slack):
 def _coset_arg(value):
     if value is None or value in ("tau", "S", "O"):
         return value
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"--coset must be an integer label, tau, S or O, not {value!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +236,8 @@ def cmd_limit(cfg):
 
 
 def cmd_series(cfg):
+    if cfg.order < 2:
+        raise ValueError("series order must be >= 2")
     if cfg.family == "gl":
         if cfg.coset is not None:
             raise ValueError("gl series take no coset")
@@ -546,8 +553,8 @@ def _config_from_args(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
+        cfg = _config_from_args(args)
         ok, result, rows = _COMMANDS[cfg.command](cfg)
         text = _render(cfg, ok, result, rows)
     except ResourceCapExceeded as exc:

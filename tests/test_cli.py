@@ -88,6 +88,28 @@ def test_series_rejects_non_integer_coset(tmp_path, capsys):
     assert "determinant labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "--family", "sl", "--q", "5", "--t", "1", "--coset", "abc", "--order", "3"],
+    ["enumerate", "--family", "GL", "--n", "2", "--q", "3", "--t", "1", "--coset", "foo"],
+    ["verify", "--suite", "fpr", "--coset", "zz"],
+])
+def test_unparsable_coset_is_a_usage_error(tmp_path, capsys, argv):
+    code, text = run(tmp_path, *argv)
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert capsys.readouterr().err.startswith("classprop: --coset must be an integer")
+
+
+@pytest.mark.parametrize("family", ["gl", "sl"])
+@pytest.mark.parametrize("order", ["-1", "0", "1"])
+def test_series_rejects_order_below_two(tmp_path, capsys, family, order):
+    code, text = run(tmp_path, "series", "--family", family, "--q", "5",
+                     "--t", "1", "--order", order)
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert capsys.readouterr().err == "classprop: series order must be >= 2\n"
+
+
 @pytest.mark.parametrize("extra", [["--x", "9999"],
                                    ["--x", "-1", "--trials", "10", "--seed", "1"]])
 def test_probe_rejects_out_of_range_x(tmp_path, capsys, extra):
