@@ -112,7 +112,7 @@ class Field:
     """GF(q), q <= 81, with table-backed arithmetic.
 
     Instances are interned per (q, modulus); building one computes the full
-    multiplication, inverse, Frobenius and discrete-log tables.  ``zeta`` is
+    addition, negation, multiplication, inverse and discrete-log tables.  ``zeta`` is
     the least primitive element in the constant-first coefficient ordering,
     and ``dlog[x]`` its discrete logarithm table (None at 0).
     """
@@ -166,7 +166,6 @@ class Field:
         self.add_t = [[(self._vec_add(a, b)) for b in range(q)] for a in range(q)]
         self.mul_t = [[raw_mul(a, b) for b in range(q)] for a in range(q)]
         self.neg_t = [self._vec_neg(a) for a in range(q)]
-        self.frob_t = [self.pow(a, p) for a in range(q)]
 
         self.zeta = self._least_primitive()
         self.dlog = [None] * q
@@ -266,19 +265,8 @@ class Field:
             k >>= 1
         return result
 
-    def frobenius(self, a, m=1):
-        for _ in range(m % self.e if self.e > 1 else 0):
-            a = self.frob_t[a]
-        return a if self.e > 1 else a
-
     def minus_one_to(self, k):
         return self.one if k % 2 == 0 or self.p == 2 else self.neg_t[1]
-
-    def elements(self):
-        return range(self.q)
-
-    def units(self):
-        return range(1, self.q)
 
 
 # ---------------------------------------------------------------------------

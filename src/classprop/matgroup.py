@@ -865,9 +865,6 @@ class GroupTable:
     def label_values(self):
         return sorted(set(self.labels))
 
-    def label_of(self, g):
-        return self.labels[self.index[g]]
-
     def conjugacy_classes(self, tau=False):
         """Conjugacy classes of the table group under its generators (the
         Schreier generators for a subtable), or with tau the twisted classes
@@ -1347,11 +1344,6 @@ class ActionTable:
             if _eval_quad(space, self.base_quad, x) == form.bilinear(space, x, v):
                 count += 1
         return count
-
-    def type_of_point(self, idx):
-        if self.spec.kind != "quadratic_forms":
-            raise ValueError("only quadratic-form points carry a type")
-        return self.points[idx][1]
 
     def __len__(self):
         return len(self.points)
