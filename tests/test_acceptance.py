@@ -191,14 +191,16 @@ def test_criterion_08_expectation_inequality():
             if not rec["ok"]:
                 failures.append((table.family, table.n, spec, x, "tau", rec))
 
+    # one membership scan for GL4(2), and one fixed-set scan per action
+    # serving both its plain and its tau elements
     gl4 = build_group("GL", 4, 2)
+    gl4_members = membership_sets(gl4, 1)
     xs4 = [1, 13, 257, 4099, 16001]
-    for spec in (ActionSpec("subspace", 2), ActionSpec("flag", 1),
-                 ActionSpec("antiflag", 1), ActionSpec("antiflag", 2)):
-        batch(gl4, (1, None), spec, xs4)
-    for spec in (ActionSpec("flag", 1), ActionSpec("subspace", 2),
-                 ActionSpec("antiflag", 2)):
-        batch(gl4, (1, None), spec, [], tau_xs=[1, 13])
+    for spec, tau_xs in ((ActionSpec("subspace", 2), [1, 13]),
+                         (ActionSpec("flag", 1), [1, 13]),
+                         (ActionSpec("antiflag", 1), []),
+                         (ActionSpec("antiflag", 2), [1, 13])):
+        batch(gl4, gl4_members, spec, xs4, tau_xs)
 
     gl3 = build_group("GL", 3, 2)
     batch(gl3, (1, None), ActionSpec("subspace", 1), [1, 2, 7])
