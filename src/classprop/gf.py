@@ -19,7 +19,6 @@ from math import gcd
 MAX_Q = 81
 
 
-
 def is_prime(n):
     if n < 2:
         return False
@@ -112,9 +111,10 @@ class Field:
     """GF(q), q <= 81, with table-backed arithmetic.
 
     Instances are interned per (q, modulus); building one computes the full
-    addition, negation, multiplication, inverse and discrete-log tables.  ``zeta`` is
-    the least primitive element in the constant-first coefficient ordering,
-    and ``dlog[x]`` its discrete logarithm table (None at 0).
+    addition, negation, multiplication, inverse and discrete-log tables.
+    ``zeta`` is the least primitive element in the constant-first
+    coefficient ordering, and ``dlog[x]`` its discrete logarithm table (None
+    at 0).
     """
 
     _interned = {}

@@ -339,7 +339,7 @@ def test_degree_partition_identity(q):
         assert total == q**J
 
 
-# names that moved from classprop into the test-side oracles module
+# reference routes that live only in tests/oracles.py, never in classprop
 ORACLE_NAMES = (
     "peval", "monic_polys", "is_irreducible", "irreducibles", "conjugate_star",
     "conjugate_tilde", "det_residue", "unitary_residue", "count_enumerated",
