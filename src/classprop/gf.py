@@ -13,7 +13,6 @@ helpers take the field as first argument.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from math import gcd
 
 MAX_Q = 81
