@@ -2,7 +2,8 @@
 standalone reference copies of the separate implementations they replaced,
 on every input from small groups; the batched products against one ``mul``
 call per product; the per-class fixed-point evaluations against per-element
-scans."""
+scans; the membership predicates and the point-permutation fixed points
+against copies of the per-family loops and per-case branches they replaced."""
 
 import random
 from fractions import Fraction
@@ -15,7 +16,11 @@ from classprop.matgroup import (
     ActionSpec,
     MatSpace,
     ResourceCapExceeded,
+    _class_fixed,
+    _class_images,
     _eval_quad,
+    _form_translation,
+    _restrict,
     all_subspaces,
     bfs_closure,
     build_group,
@@ -24,8 +29,12 @@ from classprop.matgroup import (
     fixed_points,
     membership_sets,
     perp_basis_dot,
+    perp_basis_form,
     rref_basis,
+    sieve_free,
     subspace_vectors,
+    tau_membership,
+    tau_sieve_free,
 )
 from classprop.stats import (
     ExpectationReport,
@@ -37,6 +46,7 @@ from classprop.stats import (
     coset_average_fixed_points,
     fpr_bound_check,
     orbits,
+    proportion,
     psl2,
     subset_expectation,
 )
@@ -445,3 +455,231 @@ def test_psl2_classes_match_reference(p):
     classes = group.conjugacy_classes()
     assert len(classes) == (p + 5) // 2
     assert classes == _ref_perm_classes(group)
+
+
+# ---------------------------------------------------------------------------
+# Membership: one loop per family and coset, as before the element predicates.
+
+def _ref_membership_sets(table, t, coset=None):
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    fam = table.family
+    if fam in ("GL", "SL", "Sp", "GU", "SU"):
+        if coset in ("S", "O"):
+            raise ValueError("S/O sets are for orthogonal families")
+        return [
+            i
+            for i, g in enumerate(table.elements)
+            if (coset is None or table.labels[i] == coset)
+            and sieve_free(table.space, g, t)
+        ]
+    if coset not in ("S", "O"):
+        raise ValueError("orthogonal membership needs coset 'S' or 'O'")
+    if table.n % 2 == 0:
+        if coset == "S":
+            return [i for i, g in enumerate(table.elements)
+                    if sieve_free(table.space, g, t)]
+        return _ref_orth_O_set_even(table, t)
+    eigen = 1 if coset == "S" else table.space.F.neg_t[1]
+    return _ref_orth_set_odd(table, t, eigen)
+
+
+def _ref_orth_O_set_even(table, t):
+    space, form = table.space, table.form
+    q = space.q
+    out = []
+    for i, g in enumerate(table.elements):
+        if q % 2 == 0:
+            gm1 = space.sub(g, space.identity)
+            if len(space.kernel_basis(gm1)) != 1:
+                continue
+            k2 = space.kernel_basis(space.mul(gm1, gm1))
+            if len(k2) != 2:
+                continue
+            w = rref_basis(space, k2)
+        else:
+            e1 = space.kernel_basis(space.sub(g, space.identity))
+            em = space.kernel_basis(space.add(g, space.identity))
+            if len(e1) != 1 or len(em) != 1:
+                continue
+            w = rref_basis(space, e1 + em)
+        gram = tuple(form.bilinear(space, u, v) for u in w for v in w)
+        if MatSpace(2, q).rank(gram) != 2:
+            continue
+        perp = perp_basis_form(space, form, w)
+        if sieve_free(*_restrict(space, g, perp), t):
+            out.append(i)
+    return out
+
+
+def _ref_orth_set_odd(table, t, eigen):
+    space, form = table.space, table.form
+    out = []
+    for i, g in enumerate(table.elements):
+        ker = space.kernel_basis(space.sub(g, space.scalar(eigen)))
+        if len(ker) != 1:
+            continue
+        v = ker[0]
+        if form.bilinear(space, v, v) == 0:
+            continue
+        perp = perp_basis_form(space, form, (v,))
+        if sieve_free(*_restrict(space, g, perp), t):
+            out.append(i)
+    return out
+
+
+def _ref_tau_membership(table, t):
+    return [i for i, g in enumerate(table.elements)
+            if tau_sieve_free(table.space, g, t)]
+
+
+MEMBERSHIP_CASES = [
+    # the frozen membership tables
+    ("GL", 3, 2, 1, None), ("GL", 3, 2, 2, None), ("GL", 4, 2, 1, None),
+    ("GL", 4, 2, 2, None), ("SL", 2, 3, 1, None), ("Sp", 4, 2, 1, None),
+    ("Sp", 4, 2, 2, None),
+    # the frozen orthogonal tables, both sets, and O_3(5)
+    ("O+", 4, 2, 1, "S"), ("O+", 4, 2, 1, "O"), ("O-", 4, 2, 1, "S"),
+    ("O-", 4, 2, 1, "O"), ("O+", 4, 2, 2, "S"), ("O+", 4, 2, 2, "O"),
+    ("O-", 4, 2, 2, "S"), ("O-", 4, 2, 2, "O"), ("O+", 4, 3, 1, "S"),
+    ("O+", 4, 3, 1, "O"), ("O-", 4, 3, 1, "S"), ("O-", 4, 3, 1, "O"),
+    ("O", 3, 3, 1, "S"), ("O", 3, 3, 1, "O"), ("O", 3, 5, 1, "S"),
+    ("O", 3, 5, 1, "O"),
+    # determinant and unitary labels
+    ("GL", 2, 3, 1, 0), ("GL", 2, 3, 1, 1), ("GL", 3, 3, 1, 1), ("GU", 3, 2, 1, 0),
+]
+
+
+@pytest.mark.parametrize("fam,n,q,t,coset", MEMBERSHIP_CASES)
+def test_membership_predicates_match_per_family_loops(fam, n, q, t, coset):
+    tb = build_group(fam, n, q)
+    assert membership_sets(tb, t, coset) == _ref_membership_sets(tb, t, coset)
+
+
+@pytest.mark.parametrize("n,q,t", [(3, 2, 1), (4, 2, 1), (4, 2, 2), (3, 3, 1)])
+def test_tau_membership_matches_loop(n, q, t):
+    tb = build_group("GL", n, q)
+    assert tau_membership(tb, t) == _ref_tau_membership(tb, t)
+
+
+# hits of 300 seeded Monte Carlo draws, frozen so that the draws keep their
+# random stream: (spec, t, coset, seed, hits)
+FROZEN_MC_HITS = [
+    (("GL", 4, 3), 1, 1, 11, 89), (("GL", 4, 3), 1, 1, 12, 97),
+    (("GL", 3, 3), 1, "tau", 11, 76), (("GL", 3, 3), 1, "tau", 12, 72),
+    (("GL", 3, 3), 2, None, 11, 85), (("GL", 3, 3), 2, None, 12, 98),
+]
+
+
+@pytest.mark.parametrize("spec,t,coset,seed,hits", FROZEN_MC_HITS)
+def test_montecarlo_hits_frozen(spec, t, coset, seed, hits):
+    rep = proportion(spec, t, coset=coset, method="montecarlo", trials=300, seed=seed)
+    assert rep.value == hits / 300
+
+
+# ---------------------------------------------------------------------------
+# Fixed points: one branch per action kind and side, as before the point
+# permutation took over every case but the plain-subspace shortcut.
+
+def _ref_solve(space, a, b):
+    """One solution x of a x = b, or None."""
+    n = space.n
+    rows = [list(a[i * n : (i + 1) * n]) + [b[i]] for i in range(n)]
+    pivots = space._elim(rows, n)
+    if any(rows[r][n] for r in range(len(pivots), n)):
+        return None
+    x = [0] * n
+    for r, pc in enumerate(pivots):
+        x[pc] = rows[r][n]
+    return tuple(x)
+
+
+def _ref_fixed_form_indices(space, g, action):
+    c = _form_translation(space, g, action)
+    gm1 = space.sub(g, space.identity)
+    x0 = _ref_solve(space, gm1, c)
+    if x0 is None:
+        return []
+    c0 = space.vec_code(x0)
+    kernel = subspace_vectors(space, space.kernel_basis(gm1))
+    return sorted(space.code_add(c0, kc) for kc in kernel)
+
+
+def _ref_fixed_point_indices(space, g, action, tau=False):
+    cache = {}
+    spec = action.spec
+    if spec.kind == "quadratic_forms":
+        return _ref_fixed_form_indices(space, g, action)
+    n, k = space.n, spec.k
+    if not tau:
+        if spec.kind == "subspace":
+            fixed = _class_fixed(space, g, action._class(k), cache)
+            return [p for p, i in enumerate(action.points) if fixed[i]]
+        if spec.kind == "antiflag" and 2 * k == n:
+            cls = action._class(k)
+            imgs = _class_images(space, g, cls, cache, tau=False)
+            idx = cls.index
+            out = []
+            for p, (i, j) in enumerate(action.points):
+                ii, jj = idx[imgs[i]], idx[imgs[j]]
+                if (ii == i and jj == j) or (ii == j and jj == i):
+                    out.append(p)
+            return out
+        fsmall = _class_fixed(space, g, action._class(k), cache)
+        fbig = _class_fixed(space, g, action._class(n - k), cache)
+        return [p for p, (i, j) in enumerate(action.points) if fsmall[i] and fbig[j]]
+    if spec.kind == "subspace":
+        cls = action._class(k)
+        imgs = _class_images(space, g, cls, cache, tau=True)
+        return [p for p, i in enumerate(action.points) if cls.index[imgs[i]] == i]
+    if spec.kind == "antiflag" and 2 * k == n:
+        cls = action._class(k)
+        imgs = _class_images(space, g, cls, cache, tau=True)
+        idx = cls.index
+        return [p for p, (i, j) in enumerate(action.points)
+                if {idx[imgs[i]], idx[imgs[j]]} == {i, j}]
+    small, big = action._class(k), action._class(n - k)
+    img_to_small = _class_images(space, g, big, cache, tau=True)
+    img_to_big = _class_images(space, g, small, cache, tau=True)
+    return [p for p, (i, j) in enumerate(action.points)
+            if small.index[img_to_small[j]] == i and big.index[img_to_big[i]] == j]
+
+
+def _subspace_type_actions(tb):
+    """Every subspace, flag and antiflag action with k <= n/2, each with the
+    sides it is checked on: plain, and tau where tau acts."""
+    n = tb.n
+    out = []
+    for k in range(1, n // 2 + 1):
+        kinds = ["subspace", "antiflag"] + (["flag"] if k < n - k else [])
+        for kind in kinds:
+            act = enumerate_action(tb, ActionSpec(kind, k))
+            sides = (False, True) if _tau_acts(act.spec, n) else (False,)
+            out.append((act, sides))
+    return out
+
+
+@pytest.mark.parametrize("group,sample", [(("GL", 3, 2), None), (("GL", 2, 3), None),
+                                          (("GL", 4, 2), 500)])
+def test_fixed_point_indices_match_per_case_branches(group, sample):
+    tb = build_group(*group)
+    indices = range(len(tb))
+    if sample is not None:
+        indices = random.Random(17).sample(indices, sample)
+    sp = tb.space
+    for act, sides in _subspace_type_actions(tb):
+        for i in indices:
+            g = tb.elements[i]
+            cache = {}
+            for tau in sides:
+                want = _ref_fixed_point_indices(sp, g, act, tau=tau)
+                assert fixed_point_indices(sp, g, act, tau=tau) == want
+                assert fixed_point_indices(sp, g, act, tau=tau, cache=cache) == want
+
+
+def test_fixed_quadratic_forms_match_solver():
+    tb = build_group("Sp", 4, 2)
+    act = enumerate_action(tb, ActionSpec("quadratic_forms"))
+    for g in tb.elements:
+        want = _ref_fixed_form_indices(tb.space, g, act)
+        assert fixed_point_indices(tb.space, g, act) == want
