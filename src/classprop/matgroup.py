@@ -89,9 +89,6 @@ class MatSpace:
         n = self.n
         return [list(a[i * n : (i + 1) * n]) for i in range(n)]
 
-    def entry(self, a, i, j):
-        return a[i * self.n + j]
-
     def mul(self, a, b):
         n, F = self.n, self.F
         add_t, mul_t = F.add_t, F.mul_t
@@ -267,19 +264,6 @@ class MatSpace:
                 v[pc] = F.neg_t[rows[r][fc]]
             basis.append(tuple(v))
         return basis
-
-    def solve(self, a, b):
-        """One solution x of a x = b, or None."""
-        n = self.n
-        rows = [list(a[i * n : (i + 1) * n]) + [b[i]] for i in range(n)]
-        pivots = self._elim(rows, n)
-        for r in range(len(pivots), n):
-            if rows[r][n]:
-                return None
-        x = [0] * n
-        for r, pc in enumerate(pivots):
-            x[pc] = rows[r][n]
-        return tuple(x)
 
     def charpoly(self, a):
         """Monic characteristic polynomial, constant term first.
@@ -651,14 +635,15 @@ def _cols_to_mat(n, cols):
     return tuple(cols[j][i] for i in range(n) for j in range(n))
 
 
-def _symplectic_transvection(space, form, v, lam):
-    """x -> x + lam B(x, v) v."""
+def _transvection(space, form, v, c):
+    """x -> x + c B(x, v) v; with c = -1/Q(v) the reflection fixing the perp
+    of v."""
     n, F = space.n, space.F
     cols = []
     for j in range(n):
         e = tuple(1 if k == j else 0 for k in range(n))
-        c = F.mul(lam, form.bilinear(space, e, v))
-        cols.append(tuple(F.add(e[i], F.mul(c, v[i])) for i in range(n)))
+        b = F.mul(c, form.bilinear(space, e, v))
+        cols.append(tuple(F.add(e[i], F.mul(b, v[i])) for i in range(n)))
     return _cols_to_mat(n, cols)
 
 
@@ -668,28 +653,19 @@ def _sp_candidates(space, form):
     for code in range(1, q**n):
         v = space.code_vec(code)
         for lam in lams:
-            yield _symplectic_transvection(space, form, v, lam)
-
-
-def _reflection(space, form, v):
-    """x -> x - (B(x,v)/Q(v)) v, the reflection fixing the perp of v."""
-    n, F = space.n, space.F
-    inv = F.inv_t[form.quad_value(space, v)]
-    cols = []
-    for j in range(n):
-        e = tuple(1 if k == j else 0 for k in range(n))
-        c = F.mul(form.bilinear(space, e, v), inv)
-        cols.append(tuple(F.sub(e[i], F.mul(c, v[i])) for i in range(n)))
-    return _cols_to_mat(n, cols)
+            yield _transvection(space, form, v, lam)
 
 
 def _orth_candidates(space, form):
+    """Each reflection in a nonsingular vector, once."""
+    F = space.F
     seen = set()
     for code in range(1, space.q**space.n):
         v = space.code_vec(code)
-        if form.quad_value(space, v) == 0:
+        qv = form.quad_value(space, v)
+        if qv == 0:
             continue
-        r = _reflection(space, form, v)
+        r = _transvection(space, form, v, F.neg_t[F.inv_t[qv]])
         if r not in seen:
             seen.add(r)
             yield r
@@ -705,12 +681,7 @@ def _unitary_candidates(space, form):
         if form.bilinear(space, v, v) != 0:
             continue
         for c in trace_zero:
-            cols = []
-            for j in range(n):
-                e = tuple(1 if k == j else 0 for k in range(n))
-                b = F.mul(c, form.bilinear(space, e, v))
-                cols.append(tuple(F.add(e[i], F.mul(b, v[i])) for i in range(n)))
-            yield _cols_to_mat(n, cols)
+            yield _transvection(space, form, v, c)
     if n >= 2:
         for a in range(2, F.q):
             d = space.rows(space.identity)
@@ -861,6 +832,16 @@ class GroupTable:
 
     def coset_indices(self, label):
         return [i for i, l in enumerate(self.labels) if l == label]
+
+    def coset_size(self, coset):
+        """Element count of a coset as ``proportion`` names it: the whole
+        table for None and tau, half of it for the orthogonal S and O
+        variants, otherwise the elements carrying that label."""
+        if coset in (None, "tau"):
+            return len(self.elements)
+        if coset in ("S", "O"):
+            return len(self.elements) // 2
+        return self.labels.count(coset)
 
     def label_values(self):
         return sorted(set(self.labels))
@@ -1348,6 +1329,11 @@ class ActionTable:
     def __len__(self):
         return len(self.points)
 
+    @functools.cached_property
+    def position(self):
+        """Point -> its position in points."""
+        return {pt: p for p, pt in enumerate(self.points)}
+
 
 def enumerate_action(table_or_space, spec, form=None, cap=DEFAULT_ACTION_CAP):
     if isinstance(table_or_space, GroupTable):
@@ -1402,64 +1388,29 @@ def _class_images(space, g, cls, cache, tau):
 def fixed_point_indices(space, g, action: ActionTable, tau=False, cache=None):
     """Indices of the action points fixed by g (or by g tau).
 
-    tau composes U -> perp(U) under the plain dot product with g; it acts on
-    flags and antiflags for every k, and on k-subspaces only when 2k = n.
-    A cache dict may be shared across actions for one element.
+    A plain subspace, flag or off-middle antiflag is fixed exactly when each
+    of its subspaces is, which one membership test per subspace decides.
+    Every other case (tau, middle antiflags, quadratic forms) takes the
+    points that ``point_permutation`` maps to themselves, so tau applies
+    where it applies there.  A cache dict may be shared across actions for
+    one element.
     """
     if cache is None:
         cache = {}
     spec = action.spec
-    if spec.kind == "quadratic_forms":
-        if tau:
-            raise ValueError("tau does not act on quadratic-form points")
-        return _fixed_form_indices(space, g, action)
-    n = space.n
-    k = spec.k
-    if not tau:
-        if spec.kind == "subspace":
-            fixed = _class_fixed(space, g, action._class(k), cache)
-            return [p for p, i in enumerate(action.points) if fixed[i]]
-        if spec.kind == "antiflag" and 2 * k == n:
-            cls = action._class(k)
-            imgs = _class_images(space, g, cls, cache, tau=False)
-            idx = cls.index
-            out = []
-            for p, (i, j) in enumerate(action.points):
-                ii, jj = idx[imgs[i]], idx[imgs[j]]
-                if (ii == i and jj == j) or (ii == j and jj == i):
-                    out.append(p)
-            return out
+    n, k = space.n, spec.k
+    if not tau and spec.kind != "quadratic_forms" and not (
+        spec.kind == "antiflag" and 2 * k == n
+    ):
         fsmall = _class_fixed(space, g, action._class(k), cache)
+        if spec.kind == "subspace":
+            return [p for p, i in enumerate(action.points) if fsmall[i]]
         fbig = _class_fixed(space, g, action._class(n - k), cache)
         return [
             p for p, (i, j) in enumerate(action.points) if fsmall[i] and fbig[j]
         ]
-    if spec.kind == "subspace":
-        if 2 * k != n:
-            raise ValueError("tau moves k-spaces to (n-k)-spaces")
-        cls = action._class(k)
-        imgs = _class_images(space, g, cls, cache, tau=True)
-        idx = cls.index
-        return [p for p, i in enumerate(action.points) if idx[imgs[i]] == i]
-    if spec.kind == "antiflag" and 2 * k == n:
-        cls = action._class(k)
-        imgs = _class_images(space, g, cls, cache, tau=True)
-        idx = cls.index
-        out = []
-        for p, (i, j) in enumerate(action.points):
-            if {idx[imgs[i]], idx[imgs[j]]} == {i, j}:
-                out.append(p)
-        return out
-    # flags and off-middle antiflags: (U, W) maps to (g perp W, g perp U)
-    small, big = action._class(k), action._class(n - k)
-    img_to_small = _class_images(space, g, big, cache, tau=True)
-    img_to_big = _class_images(space, g, small, cache, tau=True)
-    sidx, bidx = small.index, big.index
-    out = []
-    for p, (i, j) in enumerate(action.points):
-        if sidx[img_to_small[j]] == i and bidx[img_to_big[i]] == j:
-            out.append(p)
-    return out
+    perm = point_permutation(space, g, action, tau=tau, cache=cache)
+    return [p for p, image in enumerate(perm) if image == p]
 
 
 def fixed_points(space, g, action, tau=False, cache=None):
@@ -1484,17 +1435,6 @@ def _form_translation(space, g, action):
     # x -> Q0(g^-1 x) - Q0(x) is linear over GF(2); write it as B(x, c)
     giv = space.inv(space.transpose(action.form.gram))
     return space.mat_vec(giv, tuple(vals))
-
-
-def _fixed_form_indices(space, g, action):
-    c = _form_translation(space, g, action)
-    gm1 = space.sub(g, space.identity)
-    x0 = space.solve(gm1, c)
-    if x0 is None:
-        return []
-    c0 = space.vec_code(x0)
-    kernel = subspace_vectors(space, space.kernel_basis(gm1))
-    return sorted(space.code_add(c0, kc) for kc in kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -1528,46 +1468,70 @@ def sieve_free(space, g, t):
     return not has_small_degree_factor(space.F, space.charpoly(g), t)
 
 
+def member_test(family, space, form, t, coset=None):
+    """Membership predicate on one element g of a family's coset.
+
+    coset: None or an integer label for the no-small-invariant-subspace
+    test on g itself (the predicate does not look at the label); "tau" for
+    the inverse-transpose coset of GL, where g stands for g tau; "S" / "O"
+    for the two orthogonal variants: the S set has no invariant subspace of
+    dimension <= t at all, the O set acts as a reflection on a small
+    nondegenerate complement and has no small invariant subspace on its
+    perp.  form is the family's form.  Bad combinations raise ValueError.
+    """
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    if coset == "tau":
+        if family != "GL":
+            raise ValueError("the inverse-transpose coset lives over GL")
+        return lambda g: tau_sieve_free(space, g, t)
+    if family in ("GL", "SL", "Sp", "GU", "SU"):
+        if coset in ("S", "O"):
+            raise ValueError("S/O sets are for orthogonal families")
+        return lambda g: sieve_free(space, g, t)
+    if not family.startswith(("O", "SO", "Omega")):
+        raise ValueError(f"no membership sets for family {family!r}")
+    if coset not in ("S", "O"):
+        raise ValueError("orthogonal membership needs coset 'S' or 'O'")
+    if space.n % 2 == 0:
+        if coset == "S":
+            return lambda g: sieve_free(space, g, t)
+        return lambda g: _reflection_complement_free(space, form, g, t)
+    if space.q % 2 == 0:
+        raise ValueError("odd-dimensional sets need odd q")
+    eigen = 1 if coset == "S" else space.F.neg_t[1]
+    return lambda g: _eigenline_complement_free(space, form, g, t, eigen)
+
+
+def _scan(table, test, label=None):
+    """Indices of the table elements, with that label when one is given,
+    that pass test."""
+    labels = table.labels
+    return [
+        i
+        for i, g in enumerate(table.elements)
+        if (label is None or labels[i] == label) and test(g)
+    ]
+
+
 def membership_sets(table: GroupTable, t, coset=None):
     """Indices of table elements in the no-small-invariant-subspace set.
 
     coset: None for the whole group, an integer label for one label class,
-    or "S" / "O" for the two orthogonal variants: the S set has no invariant
-    subspace of dimension <= t at all, the O set acts as a reflection on a
-    small nondegenerate complement and has no small invariant subspace on
-    its perp.  For the inverse-transpose coset of GL use tau_membership.
+    or "S" / "O" for the orthogonal variants (see ``member_test``).  A label
+    that no element carries raises ValueError; for the inverse-transpose
+    coset of GL use tau_membership.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    fam = table.family
-    if fam in ("GL", "SL", "Sp", "GU", "SU"):
-        if coset in ("S", "O"):
-            raise ValueError("S/O sets are for orthogonal families")
-        return [
-            i
-            for i, g in enumerate(table.elements)
-            if (coset is None or table.labels[i] == coset)
-            and sieve_free(table.space, g, t)
-        ]
-    if not fam.startswith(("O", "SO", "Omega")):
-        raise ValueError(f"no membership sets for family {fam!r}")
-    if coset not in ("S", "O"):
-        raise ValueError("orthogonal membership needs coset 'S' or 'O'")
-    if table.n % 2 == 0:
-        if coset == "S":
-            return [
-                i
-                for i, g in enumerate(table.elements)
-                if sieve_free(table.space, g, t)
-            ]
-        return _orth_O_set_even(table, t)
-    if table.q % 2 == 0:
-        raise ValueError("odd-dimensional sets need odd q")
-    eigen = 1 if coset == "S" else table.space.F.neg_t[1]
-    return _orth_set_odd(table, t, eigen)
+    if coset == "tau":
+        raise ValueError("membership_sets does not scan the tau coset; use tau_membership")
+    test = member_test(table.family, table.space, table.form, t, coset)
+    label = None if coset in (None, "S", "O") else coset
+    if label is not None and not table.coset_size(label):
+        raise ValueError(f"empty coset label {label!r}")
+    return _scan(table, test, label)
 
 
-def _orth_O_set_even(table, t):
+def _reflection_complement_free(space, form, g, t):
     """Reflection on a nondegenerate 2-space, sieve-free on its perp.
 
     In odd characteristic the 2-space is the sum of the eigenlines for 1 and
@@ -1575,48 +1539,33 @@ def _orth_O_set_even(table, t):
     line; such an involution of a 2-dimensional orthogonal space is always a
     reflection because the rotation subgroup has odd order.
     """
-    space, form = table.space, table.form
     q = space.q
-    out = []
-    for i, g in enumerate(table.elements):
-        if q % 2 == 0:
-            gm1 = space.sub(g, space.identity)
-            if len(space.kernel_basis(gm1)) != 1:
-                continue
-            k2 = space.kernel_basis(space.mul(gm1, gm1))
-            if len(k2) != 2:
-                continue
-            w = rref_basis(space, k2)
-        else:
-            e1 = space.kernel_basis(space.sub(g, space.identity))
-            em = space.kernel_basis(space.add(g, space.identity))
-            if len(e1) != 1 or len(em) != 1:
-                continue
-            w = rref_basis(space, e1 + em)
-        gram = tuple(form.bilinear(space, u, v) for u in w for v in w)
-        if MatSpace(2, q).rank(gram) != 2:
-            continue
-        perp = perp_basis_form(space, form, w)
-        if sieve_free(*_restrict(space, g, perp), t):
-            out.append(i)
-    return out
+    if q % 2 == 0:
+        gm1 = space.sub(g, space.identity)
+        if len(space.kernel_basis(gm1)) != 1:
+            return False
+        k2 = space.kernel_basis(space.mul(gm1, gm1))
+        if len(k2) != 2:
+            return False
+        w = rref_basis(space, k2)
+    else:
+        e1 = space.kernel_basis(space.sub(g, space.identity))
+        em = space.kernel_basis(space.add(g, space.identity))
+        if len(e1) != 1 or len(em) != 1:
+            return False
+        w = rref_basis(space, e1 + em)
+    gram = tuple(form.bilinear(space, u, v) for u in w for v in w)
+    if MatSpace(2, q).rank(gram) != 2:
+        return False
+    return sieve_free(*_restrict(space, g, perp_basis_form(space, form, w)), t)
 
 
-def _orth_set_odd(table, t, eigen):
+def _eigenline_complement_free(space, form, g, t, eigen):
     """Scalar eigen on an anisotropic line, sieve-free on its perp."""
-    space, form = table.space, table.form
-    out = []
-    for i, g in enumerate(table.elements):
-        ker = space.kernel_basis(space.sub(g, space.scalar(eigen)))
-        if len(ker) != 1:
-            continue
-        v = ker[0]
-        if form.bilinear(space, v, v) == 0:
-            continue
-        perp = perp_basis_form(space, form, (v,))
-        if sieve_free(*_restrict(space, g, perp), t):
-            out.append(i)
-    return out
+    ker = space.kernel_basis(space.sub(g, space.scalar(eigen)))
+    if len(ker) != 1 or form.bilinear(space, ker[0], ker[0]) == 0:
+        return False
+    return sieve_free(*_restrict(space, g, perp_basis_form(space, form, ker)), t)
 
 
 def tau_sieve_free(space, g, t):
@@ -1643,23 +1592,19 @@ def tau_sieve_free(space, g, t):
 
 
 def tau_membership(table: GroupTable, t):
-    """Indices g of a GL table whose coset element g tau avoids small subspaces."""
-    if table.family != "GL":
-        raise ValueError("the inverse-transpose coset lives over GL")
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    space = table.space
-    return [
-        i for i, g in enumerate(table.elements) if tau_sieve_free(space, g, t)
-    ]
+    """Indices g of a GL table whose coset element g tau avoids small
+    subspaces (see ``member_test``)."""
+    return _scan(table, member_test(table.family, table.space, table.form, t, "tau"))
 
 
 def point_permutation(space, g, action: ActionTable, tau=False, cache=None):
     """Positions of the images of all action points under g (or g tau).
 
-    Applicability of tau matches fixed_point_indices.  The result is a list
-    mapping point positions to point positions; elements that preserve the
-    relevant structure always permute the point set.
+    tau composes U -> perp(U) under the plain dot product with g; it acts on
+    flags and antiflags for every k, and on k-subspaces only when 2k = n.
+    The result is a list mapping point positions to point positions;
+    elements that preserve the relevant structure always permute the point
+    set.  A cache dict may be shared across actions for one element.
     """
     if cache is None:
         cache = {}
@@ -1667,6 +1612,7 @@ def point_permutation(space, g, action: ActionTable, tau=False, cache=None):
     if spec.kind == "quadratic_forms":
         if tau:
             raise ValueError("tau does not act on quadratic-form points")
+        # points are stored in code order, so a code is its own position
         c = _form_translation(space, g, action)
         out = []
         for code, _eps in action.points:
@@ -1674,26 +1620,26 @@ def point_permutation(space, g, action: ActionTable, tau=False, cache=None):
             out.append(space.vec_code(tuple(space.F.add(x, y) for x, y in zip(gv, c))))
         return out
     n, k = space.n, spec.k
+    pos = action.position
     if spec.kind == "subspace":
         if tau and 2 * k != n:
             raise ValueError("tau moves k-spaces to (n-k)-spaces")
         cls = action._class(k)
         imgs = _class_images(space, g, cls, cache, tau=tau)
         idx = cls.index
-        pos = {i: p for p, i in enumerate(action.points)}
         return [pos[idx[imgs[i]]] for i in action.points]
     if spec.kind == "antiflag" and 2 * k == n:
         cls = action._class(k)
         imgs = _class_images(space, g, cls, cache, tau=tau)
         idx = cls.index
-        pos = {pair: p for p, pair in enumerate(action.points)}
         out = []
         for i, j in action.points:
             ii, jj = idx[imgs[i]], idx[imgs[j]]
             out.append(pos[(ii, jj) if ii < jj else (jj, ii)])
         return out
+    # flags and off-middle antiflags: (U, W) maps to (g U, g W), or with tau
+    # to (g perp W, g perp U)
     small, big = action._class(k), action._class(n - k)
-    pos = {pair: p for p, pair in enumerate(action.points)}
     sidx, bidx = small.index, big.index
     if tau:
         img_to_small = _class_images(space, g, big, cache, tau=True)

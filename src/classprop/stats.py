@@ -30,14 +30,13 @@ from .matgroup import (
     fixed_point_indices,
     fixed_points,
     frontier_chunks,
+    member_test,
     membership_sets,
     point_permutation,
     random_coset_gl,
     random_gl,
     relation_classes,
-    sieve_free,
     tau_membership,
-    tau_sieve_free,
 )
 from .series import gl_no_small_factor_series, sl_coset_series
 
@@ -107,18 +106,9 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
             table = build_group(family, n, q, cap=cap)
         if coset == "tau":
             members = tau_membership(table, t)
-            denom = table.order()
-        elif coset in ("S", "O"):
-            members = membership_sets(table, t, coset)
-            denom = table.order() // 2
-        elif coset is None:
-            members = membership_sets(table, t)
-            denom = table.order()
         else:
             members = membership_sets(table, t, coset)
-            denom = len(table.coset_indices(coset))
-            if denom == 0:
-                raise ValueError(f"empty coset label {coset!r}")
+        denom = table.coset_size(coset)
         value = Fraction(len(members), denom)
         return ProportionReport(family, n, q, t, coset, method, value, denom)
     if method == "series":
@@ -148,17 +138,14 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
 
 
 def _mc_scan(n, q, t, coset, trials, seed):
+    """Hits among uniform draws from GL (tau: the g of g tau) or one
+    determinant coset."""
     rng = random.Random(seed)
     space = MatSpace(n, q)
-    hits = 0
-    for _ in range(trials):
-        if coset == "tau":
-            hits += tau_sieve_free(space, random_gl(n, q, rng), t)
-        elif coset is None:
-            hits += sieve_free(space, random_gl(n, q, rng), t)
-        else:
-            hits += sieve_free(space, random_coset_gl(n, q, coset, rng), t)
-    return hits
+    test = member_test("GL", space, None, t, coset)
+    if coset in (None, "tau"):
+        return sum(test(random_gl(n, q, rng)) for _ in range(trials))
+    return sum(test(random_coset_gl(n, q, coset, rng)) for _ in range(trials))
 
 
 def gf2_nonsingular_batch(rows):
@@ -545,14 +532,11 @@ def inverse_transpose_identity_check(n, q, t, cap=DEFAULT_GROUP_CAP):
     Both sides are enumerated exactly; the symplectic degree is n rounded
     down to even.
     """
-    gl = build_group("GL", n, q, cap=cap)
-    lhs = Fraction(len(tau_membership(gl, t)), gl.order())
+    lhs = proportion(("GL", n, q), t, "tau", cap=cap).value
     m = n - (n % 2)
     if m == 0:
         raise ValueError("n must be >= 2")
-    sp = build_group("Sp", m, q, cap=cap)
-    rhs = Fraction(len(membership_sets(sp, t)), sp.order())
-    return lhs == rhs
+    return lhs == proportion(("Sp", m, q), t, cap=cap).value
 
 
 def orthogonal_reflection_identity_check(n, q, t, cap=DEFAULT_GROUP_CAP):
@@ -566,23 +550,11 @@ def orthogonal_reflection_identity_check(n, q, t, cap=DEFAULT_GROUP_CAP):
         raise ValueError("the identity needs n >= 5")
     delta = 2 if n % 2 == 0 else 1
     m = n - delta
-    rhs_terms = []
-    for eps in ("+", "-"):
-        sub = build_group("O" + eps, m, q, cap=cap)
-        rhs_terms.append(
-            Fraction(len(membership_sets(sub, t, "S")), sub.order() // 2)
-        )
-    rhs = sum(rhs_terms) / 2
-    if n % 2 == 0:
-        families = ("O+", "O-")
-    else:
-        families = ("O",)
-    for fam in families:
-        big = build_group(fam, n, q, cap=cap)
-        lhs = Fraction(len(membership_sets(big, t, "O")), big.order() // 2)
-        if lhs != rhs:
-            return False
-    return True
+    rhs = sum(proportion(("O" + eps, m, q), t, "S", cap=cap).value
+              for eps in ("+", "-")) / 2
+    families = ("O+", "O-") if n % 2 == 0 else ("O",)
+    return all(proportion((fam, n, q), t, "O", cap=cap).value == rhs
+               for fam in families)
 
 
 # ---------------------------------------------------------------------------

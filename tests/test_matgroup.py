@@ -21,6 +21,7 @@ from classprop.matgroup import (
     fixed_points,
     gaussian_binomial,
     group_order,
+    member_test,
     membership_sets,
     perp_basis_dot,
     perp_basis_form,
@@ -135,6 +136,24 @@ def test_char2_irreducible_const_matches_irreducibility_test(q):
     F = Field(q)
     want = next(d for d in range(1, q) if is_irreducible(F, (d, 1, 1)))
     assert matgroup._char2_irreducible_const(F) == want
+
+
+@pytest.mark.parametrize("family,n,q", [("O-", 4, 2), ("O", 3, 3), ("O+", 4, 3)])
+def test_reflection_is_the_transvection_at_minus_inverse_q(family, n, q):
+    # x -> x + c B(x, v) v with c = -1/Q(v) preserves the form, negates v and
+    # fixes the perp of v pointwise: the reflection in v
+    sp, form = MatSpace(n, q), standard_form(family, n, q)
+    F = sp.F
+    for code in range(1, q**n):
+        v = sp.code_vec(code)
+        qv = form.quad_value(sp, v)
+        if qv == 0:
+            continue
+        r = matgroup._transvection(sp, form, v, F.neg_t[F.inv_t[qv]])
+        assert preserves_form(sp, form, r)
+        assert sp.mat_vec(r, v) == tuple(F.neg_t[x] for x in v)
+        for w in perp_basis_form(sp, form, (v,)):
+            assert sp.mat_vec(r, w) == w
 
 
 def test_symplectic_form_alternating():
@@ -637,6 +656,33 @@ def test_membership_validation():
         membership_sets(orth, 1, coset=None)
     with pytest.raises(ValueError):
         membership_sets(orth, 1, coset=0)
+    # the tau coset and labels no element carries raise instead of an empty set
+    with pytest.raises(ValueError, match="use tau_membership"):
+        membership_sets(tb, 1, coset="tau")
+    with pytest.raises(ValueError, match="^empty coset label 7$"):
+        membership_sets(tb, 1, coset=7)
+
+
+def test_member_test_validation():
+    sp = MatSpace(4, 2)
+    for family, t, coset, message in [
+        ("GL", 0, None, "t must be >= 1"),
+        ("SL", 1, "tau", "lives over GL"),
+        ("Sp", 1, "S", "for orthogonal families"),
+        ("O+", 1, None, "needs coset 'S' or 'O'"),
+        ("Q", 1, None, "no membership sets"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            member_test(family, sp, None, t, coset)
+    with pytest.raises(ValueError, match="need odd q"):
+        member_test("O", MatSpace(3, 2), None, 1, "S")
+
+
+def test_coset_size():
+    gl = build_group("GL", 2, 3)
+    assert [gl.coset_size(c) for c in (None, "tau", 0, 1, 7)] == [48, 48, 24, 24, 0]
+    orth = build_group("O+", 4, 2)
+    assert orth.coset_size("S") == orth.coset_size("O") == 36
 
 
 def test_unitary_membership_counts():
