@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycRing
-from .gf import Field, count_irreducibles, residue_class_counts
+from .gf import Field, count_irreducibles, prime_power, residue_class_counts
 
 
 class Series:
@@ -176,6 +176,7 @@ def euler_factor_series(q, j, m, order):
 def gl_no_small_factor_series(q, t, order):
     """Coefficient n is the proportion of GL_n(q) whose characteristic
     polynomial has no irreducible factor of degree <= t."""
+    prime_power(q)  # the count formulas are polynomial in q; GL_n(q) is not
     if t < 1:
         raise ValueError("t must be >= 1")
     out = Series.geometric(order)

@@ -140,6 +140,26 @@ def test_enumerate_rejects_missing_coset_label(tmp_path, capsys):
     assert "empty coset label 5" in capsys.readouterr().err
 
 
+def test_series_rejects_q_that_is_not_a_prime_power(tmp_path, capsys):
+    code, text = run(tmp_path, "series", "--family", "gl", "--q", "6",
+                     "--t", "1", "--order", "3")
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert capsys.readouterr().err == "classprop: q=6 is not a prime power\n"
+
+
+@pytest.mark.parametrize("coset,message", [
+    ("tau", "membership_sets does not scan the tau coset; use tau_membership"),
+    ("7", "empty coset label 7"),
+])
+def test_expectation_suite_rejects_coset_without_members(tmp_path, capsys, coset,
+                                                         message):
+    code, text = run(tmp_path, "verify", "--suite", "expectation", "--coset", coset)
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert capsys.readouterr().err == f"classprop: {message}\n"
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     code = cli.main(["presets", "--out", str(out)])

@@ -304,6 +304,9 @@ def test_gl_series_monotone_in_t(q):
 def test_gl_series_argument_errors():
     with pytest.raises(ValueError):
         gl_no_small_factor_series(2, 0, 4)
+    for q in (1, 6, 12):
+        with pytest.raises(ValueError, match=f"q={q} is not a prime power"):
+            gl_no_small_factor_series(q, 1, 4)
 
 
 def test_sl_q2_equals_gl():

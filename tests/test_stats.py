@@ -117,6 +117,8 @@ def test_proportion_method_errors():
         proportion(("GL", 3, 2), 1, method="bogus")
     with pytest.raises(ValueError):
         proportion(("GL", 2, 3), 1, coset=7)
+    with pytest.raises(ValueError, match="q=6 is not a prime power"):
+        proportion(("GL", 2, 6), 1, method="series")
 
 
 @pytest.mark.parametrize("spec,coset,kwargs", [
