@@ -176,7 +176,7 @@ def euler_factor_series(q, j, m, order):
 def gl_no_small_factor_series(q, t, order):
     """Coefficient n is the proportion of GL_n(q) whose characteristic
     polynomial has no irreducible factor of degree <= t."""
-    prime_power(q)  # the count formulas are polynomial in q; GL_n(q) is not
+    prime_power(q)  # the count formulas take any q; GL_n(q) needs a prime power
     if t < 1:
         raise ValueError("t must be >= 1")
     out = Series.geometric(order)
