@@ -1389,11 +1389,10 @@ def fixed_point_indices(space, g, action: ActionTable, tau=False, cache=None):
     """Indices of the action points fixed by g (or by g tau).
 
     A plain subspace, flag or off-middle antiflag is fixed exactly when each
-    of its subspaces is, which one membership test per subspace decides.
-    Every other case (tau, middle antiflags, quadratic forms) takes the
-    points that ``point_permutation`` maps to themselves, so tau applies
-    where it applies there.  A cache dict may be shared across actions for
-    one element.
+    of its subspaces is, which ``_class_fixed`` decides once per dimension.
+    Every other case (tau, middle antiflags, quadratic forms) returns the
+    points that ``point_permutation`` maps to themselves, and raises where
+    it raises.  A cache dict may be shared across actions for one element.
     """
     if cache is None:
         cache = {}
@@ -1523,7 +1522,9 @@ def membership_sets(table: GroupTable, t, coset=None):
     coset of GL use tau_membership.
     """
     if coset == "tau":
-        raise ValueError("membership_sets does not scan the tau coset; use tau_membership")
+        raise ValueError(
+            "membership_sets does not scan the tau coset; use tau_membership"
+        )
     test = member_test(table.family, table.space, table.form, t, coset)
     label = None if coset in (None, "S", "O") else coset
     if label is not None and not table.coset_size(label):
