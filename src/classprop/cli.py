@@ -276,7 +276,7 @@ def cmd_enumerate(cfg):
         "generators": len(table.gens),
         "labels": sorted(table.label_values()),
         "coset_sizes": {
-            str(lab): len(table.coset_indices(lab))
+            str(lab): table.coset_size(lab)
             for lab in sorted(table.label_values())
         },
     }
