@@ -4,12 +4,15 @@ Each function here recomputes, by enumeration or by a slower direct
 formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
-(Hessenberg reduction) and the no-small-invariant-subspace sets (the
-characteristic-polynomial sieve).
+(Hessenberg reduction), the no-small-invariant-subspace sets (the
+characteristic-polynomial sieve) and GF(2) invertibility (the bit-sliced
+kernel).
 """
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 from classprop.cyclo import CycRing
 from classprop.gf import Field, pdeg, pmod, pmonic, pnorm, residue_class_counts
@@ -275,3 +278,28 @@ def fixed_points_by_type(space, g, action):
     for idx in fixed_point_indices(space, g, action):
         out[action.points[idx][1]] += 1
     return out
+
+
+def gf2_nonsingular_elimination(rows):
+    """Invertibility mask for a batch of bit-packed GF(2) matrices.
+
+    rows has shape (batch, n); bit j of rows[b, i] is entry (i, j) of matrix
+    b.  Gaussian elimination runs on all matrices in lockstep.
+    """
+    a = rows.copy()
+    batch, n = a.shape
+    zero = a.dtype.type(0)
+    singular = np.zeros(batch, dtype=bool)
+    ar = np.arange(batch)
+    for j in range(n):
+        bits = (a >> j) & 1
+        bits[:, :j] = 0
+        singular |= ~bits.any(axis=1)
+        piv = np.argmax(bits, axis=1)
+        tmp = a[ar, piv]
+        a[ar, piv] = a[ar, j]
+        a[ar, j] = tmp
+        below = ((a >> j) & 1).astype(bool)
+        below[:, : j + 1] = False
+        a ^= np.where(below, a[:, j : j + 1], zero)
+    return ~singular

@@ -40,7 +40,7 @@ from classprop.stats import (
     wilson_interval,
     _mc_gl2_t1,
 )
-from oracles import fixed_points_by_type
+from oracles import fixed_points_by_type, gf2_nonsingular_elimination
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +188,45 @@ def test_gf2_batch_matches_determinant_random(n, dtype):
     for packed, m in zip(rows.tolist(), mask.tolist()):
         g = tuple((r >> j) & 1 for r in packed for j in range(n))
         assert (sp.det(g) != 0) == m
+
+
+def _gf2_dtype(n):
+    return np.uint32 if n <= 32 else np.uint64
+
+
+def _gf2_eye(n):
+    return np.array([1 << i for i in range(n)], dtype=_gf2_dtype(n))
+
+
+GF2_SIZES = [1, 2, 20, 32, 33, 62]
+
+
+@pytest.mark.parametrize("n", GF2_SIZES)
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 4096, 4097])
+def test_gf2_batch_matches_row_elimination(n, batch):
+    # the sampler's two calls: raw draws, then the draws plus the identity
+    rng = np.random.Generator(np.random.PCG64(1000 * n + batch))
+    raw = rng.integers(0, 1 << n, size=(batch, n), dtype=_gf2_dtype(n))
+    for rows in (raw, raw ^ _gf2_eye(n)):
+        mask = gf2_nonsingular_batch(rows)
+        assert mask.dtype == bool and mask.shape == (batch,)
+        assert np.array_equal(mask, gf2_nonsingular_elimination(rows))
+
+
+@pytest.mark.parametrize("n", GF2_SIZES)
+def test_gf2_batch_identity_and_zero(n):
+    eye = _gf2_eye(n)
+    rows = np.stack([eye, np.zeros_like(eye)] * 40)  # 80 matrices, over one word
+    want = [True, False] * 40
+    assert gf2_nonsingular_batch(rows).tolist() == want
+    assert gf2_nonsingular_elimination(rows).tolist() == want
+
+
+@pytest.mark.parametrize("trials,seed,hits", [(10**3, 0, 300), (10**4, 3, 2913),
+                                              (10**5, 1, 28915)])
+def test_packed_sampler_hits_frozen(trials, seed, hits):
+    # the draws and their acceptance order fix these counts for each seed
+    assert _mc_gl2_t1(20, trials, seed) == hits
 
 
 def test_packed_sampler_agrees_with_scan_sampler():
