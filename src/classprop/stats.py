@@ -148,29 +148,54 @@ def _mc_scan(n, q, t, coset, trials, seed):
     return sum(test(random_coset_gl(n, q, coset, rng)) for _ in range(trials))
 
 
+def _bitslice(rows):
+    """Bit-sliced copy of a batch of bit-packed GF(2) matrices.
+
+    rows has shape (batch, n) and a w-bit unsigned dtype; bit j of rows[b, i]
+    is entry (i, j) of matrix b.  Returns s of shape (n, n, ceil(batch / w))
+    in the same dtype, where bit l of s[i, j, c] is entry (i, j) of matrix
+    w*c + l; padding matrices are zero.  Row i of w consecutive matrices is a
+    w x w bit matrix, and log2(w) rounds of masked block swaps transpose all
+    of them at once.
+    """
+    batch, n = rows.shape
+    dt = rows.dtype.type
+    w = 8 * rows.dtype.itemsize
+    x = np.zeros((-(-batch // w) * w, n), dtype=dt)
+    x[:batch] = rows
+    k = w // 2
+    while k:
+        # swap the high k bits of word l with the low k bits of word l + k
+        low = dt(sum(((1 << k) - 1) << s for s in range(0, w, 2 * k)))
+        pairs = x.reshape(-1, 2, k * n)
+        a, b = pairs[:, 0], pairs[:, 1]
+        swap = ((a >> k) ^ b) & low
+        b ^= swap
+        a ^= swap << k
+        k //= 2
+    return np.ascontiguousarray(x.reshape(-1, w, n)[:, :n].transpose(2, 1, 0))
+
+
 def gf2_nonsingular_batch(rows):
     """Invertibility mask for a batch of bit-packed GF(2) matrices.
 
     rows has shape (batch, n); bit j of rows[b, i] is entry (i, j) of matrix
-    b.  Gaussian elimination runs on all matrices in lockstep.
+    b.  The batch is bit-sliced (Biham, FSE 1997), so every word operation
+    of the elimination acts on one bit lane per matrix.  For each column j
+    the first row at or below j with a 1 there is added into row j, lane by
+    lane, and the pivot row then clears column j below it.
     """
-    a = rows.copy()
-    batch, n = a.shape
-    zero = a.dtype.type(0)
-    singular = np.zeros(batch, dtype=bool)
-    ar = np.arange(batch)
+    s = _bitslice(rows)
+    n = s.shape[0]
+    ok = np.full(s.shape[2], ~s.dtype.type(0))
     for j in range(n):
-        bits = (a >> j) & 1
-        bits[:, :j] = 0
-        singular |= ~bits.any(axis=1)
-        piv = np.argmax(bits, axis=1)
-        tmp = a[ar, piv]
-        a[ar, piv] = a[ar, j]
-        a[ar, j] = tmp
-        below = ((a >> j) & 1).astype(bool)
-        below[:, : j + 1] = False
-        a ^= np.where(below, a[:, j : j + 1], zero)
-    return ~singular
+        pivot = s[j, j:]
+        for i in range(j + 1, n):
+            pivot ^= s[i, j:] & (s[i, j] & ~pivot[0])
+        ok &= pivot[0]
+        s[j + 1:, j:] ^= s[j + 1:, j:j + 1] & pivot
+    lanes = np.arange(8 * ok.itemsize, dtype=ok.dtype)
+    return ((ok[:, None] >> lanes) & 1).ravel()[: rows.shape[0]].astype(bool)
 
 
 def _mc_gl2_t1(n, trials, seed):
