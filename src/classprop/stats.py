@@ -98,6 +98,8 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
     else:
         table = None
         family, n, q = spec
+    if n < 1:
+        raise ValueError(f"the dimension n must be at least 1, got {n}")
     if family in ("GL", "SL") and coset not in (None, "tau", "S", "O"):
         if coset not in range(q - 1 if family == "GL" else 1):
             raise ValueError(f"empty coset label {coset!r}")
@@ -123,7 +125,7 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
     if method == "montecarlo":
         if family != "GL" or coset in ("S", "O"):
             raise ValueError("montecarlo covers GL, its determinant cosets, and tau")
-        if not isinstance(trials, int) or trials <= 0:
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
             raise ValueError("montecarlo needs a positive trials count")
         if seed is None:
             raise ValueError("montecarlo needs an explicit seed")

@@ -135,6 +135,20 @@ def test_proportion_rejects_out_of_range_coset_labels(spec, coset, kwargs):
         proportion(spec, 1, coset=coset, **kwargs)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("kwargs", [dict(), dict(method="series"),
+                                    dict(method="montecarlo", trials=100, seed=1)])
+def test_proportion_rejects_dimension_below_one(n, q, kwargs):
+    with pytest.raises(ValueError, match=f"the dimension n must be at least 1, got {n}"):
+        proportion(("GL", n, q), 1, **kwargs)
+
+
+def test_proportion_montecarlo_rejects_boolean_trials():
+    with pytest.raises(ValueError, match="positive trials count"):
+        proportion(("GL", 3, 2), 1, method="montecarlo", trials=True, seed=1)
+
+
 def test_proportion_accepts_every_valid_coset_label():
     assert proportion(("SL", 2, 3), 1, coset=0, method="series").value == \
         proportion(("SL", 2, 3), 1, coset=0).value
