@@ -1241,12 +1241,10 @@ class ActionTable:
                         self.points.append((i, j))
         elif spec.kind == "antiflag":
             if 2 * k == n:
+                # unordered pairs of complements, both of the kept type
                 vecsets = small.vecsets
-                keepset = set(keep)
-                for i in range(len(small.bases)):
-                    if i not in keepset:
-                        continue
-                    for j in range(i + 1, len(small.bases)):
+                for a, i in enumerate(keep):
+                    for j in keep[a + 1:]:
                         if len(vecsets[i] & vecsets[j]) == 1:
                             self.points.append((i, j))
             else:

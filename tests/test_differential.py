@@ -30,6 +30,7 @@ from classprop.matgroup import (
     membership_sets,
     perp_basis_dot,
     perp_basis_form,
+    point_permutation,
     rref_basis,
     sieve_free,
     subspace_vectors,
@@ -675,6 +676,18 @@ def test_fixed_point_indices_match_per_case_branches(group, sample):
                 want = _ref_fixed_point_indices(sp, g, act, tau=tau)
                 assert fixed_point_indices(sp, g, act, tau=tau) == want
                 assert fixed_point_indices(sp, g, act, tau=tau, cache=cache) == want
+
+
+def test_restricted_middle_antiflags_are_an_orbit_union():
+    # both halves of every pair are totally singular, so Sp4(2) permutes them
+    tb = build_group("Sp", 4, 2)
+    act = enumerate_action(tb, ActionSpec("antiflag", 2, restrict="totally_singular"))
+    assert act.points
+    for g in tb.gens:
+        assert sorted(point_permutation(tb.space, g, act)) == list(range(len(act.points)))
+    for g in tb.elements:
+        assert fixed_point_indices(tb.space, g, act) == \
+            _ref_fixed_point_indices(tb.space, g, act)
 
 
 def test_fixed_quadratic_forms_match_solver():

@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 
 from classprop import matgroup
-from classprop.gf import Field, has_small_degree_factor
+from classprop.gf import Field
 from classprop.matgroup import (
     ActionSpec,
     DEFAULT_GROUP_CAP,
-    FormSpec,
     MatSpace,
     ResourceCapExceeded,
     all_subspaces,
@@ -30,7 +29,6 @@ from classprop.matgroup import (
     random_coset_gl,
     random_gl,
     rref_basis,
-    sieve_free,
     singular_vector_count,
     standard_form,
     subspace_vectors,
