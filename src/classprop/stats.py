@@ -168,7 +168,7 @@ def _bitslice(rows):
     k = w // 2
     while k:
         # swap the high k bits of word l with the low k bits of word l + k
-        low = dt(sum(((1 << k) - 1) << s for s in range(0, w, 2 * k)))
+        low = dt(sum(((1 << k) - 1) << p for p in range(0, w, 2 * k)))
         pairs = x.reshape(-1, 2, k * n)
         a, b = pairs[:, 0], pairs[:, 1]
         swap = ((a >> k) ^ b) & low
@@ -182,10 +182,11 @@ def gf2_nonsingular_batch(rows):
     """Invertibility mask for a batch of bit-packed GF(2) matrices.
 
     rows has shape (batch, n); bit j of rows[b, i] is entry (i, j) of matrix
-    b.  The batch is bit-sliced (Biham, FSE 1997), so every word operation
-    of the elimination acts on one bit lane per matrix.  For each column j
-    the first row at or below j with a 1 there is added into row j, lane by
-    lane, and the pivot row then clears column j below it.
+    b.  The batch is bit-sliced (Biham, FSE 1997), so each word operation of
+    the elimination acts on one bit lane per matrix.  For each column j, in
+    the lanes where row j has a 0 there, the first row below with a 1 is
+    added into row j; row j then clears column j below it.  Adding rows
+    keeps the rank, so a lane stays nonsingular while every pivot is 1.
     """
     s = _bitslice(rows)
     n = s.shape[0]
