@@ -153,12 +153,12 @@ def _mc_scan(n, q, t, coset, trials, seed):
 def _bitslice(rows):
     """Bit-sliced copy of a batch of bit-packed GF(2) matrices.
 
-    rows has shape (batch, n) and a w-bit unsigned dtype; bit j of rows[b, i]
-    is entry (i, j) of matrix b.  Returns s of shape (n, n, ceil(batch / w))
-    in the same dtype, where bit l of s[i, j, c] is entry (i, j) of matrix
-    w*c + l; padding matrices are zero.  Row i of w consecutive matrices is a
-    w x w bit matrix, and log2(w) rounds of masked block swaps transpose all
-    of them at once.
+    rows has shape (batch, n) and a w-bit unsigned dtype with n <= w; bit j
+    of rows[b, i] is entry (i, j) of matrix b.  Returns s of shape
+    (n, n, ceil(batch / w)) in the same dtype, where bit l of s[i, j, c] is
+    entry (i, j) of matrix w*c + l; padding matrices are zero.  Row i of w
+    consecutive matrices is a w x w bit matrix, and log2(w) rounds of masked
+    block swaps transpose all of them at once.
     """
     batch, n = rows.shape
     dt = rows.dtype.type

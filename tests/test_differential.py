@@ -684,7 +684,8 @@ def test_restricted_middle_antiflags_are_an_orbit_union():
     act = enumerate_action(tb, ActionSpec("antiflag", 2, restrict="totally_singular"))
     assert act.points
     for g in tb.gens:
-        assert sorted(point_permutation(tb.space, g, act)) == list(range(len(act.points)))
+        perm = point_permutation(tb.space, g, act)
+        assert sorted(perm) == list(range(len(act.points)))
     for g in tb.elements:
         assert fixed_point_indices(tb.space, g, act) == \
             _ref_fixed_point_indices(tb.space, g, act)

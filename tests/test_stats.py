@@ -140,7 +140,7 @@ def test_proportion_rejects_out_of_range_coset_labels(spec, coset, kwargs):
 @pytest.mark.parametrize("kwargs", [dict(), dict(method="series"),
                                     dict(method="montecarlo", trials=100, seed=1)])
 def test_proportion_rejects_dimension_below_one(n, q, kwargs):
-    with pytest.raises(ValueError, match=f"the dimension n must be at least 1, got {n}"):
+    with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
         proportion(("GL", n, q), 1, **kwargs)
 
 
