@@ -5,8 +5,8 @@ formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
 (Hessenberg reduction), the no-small-invariant-subspace sets (the
-characteristic-polynomial sieve) and GF(2) invertibility (the bit-sliced
-kernel).
+characteristic-polynomial sieve), GF(2) invertibility (the bit-sliced
+kernel) and fixed subspaces (the point permutation).
 """
 
 import itertools
@@ -16,7 +16,14 @@ import numpy as np
 
 from classprop.cyclo import CycRing
 from classprop.gf import Field, pdeg, pmod, pmonic, pnorm, residue_class_counts
-from classprop.matgroup import MatSpace, all_subspaces, fixed_point_indices, subspace_vectors
+from classprop.matgroup import (
+    MatSpace,
+    all_subspaces,
+    fixed_point_indices,
+    perp_basis_dot,
+    rref_basis,
+    subspace_vectors,
+)
 from classprop.series import Series
 
 # Largest number of candidate polynomials count_enumerated will sieve.
@@ -277,6 +284,46 @@ def fixed_points_by_type(space, g, action):
     out = {"+": 0, "-": 0}
     for idx in fixed_point_indices(space, g, action):
         out[action.points[idx][1]] += 1
+    return out
+
+
+def element_lut(space, g, cache):
+    lut = cache.get("lut")
+    if lut is None:
+        lut = cache["lut"] = space.all_vector_images(g)
+    return lut
+
+
+def class_fixed(space, g, cls, cache):
+    """Per class member: is the subspace fixed by g (tested basis by basis)."""
+    key = ("fixed", cls.k)
+    out = cache.get(key)
+    if out is None:
+        lut = element_lut(space, g, cache)
+        out = [
+            all(lut[space.vec_code(b)] in vs for b in basis)
+            for basis, vs in zip(cls.bases, cls.vecsets)
+        ]
+        cache[key] = out
+    return out
+
+
+def class_images(space, g, cls, cache, tau):
+    """Image subspace per class member: basis of g U, or of g perp(U)."""
+    key = ("img", cls.k, tau)
+    out = cache.get(key)
+    if out is None:
+        lut = element_lut(space, g, cache)
+        out = []
+        for basis in cls.bases:
+            src = perp_basis_dot(space, basis) if tau else basis
+            out.append(
+                rref_basis(
+                    space,
+                    [space.code_vec(lut[space.vec_code(v)]) for v in src],
+                )
+            )
+        cache[key] = out
     return out
 
 

@@ -16,8 +16,6 @@ from classprop.matgroup import (
     ActionSpec,
     MatSpace,
     ResourceCapExceeded,
-    _class_fixed,
-    _class_images,
     _eval_quad,
     _form_translation,
     _restrict,
@@ -51,6 +49,7 @@ from classprop.stats import (
     psl2,
     subset_expectation,
 )
+from oracles import class_fixed, class_images
 
 
 def _ref_closure(identity, mul, gens, stop_over=None):
@@ -606,6 +605,10 @@ def _ref_fixed_form_indices(space, g, action):
     return sorted(space.code_add(c0, kc) for kc in kernel)
 
 
+def _basis_index(cls):
+    return {b: i for i, b in enumerate(cls.bases)}
+
+
 def _ref_fixed_point_indices(space, g, action, tau=False):
     cache = {}
     spec = action.spec
@@ -614,36 +617,38 @@ def _ref_fixed_point_indices(space, g, action, tau=False):
     n, k = space.n, spec.k
     if not tau:
         if spec.kind == "subspace":
-            fixed = _class_fixed(space, g, action._class(k), cache)
+            fixed = class_fixed(space, g, action._class(k), cache)
             return [p for p, i in enumerate(action.points) if fixed[i]]
         if spec.kind == "antiflag" and 2 * k == n:
             cls = action._class(k)
-            imgs = _class_images(space, g, cls, cache, tau=False)
-            idx = cls.index
+            imgs = class_images(space, g, cls, cache, tau=False)
+            idx = _basis_index(cls)
             out = []
             for p, (i, j) in enumerate(action.points):
                 ii, jj = idx[imgs[i]], idx[imgs[j]]
                 if (ii == i and jj == j) or (ii == j and jj == i):
                     out.append(p)
             return out
-        fsmall = _class_fixed(space, g, action._class(k), cache)
-        fbig = _class_fixed(space, g, action._class(n - k), cache)
+        fsmall = class_fixed(space, g, action._class(k), cache)
+        fbig = class_fixed(space, g, action._class(n - k), cache)
         return [p for p, (i, j) in enumerate(action.points) if fsmall[i] and fbig[j]]
     if spec.kind == "subspace":
         cls = action._class(k)
-        imgs = _class_images(space, g, cls, cache, tau=True)
-        return [p for p, i in enumerate(action.points) if cls.index[imgs[i]] == i]
+        imgs = class_images(space, g, cls, cache, tau=True)
+        idx = _basis_index(cls)
+        return [p for p, i in enumerate(action.points) if idx[imgs[i]] == i]
     if spec.kind == "antiflag" and 2 * k == n:
         cls = action._class(k)
-        imgs = _class_images(space, g, cls, cache, tau=True)
-        idx = cls.index
+        imgs = class_images(space, g, cls, cache, tau=True)
+        idx = _basis_index(cls)
         return [p for p, (i, j) in enumerate(action.points)
                 if {idx[imgs[i]], idx[imgs[j]]} == {i, j}]
     small, big = action._class(k), action._class(n - k)
-    img_to_small = _class_images(space, g, big, cache, tau=True)
-    img_to_big = _class_images(space, g, small, cache, tau=True)
+    img_to_small = class_images(space, g, big, cache, tau=True)
+    img_to_big = class_images(space, g, small, cache, tau=True)
+    sidx, bidx = _basis_index(small), _basis_index(big)
     return [p for p, (i, j) in enumerate(action.points)
-            if small.index[img_to_small[j]] == i and big.index[img_to_big[i]] == j]
+            if sidx[img_to_small[j]] == i and bidx[img_to_big[i]] == j]
 
 
 def _subspace_type_actions(tb):
