@@ -1178,13 +1178,13 @@ class ActionSpec:
 
 
 class _SubspaceClass:
-    """All k-subspaces with their vector sets, indexed canonically."""
+    """All k-subspaces with their vector sets, indexed by vector set."""
 
     def __init__(self, space, k):
         self.k = k
         self.bases = all_subspaces(space, k)
         self.vecsets = [subspace_vectors(space, b) for b in self.bases]
-        self.index = {b: i for i, b in enumerate(self.bases)}
+        self.position = {vs: i for i, vs in enumerate(self.vecsets)}
 
     def __len__(self):
         return len(self.bases)
@@ -1194,8 +1194,9 @@ class ActionTable:
     """Enumerated point set of one action.
 
     Subspace-like points are stored as indices into dimension classes, so a
-    fixed-point scan reduces to per-class image computations plus one pass
-    over the incidence pairs.
+    point permutation reduces to per-class image indices plus one pass over
+    the points.  The dot-product perp map from class k to class n - k is
+    built once per table, on first use.
     """
 
     def __init__(self, space, form, spec, cap=DEFAULT_ACTION_CAP):
@@ -1203,6 +1204,7 @@ class ActionTable:
         self.form = form
         self.spec = spec
         self.classes = {}
+        self.perps = {}
         self.points = []
         self._build()
         if len(self.points) > cap:
@@ -1212,6 +1214,17 @@ class ActionTable:
         if k not in self.classes:
             self.classes[k] = _SubspaceClass(self.space, k)
         return self.classes[k]
+
+    def _perp(self, k):
+        """Index in class n - k of the dot-product perp of each k-subspace."""
+        if k not in self.perps:
+            space = self.space
+            big = self._class(space.n - k)
+            self.perps[k] = [
+                big.position[subspace_vectors(space, perp_basis_dot(space, b))]
+                for b in self._class(k).bases
+            ]
+        return self.perps[k]
 
     def _build(self):
         spec = self.spec
@@ -1344,68 +1357,29 @@ def enumerate_action(table_or_space, spec, form=None, cap=DEFAULT_ACTION_CAP):
 # ---------------------------------------------------------------------------
 # Fixed points.
 
-def _element_lut(space, g, cache):
-    lut = cache.get("lut")
-    if lut is None:
-        lut = cache["lut"] = space.all_vector_images(g)
-    return lut
-
-
-def _class_fixed(space, g, cls, cache):
-    key = ("fixed", cls.k)
+def _class_images(space, g, action, k, tau, cache):
+    """Per k-subspace U, the index of g U in class k, or of g perp(U) in
+    class n - k.  The cache holds g's vector images and these lists."""
+    key = ("img", k, tau)
     out = cache.get(key)
     if out is None:
-        lut = _element_lut(space, g, cache)
-        out = [
-            all(lut[space.vec_code(b)] in vs for b in basis)
-            for basis, vs in zip(cls.bases, cls.vecsets)
-        ]
-        cache[key] = out
-    return out
-
-
-def _class_images(space, g, cls, cache, tau):
-    """Image subspace per class member: basis of g U, or of g perp(U)."""
-    key = ("img", cls.k, tau)
-    out = cache.get(key)
-    if out is None:
-        lut = _element_lut(space, g, cache)
-        out = []
-        for basis in cls.bases:
-            src = perp_basis_dot(space, basis) if tau else basis
-            out.append(
-                rref_basis(
-                    space,
-                    [space.code_vec(lut[space.vec_code(v)]) for v in src],
-                )
-            )
-        cache[key] = out
+        lut = cache.get("lut")
+        if lut is None:
+            lut = cache["lut"] = space.all_vector_images(g)
+        if tau:
+            target = action._class(space.n - k)
+            src = [target.vecsets[j] for j in action._perp(k)]
+        else:
+            target = action._class(k)
+            src = target.vecsets
+        position = target.position
+        out = cache[key] = [position[frozenset(lut[c] for c in vs)] for vs in src]
     return out
 
 
 def fixed_point_indices(space, g, action: ActionTable, tau=False, cache=None):
-    """Indices of the action points fixed by g (or by g tau).
-
-    A plain subspace, flag or off-middle antiflag is fixed exactly when each
-    of its subspaces is, which ``_class_fixed`` decides once per dimension.
-    Every other case (tau, middle antiflags, quadratic forms) returns the
-    points that ``point_permutation`` maps to themselves, and raises where
-    it raises.  A cache dict may be shared across actions for one element.
-    """
-    if cache is None:
-        cache = {}
-    spec = action.spec
-    n, k = space.n, spec.k
-    if not tau and spec.kind != "quadratic_forms" and not (
-        spec.kind == "antiflag" and 2 * k == n
-    ):
-        fsmall = _class_fixed(space, g, action._class(k), cache)
-        if spec.kind == "subspace":
-            return [p for p, i in enumerate(action.points) if fsmall[i]]
-        fbig = _class_fixed(space, g, action._class(n - k), cache)
-        return [
-            p for p, (i, j) in enumerate(action.points) if fsmall[i] and fbig[j]
-        ]
+    """Indices of the action points fixed by g (or by g tau): the points that
+    ``point_permutation`` maps to themselves.  Raises where it raises."""
     perm = point_permutation(space, g, action, tau=tau, cache=cache)
     return [p for p, image in enumerate(perm) if image == p]
 
@@ -1623,30 +1597,16 @@ def point_permutation(space, g, action: ActionTable, tau=False, cache=None):
     if spec.kind == "subspace":
         if tau and 2 * k != n:
             raise ValueError("tau moves k-spaces to (n-k)-spaces")
-        cls = action._class(k)
-        imgs = _class_images(space, g, cls, cache, tau=tau)
-        idx = cls.index
-        return [pos[idx[imgs[i]]] for i in action.points]
+        img = _class_images(space, g, action, k, tau, cache)
+        return [pos[img[i]] for i in action.points]
     if spec.kind == "antiflag" and 2 * k == n:
-        cls = action._class(k)
-        imgs = _class_images(space, g, cls, cache, tau=tau)
-        idx = cls.index
-        out = []
-        for i, j in action.points:
-            ii, jj = idx[imgs[i]], idx[imgs[j]]
-            out.append(pos[(ii, jj) if ii < jj else (jj, ii)])
-        return out
+        img = _class_images(space, g, action, k, tau, cache)
+        pairs = ((img[i], img[j]) for i, j in action.points)
+        return [pos[(a, b) if a < b else (b, a)] for a, b in pairs]
     # flags and off-middle antiflags: (U, W) maps to (g U, g W), or with tau
     # to (g perp W, g perp U)
-    small, big = action._class(k), action._class(n - k)
-    sidx, bidx = small.index, big.index
+    small = _class_images(space, g, action, k, tau, cache)
+    big = _class_images(space, g, action, n - k, tau, cache)
     if tau:
-        img_to_small = _class_images(space, g, big, cache, tau=True)
-        img_to_big = _class_images(space, g, small, cache, tau=True)
-        return [
-            pos[(sidx[img_to_small[j]], bidx[img_to_big[i]])]
-            for i, j in action.points
-        ]
-    simgs = _class_images(space, g, small, cache, tau=False)
-    bimgs = _class_images(space, g, big, cache, tau=False)
-    return [pos[(sidx[simgs[i]], bidx[bimgs[j]])] for i, j in action.points]
+        return [pos[(big[j], small[i])] for i, j in action.points]
+    return [pos[(small[i], big[j])] for i, j in action.points]

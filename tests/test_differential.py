@@ -666,7 +666,7 @@ def _subspace_type_actions(tb):
 
 
 @pytest.mark.parametrize("group,sample", [(("GL", 3, 2), None), (("GL", 2, 3), None),
-                                          (("GL", 4, 2), 500)])
+                                          (("GL", 4, 2), 500), (("GL", 3, 3), 300)])
 def test_fixed_point_indices_match_per_case_branches(group, sample):
     tb = build_group(*group)
     indices = range(len(tb))
@@ -681,6 +681,34 @@ def test_fixed_point_indices_match_per_case_branches(group, sample):
                 want = _ref_fixed_point_indices(sp, g, act, tau=tau)
                 assert fixed_point_indices(sp, g, act, tau=tau) == want
                 assert fixed_point_indices(sp, g, act, tau=tau, cache=cache) == want
+
+
+@pytest.mark.parametrize("group,sample", [(("O+", 4, 2), None), (("O+", 6, 2), 400)])
+@pytest.mark.parametrize("restrict", ["nonsingular", "totally_singular"])
+def test_fixed_point_indices_match_on_restricted_orthogonal_points(group, sample, restrict):
+    tb = build_group(*group)
+    act = enumerate_action(tb, ActionSpec("subspace", 1, restrict=restrict))
+    assert act.points
+    indices = range(len(tb))
+    if sample is not None:
+        indices = random.Random(29).sample(indices, sample)
+    for i in indices:
+        g = tb.elements[i]
+        assert fixed_point_indices(tb.space, g, act) == \
+            _ref_fixed_point_indices(tb.space, g, act)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (4, 2), (4, 3), (5, 2)])
+def test_perp_map_is_an_involution_matching_perp_basis_dot(n, q):
+    sp = MatSpace(n, q)
+    act = enumerate_action(sp, ActionSpec("subspace", 1))
+    for k in range(1, n):
+        small, big = act._class(k), act._class(n - k)
+        perp, back = act._perp(k), act._perp(n - k)
+        assert sorted(perp) == list(range(len(big)))
+        assert [back[j] for j in perp] == list(range(len(small)))
+        for basis, j in zip(small.bases, perp):
+            assert big.bases[j] == perp_basis_dot(sp, basis)
 
 
 def test_restricted_middle_antiflags_are_an_orbit_union():

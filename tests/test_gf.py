@@ -346,7 +346,8 @@ ORACLE_NAMES = (
     "DEFAULT_ENUM_CAP", "FAMILIES", "euler_direct_product_series",
     "residue_product_series", "unitary_residue_product_series",
     "charpoly_minors", "fixes_some_small_subspace", "fixed_points_by_type",
-    "element_lut", "class_fixed", "class_images",
+    "element_lut", "class_fixed", "class_images", "_class_fixed", "_element_lut",
+    "gf2_nonsingular_elimination",
 )
 
 
