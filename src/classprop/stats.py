@@ -637,7 +637,7 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
             for signs in range(1 << m):
                 hits += _even_negative_cycles_paired(perm, signs)
         return WeylReport(m, Fraction(hits, total), "exact")
-    if not isinstance(trials, int) or trials <= 0:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
         raise ValueError("trials must be None or a positive integer")
     if seed is None:
         raise ValueError("montecarlo needs an explicit seed")
@@ -769,11 +769,12 @@ class GenerationReport:
 def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     """Probability that x and a random partner generate the group.
 
-    x is an element tuple or an index in 0..order-1 (any other index raises
-    ValueError); the partner pool is the whole group
-    unless an explicit element list is given.  trials="exhaustive" scans the
-    pool and returns an exact Fraction; an integer samples uniformly and
-    returns a float with a 99% Wilson interval.  The identity is rejected.
+    x is an element tuple or an index in 0..order-1; the partner pool is the
+    whole group unless an explicit list of group elements is given.  An
+    index out of range, or an x or partner outside the group, raises
+    ValueError.  trials="exhaustive" scans the pool and returns an exact
+    Fraction; an integer samples uniformly and returns a float with a 99%
+    Wilson interval.  The identity is rejected.
     """
     if isinstance(x, int):
         if not 0 <= x < group.order():
@@ -784,12 +785,17 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
         x = group.elements[xi]
     else:
         x = tuple(x)
+        if x not in group.index:
+            raise ValueError(f"x {x} is not an element of {group.name}")
         xi = group.index[x]
     if x == group.identity:
         raise ValueError("x must be nontrivial")
     pool = list(group.elements) if coset is None else [tuple(s) for s in coset]
     if not pool:
         raise ValueError("empty partner pool")
+    stray = next((s for s in pool if s not in group.index), None)
+    if stray is not None:
+        raise ValueError(f"partner {stray} is not an element of {group.name}")
     xo = group.element_order(x)
     if trials == "exhaustive":
         hits = 0
@@ -802,7 +808,7 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
         return GenerationReport(group.name, xi, xo, len(pool), "exhaustive",
                                 len(pool), hits, Fraction(hits, len(pool)),
                                 witness=witness)
-    if not isinstance(trials, int) or trials <= 0:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
         raise ValueError("trials must be 'exhaustive' or a positive integer")
     if seed is None:
         raise ValueError("montecarlo needs an explicit seed")

@@ -581,6 +581,12 @@ def test_weyl_argument_errors():
         weyl_negative_cycle_statistic(4, trials=100)  # seed missing
 
 
+def test_weyl_rejects_boolean_trials():
+    # bool is an int subclass; True would otherwise run one trial
+    with pytest.raises(ValueError, match="positive integer"):
+        weyl_negative_cycle_statistic(4, trials=True, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # Permutation groups and the generation probe.
 
@@ -659,6 +665,21 @@ def test_generation_probe_rejects_identity_and_bad_trials():
         generation_probe(g7, 1, trials=10)  # seed missing
     with pytest.raises(ValueError):
         generation_probe(g7, 1, coset=[])
+    with pytest.raises(ValueError, match="positive integer"):
+        generation_probe(g7, 1, trials=True, seed=1)
+
+
+def test_generation_probe_rejects_elements_outside_the_group():
+    g7 = psl2(7)
+    outside = tuple(reversed(range(8)))
+    assert outside not in g7.index
+    for pool in ([outside], [g7.elements[1], outside]):
+        with pytest.raises(ValueError, match="not an element of PSL"):
+            generation_probe(g7, 1, coset=pool)
+        with pytest.raises(ValueError, match="not an element of PSL"):
+            generation_probe(g7, 1, coset=pool, trials=50, seed=3)
+    with pytest.raises(ValueError, match="not an element of PSL"):
+        generation_probe(g7, outside)
 
 
 def test_three_halves_generation_psl27():
