@@ -266,6 +266,8 @@ def cmd_series(cfg):
 
 
 def cmd_enumerate(cfg):
+    if cfg.coset is not None and cfg.t is None:
+        raise ValueError("enumerate --coset needs --t")
     cap = cfg.cap or DEFAULT_GROUP_CAP
     table = build_group(cfg.family, cfg.n, cfg.q, cap=cap)
     result = {

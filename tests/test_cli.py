@@ -140,6 +140,15 @@ def test_enumerate_rejects_missing_coset_label(tmp_path, capsys):
     assert "empty coset label 5" in capsys.readouterr().err
 
 
+def test_enumerate_rejects_coset_without_t(tmp_path, capsys):
+    # the coset only selects the members of a --t proportion
+    code, text = run(tmp_path, "enumerate", "--family", "GL", "--n", "2",
+                     "--q", "3", "--coset", "7")
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert capsys.readouterr().err == "classprop: enumerate --coset needs --t\n"
+
+
 def test_series_rejects_q_that_is_not_a_prime_power(tmp_path, capsys):
     code, text = run(tmp_path, "series", "--family", "gl", "--q", "6",
                      "--t", "1", "--order", "3")
