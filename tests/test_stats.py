@@ -579,9 +579,6 @@ def test_weyl_argument_errors():
         weyl_negative_cycle_statistic(8)  # exact cap
     with pytest.raises(ValueError):
         weyl_negative_cycle_statistic(4, trials=100)  # seed missing
-
-
-def test_weyl_rejects_boolean_trials():
     # bool is an int subclass; True would otherwise run one trial
     with pytest.raises(ValueError, match="positive integer"):
         weyl_negative_cycle_statistic(4, trials=True, seed=1)
