@@ -6,7 +6,8 @@ irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
 (Hessenberg reduction), the no-small-invariant-subspace sets (the
 characteristic-polynomial sieve), GF(2) invertibility (the bit-sliced
-kernel) and fixed subspaces (the point permutation).
+kernel), fixed subspaces (the point permutation), and action orbits and
+(twisted) conjugacy classes (one union-find over index maps).
 """
 
 import itertools
@@ -17,10 +18,14 @@ import numpy as np
 from classprop.cyclo import CycRing
 from classprop.gf import Field, pdeg, pmod, pmonic, pnorm, residue_class_counts
 from classprop.matgroup import (
+    _PRODUCT_CHUNK,
+    ActionTable,
     MatSpace,
     all_subspaces,
+    enumerate_action,
     fixed_point_indices,
     perp_basis_dot,
+    point_permutation,
     rref_basis,
     subspace_vectors,
 )
@@ -350,3 +355,57 @@ def gf2_nonsingular_elimination(rows):
         below[:, : j + 1] = False
         a ^= np.where(below, a[:, j : j + 1], zero)
     return ~singular
+
+
+# ---------------------------------------------------------------------------
+# Orbits and relation classes, each by its own search.
+
+def dfs_orbits(table, action):
+    """Orbits of the full table group on the action points, by depth-first
+    search along the generators' point permutations."""
+    act = action if isinstance(action, ActionTable) else enumerate_action(table, action)
+    perms = [point_permutation(table.space, g, act) for g in table.gens]
+    seen = [False] * len(act)
+    out = []
+    for p0 in range(len(act)):
+        if seen[p0]:
+            continue
+        seen[p0] = True
+        stack, orb = [p0], []
+        while stack:
+            p = stack.pop()
+            orb.append(p)
+            for pm in perms:
+                pi = pm[p]
+                if not seen[pi]:
+                    seen[pi] = True
+                    stack.append(pi)
+        out.append(sorted(orb))
+    return out
+
+
+def relation_classes_loop(space, elements, index, pairs):
+    """Classes of g ~ a g b, one (a, b) per pair: union-find over the two
+    index maps g -> g b and h -> a h of each pair, joined in one loop."""
+    parent = list(range(len(elements)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for a, b in pairs:
+        right = [index[x] for x in space.products(elements, [b])]
+        left = [
+            index[x]
+            for start in range(0, len(elements), _PRODUCT_CHUNK)
+            for x in space.products([a], elements[start : start + _PRODUCT_CHUNK])
+        ]
+        for i, r in enumerate(right):
+            ri, rj = find(i), find(left[r])
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    classes = {}
+    for i in range(len(elements)):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())

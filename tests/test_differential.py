@@ -3,7 +3,9 @@ standalone reference copies of the separate implementations they replaced,
 on every input from small groups; the batched products against one ``mul``
 call per product; the per-class fixed-point evaluations against per-element
 scans; the membership predicates and the point-permutation fixed points
-against copies of the per-family loops and per-case branches they replaced."""
+against copies of the per-family loops and per-case branches they replaced;
+the action orbits and (twisted) classes against the depth-first search and
+the two-map loop that computed them before one shared union-find."""
 
 import random
 from fractions import Fraction
@@ -49,7 +51,7 @@ from classprop.stats import (
     psl2,
     subset_expectation,
 )
-from oracles import class_fixed, class_images
+from oracles import class_fixed, class_images, dfs_orbits, relation_classes_loop
 
 
 def _ref_closure(identity, mul, gens, stop_over=None):
@@ -455,6 +457,42 @@ def test_psl2_classes_match_reference(p):
     classes = group.conjugacy_classes()
     assert len(classes) == (p + 5) // 2
     assert classes == _ref_perm_classes(group)
+
+
+@pytest.mark.parametrize("group,spec", [
+    (("O+", 4, 2), ActionSpec("subspace", 1)),  # two orbits
+    (("O+", 4, 2), ActionSpec("subspace", 1, restrict="nonsingular")),
+    (("Sp", 4, 2), ActionSpec("subspace", 1)),
+    (("Sp", 4, 2), ActionSpec("subspace", 2, restrict="totally_singular")),
+    (("GL", 4, 2), ActionSpec("subspace", 2)),
+])
+def test_orbits_match_depth_first_search(group, spec):
+    tb = build_group(*group)
+    assert orbits(tb, spec) == dfs_orbits(tb, spec)
+
+
+@pytest.mark.parametrize("group,tau", [
+    (("GL", 3, 2), False), (("GL", 3, 2), True), (("GL", 2, 3), False),
+    (("GL", 2, 3), True), (("GL", 4, 2), False), (("GL", 4, 2), True),
+    (("SL", 3, 3), False), (("SL", 3, 3), True), (("O+", 4, 2), False),
+])
+def test_matrix_classes_match_two_map_loop(group, tau):
+    tb = build_group(*group)
+    sp = tb.space
+    if tau:
+        pairs = [(s, sp.transpose(s)) for s in tb.gens]
+    else:
+        pairs = [(sp.inv(s), s) for s in tb.gens]
+    want = relation_classes_loop(sp, tb.elements, tb.index, pairs)
+    assert tb.conjugacy_classes(tau) == want
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_psl2_classes_match_two_map_loop(p):
+    group = psl2(p)
+    pairs = [(group.inv(s), s) for s in group.gens]
+    want = relation_classes_loop(group, group.elements, group.index, pairs)
+    assert group.conjugacy_classes() == want
 
 
 # ---------------------------------------------------------------------------

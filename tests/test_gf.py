@@ -347,7 +347,7 @@ ORACLE_NAMES = (
     "residue_product_series", "unitary_residue_product_series",
     "charpoly_minors", "fixes_some_small_subspace", "fixed_points_by_type",
     "element_lut", "class_fixed", "class_images", "_class_fixed", "_element_lut",
-    "gf2_nonsingular_elimination",
+    "gf2_nonsingular_elimination", "dfs_orbits", "relation_classes_loop",
 )
 
 
