@@ -773,6 +773,27 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     return elements, seen
 
 
+def index_orbits(size, maps):
+    """Orbits on range(size) of the relation i ~ m[i], one index map m per
+    item of maps, as sorted lists ordered by smallest member (union-find)."""
+    parent = list(range(size))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for m in maps:
+        for i, j in enumerate(m):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)  # the root is the smallest
+    orbits = {}
+    for i in range(size):
+        orbits.setdefault(find(i), []).append(i)
+    return list(orbits.values())
+
+
 def relation_classes(space, elements, index, pairs):
     """Classes of the relation g ~ a g b, one (a, b) per pair, as sorted
     lists of element indices ordered by smallest member.
@@ -780,33 +801,24 @@ def relation_classes(space, elements, index, pairs):
     With (s^-1, s) per generator s these are the conjugacy classes; with
     (s, s^T) they are the twisted classes g ~ s g s^T, which index the
     classes of the coset elements g tau since s (g tau) s^-1 = (s g s^T) tau.
-    Union-find over both index maps, taken from batched ``products``:
-    g -> g b over every g, then h -> a h over every h.
+    Each pair gives the index map g -> a g b to ``index_orbits``, composed
+    from batched ``products``: g -> g b over every g, then h -> a h over
+    every h.
     """
-    parent = list(range(len(elements)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
+    def maps():
+        for a, b in pairs:
+            right = [index[x] for x in space.products(elements, [b])]
+            # a against slices of elements: one call on all of them would
+            # build arrays of the whole group's size
+            left = [
+                index[x]
+                for start in range(0, len(elements), _PRODUCT_CHUNK)
+                for x in space.products([a], elements[start : start + _PRODUCT_CHUNK])
+            ]
+            yield [left[r] for r in right]
 
-    for a, b in pairs:
-        right = [index[x] for x in space.products(elements, [b])]
-        # a against slices of elements: one call on all of them would build
-        # arrays of the whole group's size
-        left = [
-            index[x]
-            for start in range(0, len(elements), _PRODUCT_CHUNK)
-            for x in space.products([a], elements[start : start + _PRODUCT_CHUNK])
-        ]
-        for i, r in enumerate(right):
-            ri, rj = find(i), find(left[r])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)  # the root is the smallest
-    classes = {}
-    for i in range(len(elements)):
-        classes.setdefault(find(i), []).append(i)
-    return list(classes.values())
+    return index_orbits(len(elements), maps())
 
 
 @dataclass
@@ -1199,7 +1211,7 @@ class ActionTable:
     built once per table, on first use.
     """
 
-    def __init__(self, space, form, spec, cap=DEFAULT_ACTION_CAP):
+    def __init__(self, space, form, spec):
         self.space = space
         self.form = form
         self.spec = spec
@@ -1207,7 +1219,7 @@ class ActionTable:
         self.perps = {}
         self.points = []
         self._build()
-        if len(self.points) > cap:
+        if len(self.points) > DEFAULT_ACTION_CAP:
             raise ResourceCapExceeded("action point set exceeds cap")
 
     def _class(self, k):
@@ -1346,47 +1358,40 @@ class ActionTable:
         return {pt: p for p, pt in enumerate(self.points)}
 
 
-def enumerate_action(table_or_space, spec, form=None, cap=DEFAULT_ACTION_CAP):
+def enumerate_action(table_or_space, spec, form=None):
     if isinstance(table_or_space, GroupTable):
-        return ActionTable(table_or_space.space, table_or_space.form, spec, cap)
+        return ActionTable(table_or_space.space, table_or_space.form, spec)
     if form is None:
         form = FormSpec("none", table_or_space.n, table_or_space.q)
-    return ActionTable(table_or_space, form, spec, cap)
+    return ActionTable(table_or_space, form, spec)
 
 
 # ---------------------------------------------------------------------------
 # Fixed points.
 
-def _class_images(space, g, action, k, tau, cache):
+def _class_images(lut, action, k, tau):
     """Per k-subspace U, the index of g U in class k, or of g perp(U) in
-    class n - k.  The cache holds g's vector images and these lists."""
-    key = ("img", k, tau)
-    out = cache.get(key)
-    if out is None:
-        lut = cache.get("lut")
-        if lut is None:
-            lut = cache["lut"] = space.all_vector_images(g)
-        if tau:
-            target = action._class(space.n - k)
-            src = [target.vecsets[j] for j in action._perp(k)]
-        else:
-            target = action._class(k)
-            src = target.vecsets
-        position = target.position
-        out = cache[key] = [position[frozenset(lut[c] for c in vs)] for vs in src]
-    return out
+    class n - k, where lut is g's ``all_vector_images``."""
+    if tau:
+        target = action._class(action.space.n - k)
+        src = [target.vecsets[j] for j in action._perp(k)]
+    else:
+        target = action._class(k)
+        src = target.vecsets
+    position = target.position
+    return [position[frozenset(lut[c] for c in vs)] for vs in src]
 
 
-def fixed_point_indices(space, g, action: ActionTable, tau=False, cache=None):
+def fixed_point_indices(space, g, action: ActionTable, tau=False):
     """Indices of the action points fixed by g (or by g tau): the points that
     ``point_permutation`` maps to themselves.  Raises where it raises."""
-    perm = point_permutation(space, g, action, tau=tau, cache=cache)
+    perm = point_permutation(space, g, action, tau=tau)
     return [p for p, image in enumerate(perm) if image == p]
 
 
-def fixed_points(space, g, action, tau=False, cache=None):
+def fixed_points(space, g, action, tau=False):
     """Number of action points fixed by g (or by g tau)."""
-    return len(fixed_point_indices(space, g, action, tau=tau, cache=cache))
+    return len(fixed_point_indices(space, g, action, tau=tau))
 
 
 def _form_translation(space, g, action):
@@ -1570,17 +1575,15 @@ def tau_membership(table: GroupTable, t):
     return _scan(table, member_test(table.family, table.space, table.form, t, "tau"))
 
 
-def point_permutation(space, g, action: ActionTable, tau=False, cache=None):
+def point_permutation(space, g, action: ActionTable, tau=False):
     """Positions of the images of all action points under g (or g tau).
 
     tau composes U -> perp(U) under the plain dot product with g; it acts on
     flags and antiflags for every k, and on k-subspaces only when 2k = n.
     The result is a list mapping point positions to point positions;
     elements that preserve the relevant structure always permute the point
-    set.  A cache dict may be shared across actions for one element.
+    set.
     """
-    if cache is None:
-        cache = {}
     spec = action.spec
     if spec.kind == "quadratic_forms":
         if tau:
@@ -1594,19 +1597,20 @@ def point_permutation(space, g, action: ActionTable, tau=False, cache=None):
         return out
     n, k = space.n, spec.k
     pos = action.position
+    lut = space.all_vector_images(g)
     if spec.kind == "subspace":
         if tau and 2 * k != n:
             raise ValueError("tau moves k-spaces to (n-k)-spaces")
-        img = _class_images(space, g, action, k, tau, cache)
+        img = _class_images(lut, action, k, tau)
         return [pos[img[i]] for i in action.points]
     if spec.kind == "antiflag" and 2 * k == n:
-        img = _class_images(space, g, action, k, tau, cache)
+        img = _class_images(lut, action, k, tau)
         pairs = ((img[i], img[j]) for i, j in action.points)
         return [pos[(a, b) if a < b else (b, a)] for a, b in pairs]
     # flags and off-middle antiflags: (U, W) maps to (g U, g W), or with tau
     # to (g perp W, g perp U)
-    small = _class_images(space, g, action, k, tau, cache)
-    big = _class_images(space, g, action, n - k, tau, cache)
+    small = _class_images(lut, action, k, tau)
+    big = _class_images(lut, action, n - k, tau)
     if tau:
         return [pos[(big[j], small[i])] for i, j in action.points]
     return [pos[(small[i], big[j])] for i, j in action.points]

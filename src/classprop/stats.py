@@ -20,7 +20,6 @@ import numpy as np
 from .matgroup import (
     ActionSpec,
     ActionTable,
-    DEFAULT_ACTION_CAP,
     DEFAULT_GROUP_CAP,
     GroupTable,
     MatSpace,
@@ -30,6 +29,7 @@ from .matgroup import (
     fixed_point_indices,
     fixed_points,
     frontier_chunks,
+    index_orbits,
     member_test,
     membership_sets,
     point_permutation,
@@ -244,45 +244,27 @@ class ExpectationReport:
         return self.orbit_values is None
 
 
-def _as_action(table, action, cap):
+def _as_action(table, action):
     if isinstance(action, ActionTable):
         return action
-    return enumerate_action(table, action, cap=cap)
+    return enumerate_action(table, action)
 
 
-def orbits(table, action, cap=DEFAULT_ACTION_CAP):
+def orbits(table, action):
     """Orbits of the full table group on the action points."""
-    act = _as_action(table, action, cap)
-    perms = [
-        point_permutation(table.space, g, act, cache={}) for g in table.gens
-    ]
-    seen = [False] * len(act)
-    out = []
-    for p0 in range(len(act)):
-        if seen[p0]:
-            continue
-        seen[p0] = True
-        stack, orb = [p0], []
-        while stack:
-            p = stack.pop()
-            orb.append(p)
-            for pm in perms:
-                pi = pm[p]
-                if not seen[pi]:
-                    seen[pi] = True
-                    stack.append(pi)
-        out.append(sorted(orb))
-    return out
+    act = _as_action(table, action)
+    perms = (point_permutation(table.space, g, act) for g in table.gens)
+    return index_orbits(len(act), perms)
 
 
-def coset_average_fixed_points(table, action, coset=None, cap=DEFAULT_ACTION_CAP):
+def coset_average_fixed_points(table, action, coset=None):
     """Average number of fixed points of a coset on an action.
 
     On a transitive action the average is exactly 1 for every label coset.
     On an intransitive action the report carries per-orbit averages (each
     again 1 when the group is transitive on the orbit) and the overall sum.
     """
-    act = _as_action(table, action, cap)
+    act = _as_action(table, action)
     if coset is None:
         indices = range(len(table.elements))
         name = "whole group"
@@ -291,52 +273,46 @@ def coset_average_fixed_points(table, action, coset=None, cap=DEFAULT_ACTION_CAP
         if not indices:
             raise ValueError(f"empty coset label {coset!r}")
         name = f"label {coset} coset"
-    orbs = orbits(table, act, cap)
-    weights = _class_weights(table, indices)
-    if len(orbs) == 1:
-        total = sum(
-            w * fixed_points(table.space, table.elements[i], act, cache={})
-            for i, w in weights
-        )
-        return ExpectationReport(act.spec, name, Fraction(total, len(indices)))
+    orbs = orbits(table, act)
     # the group permutes each orbit, so per-orbit counts are class functions
     orbit_of = [0] * len(act)
     for oi, orb in enumerate(orbs):
         for p in orb:
             orbit_of[p] = oi
     sums = [0] * len(orbs)
-    for i, w in weights:
-        for p in fixed_point_indices(table.space, table.elements[i], act, cache={}):
+    for i, w in _class_weights(table, indices):
+        for p in fixed_point_indices(table.space, table.elements[i], act):
             sums[orbit_of[p]] += w
     per = tuple(Fraction(s, len(indices)) for s in sums)
+    if len(orbs) == 1:
+        return ExpectationReport(act.spec, name, per[0])
     return ExpectationReport(act.spec, name, sum(per), orbit_values=per)
+
+
+def _check_indices(table, indices):
+    if not all(0 <= i < len(table) for i in indices):
+        raise ValueError("element index out of range")
 
 
 def _class_weights(table, members, tau=False):
     """(smallest member, member count) per conjugacy class (twisted with
     tau) that members meet, sorted.  A class function summed over members
-    is the sum of count times its value at the smallest member."""
+    is the sum of count times its value at the smallest member.  Raises
+    ValueError unless members are element indices that fill every class
+    they meet."""
     count = Counter(members)
+    _check_indices(table, count)
     out = []
     for cls in table.conjugacy_classes(tau):
         inside = [i for i in cls if i in count]
         if inside:
-            out.append((inside[0], sum(count[i] for i in inside)))
-    return sorted(out)
+            if len(inside) != len(cls):
+                raise ValueError("subset is not stable under conjugation")
+            out.append((cls[0], sum(count[i] for i in inside)))
+    return out
 
 
-def _check_conjugation_stable(table, members):
-    mset = set(members)
-    if not all(0 <= i < len(table) for i in mset):
-        raise ValueError("element index out of range")
-    for cls in table.conjugacy_classes():
-        inside = sum(1 for i in cls if i in mset)
-        if inside and inside != len(cls):
-            raise ValueError("subset is not stable under conjugation")
-
-
-def subset_expectation(table, members, action, comparator=None,
-                       cap=DEFAULT_ACTION_CAP):
+def subset_expectation(table, members, action, comparator=None):
     """Average number of fixed points over an explicit element subset.
 
     members are element indices; the subset must be nonempty and stable under
@@ -346,27 +322,27 @@ def subset_expectation(table, members, action, comparator=None,
     """
     if not members:
         raise ValueError("empty element subset")
-    _check_conjugation_stable(table, members)
-    act = _as_action(table, action, cap)
+    weights = _class_weights(table, members)
+    act = _as_action(table, action)
     total = sum(
-        w * fixed_points(table.space, table.elements[i], act, cache={})
-        for i, w in _class_weights(table, members)
+        w * fixed_points(table.space, table.elements[i], act) for i, w in weights
     )
     value = Fraction(total, len(members))
     return ExpectationReport(act.spec, f"{len(members)} elements", value, comparator)
 
 
-def fixed_sets(table, indices, action, cap=DEFAULT_ACTION_CAP):
+def fixed_sets(table, indices, action):
     """Fixed-point index sets for a batch of elements, one frozenset each."""
-    act = _as_action(table, action, cap)
+    _check_indices(table, indices)
+    act = _as_action(table, action)
     return [
-        frozenset(fixed_point_indices(table.space, table.elements[i], act, cache={}))
+        frozenset(fixed_point_indices(table.space, table.elements[i], act))
         for i in indices
     ]
 
 
 def expectation_inequality(table, x, members, action, x_tau=False,
-                           member_fixed=None, cap=DEFAULT_ACTION_CAP):
+                           member_fixed=None):
     """Sharing a fixed point with a random subset element, versus the bound.
 
     The probability that x and a uniformly random member of the subset have a
@@ -377,12 +353,13 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     """
     if not members:
         raise ValueError("empty element subset")
-    act = _as_action(table, action, cap)
+    _check_indices(table, [x])
+    act = _as_action(table, action)
     if member_fixed is None:
-        _check_conjugation_stable(table, members)
+        _class_weights(table, members)  # raises unless members fill their classes
         member_fixed = fixed_sets(table, members, act)
     xfix = frozenset(
-        fixed_point_indices(table.space, table.elements[x], act, tau=x_tau, cache={})
+        fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)
     )
     hits = sum(1 for s in member_fixed if xfix & s)
     lhs = Fraction(hits, len(members))
@@ -443,7 +420,7 @@ def _trivial_indices(table, tau):
     return {table.index[g] for g in mats if g in table.index}
 
 
-def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
+def fpr_bound_check(table, kmax=None, include_tau=None):
     """Check every nontrivial element against the subspace-action fpr bounds.
 
     Actions are the k-subspace, k-flag, and k-antiflag actions for k up to
@@ -466,10 +443,10 @@ def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
         raise ValueError("need 1 <= kmax <= n/2")
     actions = []
     for k in range(1, kmax + 1):
-        actions.append(enumerate_action(table, ActionSpec("subspace", k), cap=cap))
+        actions.append(enumerate_action(table, ActionSpec("subspace", k)))
         if k < n - k:
-            actions.append(enumerate_action(table, ActionSpec("flag", k), cap=cap))
-        actions.append(enumerate_action(table, ActionSpec("antiflag", k), cap=cap))
+            actions.append(enumerate_action(table, ActionSpec("flag", k)))
+        actions.append(enumerate_action(table, ActionSpec("antiflag", k)))
     if include_tau is None:
         include_tau = table.family == "GL"
     bounds = [_fpr_bounds(n, q, act.spec) for act in actions]
@@ -483,12 +460,10 @@ def fpr_bound_check(table, kmax=None, include_tau=None, cap=DEFAULT_ACTION_CAP):
         trivial = _trivial_indices(table, tau)
         nontrivial = [i for i in range(len(table)) if i not in trivial]
         for i, w in _class_weights(table, nontrivial, tau):
-            cache = {}
             for ai, act in enumerate(actions):
                 if tau and not _tau_acts(act.spec, n):
                     continue
-                fp = fixed_points(table.space, table.elements[i], act, tau=tau,
-                                  cache=cache)
+                fp = fixed_points(table.space, table.elements[i], act, tau=tau)
                 npts = len(act)
                 for bid, bound in bounds[ai]:
                     row = rows[(ai, bid, tau)]
@@ -727,13 +702,10 @@ def psl2(p):
     return group
 
 
-def permutation_group(table, action, cap=DEFAULT_ACTION_CAP):
+def permutation_group(table, action):
     """Faithful permutation copy of an enumerated matrix group action."""
-    act = _as_action(table, action, cap)
-    gens = [
-        tuple(point_permutation(table.space, g, act, cache={}))
-        for g in table.gens
-    ]
+    act = _as_action(table, action)
+    gens = [tuple(point_permutation(table.space, g, act)) for g in table.gens]
     name = f"{table.family}_{table.n}({table.q})"
     group = PermGroup(len(act), gens, name=name)
     if group.order() != table.order():

@@ -270,14 +270,13 @@ def _ref_fpr_bound_check(table, include_tau=None):
     sides = [False, True] if include_tau else [False]
     trivial = {tau: _trivial_indices(table, tau) for tau in sides}
     for i, g in enumerate(table.elements):
-        cache = {}
         for tau in sides:
             if i in trivial[tau]:
                 continue
             for ai, act in enumerate(actions):
                 if tau and not _tau_acts(act.spec, n):
                     continue
-                fp = fixed_points(table.space, g, act, tau=tau, cache=cache)
+                fp = fixed_points(table.space, g, act, tau=tau)
                 for bid, bound in bounds[ai]:
                     row = rows[(ai, bid, tau)]
                     row[2] += 1
@@ -714,11 +713,9 @@ def test_fixed_point_indices_match_per_case_branches(group, sample):
     for act, sides in _subspace_type_actions(tb):
         for i in indices:
             g = tb.elements[i]
-            cache = {}
             for tau in sides:
                 want = _ref_fixed_point_indices(sp, g, act, tau=tau)
                 assert fixed_point_indices(sp, g, act, tau=tau) == want
-                assert fixed_point_indices(sp, g, act, tau=tau, cache=cache) == want
 
 
 @pytest.mark.parametrize("group,sample", [(("O+", 4, 2), None), (("O+", 6, 2), 400)])

@@ -428,10 +428,7 @@ def test_burnside_orbit_count_gl42(spec):
     # all five actions of GL_4(2) are transitive, so fp sums to |G|
     tb = build_group("GL", 4, 2)
     act = enumerate_action(tb, spec)
-    total = 0
-    for g in tb.elements:
-        cache = {}
-        total += fixed_points(tb.space, g, act, cache=cache)
+    total = sum(fixed_points(tb.space, g, act) for g in tb.elements)
     assert total == tb.order()
 
 
@@ -456,10 +453,9 @@ def test_point_permutation_is_consistent(tau):
         act = enumerate_action(tb, spec)
         for _ in range(6):
             g = random_gl(4, 2, rng)
-            cache = {}
-            perm = point_permutation(tb.space, g, act, tau=tau, cache=cache)
+            perm = point_permutation(tb.space, g, act, tau=tau)
             assert sorted(perm) == list(range(len(act)))
-            want = set(fixed_point_indices(tb.space, g, act, tau=tau, cache=cache))
+            want = set(fixed_point_indices(tb.space, g, act, tau=tau))
             assert {p for p, ip in enumerate(perm) if ip == p} == want
 
 
