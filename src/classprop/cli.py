@@ -214,8 +214,7 @@ def cmd_limit(cfg):
     tol = Fraction(cfg.tol) if cfg.tol else DEFAULT_TOL
     enc = limit_value(fam, tol / 2)
     lo, hi = _round_outward(enc.lo, enc.hi, tol / 4)
-    base = fam.tag.split("_")[0] if fam.tag != "O_half" else "O"
-    reference = q_infinity_limit(base, cfg.t)
+    reference = q_infinity_limit(fam.tag, cfg.t)
     result = {
         "family": fam.tag,
         "q": cfg.q,
@@ -303,12 +302,13 @@ def _suite_exactness_bridge(cfg):
     else:
         grid = [(2, n, t) for n in (2, 3, 4) for t in (1, 2, 3)]
         grid += [(3, n, t) for n in (2, 3) for t in (1, 2)]
+    cap = cfg.cap or DEFAULT_GROUP_CAP
     cases = []
     failures = []
     for q, n, t in grid:
         for coset in [None] + list(range(q - 1)):
             via_series = proportion(("GL", n, q), t, coset=coset, method="series")
-            via_enum = proportion(("GL", n, q), t, coset=coset)
+            via_enum = proportion(("GL", n, q), t, coset=coset, cap=cap)
             equal = via_series.value == via_enum.value
             record = {"q": q, "n": n, "t": t, "coset": coset,
                       "series": via_series.value, "enumeration": via_enum.value,
@@ -343,7 +343,7 @@ def _suite_identity(cfg):
     n = cfg.n if cfg.n is not None else n
     q = cfg.q if cfg.q is not None else q
     t = cfg.t if cfg.t is not None else 1
-    ok = check(n, q, t)
+    ok = check(n, q, t, cap=cfg.cap or DEFAULT_GROUP_CAP)
     record = {"n": n, "q": q, "t": t, "holds": ok}
     return ok, {"cases": [record], "failures": [] if ok else [record]}
 
@@ -351,9 +351,10 @@ def _suite_identity(cfg):
 def _suite_identities(cfg):
     grid = [("inverse-transpose", n, q) for n, q in ((2, 2), (3, 2), (3, 3))]
     grid.append(("orthogonal-reflection", 5, 3))
+    cap = cfg.cap or DEFAULT_GROUP_CAP
     cases = []
     for name, n, q in grid:
-        ok = _IDENTITIES[name][0](n, q, 1)
+        ok = _IDENTITIES[name][0](n, q, 1, cap=cap)
         cases.append({"identity": name, "n": n, "q": q, "t": 1, "holds": ok})
     failures = [c for c in cases if not c["holds"]]
     return not failures, {"cases": cases, "failures": failures}

@@ -843,12 +843,16 @@ class GroupTable:
         return len(self.elements)
 
     def coset_indices(self, label):
+        if isinstance(label, bool):
+            raise ValueError(f"empty coset label {label!r}")
         return [i for i, l in enumerate(self.labels) if l == label]
 
     def coset_size(self, coset):
         """Element count of a coset as ``proportion`` names it: the whole
         table for None and tau, half of it for the orthogonal S and O
         variants, otherwise the elements carrying that label."""
+        if isinstance(coset, bool):
+            raise ValueError(f"empty coset label {coset!r}")
         if coset in (None, "tau"):
             return len(self.elements)
         if coset in ("S", "O"):

@@ -100,9 +100,11 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
         family, n, q = spec
     if n < 1:
         raise ValueError(f"the dimension n must be at least 1, got {n}")
-    if family in ("GL", "SL") and coset not in (None, "tau", "S", "O"):
-        if coset not in range(q - 1 if family == "GL" else 1):
-            raise ValueError(f"empty coset label {coset!r}")
+    if isinstance(coset, bool) or (
+        family in ("GL", "SL") and coset not in (None, "tau", "S", "O")
+        and coset not in range(q - 1 if family == "GL" else 1)
+    ):
+        raise ValueError(f"empty coset label {coset!r}")
     if method == "enumeration":
         if table is None:
             table = build_group(family, n, q, cap=cap)
@@ -769,30 +771,27 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     if stray is not None:
         raise ValueError(f"partner {stray} is not an element of {group.name}")
     xo = group.element_order(x)
-    if trials == "exhaustive":
-        hits = 0
-        witness = None
-        for s in pool:
-            if _generates(group, x, s):
-                hits += 1
-                if witness is None:
-                    witness = group.index[s]
-        return GenerationReport(group.name, xi, xo, len(pool), "exhaustive",
-                                len(pool), hits, Fraction(hits, len(pool)),
-                                witness=witness)
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
-        raise ValueError("trials must be 'exhaustive' or a positive integer")
-    if seed is None:
-        raise ValueError("montecarlo needs an explicit seed")
-    rng = random.Random(seed)
+    exhaustive = trials == "exhaustive"
+    if exhaustive:
+        trials, draws = len(pool), pool
+    else:
+        if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
+            raise ValueError("trials must be 'exhaustive' or a positive integer")
+        if seed is None:
+            raise ValueError("montecarlo needs an explicit seed")
+        rng = random.Random(seed)
+        draws = (pool[rng.randrange(len(pool))] for _ in range(trials))
     hits = 0
     witness = None
-    for _ in range(trials):
-        s = pool[rng.randrange(len(pool))]
+    for s in draws:
         if _generates(group, x, s):
             hits += 1
             if witness is None:
                 witness = group.index[s]
+    if exhaustive:
+        return GenerationReport(group.name, xi, xo, len(pool), "exhaustive",
+                                trials, hits, Fraction(hits, trials),
+                                witness=witness)
     lo, hi = wilson_interval(hits, trials)
     return GenerationReport(group.name, xi, xo, len(pool), "montecarlo",
                             trials, hits, hits / trials, lo, hi, witness)

@@ -1,10 +1,12 @@
 """The benchmark under ``perfbench/`` calls into classprop by name.  These
 tests read its sources with ``ast``, without importing them, and check that
-every classprop name they reference still exists, so a rename or deletion
-in ``src/`` fails here and not only in a benchmark run."""
+every classprop name they reference still exists, and that every keyword
+argument they pass is a parameter of the function they call, so a rename or
+deletion in ``src/`` fails here and not only in a benchmark run."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,3 +60,53 @@ def _exists(layer, name):
 def test_benchmark_names_exist():
     missing = [ref for ref in REFERENCES if not _exists(*ref[1:])]
     assert not missing, f"(file, layer, name) missing from classprop: {missing}"
+
+
+def _keyword_arguments():
+    """(source file, layer, name, keyword) for every keyword argument of a
+    call to ``<layer>.<name>`` on a name spelled like a layer module, or to a
+    name imported by ``from classprop.<layer> import <name>``."""
+    out = set()
+    for fname, tree in _trees().items():
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                parts = node.module.split(".")
+                if parts[0] == "classprop" and len(parts) == 2:
+                    for alias in node.names:
+                        imported[alias.asname or alias.name] = (parts[1], alias.name)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                    and func.value.id in LAYERS):
+                target = (func.value.id, func.attr)
+            elif isinstance(func, ast.Name) and func.id in imported:
+                target = imported[func.id]
+            else:
+                continue
+            out.update((fname, *target, kw.arg) for kw in node.keywords if kw.arg)
+    return sorted(out)
+
+
+KEYWORDS = _keyword_arguments()
+
+
+def test_keyword_arguments_were_found():
+    assert ("workloads.py", "stats", "expectation_inequality", "member_fixed") in KEYWORDS
+    assert ("workloads.py", "stats", "proportion", "trials") in KEYWORDS
+    assert ("workloads.py", "matgroup", "ActionSpec", "restrict") in KEYWORDS
+
+
+def test_benchmark_keywords_are_parameters():
+    unknown = []
+    for fname, layer, name, kw in KEYWORDS:
+        # a missing name is reported by test_benchmark_names_exist
+        func = getattr(importlib.import_module(f"classprop.{layer}"), name, None)
+        if func is None:
+            continue
+        params = inspect.signature(func).parameters
+        if kw not in params and not any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            unknown.append((fname, layer, name, kw))
+    assert not unknown, f"(file, layer, name, keyword) not accepted by classprop: {unknown}"

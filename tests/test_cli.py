@@ -205,9 +205,16 @@ def test_enumerate_tau_coset(tmp_path):
     assert frac(doc["result"]["proportion"]) == Fraction(1, 3)
 
 
-def test_enumerate_cap_exit_code(tmp_path, capsys):
-    code, _ = run(tmp_path, "enumerate", "--family", "GL",
-                  "--n", "4", "--q", "3", "--cap", "1000")
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--family", "GL", "--n", "4", "--q", "3", "--cap", "1000"),
+    ("verify", "--suite", "exactness-bridge", "--q", "2", "--n", "3", "--t", "1",
+     "--cap", "10"),
+    ("verify", "--suite", "identities", "--cap", "10"),
+    ("verify", "--suite", "inverse-transpose", "--n", "3", "--q", "2", "--cap", "10"),
+    ("verify", "--suite", "orthogonal-reflection", "--cap", "10"),
+], ids=lambda argv: argv[2] if argv[0] == "verify" else argv[0])
+def test_enumerate_cap_exit_code(tmp_path, capsys, argv):
+    code, _ = run(tmp_path, *argv)
     assert code == cli.EXIT_RESOURCE
     assert "resource cap" in capsys.readouterr().err
 

@@ -128,6 +128,7 @@ def test_proportion_method_errors():
     (("GL", 2, 2), 1, dict(method="series")),
     (("SL", 2, 3), 1, dict(method="series")),
     (("SL", 2, 3), 1, dict()),
+    (("GL", 2, 3), True, dict()),
 ])
 def test_proportion_rejects_out_of_range_coset_labels(spec, coset, kwargs):
     # GL labels are 0..q-2 and SL has only label 0, on every method route
@@ -307,6 +308,11 @@ def test_coset_average_empty_coset_label():
     tb = build_group("GL", 2, 3)
     with pytest.raises(ValueError):
         coset_average_fixed_points(tb, ActionSpec("subspace", 1), coset=9)
+    with pytest.raises(ValueError, match="empty coset label True"):
+        coset_average_fixed_points(tb, ActionSpec("subspace", 1), coset=True)
+    for query in (tb.coset_indices, tb.coset_size):
+        with pytest.raises(ValueError, match="empty coset label False"):
+            query(False)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +357,19 @@ def test_subset_expectation_rejects_bad_subsets():
     for bad in (168, -1):
         with pytest.raises(ValueError, match="out of range"):
             subset_expectation(tb, members + [bad], ActionSpec("subspace", 1))
+
+
+def test_fixed_sets_and_expectation_inequality_reject_bad_indices():
+    tb = build_group("GL", 3, 2)
+    members = membership_sets(tb, 1)
+    spec = ActionSpec("subspace", 1)
+    for bad in (168, -1):
+        with pytest.raises(ValueError, match="element index out of range"):
+            fixed_sets(tb, [0, bad], spec)
+        with pytest.raises(ValueError, match="element index out of range"):
+            expectation_inequality(tb, bad, members, spec)
+        with pytest.raises(ValueError, match="element index out of range"):
+            expectation_inequality(tb, 0, members + [bad], spec)
 
 
 def test_subset_expectation_carries_comparator():
