@@ -41,6 +41,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import __version__
+from .gf import _check_int
 from .limits import (
     DEFAULT_TOL,
     LimitFamily,
@@ -126,6 +127,11 @@ class RunConfig:
     q_list: str = None
     t_list: str = None
 
+    @property
+    def group_cap(self):
+        """The --cap value, or the library default when none was given."""
+        return DEFAULT_GROUP_CAP if self.cap is None else self.cap
+
 
 # ---------------------------------------------------------------------------
 # Rendering.
@@ -144,12 +150,6 @@ def _jsonable(obj):
     return obj
 
 
-def _cell(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
 def _render(cfg, ok, result, rows=None):
     if cfg.format == "csv":
         if rows is None:
@@ -157,7 +157,7 @@ def _render(cfg, ok, result, rows=None):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([_jsonable(v) for v in row])
         return buf.getvalue()
     payload = {
         "schema": SCHEMA,
@@ -235,8 +235,7 @@ def cmd_limit(cfg):
 
 
 def cmd_series(cfg):
-    if cfg.order < 2:
-        raise ValueError("series order must be >= 2")
+    _check_int("series order", cfg.order, 2)
     if cfg.family == "gl":
         if cfg.coset is not None:
             raise ValueError("gl series take no coset")
@@ -267,8 +266,7 @@ def cmd_series(cfg):
 def cmd_enumerate(cfg):
     if cfg.coset is not None and cfg.t is None:
         raise ValueError("enumerate --coset needs --t")
-    cap = cfg.cap or DEFAULT_GROUP_CAP
-    table = build_group(cfg.family, cfg.n, cfg.q, cap=cap)
+    table = build_group(cfg.family, cfg.n, cfg.q, cap=cfg.group_cap)
     result = {
         "family": cfg.family,
         "n": cfg.n,
@@ -302,13 +300,12 @@ def _suite_exactness_bridge(cfg):
     else:
         grid = [(2, n, t) for n in (2, 3, 4) for t in (1, 2, 3)]
         grid += [(3, n, t) for n in (2, 3) for t in (1, 2)]
-    cap = cfg.cap or DEFAULT_GROUP_CAP
     cases = []
     failures = []
     for q, n, t in grid:
         for coset in [None] + list(range(q - 1)):
             via_series = proportion(("GL", n, q), t, coset=coset, method="series")
-            via_enum = proportion(("GL", n, q), t, coset=coset, cap=cap)
+            via_enum = proportion(("GL", n, q), t, coset=coset, cap=cfg.group_cap)
             equal = via_series.value == via_enum.value
             record = {"q": q, "n": n, "t": t, "coset": coset,
                       "series": via_series.value, "enumeration": via_enum.value,
@@ -343,7 +340,7 @@ def _suite_identity(cfg):
     n = cfg.n if cfg.n is not None else n
     q = cfg.q if cfg.q is not None else q
     t = cfg.t if cfg.t is not None else 1
-    ok = check(n, q, t, cap=cfg.cap or DEFAULT_GROUP_CAP)
+    ok = check(n, q, t, cap=cfg.group_cap)
     record = {"n": n, "q": q, "t": t, "holds": ok}
     return ok, {"cases": [record], "failures": [] if ok else [record]}
 
@@ -351,10 +348,9 @@ def _suite_identity(cfg):
 def _suite_identities(cfg):
     grid = [("inverse-transpose", n, q) for n, q in ((2, 2), (3, 2), (3, 3))]
     grid.append(("orthogonal-reflection", 5, 3))
-    cap = cfg.cap or DEFAULT_GROUP_CAP
     cases = []
     for name, n, q in grid:
-        ok = _IDENTITIES[name][0](n, q, 1, cap=cap)
+        ok = _IDENTITIES[name][0](n, q, 1, cap=cfg.group_cap)
         cases.append({"identity": name, "n": n, "q": q, "t": 1, "holds": ok})
     failures = [c for c in cases if not c["holds"]]
     return not failures, {"cases": cases, "failures": failures}
@@ -365,7 +361,7 @@ def _suite_table(cfg):
     family = cfg.family or "GL"
     n = cfg.n if cfg.n is not None else 3
     q = cfg.q if cfg.q is not None else 2
-    return build_group(family, n, q, cap=cfg.cap or DEFAULT_GROUP_CAP)
+    return build_group(family, n, q, cap=cfg.group_cap)
 
 
 def _suite_expectation(cfg):
@@ -551,6 +547,8 @@ def _config_from_args(args):
     data = {k: v for k, v in vars(args).items() if k in fields}
     if data.get("coset") is not None:
         data["coset"] = _coset_arg(data["coset"])
+    if data.get("cap") is not None:
+        _check_int("--cap", data["cap"], 1)
     return RunConfig(**data)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .gf import _check_int
+
 
 class CycRing:
     """The group algebra Q[C_m]; instances are interned per m."""
@@ -19,11 +21,10 @@ class CycRing:
     _interned = {}
 
     def __new__(cls, m):
+        _check_int("m", m, 1)
         inst = cls._interned.get(m)
         if inst is not None:
             return inst
-        if m < 1:
-            raise ValueError("m must be positive")
         inst = super().__new__(cls)
         inst.m = m
         inst.zero = CycNum(inst, (Fraction(0),) * m)

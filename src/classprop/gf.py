@@ -29,14 +29,24 @@ def is_prime(n):
     return True
 
 
+def _check_int(name, value, lo, hi=None):
+    """Raise ValueError unless value is an int, not a bool, in lo..hi (no
+    upper bound when hi is None).  Every integer argument of the public
+    functions passes through here once, on entry."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if hi is None:
+        if value < lo:
+            raise ValueError(f"{name} must be at least {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise ValueError(f"{name} out of range: {value} is outside {lo}..{hi}")
+
+
 def prime_power(q):
     """Return (p, e) with q = p^e, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"q={q} is not a prime power")
+    _check_int("q", q, 1)  # q = 1 falls through to the not-a-prime-power error
     for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                raise ValueError(f"q={q} is not a prime power")
+        if q % p == 0:  # the least divisor above 1 is a prime
             e = 0
             m = q
             while m % p == 0:
@@ -119,9 +129,8 @@ class Field:
     _interned = {}
 
     def __new__(cls, q, modulus=None):
+        _check_int("q", q, 2, MAX_Q)
         p, e = prime_power(q)
-        if q > MAX_Q:
-            raise ValueError(f"q={q} exceeds the table cap {MAX_Q}")
         if modulus is None:
             modulus = _default_modulus(p, e)
         modulus = tuple(c % p for c in modulus)
@@ -374,8 +383,7 @@ def has_small_degree_factor(F, f, t):
     when f has a factor of degree dividing d, so scanning d = 1..t detects
     precisely the factors of degree <= t.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_int("t", t, 1)
     f = pmonic(F, f)
     deg = pdeg(f)
     if deg < 1:
@@ -440,6 +448,8 @@ def _count_formula_Ntilde(q, j):
 
 def count_irreducibles(family, q, j):
     """Number of irreducibles of the given family and degree j >= 1 over GF(q)."""
+    _check_int("q", q, 2)
+    _check_int("j", j, 1)
     if family == "N":
         return _count_formula_N(q, j)
     if family == "Nstar":

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import exp as _fexp, factorial
 
-from .gf import count_irreducibles
+from .gf import _check_int, count_irreducibles
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
@@ -74,6 +74,8 @@ class LimitFamily:
     t: int
 
     def __post_init__(self):
+        _check_int("q", self.q, 2)
+        _check_int("t", self.t, 1)
         tag = self.tag
         if tag in ("Sp", "O"):
             resolved = ("Sp_odd" if self.q % 2 else "Sp_even") if tag == "Sp" else "O_half"
@@ -81,10 +83,6 @@ class LimitFamily:
             tag = resolved
         if tag not in FAMILY_TAGS:
             raise ValueError(f"unknown family tag {self.tag!r}")
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
         if tag == "Sp_odd" and self.q % 2 == 0:
             raise ValueError("Sp_odd needs odd q")
         if tag == "Sp_even" and self.q % 2 == 1:
@@ -258,16 +256,14 @@ class SeriesLimit:
 def limit_from_series(s):
     """Last coefficient of a no-small-factor series, with |c_N - c_{N-1}| as a
     heuristic convergence gap.  Not an enclosure."""
-    if s.order < 2:
-        raise ValueError("series order must be >= 2")
+    _check_int("series order", s.order, 2)
     c = s.coeff(s.order)
     return SeriesLimit(estimate=c, gap=abs(c - s.coeff(s.order - 1)))
 
 
 def q_infinity_limit(family, t):
     """Closed-form q -> infinity limit, as a float."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_int("t", t, 1)
     base = family.split("_")[0]
     harm = lambda k: sum(Fraction(1, j) for j in range(1, k + 1))
     if base == "GL":

@@ -26,6 +26,7 @@ import numpy as np
 
 from .gf import (
     Field,
+    _check_int,
     has_small_degree_factor,
     pdivmod,
     pmul,
@@ -556,6 +557,8 @@ def _ambient_of(family):
 
 
 def group_order(family, n, q):
+    _check_int("n", n, 1)
+    _check_int("q", q, 2)
     if family == "GL":
         return _prod(q**n - q**i for i in range(n))
     if family == "SL":
@@ -843,20 +846,18 @@ class GroupTable:
         return len(self.elements)
 
     def coset_indices(self, label):
-        if isinstance(label, bool):
-            raise ValueError(f"empty coset label {label!r}")
+        _check_int("coset label", label, 0)
         return [i for i, l in enumerate(self.labels) if l == label]
 
     def coset_size(self, coset):
         """Element count of a coset as ``proportion`` names it: the whole
         table for None and tau, half of it for the orthogonal S and O
         variants, otherwise the elements carrying that label."""
-        if isinstance(coset, bool):
-            raise ValueError(f"empty coset label {coset!r}")
         if coset in (None, "tau"):
             return len(self.elements)
         if coset in ("S", "O"):
             return len(self.elements) // 2
+        _check_int("coset label", coset, 0)
         return self.labels.count(coset)
 
     def label_values(self):
@@ -929,8 +930,7 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     label-0 halves of their ambient orthogonal group.  For GU/SU the field
     argument is q0; matrices live over GF(q0^2).
     """
-    if n < 1:
-        raise ValueError(f"the dimension n must be at least 1, got {n}")
+    _check_int("cap", cap, 1)  # group_order checks n and q
     if family.startswith("SO") and q % 2 == 0:
         raise ValueError("at even q use the Omega labels")
     if family.startswith("Omega") and q % 2 == 1:
@@ -1249,10 +1249,8 @@ class ActionTable:
         if spec.kind == "quadratic_forms":
             self._build_quadratic_forms()
             return
-        if not 1 <= k <= n - 1:
-            raise ValueError("need 1 <= k < n")
-        if spec.kind == "subspace" and 2 * k > n:
-            raise ValueError("subspace actions are for k <= n/2")
+        # a k-flag needs k <= n - k, and k-subspaces beyond n/2 repeat by duality
+        _check_int("k", k, 1, n // 2 if spec.kind in ("subspace", "flag") else n - 1)
         small = self._class(k)
         keep = [
             i
@@ -1459,8 +1457,7 @@ def member_test(family, space, form, t, coset=None):
     nondegenerate complement and has no small invariant subspace on its
     perp.  form is the family's form.  Bad combinations raise ValueError.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_int("t", t, 1)
     if coset == "tau":
         if family != "GL":
             raise ValueError("the inverse-transpose coset lives over GL")

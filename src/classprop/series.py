@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycRing
-from .gf import Field, count_irreducibles, prime_power, residue_class_counts
+from .gf import Field, _check_int, count_irreducibles, prime_power, residue_class_counts
 
 
 class Series:
@@ -164,8 +164,8 @@ def euler_base_series(a, c, j, order, ring=None):
 
 def euler_factor_series(q, j, m, order):
     """(prod_{i>=1} (1 - u^j q^{-ij}))^m with exact rational coefficients."""
-    if q < 2 or j < 1:
-        raise ValueError("need q >= 2 and j >= 1")
+    _check_int("q", q, 2)
+    _check_int("j", j, 1)
     base = euler_base_series(Fraction(1, q**j), 1, j, order)
     return base.pow(m)
 
@@ -177,8 +177,8 @@ def gl_no_small_factor_series(q, t, order):
     """Coefficient n is the proportion of GL_n(q) whose characteristic
     polynomial has no irreducible factor of degree <= t."""
     prime_power(q)  # the count formulas take any q; GL_n(q) needs a prime power
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_int("t", t, 1)
+    _check_int("order", order, 0)
     out = Series.geometric(order)
     for j in range(1, t + 1):
         out = out * euler_factor_series(q, j, count_irreducibles("N", q, j), order)
@@ -212,11 +212,10 @@ def sl_coset_series(q, t, mu, order):
     the same (q, t, order) shares.  The constant coefficient is set to 1 by
     convention.
     """
-    if not 0 <= mu < max(q - 1, 1):
-        raise ValueError("coset label out of range")
     Field(q)  # validates that q is a prime power
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_int("mu", mu, 0, q - 2)
+    _check_int("t", t, 1)
+    _check_int("order", order, 0)
     graded = _det_graded_series(q, t, order)
     out = Series([(q - 1) * c.coeffs[mu] for c in graded.coeffs])
     out.coeffs[0] = Fraction(1)

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .gf import _check_int, is_prime
 from .matgroup import (
     ActionSpec,
     ActionTable,
@@ -45,10 +46,8 @@ Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 def wilson_interval(hits, trials, z=Z99):
     """Wilson score interval for a binomial proportion."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    if not 0 <= hits <= trials:
-        raise ValueError("hit count out of range")
+    _check_int("trials", trials, 1)
+    _check_int("hits", hits, 0, trials)
     phat = hits / trials
     zz = z * z
     denom = 1.0 + zz / trials
@@ -98,13 +97,13 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
     else:
         table = None
         family, n, q = spec
-    if n < 1:
-        raise ValueError(f"the dimension n must be at least 1, got {n}")
-    if isinstance(coset, bool) or (
-        family in ("GL", "SL") and coset not in (None, "tau", "S", "O")
-        and coset not in range(q - 1 if family == "GL" else 1)
-    ):
-        raise ValueError(f"empty coset label {coset!r}")
+    _check_int("n", n, 1)
+    _check_int("q", q, 2)
+    _check_int("t", t, 1)
+    if coset not in (None, "tau", "S", "O"):
+        if family in ("GL", "SL") and coset not in range(q - 1 if family == "GL" else 1):
+            raise ValueError(f"empty coset label {coset!r}")
+        _check_int("coset label", coset, 0)
     if method == "enumeration":
         if table is None:
             table = build_group(family, n, q, cap=cap)
@@ -127,10 +126,8 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
     if method == "montecarlo":
         if family != "GL" or coset in ("S", "O"):
             raise ValueError("montecarlo covers GL, its determinant cosets, and tau")
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
-            raise ValueError("montecarlo needs a positive trials count")
-        if seed is None:
-            raise ValueError("montecarlo needs an explicit seed")
+        _check_int("trials", trials, 1)
+        _check_int("seed", seed, 0)
         if q == 2 and t == 1 and coset is None:
             hits = _mc_gl2_t1(n, trials, seed)
         else:
@@ -211,8 +208,7 @@ def _mc_gl2_t1(n, trials, seed):
     run only on the draws that land in GL.  Rejection sampling on packed
     random matrices keeps the draw exactly uniform over GL.
     """
-    if n > 62:
-        raise ValueError("packed sampler supports n <= 62")
+    _check_int("n", n, 1, 62)  # one machine word per packed row
     dtype = np.uint32 if n <= 32 else np.uint64
     rng = np.random.Generator(np.random.PCG64(seed))
     eye = np.array([1 << i for i in range(n)], dtype=dtype)
@@ -292,8 +288,8 @@ def coset_average_fixed_points(table, action, coset=None):
 
 
 def _check_indices(table, indices):
-    if not all(0 <= i < len(table) for i in indices):
-        raise ValueError("element index out of range")
+    for i in indices:
+        _check_int("element index", i, 0, len(table) - 1)
 
 
 def _class_weights(table, members, tau=False):
@@ -350,8 +346,8 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     The probability that x and a uniformly random member of the subset have a
     common fixed point is at most fpr(x) times the subset's fixed-point
     expectation.  Returns a dict with both sides, exactly.  member_fixed may
-    carry precomputed fixed_sets output; when it is absent the subset's
-    conjugation stability is verified here.
+    carry precomputed fixed_sets output, one set per member; when it is
+    absent the subset's conjugation stability is verified here.
     """
     if not members:
         raise ValueError("empty element subset")
@@ -360,6 +356,8 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     if member_fixed is None:
         _class_weights(table, members)  # raises unless members fill their classes
         member_fixed = fixed_sets(table, members, act)
+    elif len(member_fixed) != len(members):
+        raise ValueError("member_fixed must hold one fixed set per member")
     xfix = frozenset(
         fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)
     )
@@ -439,10 +437,8 @@ def fpr_bound_check(table, kmax=None, include_tau=None):
     if table.family not in ("GL", "SL"):
         raise ValueError("the fpr bounds are stated for linear groups")
     n, q = table.n, table.q
-    if kmax is None:
-        kmax = n // 2
-    if not 1 <= kmax <= n // 2:
-        raise ValueError("need 1 <= kmax <= n/2")
+    kmax = n // 2 if kmax is None else kmax
+    _check_int("kmax", kmax, 1, n // 2)
     actions = []
     for k in range(1, kmax + 1):
         actions.append(enumerate_action(table, ActionSpec("subspace", k)))
@@ -492,8 +488,6 @@ def fpr_bound_check(table, kmax=None, include_tau=None):
 
 def no_short_cycle_counts(n, t):
     """counts[m] = permutations of m points with every cycle longer than t."""
-    if n < 0 or t < 0:
-        raise ValueError("n and t must be nonnegative")
     counts = [0] * (n + 1)
     counts[0] = 1
     for m in range(1, n + 1):
@@ -509,8 +503,8 @@ def no_short_cycle_counts(n, t):
 
 def symmetric_a(n, t):
     """Proportion of permutations of n points with all cycles longer than t."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    _check_int("n", n, 0)
+    _check_int("t", t, 1)
     return Fraction(no_short_cycle_counts(n, t)[n], math.factorial(n))
 
 
@@ -521,8 +515,9 @@ def symmetric_expectation(n, k, t):
     permutations of the set and its complement, so the count is a product of
     the two cycle-length-restricted counts.  Requires 1 <= t <= k < n/2.
     """
-    if not (1 <= t <= k and 2 * k < n):
-        raise ValueError("need 1 <= t <= k < n/2")
+    _check_int("k", k, 1)
+    _check_int("t", t, 1, k)
+    _check_int("n", n, 2 * k + 1)
     counts = no_short_cycle_counts(n, t)
     value = Fraction(math.comb(n, k) * counts[k] * counts[n - k], counts[n])
     return ExpectationReport(f"{k}-sets", f"A_{n}({t})", value, symmetric_a(k, t))
@@ -537,11 +532,9 @@ def inverse_transpose_identity_check(n, q, t, cap=DEFAULT_GROUP_CAP):
     Both sides are enumerated exactly; the symplectic degree is n rounded
     down to even.
     """
+    _check_int("n", n, 2)
     lhs = proportion(("GL", n, q), t, "tau", cap=cap).value
-    m = n - (n % 2)
-    if m == 0:
-        raise ValueError("n must be >= 2")
-    return lhs == proportion(("Sp", m, q), t, cap=cap).value
+    return lhs == proportion(("Sp", n - n % 2, q), t, cap=cap).value
 
 
 def orthogonal_reflection_identity_check(n, q, t, cap=DEFAULT_GROUP_CAP):
@@ -551,8 +544,7 @@ def orthogonal_reflection_identity_check(n, q, t, cap=DEFAULT_GROUP_CAP):
     the two S-variant proportions in dimension n - gcd(2, n), for either type
     in even dimension.  All sides are enumerated exactly.
     """
-    if n < 5:
-        raise ValueError("the identity needs n >= 5")
+    _check_int("n", n, 5)
     delta = 2 if n % 2 == 0 else 1
     m = n - delta
     rhs = sum(proportion(("O" + eps, m, q), t, "S", cap=cap).value
@@ -603,21 +595,16 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
     exactly (feasible for m <= 7); otherwise uniform samples give a float
     estimate with a 99% Wilson interval.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_int("m", m, 1, 7 if trials is None else None)
     if trials is None:
         total = math.factorial(m) << m
-        if total > 2_000_000:
-            raise ValueError("exact enumeration is limited to m <= 7")
         hits = 0
         for perm in itertools.permutations(range(m)):
             for signs in range(1 << m):
                 hits += _even_negative_cycles_paired(perm, signs)
         return WeylReport(m, Fraction(hits, total), "exact")
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
-        raise ValueError("trials must be None or a positive integer")
-    if seed is None:
-        raise ValueError("montecarlo needs an explicit seed")
+    _check_int("trials", trials, 1)
+    _check_int("seed", seed, 0)
     rng = random.Random(seed)
     base = list(range(m))
     hits = 0
@@ -689,8 +676,9 @@ def psl2(p):
     generators are z -> z+1 and z -> -1/z.  The closure order is checked
     against p(p^2-1)/2.
     """
-    if p < 5 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError("p must be a prime >= 5")
+    _check_int("p", p, 5)
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not a prime")
     inf = p
     shift = tuple((z + 1) % p for z in range(p)) + (inf,)
     flip = [0] * (p + 1)
@@ -750,18 +738,15 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     Fraction; an integer samples uniformly and returns a float with a 99%
     Wilson interval.  The identity is rejected.
     """
-    if isinstance(x, int):
-        if not 0 <= x < group.order():
-            raise ValueError(
-                f"x index {x} is outside 0..{group.order() - 1}"
-            )
-        xi = x
-        x = group.elements[xi]
-    else:
+    if isinstance(x, (tuple, list)):
         x = tuple(x)
         if x not in group.index:
             raise ValueError(f"x {x} is not an element of {group.name}")
         xi = group.index[x]
+    else:
+        _check_int("x index", x, 0, group.order() - 1)
+        xi = x
+        x = group.elements[xi]
     if x == group.identity:
         raise ValueError("x must be nontrivial")
     pool = list(group.elements) if coset is None else [tuple(s) for s in coset]
@@ -775,10 +760,8 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     if exhaustive:
         trials, draws = len(pool), pool
     else:
-        if isinstance(trials, bool) or not isinstance(trials, int) or trials <= 0:
-            raise ValueError("trials must be 'exhaustive' or a positive integer")
-        if seed is None:
-            raise ValueError("montecarlo needs an explicit seed")
+        _check_int("trials", trials, 1)
+        _check_int("seed", seed, 0)
         rng = random.Random(seed)
         draws = (pool[rng.randrange(len(pool))] for _ in range(trials))
     hits = 0

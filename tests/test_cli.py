@@ -107,7 +107,7 @@ def test_series_rejects_order_below_two(tmp_path, capsys, family, order):
                      "--t", "1", "--order", order)
     assert code == cli.EXIT_USAGE
     assert text == ""
-    assert capsys.readouterr().err == "classprop: series order must be >= 2\n"
+    assert capsys.readouterr().err == f"classprop: series order must be at least 2, got {order}\n"
 
 
 @pytest.mark.parametrize("extra", [["--x", "9999"],

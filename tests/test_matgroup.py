@@ -660,7 +660,7 @@ def test_membership_validation():
 def test_member_test_validation():
     sp = MatSpace(4, 2)
     for family, t, coset, message in [
-        ("GL", 0, None, "t must be >= 1"),
+        ("GL", 0, None, "t must be at least 1, got 0"),
         ("SL", 1, "tau", "lives over GL"),
         ("Sp", 1, "S", "for orthogonal families"),
         ("O+", 1, None, "needs coset 'S' or 'O'"),

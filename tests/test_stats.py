@@ -132,7 +132,9 @@ def test_proportion_method_errors():
 ])
 def test_proportion_rejects_out_of_range_coset_labels(spec, coset, kwargs):
     # GL labels are 0..q-2 and SL has only label 0, on every method route
-    with pytest.raises(ValueError, match=f"empty coset label {coset}"):
+    message = (f"coset label must be an integer, got {coset}" if coset is True
+               else f"empty coset label {coset}")
+    with pytest.raises(ValueError, match=message):
         proportion(spec, 1, coset=coset, **kwargs)
 
 
@@ -146,7 +148,7 @@ def test_proportion_rejects_dimension_below_one(n, q, kwargs):
 
 
 def test_proportion_montecarlo_rejects_boolean_trials():
-    with pytest.raises(ValueError, match="positive trials count"):
+    with pytest.raises(ValueError, match="^trials must be an integer, got True$"):
         proportion(("GL", 3, 2), 1, method="montecarlo", trials=True, seed=1)
 
 
@@ -308,10 +310,10 @@ def test_coset_average_empty_coset_label():
     tb = build_group("GL", 2, 3)
     with pytest.raises(ValueError):
         coset_average_fixed_points(tb, ActionSpec("subspace", 1), coset=9)
-    with pytest.raises(ValueError, match="empty coset label True"):
+    with pytest.raises(ValueError, match="^coset label must be an integer, got True$"):
         coset_average_fixed_points(tb, ActionSpec("subspace", 1), coset=True)
     for query in (tb.coset_indices, tb.coset_size):
-        with pytest.raises(ValueError, match="empty coset label False"):
+        with pytest.raises(ValueError, match="^coset label must be an integer, got False$"):
             query(False)
 
 
@@ -370,6 +372,20 @@ def test_fixed_sets_and_expectation_inequality_reject_bad_indices():
             expectation_inequality(tb, bad, members, spec)
         with pytest.raises(ValueError, match="element index out of range"):
             expectation_inequality(tb, 0, members + [bad], spec)
+
+
+def test_expectation_inequality_rejects_foreign_member_fixed():
+    # fixed sets of the whole group summed over the sieved members' count
+    # gave wrong sides and ok: True
+    tb = build_group("GL", 3, 2)
+    members = membership_sets(tb, 1)
+    spec = ActionSpec("subspace", 1)
+    whole = fixed_sets(tb, range(len(tb)), spec)
+    with pytest.raises(ValueError, match="^member_fixed must hold one fixed set per member$"):
+        expectation_inequality(tb, 1, members, spec, member_fixed=whole)
+    own = expectation_inequality(tb, 1, members, spec,
+                                 member_fixed=fixed_sets(tb, members, spec))
+    assert own == expectation_inequality(tb, 1, members, spec)
 
 
 def test_subset_expectation_carries_comparator():
@@ -599,7 +615,7 @@ def test_weyl_argument_errors():
     with pytest.raises(ValueError):
         weyl_negative_cycle_statistic(4, trials=100)  # seed missing
     # bool is an int subclass; True would otherwise run one trial
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="^trials must be an integer, got True$"):
         weyl_negative_cycle_statistic(4, trials=True, seed=1)
 
 
@@ -681,7 +697,7 @@ def test_generation_probe_rejects_identity_and_bad_trials():
         generation_probe(g7, 1, trials=10)  # seed missing
     with pytest.raises(ValueError):
         generation_probe(g7, 1, coset=[])
-    with pytest.raises(ValueError, match="positive integer"):
+    with pytest.raises(ValueError, match="^trials must be an integer, got True$"):
         generation_probe(g7, 1, trials=True, seed=1)
 
 
