@@ -582,6 +582,10 @@ MEMBERSHIP_CASES = [
     ("O+", 4, 3, 1, "O"), ("O-", 4, 3, 1, "S"), ("O-", 4, 3, 1, "O"),
     ("O", 3, 3, 1, "S"), ("O", 3, 3, 1, "O"), ("O", 3, 5, 1, "S"),
     ("O", 3, 5, 1, "O"),
+    # the first non-prime field: the Dickson label decides the O set
+    ("O+", 4, 4, 1, "S"), ("O+", 4, 4, 1, "O"), ("O-", 4, 4, 1, "S"),
+    ("O-", 4, 4, 1, "O"), ("O+", 4, 4, 2, "S"), ("O+", 4, 4, 2, "O"),
+    ("O-", 4, 4, 2, "S"), ("O-", 4, 4, 2, "O"),
     # determinant and unitary labels
     ("GL", 2, 3, 1, 0), ("GL", 2, 3, 1, 1), ("GL", 3, 3, 1, 1), ("GU", 3, 2, 1, 0),
 ]
