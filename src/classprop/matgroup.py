@@ -30,7 +30,6 @@ from .gf import (
     has_small_degree_factor,
     pdivmod,
     pmul,
-    pnorm,
 )
 
 DEFAULT_GROUP_CAP = 20_000_000
@@ -134,10 +133,6 @@ class MatSpace:
                     acc = add_t[acc][mul_t[x][v[k]]]
             out.append(acc)
         return tuple(out)
-
-    def add(self, a, b):
-        add_t = self.F.add_t
-        return tuple(add_t[x][y] for x, y in zip(a, b))
 
     def sub(self, a, b):
         F = self.F
@@ -246,10 +241,6 @@ class MatSpace:
         if len(pivots) < n:
             raise ZeroDivisionError("matrix is singular")
         return tuple(rows[i][n + j] for i in range(n) for j in range(n))
-
-    def kernel_basis(self, a):
-        """Basis of the right null space, as vectors."""
-        return self._null_basis(self.rows(a))
 
     def _null_basis(self, rows):
         """Basis of the vectors with zero dot product against every row (for
@@ -1172,17 +1163,6 @@ def perp_basis_dot(space, basis):
     return rref_basis(space, space._null_basis([list(b) for b in basis]))
 
 
-def perp_basis_form(space, form, basis):
-    """Perp of the span with respect to the form's bilinear part."""
-    F = space.F
-    rows = []
-    for b in basis:
-        if form.kind == "unitary":
-            b = tuple(F.pow(x, form.q0) for x in b)
-        rows.append(tuple(space.mat_vec(space.transpose(form.gram), b)))
-    return perp_basis_dot(space, rows)
-
-
 # ---------------------------------------------------------------------------
 # Actions.
 
@@ -1418,44 +1398,44 @@ def _form_translation(space, g, action):
 # ---------------------------------------------------------------------------
 # Element subsets defined by small invariant subspaces.
 
-def _restrict(space, g, basis):
-    """Matrix of g on the span of basis; the span must be invariant."""
-    k = len(basis)
-    F = space.F
-    rowsp = [list(b) for b in basis]
-    pivots = space._elim(rowsp, space.n)
-    cols = []
-    for b in basis:
-        gb = space.mat_vec(g, b)
-        coeff = [0] * k
-        v = list(gb)
-        for r, pc in enumerate(pivots):
-            c = v[pc]
-            if c:
-                coeff[r] = c
-                mrow = F.mul_t[c]
-                v = [F.sub(x, mrow[y]) for x, y in zip(v, rowsp[r])]
-        if any(v):
-            raise ValueError("subspace is not invariant")
-        cols.append(coeff)
-    return MatSpace(k, space.q), _cols_to_mat(k, cols)
-
-
 def sieve_free(space, g, t):
     """True when charpoly(g) has no irreducible factor of degree <= t."""
     return not has_small_degree_factor(space.F, space.charpoly(g), t)
 
 
-def member_test(family, space, form, t, coset=None):
+def _cofactor_free(F, f, roots, t):
+    """True when f = (z - r_1) ... (z - r_k) h over the listed roots r_i,
+    no listed root divides h, and h has no irreducible factor of degree
+    <= t."""
+    h = f
+    for r in roots:
+        h, rem = pdivmod(F, h, (F.neg_t[r], 1))
+        if rem != ():
+            return False
+    for r in set(roots):
+        if pdivmod(F, h, (F.neg_t[r], 1))[1] == ():
+            return False
+    return not has_small_degree_factor(F, h, t)
+
+
+def member_test(family, space, t, coset=None):
     """Membership predicate on one element g of a family's coset.
 
-    coset: None or an integer label for the no-small-invariant-subspace
-    test on g itself (the predicate does not look at the label); "tau" for
-    the inverse-transpose coset of GL, where g stands for g tau; "S" / "O"
-    for the two orthogonal variants: the S set has no invariant subspace of
-    dimension <= t at all, the O set acts as a reflection on a small
-    nondegenerate complement and has no small invariant subspace on its
-    perp.  form is the family's form.  Bad combinations raise ValueError.
+    Every predicate is a factor condition on a characteristic polynomial.
+    coset: None or an integer label asks that charpoly(g) have no
+    irreducible factor of degree <= t (the predicate does not look at the
+    label); "tau" is the inverse-transpose coset of GL, where g stands for
+    g tau (see ``tau_sieve_free``); "S" / "O" are the orthogonal variants.
+    The generalised eigenspaces of an isometry for lambda and mu are
+    orthogonal unless lambda mu = 1, so an eigenvalue +-1 of multiplicity
+    one spans a nondegenerate line whose perp carries the cofactor h:
+    - n even, S: no factor of degree <= t (no small invariant subspace);
+    - n even, O: (z - 1)(z + 1) h, a reflection on a nondegenerate 2-space
+      and h sieve-free on its perp; in characteristic 2 this reads
+      (z - 1)^2 h, and Dickson label 1 rules out g = 1 on ker (g - 1)^2;
+    - n odd (odd q): (z - 1) h for S and (z + 1) h for O, with h free of
+      that root and sieve-free.
+    Bad combinations raise ValueError.
     """
     _check_int("t", t, 1)
     if coset == "tau":
@@ -1470,14 +1450,21 @@ def member_test(family, space, form, t, coset=None):
         raise ValueError(f"no membership sets for family {family!r}")
     if coset not in ("S", "O"):
         raise ValueError("orthogonal membership needs coset 'S' or 'O'")
+    F = space.F
+    minus = F.neg_t[1]
     if space.n % 2 == 0:
         if coset == "S":
             return lambda g: sieve_free(space, g, t)
-        return lambda g: _reflection_complement_free(space, form, g, t)
+        if space.q % 2:
+            return lambda g: _cofactor_free(F, space.charpoly(g), (1, minus), t)
+        return lambda g: (
+            _cofactor_free(F, space.charpoly(g), (1, 1), t)
+            and _dickson_label(space, g) == 1
+        )
     if space.q % 2 == 0:
         raise ValueError("odd-dimensional sets need odd q")
-    eigen = 1 if coset == "S" else space.F.neg_t[1]
-    return lambda g: _eigenline_complement_free(space, form, g, t, eigen)
+    root = 1 if coset == "S" else minus
+    return lambda g: _cofactor_free(F, space.charpoly(g), (root,), t)
 
 
 def _scan(table, test, label=None):
@@ -1503,77 +1490,30 @@ def membership_sets(table: GroupTable, t, coset=None):
         raise ValueError(
             "membership_sets does not scan the tau coset; use tau_membership"
         )
-    test = member_test(table.family, table.space, table.form, t, coset)
+    test = member_test(table.family, table.space, t, coset)
     label = None if coset in (None, "S", "O") else coset
     if label is not None and not table.coset_size(label):
         raise ValueError(f"empty coset label {label!r}")
     return _scan(table, test, label)
 
 
-def _reflection_complement_free(space, form, g, t):
-    """Reflection on a nondegenerate 2-space, sieve-free on its perp.
-
-    In odd characteristic the 2-space is the sum of the eigenlines for 1 and
-    -1.  In characteristic 2 it is ker (g-1)^2, where g must fix exactly a
-    line; such an involution of a 2-dimensional orthogonal space is always a
-    reflection because the rotation subgroup has odd order.
-    """
-    q = space.q
-    if q % 2 == 0:
-        gm1 = space.sub(g, space.identity)
-        if len(space.kernel_basis(gm1)) != 1:
-            return False
-        k2 = space.kernel_basis(space.mul(gm1, gm1))
-        if len(k2) != 2:
-            return False
-        w = rref_basis(space, k2)
-    else:
-        e1 = space.kernel_basis(space.sub(g, space.identity))
-        em = space.kernel_basis(space.add(g, space.identity))
-        if len(e1) != 1 or len(em) != 1:
-            return False
-        w = rref_basis(space, e1 + em)
-    gram = tuple(form.bilinear(space, u, v) for u in w for v in w)
-    if MatSpace(2, q).rank(gram) != 2:
-        return False
-    return sieve_free(*_restrict(space, g, perp_basis_form(space, form, w)), t)
-
-
-def _eigenline_complement_free(space, form, g, t, eigen):
-    """Scalar eigen on an anisotropic line, sieve-free on its perp."""
-    ker = space.kernel_basis(space.sub(g, space.scalar(eigen)))
-    if len(ker) != 1 or form.bilinear(space, ker[0], ker[0]) == 0:
-        return False
-    return sieve_free(*_restrict(space, g, perp_basis_form(space, form, ker)), t)
-
-
 def tau_sieve_free(space, g, t):
     """Membership test for the single coset element g tau.
 
-    The square of g tau acts as x = g g^-T; membership asks that x fix no
-    subspace of dimension at most t (n even), or that x fix a unique line and
-    no other subspace of dimension at most t (n odd).
+    The square of g tau acts as x = g g^-T.  Membership asks that charpoly(x)
+    have no irreducible factor of degree <= t (n even), or that it be
+    (z - 1) h with h free of z - 1 and of every factor of degree <= t (n odd):
+    x then fixes a unique line and no other subspace of dimension <= t.
     """
-    F = space.F
     x = space.mul(g, space.transpose(space.inv(g)))
-    f = space.charpoly(x)
-    if space.n % 2 == 0:
-        return not has_small_degree_factor(F, f, t)
-    lin = (F.neg_t[1], 1)  # z - 1
-    quo, rem = pdivmod(F, f, lin)
-    if rem != ():
-        return False
-    h = pnorm(quo)
-    _, rem2 = pdivmod(F, h, lin)
-    if rem2 == ():
-        return False
-    return not has_small_degree_factor(F, h, t)
+    roots = (1,) if space.n % 2 else ()
+    return _cofactor_free(space.F, space.charpoly(x), roots, t)
 
 
 def tau_membership(table: GroupTable, t):
     """Indices g of a GL table whose coset element g tau avoids small
     subspaces (see ``member_test``)."""
-    return _scan(table, member_test(table.family, table.space, table.form, t, "tau"))
+    return _scan(table, member_test(table.family, table.space, t, "tau"))
 
 
 def point_permutation(space, g, action: ActionTable, tau=False):

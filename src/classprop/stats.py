@@ -143,7 +143,7 @@ def _mc_scan(n, q, t, coset, trials, seed):
     determinant coset."""
     rng = random.Random(seed)
     space = MatSpace(n, q)
-    test = member_test("GL", space, None, t, coset)
+    test = member_test("GL", space, t, coset)
     if coset in (None, "tau"):
         return sum(test(random_gl(n, q, rng)) for _ in range(trials))
     return sum(test(random_coset_gl(n, q, coset, rng)) for _ in range(trials))

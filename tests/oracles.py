@@ -5,9 +5,11 @@ formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
 (Hessenberg reduction), the no-small-invariant-subspace sets (the
-characteristic-polynomial sieve), GF(2) invertibility (the bit-sliced
-kernel), fixed subspaces (the point permutation), and action orbits and
-(twisted) conjugacy classes (one union-find over index maps).
+characteristic-polynomial sieve), the kernels, perps and restrictions of
+the orthogonal sets (factor conditions on the characteristic polynomial),
+GF(2) invertibility (the bit-sliced kernel), fixed subspaces (the point
+permutation), and action orbits and (twisted) conjugacy classes (one
+union-find over index maps).
 """
 
 import itertools
@@ -21,6 +23,7 @@ from classprop.matgroup import (
     _PRODUCT_CHUNK,
     ActionTable,
     MatSpace,
+    _cols_to_mat,
     all_subspaces,
     enumerate_action,
     fixed_point_indices,
@@ -282,6 +285,50 @@ def fixes_some_small_subspace(space, g, t):
             if all(lut[space.vec_code(b)] in vecs for b in basis):
                 return True
     return False
+
+
+def kernel_basis(space, a):
+    """Basis of the right null space of a, as vectors."""
+    return space._null_basis(space.rows(a))
+
+
+def mat_add(space, a, b):
+    add_t = space.F.add_t
+    return tuple(add_t[x][y] for x, y in zip(a, b))
+
+
+def perp_basis_form(space, form, basis):
+    """Perp of the span with respect to the form's bilinear part."""
+    F = space.F
+    rows = []
+    for b in basis:
+        if form.kind == "unitary":
+            b = tuple(F.pow(x, form.q0) for x in b)
+        rows.append(tuple(space.mat_vec(space.transpose(form.gram), b)))
+    return perp_basis_dot(space, rows)
+
+
+def restrict(space, g, basis):
+    """Matrix of g on the span of basis; the span must be invariant."""
+    k = len(basis)
+    F = space.F
+    rowsp = [list(b) for b in basis]
+    pivots = space._elim(rowsp, space.n)
+    cols = []
+    for b in basis:
+        gb = space.mat_vec(g, b)
+        coeff = [0] * k
+        v = list(gb)
+        for r, pc in enumerate(pivots):
+            c = v[pc]
+            if c:
+                coeff[r] = c
+                mrow = F.mul_t[c]
+                v = [F.sub(x, mrow[y]) for x, y in zip(v, rowsp[r])]
+        if any(v):
+            raise ValueError("subspace is not invariant")
+        cols.append(coeff)
+    return MatSpace(k, space.q), _cols_to_mat(k, cols)
 
 
 def fixed_points_by_type(space, g, action):

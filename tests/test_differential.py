@@ -20,7 +20,6 @@ from classprop.matgroup import (
     ResourceCapExceeded,
     _eval_quad,
     _form_translation,
-    _restrict,
     all_subspaces,
     bfs_closure,
     build_group,
@@ -29,7 +28,6 @@ from classprop.matgroup import (
     fixed_points,
     membership_sets,
     perp_basis_dot,
-    perp_basis_form,
     point_permutation,
     rref_basis,
     sieve_free,
@@ -51,7 +49,16 @@ from classprop.stats import (
     psl2,
     subset_expectation,
 )
-from oracles import class_fixed, class_images, dfs_orbits, relation_classes_loop
+from oracles import (
+    class_fixed,
+    class_images,
+    dfs_orbits,
+    kernel_basis,
+    mat_add,
+    perp_basis_form,
+    relation_classes_loop,
+    restrict,
+)
 
 
 def _ref_closure(identity, mul, gens, stop_over=None):
@@ -211,7 +218,7 @@ def _inputs(tb):
     out = [b for k in range(sp.n + 1) for b in all_subspaces(sp, k)]
     for g in tb.elements:
         out.append(_ref_null(sp, sp.rows(sp.sub(g, sp.identity))))
-        out.append(_ref_null(sp, sp.rows(sp.add(g, sp.identity))))
+        out.append(_ref_null(sp, sp.rows(mat_add(sp, g, sp.identity))))
     return out
 
 
@@ -227,8 +234,8 @@ def test_null_spaces_match(tables):
     for tb in tables:
         sp = tb.space
         for g in tb.elements:
-            for a in (g, sp.sub(g, sp.identity), sp.add(g, sp.identity)):
-                assert sp.kernel_basis(a) == _ref_null(sp, sp.rows(a))
+            for a in (g, sp.sub(g, sp.identity), mat_add(sp, g, sp.identity)):
+                assert kernel_basis(sp, a) == _ref_null(sp, sp.rows(a))
         for basis in _inputs(tb):
             ref = rref_basis(sp, _ref_null(sp, basis))
             assert perp_basis_dot(sp, basis) == ref
@@ -528,15 +535,15 @@ def _ref_orth_O_set_even(table, t):
     for i, g in enumerate(table.elements):
         if q % 2 == 0:
             gm1 = space.sub(g, space.identity)
-            if len(space.kernel_basis(gm1)) != 1:
+            if len(kernel_basis(space, gm1)) != 1:
                 continue
-            k2 = space.kernel_basis(space.mul(gm1, gm1))
+            k2 = kernel_basis(space, space.mul(gm1, gm1))
             if len(k2) != 2:
                 continue
             w = rref_basis(space, k2)
         else:
-            e1 = space.kernel_basis(space.sub(g, space.identity))
-            em = space.kernel_basis(space.add(g, space.identity))
+            e1 = kernel_basis(space, space.sub(g, space.identity))
+            em = kernel_basis(space, mat_add(space, g, space.identity))
             if len(e1) != 1 or len(em) != 1:
                 continue
             w = rref_basis(space, e1 + em)
@@ -544,7 +551,7 @@ def _ref_orth_O_set_even(table, t):
         if MatSpace(2, q).rank(gram) != 2:
             continue
         perp = perp_basis_form(space, form, w)
-        if sieve_free(*_restrict(space, g, perp), t):
+        if sieve_free(*restrict(space, g, perp), t):
             out.append(i)
     return out
 
@@ -553,14 +560,14 @@ def _ref_orth_set_odd(table, t, eigen):
     space, form = table.space, table.form
     out = []
     for i, g in enumerate(table.elements):
-        ker = space.kernel_basis(space.sub(g, space.scalar(eigen)))
+        ker = kernel_basis(space, space.sub(g, space.scalar(eigen)))
         if len(ker) != 1:
             continue
         v = ker[0]
         if form.bilinear(space, v, v) == 0:
             continue
         perp = perp_basis_form(space, form, (v,))
-        if sieve_free(*_restrict(space, g, perp), t):
+        if sieve_free(*restrict(space, g, perp), t):
             out.append(i)
     return out
 
@@ -642,7 +649,7 @@ def _ref_fixed_form_indices(space, g, action):
     if x0 is None:
         return []
     c0 = space.vec_code(x0)
-    kernel = subspace_vectors(space, space.kernel_basis(gm1))
+    kernel = subspace_vectors(space, kernel_basis(space, gm1))
     return sorted(space.code_add(c0, kc) for kc in kernel)
 
 

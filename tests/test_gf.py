@@ -348,6 +348,8 @@ ORACLE_NAMES = (
     "charpoly_minors", "fixes_some_small_subspace", "fixed_points_by_type",
     "element_lut", "class_fixed", "class_images", "_class_fixed", "_element_lut",
     "gf2_nonsingular_elimination", "dfs_orbits", "relation_classes_loop",
+    "kernel_basis", "mat_add", "perp_basis_form", "restrict", "_restrict",
+    "_reflection_complement_free", "_eigenline_complement_free",
 )
 
 
@@ -358,7 +360,8 @@ def test_runtime_counts_never_enumerate():
 
     for mod in (classprop, gf, cyclo, series, limits, matgroup, stats, cli):
         assert not [name for name in ORACLE_NAMES if hasattr(mod, name)], mod
-    assert not hasattr(matgroup.MatSpace, "charpoly_minors")
+    for name in ("charpoly_minors", "kernel_basis", "add"):
+        assert not hasattr(matgroup.MatSpace, name), name
     tol = Fraction(1, 10**6)
     assert limits.bound_suite((2, 3), (1, 2), tol)["all_pass"]
     for tag, q in [("GL", 3), ("SU", 3), ("Sp_odd", 3), ("Sp_even", 4), ("O_half", 3)]:
