@@ -1170,7 +1170,13 @@ def perp_basis_dot(space, basis):
 class ActionSpec:
     kind: str  # subspace | flag | antiflag | quadratic_forms
     k: int = 1
-    restrict: str = "any"  # any | totally_singular | nondegenerate | nonsingular
+    restrict: str = "any"  # one of _RESTRICTIONS
+
+
+# the point types ``ActionTable._classify`` can return
+_RESTRICTIONS = (
+    "any", "totally_singular", "nonsingular", "nondegenerate", "degenerate"
+)
 
 
 class _SubspaceClass:
@@ -1202,7 +1208,11 @@ class ActionTable:
         self.classes = {}
         self.perps = {}
         self.points = []
+        if spec.restrict not in _RESTRICTIONS:
+            raise ValueError(f"unknown restrict {spec.restrict!r}")
         self._build()
+        if not self.points:
+            raise ValueError(f"{spec} has no points")
         if len(self.points) > DEFAULT_ACTION_CAP:
             raise ResourceCapExceeded("action point set exceeds cap")
 
@@ -1307,6 +1317,8 @@ class ActionTable:
             raise ValueError(
                 "quadratic-form points need a symplectic space over GF(2)"
             )
+        if self.spec.restrict != "any":
+            raise ValueError("quadratic-form points take no restrict")
         n = space.n
         base_quad = [[0] * n for _ in range(n)]
         for i in range(0, n, 2):

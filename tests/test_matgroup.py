@@ -34,7 +34,7 @@ from classprop.matgroup import (
     tau_membership,
     tau_sieve_free,
 )
-from classprop.stats import psl2
+from classprop.stats import coset_average_fixed_points, expectation_inequality, psl2
 from oracles import (
     charpoly_minors,
     fixed_points_by_type,
@@ -385,6 +385,28 @@ def test_action_rejects_bad_k():
         enumerate_action(sp, ActionSpec("flag", 0))
     with pytest.raises(ValueError):
         enumerate_action(sp, ActionSpec("wedge", 1))
+
+
+def test_action_rejects_unknown_restrict():
+    tb = build_group("Sp", 4, 2)
+    with pytest.raises(ValueError, match="unknown restrict 'totaly_singular'"):
+        coset_average_fixed_points(tb, ActionSpec("subspace", 1, restrict="totaly_singular"))
+
+
+def test_quadratic_forms_reject_restrict():
+    tb = build_group("Sp", 4, 2)
+    for restrict in ("bogus", "nonsingular"):
+        with pytest.raises(ValueError):
+            enumerate_action(tb, ActionSpec("quadratic_forms", restrict=restrict))
+
+
+def test_action_without_points_raises():
+    sp4 = build_group("Sp", 4, 2)
+    with pytest.raises(ValueError, match="has no points"):
+        expectation_inequality(sp4, 0, [0], ActionSpec("subspace", 1, restrict="nonsingular"))
+    # a space with no form has no totally singular subspaces
+    with pytest.raises(ValueError, match="has no points"):
+        enumerate_action(build_group("GL", 3, 2), ActionSpec("subspace", 1, restrict="totally_singular"))
 
 
 def test_restricted_point_counts():
