@@ -453,10 +453,14 @@ def test_transvection_fixed_one_spaces():
     ],
 )
 def test_burnside_orbit_count_gl42(spec):
-    # all five actions of GL_4(2) are transitive, so fp sums to |G|
+    # all five actions of GL_4(2) are transitive, so fp sums to |G|; a
+    # fixed-point count is a class function, so sum it class by class
     tb = build_group("GL", 4, 2)
     act = enumerate_action(tb, spec)
-    total = sum(fixed_points(tb.space, g, act) for g in tb.elements)
+    classes = tb.conjugacy_classes()
+    assert sum(len(cls) for cls in classes) == tb.order()
+    total = sum(len(cls) * fixed_points(tb.space, tb.elements[cls[0]], act)
+                for cls in classes)
     assert total == tb.order()
 
 
