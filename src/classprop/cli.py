@@ -25,7 +25,7 @@ is offered for the tabular commands (limit, series, enumerate) with the
 same rational rendering.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including an
-unwritable --out path), 3 resource cap exceeded.  The group-table cache
+unwritable --out path or cache directory), 3 resource cap exceeded.  The group-table cache
 directory is taken from the CLASSPROP_CACHE environment variable when set.
 """
 
@@ -561,7 +561,7 @@ def main(argv=None):
     except ResourceCapExceeded as exc:
         print(f"classprop: resource cap exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"classprop: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

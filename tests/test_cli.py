@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import classprop
-from classprop import cli
+from classprop import cli, matgroup
 from classprop.series import sl_coset_series
 
 
@@ -175,6 +175,18 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
     assert capsys.readouterr().err.startswith("classprop: cannot write")
     assert not out.exists()
+
+
+def test_unusable_cache_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "cache"
+    blocker.write_text("")
+    monkeypatch.setenv(matgroup.CACHE_ENV, str(blocker))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    code, text = run(tmp_path, "enumerate", "--family", "GL", "--n", "2", "--q", "2")
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("classprop: ") and err.count("\n") == 1
 
 
 def test_series_byte_identical_across_runs(tmp_path):
