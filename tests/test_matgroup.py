@@ -298,17 +298,22 @@ def test_family_validation():
 
 
 def test_cache_roundtrip(tmp_path, monkeypatch):
+    # an ambient table and a label-0 subtable, built and then loaded from
+    # disk through a fresh memo, agree field by field; the load writes nothing
     monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
-    import classprop.matgroup as mg
-
-    mg._TABLE_MEMO.pop(("Sp", 2, 3), None)
-    t1 = build_group("Sp", 2, 3)
-    files = list(tmp_path.iterdir())
-    assert files, "cache file should be written"
-    mg._TABLE_MEMO.pop(("Sp", 2, 3), None)
-    t2 = build_group("Sp", 2, 3)
-    assert t1.elements == t2.elements
-    assert t1.labels == t2.labels
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    keys = [("Sp", 2, 3), ("SO+", 4, 3)]
+    built = [build_group(*key) for key in keys]
+    files = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+    assert len(files) == 2, "one cache file per ambient table"
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    for key, t1 in zip(keys, built):
+        t2 = build_group(*key)
+        assert t2 is not t1
+        for name in ("family", "n", "q", "elements", "labels", "gens", "index", "form"):
+            assert getattr(t2, name) == getattr(t1, name), (key, name)
+        assert t2.space is t1.space
+    assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == files
 
 
 # ---------------------------------------------------------------------------
