@@ -74,79 +74,32 @@ def mobius(n):
 
 
 # ---------------------------------------------------------------------------
-# Prime-field polynomial helpers, used only to pick and check the modulus.
-
-def _zp_mod(p, a, b):
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    inv_lead = pow(lead, p - 2, p)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] % p
-        if c:
-            factor = c * inv_lead % p
-            for k in range(db + 1):
-                a[i - db + k] = (a[i - db + k] - factor * b[k]) % p
-    return pnorm(a)
-
-
-def _zp_irreducible(p, f):
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            g = tail + (1,)
-            if len(_zp_mod(p, f, g)) == 0:
-                return False
-    return True
-
-
-def _default_modulus(p, e):
-    """Lexicographically least monic irreducible of degree e over Z_p."""
-    if e == 1:
-        return (0, 1)
-    for tail in itertools.product(range(p), repeat=e):
-        f = tail + (1,)
-        if _zp_irreducible(p, f):
-            return f
-    raise AssertionError("no irreducible modulus found")
-
-
-# ---------------------------------------------------------------------------
 
 class Field:
     """GF(q), q <= 81, with table-backed arithmetic.
 
-    Instances are interned per (q, modulus); building one computes the full
-    addition, negation, multiplication, inverse and discrete-log tables.
-    ``zeta`` is the least primitive element in the constant-first
+    Instances are interned per q; building one computes the full addition,
+    negation, multiplication, inverse and discrete-log tables.  The modulus
+    of GF(p^e) is z for e = 1; otherwise it is the least monic irreducible f
+    of degree e over Z_p in lexicographic order of (f_0, ..., f_(e-1)),
+    found by the package's own sieve: the first f with no factor of degree
+    <= e // 2 by ``has_small_degree_factor``.  ``modulus`` is derived, never
+    passed.  ``zeta`` is the least primitive element in the constant-first
     coefficient ordering, and ``dlog[x]`` its discrete logarithm table (None
     at 0).
     """
 
     _interned = {}
 
-    def __new__(cls, q, modulus=None):
-        _check_int("q", q, 2, MAX_Q)
-        p, e = prime_power(q)
-        if modulus is None:
-            modulus = _default_modulus(p, e)
-        modulus = tuple(c % p for c in modulus)
-        key = (q, modulus)
-        inst = cls._interned.get(key)
-        if inst is not None:
-            return inst
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        if not _zp_irreducible(p, modulus):
-            raise ValueError(f"modulus {modulus} is reducible over Z_{p}")
-        inst = super().__new__(cls)
-        inst.p, inst.e, inst.q = p, e, q
-        inst.modulus = modulus
-        inst._build_tables()
-        cls._interned[key] = inst
+    def __new__(cls, q):
+        _check_int("q", q, 2, MAX_Q)  # before the lookup: 2.0 hashes like 2
+        inst = cls._interned.get(q)
+        if inst is None:
+            inst = super().__new__(cls)
+            inst.q = q
+            inst.p, inst.e = prime_power(q)
+            inst._build_tables()
+            cls._interned[q] = inst
         return inst
 
     def __repr__(self):
@@ -157,23 +110,23 @@ class Field:
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         self.zero, self.one = 0, 1
-
-        def raw_mul(a, b):
-            if e == 1:
-                return a * b % p
-            av = self.to_vec(a)
-            bv = self.to_vec(b)
-            prod = [0] * (2 * e - 1)
-            for i, ai in enumerate(av):
-                if ai:
-                    for j, bj in enumerate(bv):
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-            rem = _zp_mod(p, prod, self.modulus)
-            return self.from_vec(rem + (0,) * (e - len(rem)))
-
-        self.add_t = [[(self._vec_add(a, b)) for b in range(q)] for a in range(q)]
-        self.mul_t = [[raw_mul(a, b) for b in range(q)] for a in range(q)]
-        self.neg_t = [self._vec_neg(a) for a in range(q)]
+        vecs = [self.to_vec(a) for a in range(q)]
+        self.add_t = [[self.from_vec(x + y for x, y in zip(u, v)) for v in vecs]
+                      for u in vecs]
+        self.neg_t = [self.from_vec(-x for x in u) for u in vecs]
+        if e == 1:
+            self.modulus = (0, 1)
+            self.mul_t = [[a * b % p for b in range(q)] for a in range(q)]
+        else:
+            Fp = Field(p)
+            monics = (tail + (1,) for tail in itertools.product(range(p), repeat=e))
+            self.modulus = next(
+                f for f in monics if not has_small_degree_factor(Fp, f, e // 2)
+            )
+            self.mul_t = [
+                [self.from_vec(pmod(Fp, pmul(Fp, u, v), self.modulus)) for v in vecs]
+                for u in vecs
+            ]
 
         self.zeta = self._least_primitive()
         self.dlog = [None] * q
@@ -186,31 +139,6 @@ class Field:
         self.dlog[1] = 0
         self.exp = exp
         self.inv_t = [None] + [exp[(q - 1 - self.dlog[a]) % (q - 1)] for a in range(1, q)]
-
-    def _vec_add(self, a, b):
-        p, e = self.p, self.e
-        if e == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(e):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _vec_neg(self, a):
-        p, e = self.p, self.e
-        if e == 1:
-            return (-a) % p
-        out = 0
-        mult = 1
-        for _ in range(e):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
 
     def _least_primitive(self):
         q = self.q

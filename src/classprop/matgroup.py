@@ -39,7 +39,7 @@ DEFAULT_ACTION_CAP = 2_000_000
 _PRODUCT_CHUNK = 256
 
 CACHE_ENV = "CLASSPROP_CACHE"
-_CACHE_LAYOUT = "matgroup-cache-1"
+_CACHE_LAYOUT = "matgroup-cache-2"
 
 
 class ResourceCapExceeded(Exception):
@@ -817,18 +817,33 @@ def relation_classes(space, elements, index, pairs):
 
 @dataclass
 class GroupTable:
+    """An enumerated group: its elements, one coset label per element, and
+    the generators its conjugacy classes are taken under.
+
+    The six init fields are the whole input, and the only way a table is
+    made (built, loaded from the disk cache, or cut down to a label-0 half).
+    Derived from them: ``space``, the matrices over GF(q) (GF(q^2) for GU
+    and SU); ``form``, ``standard_form(family, n, q)``; ``index``, element ->
+    position; and the empty conjugacy-class memo.
+    """
+
     family: str
     n: int
     q: int  # defining q of the family label (entries in GF(q^2) for GU/SU)
-    space: MatSpace
-    form: FormSpec
     elements: tuple
-    index: dict
     labels: tuple
     gens: tuple
-    label_kind: str  # det | dickson | trivial
-    _classes: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    space: MatSpace = field(init=False)
+    form: FormSpec = field(init=False)
+    index: dict = field(init=False)
+    _classes: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q = self.q * self.q if self.family in ("GU", "SU") else self.q
+        self.space = MatSpace(self.n, q)
+        self.form = standard_form(self.family, self.n, self.q)
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        self._classes = {}
 
     def __len__(self):
         return len(self.elements)
@@ -891,14 +906,14 @@ def _dickson_label(space, g):
 
 def _make_labels(family, space, elements, q):
     if family in ("GL", "SL"):
-        return tuple(_det_label(space, g, q) for g in elements), "det"
+        return tuple(_det_label(space, g, q) for g in elements)
     if family in ("GU", "SU"):
-        return tuple(_gu_label(space, g, q) for g in elements), "det"
+        return tuple(_gu_label(space, g, q) for g in elements)
     if family == "Sp":
-        return tuple(0 for _ in elements), "trivial"
+        return tuple(0 for _ in elements)
     if q % 2 == 0:
-        return tuple(_dickson_label(space, g) for g in elements), "dickson"
-    return tuple(0 if space.det(g) == 1 else 1 for g in elements), "det"
+        return tuple(_dickson_label(space, g) for g in elements)
+    return tuple(0 if space.det(g) == 1 else 1 for g in elements)
 
 
 _TABLE_MEMO = {}
@@ -942,7 +957,8 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
         if payload.get("layout") == _CACHE_LAYOUT and payload["order"] == target:
-            table = _table_from_payload(ambient, n, q, payload)
+            table = GroupTable(ambient, n, q, payload["elements"],
+                               payload["labels"], payload["gens"])
             if sub_select:
                 table = _subtable(table, family)
             _TABLE_MEMO[memo_key] = table
@@ -982,19 +998,8 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     for g in gens:
         if not preserves_form(space, form, g):
             raise AssertionError("generator does not preserve the form")
-    labels, label_kind = _make_labels(ambient, space, elements, q)
-    table = GroupTable(
-        family=ambient,
-        n=n,
-        q=q,
-        space=space,
-        form=form,
-        elements=tuple(elements),
-        index=index,
-        labels=labels,
-        gens=tuple(gens),
-        label_kind=label_kind,
-    )
+    table = GroupTable(ambient, n, q, tuple(elements),
+                       _make_labels(ambient, space, elements, q), tuple(gens))
     if path:
         payload = {
             "layout": _CACHE_LAYOUT,
@@ -1002,7 +1007,6 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
             "elements": table.elements,
             "labels": table.labels,
             "gens": table.gens,
-            "label_kind": label_kind,
         }
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:
@@ -1012,24 +1016,6 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         table = _subtable(table, family)
     _TABLE_MEMO[memo_key] = table
     return table
-
-
-def _table_from_payload(family, n, q, payload):
-    form = standard_form(family, n, q)
-    space = MatSpace(n, q * q if family in ("GU", "SU") else q)
-    elements = payload["elements"]
-    return GroupTable(
-        family=family,
-        n=n,
-        q=q,
-        space=space,
-        form=form,
-        elements=elements,
-        index={g: i for i, g in enumerate(elements)},
-        labels=payload["labels"],
-        gens=payload["gens"],
-        label_kind=payload["label_kind"],
-    )
 
 
 def _subtable(table, family):
@@ -1053,18 +1039,8 @@ def _subtable(table, family):
                 x = space.mul(x, rinv)
             if x != space.identity and x not in gens:
                 gens.append(x)
-    return GroupTable(
-        family=family,
-        n=table.n,
-        q=table.q,
-        space=table.space,
-        form=table.form,
-        elements=elements,
-        index={g: i for i, g in enumerate(elements)},
-        labels=tuple(0 for _ in elements),
-        gens=tuple(gens),
-        label_kind=table.label_kind,
-    )
+    return GroupTable(family, table.n, table.q, elements,
+                      tuple(0 for _ in elements), tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -1352,11 +1328,12 @@ class ActionTable:
         return {pt: p for p, pt in enumerate(self.points)}
 
 
-def enumerate_action(table_or_space, spec, form=None):
+def enumerate_action(table_or_space, spec):
+    """The action of a table, under its form, or of a bare MatSpace, under
+    no form, on the points that spec names."""
     if isinstance(table_or_space, GroupTable):
         return ActionTable(table_or_space.space, table_or_space.form, spec)
-    if form is None:
-        form = FormSpec("none", table_or_space.n, table_or_space.q)
+    form = FormSpec("none", table_or_space.n, table_or_space.q)
     return ActionTable(table_or_space, form, spec)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -362,6 +364,16 @@ def test_runtime_counts_never_enumerate():
         assert not [name for name in ORACLE_NAMES if hasattr(mod, name)], mod
     for name in ("charpoly_minors", "kernel_basis", "add"):
         assert not hasattr(matgroup.MatSpace, name), name
+    # one construction route per table: no second Z_p arithmetic in gf, no
+    # second GroupTable assembly in matgroup
+    for mod, name in [(gf, "_zp_mod"), (gf, "_zp_irreducible"),
+                      (matgroup, "_table_from_payload"), (gf.Field, "_vec_add"),
+                      (gf.Field, "_vec_neg")]:
+        assert not hasattr(mod, name), name
+    assert "label_kind" not in {f.name for f in dataclasses.fields(matgroup.GroupTable)}
+    assert list(inspect.signature(gf.Field).parameters) == ["q"]
+    assert list(inspect.signature(matgroup.GroupTable).parameters) == [
+        "family", "n", "q", "elements", "labels", "gens"]
     tol = Fraction(1, 10**6)
     assert limits.bound_suite((2, 3), (1, 2), tol)["all_pass"]
     for tag, q in [("GL", 3), ("SU", 3), ("Sp_odd", 3), ("Sp_even", 4), ("O_half", 3)]:

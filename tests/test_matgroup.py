@@ -251,7 +251,6 @@ def test_group_is_closed_spot_check():
 
 def test_gl_labels_partition_evenly():
     tb = build_group("GL", 2, 5)
-    assert tb.label_kind == "det"
     assert tb.label_values() == [0, 1, 2, 3]
     for mu in range(4):
         assert len(tb.coset_indices(mu)) == tb.order() // 4
