@@ -177,10 +177,15 @@ def _write(cfg, text):
         sys.stdout.write(text)
 
 
-def _parse_int_list(text, fallback):
+def _parse_int_list(option, text, fallback):
+    """The integers of a comma separated option, or fallback when it is
+    absent; a given list that names no value is a usage error."""
     if text is None:
         return list(fallback)
-    return [int(part) for part in text.split(",") if part.strip()]
+    values = [int(part) for part in text.split(",") if part.strip()]
+    if not values:
+        raise ValueError(f"{option} names no value: {text!r}")
+    return values
 
 
 def _round_outward(lo, hi, slack):
@@ -295,7 +300,10 @@ def cmd_enumerate(cfg):
 # --- verify suites ---------------------------------------------------------
 
 def _suite_exactness_bridge(cfg):
-    if cfg.q is not None and cfg.n is not None and cfg.t is not None:
+    given = [v is not None for v in (cfg.q, cfg.n, cfg.t)]
+    if any(given) and not all(given):
+        raise ValueError("exactness-bridge takes --q, --n and --t together or not at all")
+    if all(given):
         grid = [(cfg.q, cfg.n, cfg.t)]
     else:
         grid = [(2, n, t) for n in (2, 3, 4) for t in (1, 2, 3)]
@@ -317,8 +325,8 @@ def _suite_exactness_bridge(cfg):
 
 
 def _suite_bounds(cfg):
-    qs = _parse_int_list(cfg.q_list, (2, 3, 4, 5, 7, 8, 9))
-    ts = _parse_int_list(cfg.t_list, (1, 2, 3, 4))
+    qs = _parse_int_list("--q-list", cfg.q_list, (2, 3, 4, 5, 7, 8, 9))
+    ts = _parse_int_list("--t-list", cfg.t_list, (1, 2, 3, 4))
     tol = Fraction(cfg.tol) if cfg.tol else DEFAULT_TOL
     report = bound_suite(qs, ts, tol)
     # exact endpoints have huge numerators; widen them slightly for display

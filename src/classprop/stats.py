@@ -42,12 +42,14 @@ from .matgroup import (
 from .series import gl_no_small_factor_series, sl_coset_series
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+PERM_GROUP_CAP = 2_000_000  # elements a PermGroup closure may reach
 
 
-def wilson_interval(hits, trials, z=Z99):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits, trials):
+    """Wilson score interval for a binomial proportion, at 99% (z = Z99)."""
     _check_int("trials", trials, 1)
     _check_int("hits", hits, 0, trials)
+    z = Z99
     phat = hits / trials
     zz = z * z
     denom = 1.0 + zz / trials
@@ -625,7 +627,7 @@ class PermGroup:
     space.
     """
 
-    def __init__(self, degree, gens, name="", cap=2_000_000):
+    def __init__(self, degree, gens, name=""):
         self.degree = degree
         self.name = name
         ident = tuple(range(degree))
@@ -634,7 +636,7 @@ class PermGroup:
         for g in self.gens:
             if sorted(g) != list(ident):
                 raise ValueError("generator is not a permutation")
-        self.elements = sorted(bfs_closure(self, self.gens, cap)[0])
+        self.elements = sorted(bfs_closure(self, self.gens, PERM_GROUP_CAP)[0])
         self.index = {e: i for i, e in enumerate(self.elements)}
 
     def order(self):

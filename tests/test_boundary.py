@@ -228,7 +228,8 @@ def test_bad_integer_raises_value_error(call, values):
 
 # ---------------------------------------------------------------------------
 # The CLI: argparse turns bools and floats away itself, so its table holds
-# the 0, negative and past-range integers.
+# the 0, negative and past-range integers, the empty grid lists and the
+# partial exactness-bridge instances.
 
 CLI_CASES = [
     ("limit", "--family", "gl", "--t", "1", "--q", "{}", [0, 1, -1]),
@@ -252,10 +253,14 @@ CLI_CASES = [
     ("verify", "--suite", "expectation", "--k", "{}", [0, -1, 2]),
     ("verify", "--suite", "coset-average", "--k", "{}", [0, -1, 2]),
     ("verify", "--suite", "coset-average", "--coset", "{}", [1, -1]),
-    ("verify", "--suite", "bounds", "--q-list", "{}", [0, 1, -1]),
-    ("verify", "--suite", "bounds", "--t-list", "{}", [0, -1]),
+    ("verify", "--suite", "bounds", "--q-list", "{}", [0, 1, -1, "", ","]),
+    ("verify", "--suite", "bounds", "--t-list", "{}", [0, -1, "", ","]),
     ("verify", "--suite", "exactness-bridge", "--q", "2", "--t", "1", "--n", "{}", [0, -1]),
     ("verify", "--suite", "exactness-bridge", "--q", "2", "--n", "2", "--t", "{}", [0, -1]),
+    # a partial instance would run the whole default grid under a config
+    # that echoes only part of it
+    ("verify", "--suite", "exactness-bridge", "--q", "{}", [2]),
+    ("verify", "--suite", "exactness-bridge", "--q", "2", "--n", "{}", [2]),
     ("verify", "--suite", "inverse-transpose", "--n", "{}", [1, 0, -1]),
     ("verify", "--suite", "orthogonal-reflection", "--n", "{}", [4, 0, -1]),
     ("verify", "--suite", "identities", "--cap", "{}", [0, -1]),

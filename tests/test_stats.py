@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from classprop import stats
 from classprop.matgroup import (
     ActionSpec,
     MatSpace,
@@ -633,7 +634,7 @@ def test_psl2_structure():
         psl2(3)
 
 
-def test_perm_group_basics():
+def test_perm_group_basics(monkeypatch):
     g = PermGroup(3, [(1, 2, 0)])
     assert g.order() == 3
     a = (1, 2, 0)
@@ -641,8 +642,9 @@ def test_perm_group_basics():
     assert g.element_order(a) == 3
     with pytest.raises(ValueError):
         PermGroup(3, [(0, 0, 1)])
+    monkeypatch.setattr(stats, "PERM_GROUP_CAP", 3)
     with pytest.raises(ResourceCapExceeded):
-        PermGroup(5, [(1, 2, 3, 4, 0)], cap=3)
+        PermGroup(5, [(1, 2, 3, 4, 0)])
 
 
 def test_permutation_group_conversion_and_faithfulness():
