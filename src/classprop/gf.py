@@ -82,11 +82,11 @@ class Field:
     negation, multiplication, inverse and discrete-log tables.  The modulus
     of GF(p^e) is z for e = 1; otherwise it is the least monic irreducible f
     of degree e over Z_p in lexicographic order of (f_0, ..., f_(e-1)),
-    found by the package's own sieve: the first f with no factor of degree
-    <= e // 2 by ``has_small_degree_factor``.  ``modulus`` is derived, never
-    passed.  ``zeta`` is the least primitive element in the constant-first
-    coefficient ordering, and ``dlog[x]`` its discrete logarithm table (None
-    at 0).
+    found by the package's own sieve: the first f for which
+    ``has_small_degree_factor(Field(p), f, e // 2)`` is false.  ``modulus``
+    is derived, never passed.  ``zeta`` is the least primitive element in the
+    constant-first coefficient ordering, and ``dlog[x]`` its discrete
+    logarithm table (None at 0).
     """
 
     _interned = {}

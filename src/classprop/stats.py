@@ -49,12 +49,11 @@ def wilson_interval(hits, trials):
     """Wilson score interval for a binomial proportion, at 99% (z = Z99)."""
     _check_int("trials", trials, 1)
     _check_int("hits", hits, 0, trials)
-    z = Z99
     phat = hits / trials
-    zz = z * z
+    zz = Z99 * Z99
     denom = 1.0 + zz / trials
     center = (phat + zz / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + zz / (4 * trials * trials))
+    half = Z99 * math.sqrt(phat * (1 - phat) / trials + zz / (4 * trials * trials))
     half /= denom
     return max(0.0, center - half), min(1.0, center + half)
 
