@@ -41,7 +41,6 @@ from classprop.stats import (
     _fpr_bounds,
     _generates,
     _tau_acts,
-    _trivial_indices,
     coset_average_fixed_points,
     fpr_bound_check,
     orbits,
@@ -256,15 +255,34 @@ def test_quadratic_values_match(tables):
 # ---------------------------------------------------------------------------
 # Conjugacy classes and the per-class fixed-point evaluations.
 
-def _ref_fpr_bound_check(table, include_tau=None):
-    """fpr_bound_check as one fixed-point evaluation per element."""
-    n, q = table.n, table.q
+def _fpr_actions(table):
+    """The k-subspace, k-flag (k < n - k) and k-antiflag actions, k <= n/2."""
+    n = table.n
     actions = []
     for k in range(1, n // 2 + 1):
         actions.append(enumerate_action(table, ActionSpec("subspace", k)))
         if k < n - k:
             actions.append(enumerate_action(table, ActionSpec("flag", k)))
         actions.append(enumerate_action(table, ActionSpec("antiflag", k)))
+    return actions
+
+
+def _ref_trivial_indices(table, tau):
+    """Indices of the g (or, with tau, the g tau) fixing every point: the
+    scalars, and for n = 2, where tau is inner (perp<v> = <J v> with
+    J = [[0, -1], [1, 0]]), the c J.  For n >= 3 no g tau acts trivially."""
+    space = table.space
+    if tau and table.n != 2:
+        return set()
+    base = space.from_rows([[0, space.F.neg_t[1]], [1, 0]]) if tau else space.identity
+    mats = (space.mul(space.scalar(c), base) for c in range(1, table.q))
+    return {table.index[g] for g in mats if g in table.index}
+
+
+def _ref_fpr_bound_check(table, include_tau=None):
+    """fpr_bound_check as one fixed-point evaluation per element."""
+    n, q = table.n, table.q
+    actions = _fpr_actions(table)
     if include_tau is None:
         include_tau = table.family == "GL"
     bounds = [_fpr_bounds(n, q, act.spec) for act in actions]
@@ -275,7 +293,7 @@ def _ref_fpr_bound_check(table, include_tau=None):
             if include_tau and _tau_acts(act.spec, n):
                 rows[(ai, bid, True)] = [-1, -1, 0, 0]
     sides = [False, True] if include_tau else [False]
-    trivial = {tau: _trivial_indices(table, tau) for tau in sides}
+    trivial = {tau: _ref_trivial_indices(table, tau) for tau in sides}
     for i, g in enumerate(table.elements):
         for tau in sides:
             if i in trivial[tau]:
@@ -372,6 +390,21 @@ def test_fpr_bound_check_per_class_matches_per_element(fam, n, q, include_tau):
     tb = build_group(fam, n, q)
     got = fpr_bound_check(tb, include_tau=include_tau)
     assert got == _ref_fpr_bound_check(tb, include_tau=include_tau)
+
+
+@pytest.mark.parametrize("tau", [False, True])
+@pytest.mark.parametrize("fam,n,q", [case[:3] for case in FPR_CASES])
+def test_fixing_every_point_is_acting_trivially(fam, n, q, tau):
+    """On each fpr action a side permutes, the elements whose fixed-point
+    count is the number of points are exactly the reference trivial set."""
+    tb = build_group(fam, n, q)
+    want = _ref_trivial_indices(tb, tau)
+    for act in _fpr_actions(tb):
+        if tau and not _tau_acts(act.spec, n):
+            continue
+        full = {i for i, g in enumerate(tb.elements)
+                if fixed_points(tb.space, g, act, tau=tau) == len(act)}
+        assert full == want, act.spec
 
 
 COSET_AVERAGE_CASES = [
