@@ -272,18 +272,9 @@ def coset_average_fixed_points(table, action, coset=None):
         if not indices:
             raise ValueError(f"empty coset label {coset!r}")
         name = f"label {coset} coset"
-    orbs = orbits(table, act)
-    # the group permutes each orbit, so per-orbit counts are class functions
-    orbit_of = [0] * len(act)
-    for oi, orb in enumerate(orbs):
-        for p in orb:
-            orbit_of[p] = oi
-    sums = [0] * len(orbs)
-    for i, w in _class_weights(table, indices):
-        for p in fixed_point_indices(table.space, table.elements[i], act):
-            sums[orbit_of[p]] += w
-    per = tuple(Fraction(s, len(indices)) for s in sums)
-    if len(orbs) == 1:
+    per = tuple(Fraction(s, len(indices))
+                for s in _orbit_fixed_sums(table, indices, act))
+    if len(per) == 1:
         return ExpectationReport(act.spec, name, per[0])
     return ExpectationReport(act.spec, name, sum(per), orbit_values=per)
 
@@ -311,6 +302,23 @@ def _class_weights(table, members, tau=False):
     return out
 
 
+def _orbit_fixed_sums(table, members, act):
+    """Fixed points of the members summed per orbit of act, one
+    fixed_point_indices call per class that _class_weights returns: the
+    group permutes each orbit, so a per-orbit count is a class function."""
+    weights = _class_weights(table, members)
+    orbit_of = [0] * len(act)
+    orbs = orbits(table, act)
+    for oi, orb in enumerate(orbs):
+        for p in orb:
+            orbit_of[p] = oi
+    sums = [0] * len(orbs)
+    for i, w in weights:
+        for p in fixed_point_indices(table.space, table.elements[i], act):
+            sums[orbit_of[p]] += w
+    return sums
+
+
 def subset_expectation(table, members, action, comparator=None):
     """Average number of fixed points over an explicit element subset.
 
@@ -321,12 +329,8 @@ def subset_expectation(table, members, action, comparator=None):
     """
     if not members:
         raise ValueError("empty element subset")
-    weights = _class_weights(table, members)
     act = _as_action(table, action)
-    total = sum(
-        w * fixed_points(table.space, table.elements[i], act) for i, w in weights
-    )
-    value = Fraction(total, len(members))
+    value = Fraction(sum(_orbit_fixed_sums(table, members, act)), len(members))
     return ExpectationReport(act.spec, f"{len(members)} elements", value, comparator)
 
 
@@ -409,31 +413,24 @@ def _tau_acts(spec, n):
     return spec.kind in ("flag", "antiflag")
 
 
-def _trivial_indices(table, tau):
-    """Indices of the g (or, with tau, the g tau) fixing every point: the
-    scalars, and for n = 2, where tau is inner (perp<v> = <J v> with
-    J = [[0, -1], [1, 0]]), the c J.  For n >= 3 no g tau acts trivially."""
-    space = table.space
-    if tau and table.n != 2:
-        return set()
-    base = space.from_rows([[0, space.F.neg_t[1]], [1, 0]]) if tau else space.identity
-    mats = (space.mul(space.scalar(c), base) for c in range(1, table.q))
-    return {table.index[g] for g in mats if g in table.index}
-
-
 def fpr_bound_check(table, kmax=None, include_tau=None):
     """Check every nontrivial element against the subspace-action fpr bounds.
 
     Actions are the k-subspace, k-flag, and k-antiflag actions for k up to
-    n/2.  Elements acting trivially are excluded: the scalars, and for n = 2
-    the coset elements c J tau (see _trivial_indices).  The
-    inverse-transpose coset is included for GL on the actions it permutes.
-    The check is exhaustive over elements, but a fixed-point count is a
-    class function, so it is evaluated once per conjugacy class (per twisted
-    class g ~ s g s^T on the tau side) and weighted by the class size.
-    Returns one summary report per (action, bound, coset side) carrying the
-    extremal element (the smallest index attaining the maximum) and the
-    violation count, which must be zero.
+    n/2.  The inverse-transpose coset is included for GL on the actions it
+    permutes.  An element acting trivially, that is fixing every point, is
+    left out on each action: its fixed-point count is the number of points.
+    For k < n only the scalars fix every k-subspace, and every flag and
+    antiflag contains one, so on the plain side these are the scalars.  On
+    the tau side with n = 2, g tau maps <v> to g perp<v> = <g J v> with
+    J = [[0, -1], [1, 0]], so it fixes every line exactly when g J^-1 is
+    scalar; for n >= 3 no g tau acts trivially.  The check is exhaustive
+    over elements, but a fixed-point count is a class function, so it is
+    evaluated once per conjugacy class (per twisted class g ~ s g s^T on the
+    tau side) and weighted by the class size.  Returns one summary report
+    per (action, bound, coset side) carrying the extremal element (the
+    smallest index attaining the maximum) and the violation count, which
+    must be zero.
     """
     if table.family not in ("GL", "SL"):
         raise ValueError("the fpr bounds are stated for linear groups")
@@ -448,39 +445,29 @@ def fpr_bound_check(table, kmax=None, include_tau=None):
         actions.append(enumerate_action(table, ActionSpec("antiflag", k)))
     if include_tau is None:
         include_tau = table.family == "GL"
-    bounds = [_fpr_bounds(n, q, act.spec) for act in actions]
-    rows = {}
-    for ai, act in enumerate(actions):
-        for bid, _ in bounds[ai]:
-            rows[(ai, bid, False)] = [-1, -1, 0, 0]  # max fp, argmax, checked, violations
-            if include_tau and _tau_acts(act.spec, n):
-                rows[(ai, bid, True)] = [-1, -1, 0, 0]
-    for tau in [False, True] if include_tau else [False]:
-        trivial = _trivial_indices(table, tau)
-        nontrivial = [i for i in range(len(table)) if i not in trivial]
-        for i, w in _class_weights(table, nontrivial, tau):
-            for ai, act in enumerate(actions):
-                if tau and not _tau_acts(act.spec, n):
-                    continue
-                fp = fixed_points(table.space, table.elements[i], act, tau=tau)
-                npts = len(act)
-                for bid, bound in bounds[ai]:
-                    row = rows[(ai, bid, tau)]
-                    row[2] += w
-                    if fp > row[0]:
-                        row[0], row[1] = fp, i
-                    if fp * bound.denominator >= bound.numerator * npts:
-                        row[3] += w
+    weights = {tau: _class_weights(table, range(len(table)), tau)
+               for tau in ([False, True] if include_tau else [False])}
     reports = []
-    for (ai, bid, tau) in sorted(rows, key=lambda key: (key[0], key[1], key[2])):
-        mfp, arg, checked, viol = rows[(ai, bid, tau)]
-        act = actions[ai]
-        bound = dict(bounds[ai])[bid]
-        ratio = Fraction(max(mfp, 0), len(act))
-        reports.append(
-            FprReport(act.spec, tau, bid, bound, arg, ratio, bound - ratio,
-                      checked, viol)
-        )
+    for act in actions:
+        npts = len(act)
+        kept = {}  # side -> (fixed points, smallest member, weight) per class
+        for tau in weights:
+            if tau and not _tau_acts(act.spec, n):
+                continue
+            counts = ((fixed_points(table.space, table.elements[i], act, tau=tau), i, w)
+                      for i, w in weights[tau])
+            kept[tau] = [row for row in counts if row[0] != npts]
+        for bid, bound in sorted(_fpr_bounds(n, q, act.spec)):
+            for tau, rows in kept.items():
+                # classes come by smallest member, and max keeps the first
+                fp, arg, _ = max(rows, key=lambda row: row[0], default=(0, -1, 0))
+                ratio = Fraction(fp, npts)
+                viol = sum(w for f, _, w in rows
+                           if f * bound.denominator >= bound.numerator * npts)
+                reports.append(
+                    FprReport(act.spec, tau, bid, bound, arg, ratio, bound - ratio,
+                              sum(w for *_, w in rows), viol)
+                )
     return reports
 
 
