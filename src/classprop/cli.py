@@ -55,6 +55,7 @@ from .matgroup import (
     ResourceCapExceeded,
     DEFAULT_GROUP_CAP,
     build_group,
+    enumerate_action,
     membership_sets,
 )
 from .series import gl_no_small_factor_series, sl_coset_series
@@ -379,12 +380,12 @@ def _suite_expectation(cfg):
     members = membership_sets(table, t, cfg.coset)
     if not members:
         raise ValueError("the sieved subset is empty at these parameters")
-    spec = ActionSpec("subspace", k)
-    mf = fixed_sets(table, members, spec)
+    act = enumerate_action(table, ActionSpec("subspace", k))
+    mf = fixed_sets(table, members, act)
     failures = []
     worst = None
     for x in range(len(table.elements)):
-        rec = expectation_inequality(table, x, members, spec, member_fixed=mf)
+        rec = expectation_inequality(table, x, members, act, member_fixed=mf)
         slack = rec["rhs"] - rec["lhs"]
         if worst is None or slack < worst:
             worst = slack

@@ -27,6 +27,7 @@ from math import exp as _fexp, factorial
 from .gf import _check_int, count_irreducibles
 
 DEFAULT_TOL = Fraction(1, 10**9)
+_EXP_TERMS = 48  # Taylor terms in every exp enclosure
 
 FAMILY_TAGS = ("GL", "SU", "Sp_odd", "Sp_even", "O_half")
 
@@ -163,34 +164,34 @@ def log1p_enclosure(y, budget):
             return Enclosure(s - rem, s + rem)
 
 
-def _exp_lower(x, terms):
+def _exp_lower(x):
     if x < 0:
-        return 1 / _exp_upper(-x, terms)
+        return 1 / _exp_upper(-x)
     s = Fraction(0)
     term = Fraction(1)
-    for k in range(terms + 1):
+    for k in range(_EXP_TERMS + 1):
         s += term
         term = term * x / (k + 1)
     return s
 
 
-def _exp_upper(x, terms):
+def _exp_upper(x):
     if x < 0:
-        return 1 / _exp_lower(-x, terms)
-    if x >= terms + 2:
+        return 1 / _exp_lower(-x)
+    if x >= _EXP_TERMS + 2:
         raise ValueError("too few Taylor terms for this argument")
-    s = _exp_lower(x, terms)  # the Taylor partial sum, as x >= 0
+    s = _exp_lower(x)  # the Taylor partial sum, as x >= 0
     # remaining terms are dominated by a geometric series with ratio x/(terms+2)
-    rem = x ** (terms + 1) / factorial(terms + 1)
-    rem = rem * (terms + 2) / (terms + 2 - x)
+    rem = x ** (_EXP_TERMS + 1) / factorial(_EXP_TERMS + 1)
+    rem = rem * (_EXP_TERMS + 2) / (_EXP_TERMS + 2 - x)
     return s + rem
 
 
-def exp_enclosure(z, terms=48):
+def exp_enclosure(z):
     """Interval containing {e^x : x in z} for an Enclosure (or rational) z."""
     if not isinstance(z, Enclosure):
         z = Enclosure(Fraction(z), Fraction(z))
-    return Enclosure(_exp_lower(z.lo, terms), _exp_upper(z.hi, terms))
+    return Enclosure(_exp_lower(z.lo), _exp_upper(z.hi))
 
 
 def atom_log_enclosure(atom: ProductAtom, q, budget):

@@ -39,7 +39,7 @@ DEFAULT_ACTION_CAP = 2_000_000
 _PRODUCT_CHUNK = 256
 
 CACHE_ENV = "CLASSPROP_CACHE"
-_CACHE_LAYOUT = "matgroup-cache-2"
+_CACHE_LAYOUT = "matgroup-cache-3"
 
 
 class ResourceCapExceeded(Exception):
@@ -151,18 +151,6 @@ class MatSpace:
         """Transpose with entries raised to the q0-th power."""
         n, F = self.n, self.F
         return tuple(F.pow(a[j * n + i], q0) for i in range(n) for j in range(n))
-
-    def pow(self, a, k):
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        result = self.identity
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
 
     def _elim(self, rows, ncols, *, reduced=True):
         """In-place row echelon over the first ncols columns; returns pivots."""
@@ -928,6 +916,21 @@ def _cache_path(family, n, q):
     return os.path.join(root, f"{_CACHE_LAYOUT}-{safe}{n}q{q}.pkl")
 
 
+def _read_cache(path, target):
+    """The payload stored at path, or None when the file is missing, pickle
+    rejects it, or it is not a dict of the current layout holding target
+    elements; build_group then rebuilds the table and overwrites the file."""
+    try:
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+    except Exception:  # OSError, or garbage failing to unpickle in any way
+        return None
+    if (isinstance(payload, dict) and payload.get("layout") == _CACHE_LAYOUT
+            and len(payload.get("elements", ())) == target):
+        return payload
+    return None
+
+
 def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     """Enumerate a classical group, validated against its order formula.
 
@@ -953,16 +956,14 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         return _TABLE_MEMO[memo_key]
 
     path = _cache_path(ambient, n, q)
-    if path and os.path.exists(path):
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        if payload.get("layout") == _CACHE_LAYOUT and payload["order"] == target:
-            table = GroupTable(ambient, n, q, payload["elements"],
-                               payload["labels"], payload["gens"])
-            if sub_select:
-                table = _subtable(table, family)
-            _TABLE_MEMO[memo_key] = table
-            return table
+    payload = _read_cache(path, target) if path else None
+    if payload:
+        table = GroupTable(ambient, n, q, payload["elements"],
+                           payload["labels"], payload["gens"])
+        if sub_select:
+            table = _subtable(table, family)
+        _TABLE_MEMO[memo_key] = table
+        return table
 
     form = standard_form(ambient, n, q)
     space = MatSpace(n, q * q if ambient in ("GU", "SU") else q)
@@ -1003,7 +1004,6 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     if path:
         payload = {
             "layout": _CACHE_LAYOUT,
-            "order": target,
             "elements": table.elements,
             "labels": table.labels,
             "gens": table.gens,

@@ -365,11 +365,15 @@ def test_runtime_counts_never_enumerate():
     for name in ("charpoly_minors", "kernel_basis", "add"):
         assert not hasattr(matgroup.MatSpace, name), name
     # one construction route per table: no second Z_p arithmetic in gf, no
-    # second GroupTable assembly in matgroup
+    # second GroupTable assembly in matgroup; the fpr check reads acting
+    # trivially off the fixed-point count; no dead MatSpace.pow and no
+    # Taylor-term knob on exp_enclosure
     for mod, name in [(gf, "_zp_mod"), (gf, "_zp_irreducible"),
                       (matgroup, "_table_from_payload"), (gf.Field, "_vec_add"),
-                      (gf.Field, "_vec_neg")]:
+                      (gf.Field, "_vec_neg"), (stats, "_trivial_indices"),
+                      (matgroup.MatSpace, "pow")]:
         assert not hasattr(mod, name), name
+    assert list(inspect.signature(limits.exp_enclosure).parameters) == ["z"]
     assert "label_kind" not in {f.name for f in dataclasses.fields(matgroup.GroupTable)}
     assert list(inspect.signature(gf.Field).parameters) == ["q"]
     assert list(inspect.signature(matgroup.GroupTable).parameters) == [

@@ -1,5 +1,6 @@
 """Tests for matrix spaces, group enumeration, actions, and element subsets."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -313,6 +314,34 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
             assert getattr(t2, name) == getattr(t1, name), (key, name)
         assert t2.space is t1.space
     assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == files
+
+
+def test_cache_unreadable_file_is_rebuilt(tmp_path, monkeypatch):
+    # a file pickle rejects is a miss: the table is rebuilt and the file
+    # overwritten, so a later load through a fresh memo writes nothing
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q2.pkl"
+    path.write_text("garbage")
+    assert build_group("GL", 2, 2).order() == 6
+    files = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
+    assert list(files) == [path.name]
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    assert build_group("GL", 2, 2).order() == 6
+    assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == files
+
+
+def test_cache_short_payload_is_rebuilt(tmp_path, monkeypatch):
+    # a payload of the current layout whose elements fall short of the
+    # order formula is a miss, not a one-element GL2(2)
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q2.pkl"
+    ident = MatSpace(2, 2).identity
+    payload = {"layout": matgroup._CACHE_LAYOUT, "order": 6,
+               "elements": (ident,), "labels": (0,), "gens": ()}
+    path.write_bytes(pickle.dumps(payload))
+    assert build_group("GL", 2, 2).order() == 6
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +660,7 @@ def test_membership_gl22_order_three_elements():
     assert len(m) == 2
     for i in m:
         g = tb.elements[i]
-        assert tb.space.pow(g, 3) == tb.space.identity
+        assert tb.space.mul(g, tb.space.mul(g, g)) == tb.space.identity
 
 
 def test_membership_t_at_least_n_is_empty():
