@@ -181,7 +181,7 @@ def _exp_upper(x):
     if x >= _EXP_TERMS + 2:
         raise ValueError("too few Taylor terms for this argument")
     s = _exp_lower(x)  # the Taylor partial sum, as x >= 0
-    # remaining terms are dominated by a geometric series with ratio x/(terms+2)
+    # remaining terms are dominated by a geometric series with ratio x/(_EXP_TERMS+2)
     rem = x ** (_EXP_TERMS + 1) / factorial(_EXP_TERMS + 1)
     rem = rem * (_EXP_TERMS + 2) / (_EXP_TERMS + 2 - x)
     return s + rem

@@ -307,8 +307,8 @@ def _orbit_fixed_sums(table, members, act):
     fixed_point_indices call per class that _class_weights returns: the
     group permutes each orbit, so a per-orbit count is a class function."""
     weights = _class_weights(table, members)
-    orbit_of = [0] * len(act)
     orbs = orbits(table, act)
+    orbit_of = [0] * len(act)
     for oi, orb in enumerate(orbs):
         for p in orb:
             orbit_of[p] = oi
@@ -417,20 +417,17 @@ def fpr_bound_check(table, kmax=None, include_tau=None):
     """Check every nontrivial element against the subspace-action fpr bounds.
 
     Actions are the k-subspace, k-flag, and k-antiflag actions for k up to
-    n/2.  The inverse-transpose coset is included for GL on the actions it
+    n/2; for GL the inverse-transpose coset is included on the actions it
     permutes.  An element acting trivially, that is fixing every point, is
-    left out on each action: its fixed-point count is the number of points.
-    For k < n only the scalars fix every k-subspace, and every flag and
-    antiflag contains one, so on the plain side these are the scalars.  On
-    the tau side with n = 2, g tau maps <v> to g perp<v> = <g J v> with
-    J = [[0, -1], [1, 0]], so it fixes every line exactly when g J^-1 is
-    scalar; for n >= 3 no g tau acts trivially.  The check is exhaustive
-    over elements, but a fixed-point count is a class function, so it is
-    evaluated once per conjugacy class (per twisted class g ~ s g s^T on the
-    tau side) and weighted by the class size.  Returns one summary report
-    per (action, bound, coset side) carrying the extremal element (the
-    smallest index attaining the maximum) and the violation count, which
-    must be zero.
+    left out.  For k < n only the scalars fix every k-subspace, and flags
+    and antiflags contain such subspaces; on the n = 2 tau side g tau maps
+    <v> to g perp<v> = <g J v> with J = [[0, -1], [1, 0]], so it fixes
+    every line exactly when g J^-1 is scalar.  A fixed-point count is a
+    class function, so it is evaluated once per conjugacy class (per
+    twisted class g ~ s g s^T on the tau side) and weighted by the class
+    size.  Returns one summary report per (action, bound, coset side)
+    carrying the extremal element (the smallest index attaining the
+    maximum) and the violation count, which must be zero.
     """
     if table.family not in ("GL", "SL"):
         raise ValueError("the fpr bounds are stated for linear groups")
