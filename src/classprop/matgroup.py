@@ -120,6 +120,52 @@ class MatSpace:
                 acc = mac[acc]
             yield from map(tuple, acc.reshape(-1, n * n).tolist())
 
+    def charpolys(self, mats):
+        """Monic characteristic polynomial of each matrix of the iterable
+        mats, constant term first, in order.
+
+        Berkowitz's division-free recursion (Inf. Process. Lett. 18, 1984),
+        batched over slices of _PRODUCT_CHUNK matrices.  Writing a trailing
+        principal submatrix as [[a, R], [C, M]], its polynomial (leading
+        coefficient first) is the lower-triangular Toeplitz matrix with
+        first column (1, -a, -R C, -R M C, ..., -R M^(m-1) C) times that of
+        M, where m is the size of M.  Only additions and multiplications
+        occur, so every field takes the same path.
+        """
+        n, q, qq = self.n, self.q, self.q * self.q
+        mul, mac = _product_tables(self.F)
+        negq = np.array(self.F.neg_t, dtype=np.intp) * q
+        it = iter(mats)
+        while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
+            A = np.array(part, dtype=np.intp).reshape(-1, n, n)
+            Aq = A * q
+            b = len(part)
+            poly = np.ones((b, 1), dtype=np.intp)
+            for k in range(n - 1, -1, -1):
+                m = n - 1 - k
+                # q times the column, as the mac index wants its middle factor
+                colq = np.empty((b, m + 2), dtype=np.intp)
+                colq[:, 0] = q
+                colq[:, 1] = negq[A[:, k, k]]
+                # rows R and M over the columns of M: one product with v = M^j C
+                # gives both R M^j C and M^(j+1) C
+                RMq, v = Aq[:, k:, k + 1 :], A[:, k + 1 :, k]
+                for j in range(m):
+                    w = mul[RMq[:, :, 0] + v[:, None, 0]]
+                    for i in range(1, m):
+                        w = mac[w * qq + RMq[:, :, i] + v[:, None, i]]
+                    colq[:, j + 2] = negq[w[:, 0]]
+                    v = w[:, 1:]
+                # out[i] = sum over j of col[j] * poly[i - j]
+                out = np.zeros((b, m + 2), dtype=np.intp)
+                for j in range(m + 2):
+                    hi = min(m + 1, j + m) + 1
+                    out[:, j:hi] = mac[
+                        out[:, j:hi] * qq + colq[:, j, None] + poly[:, : hi - j]
+                    ]
+                poly = out
+            yield from map(tuple, poly[:, ::-1].tolist())
+
     def mat_vec(self, a, v):
         n, F = self.n, self.F
         add_t, mul_t = F.add_t, F.mul_t

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from classprop.cyclo import CycRing
-from classprop.gf import Field, pdeg, pmod, pmonic, pnorm, residue_class_counts
+from classprop.gf import Field, pdeg, pmod, pmonic, pmul, pnorm, residue_class_counts
 from classprop.matgroup import (
     _PRODUCT_CHUNK,
     ActionTable,
@@ -261,6 +261,57 @@ def unitary_residue_product_series(q0, a, order):
 
 # ---------------------------------------------------------------------------
 # Matrices and element subsets.
+
+def charpoly_hessenberg(space, a):
+    """Monic characteristic polynomial, constant term first (oracle).
+
+    Similarity reduction to upper Hessenberg form (each row operation is
+    balanced by the inverse column operation), then the leading-minor
+    recurrence on the Hessenberg matrix.
+    """
+    n, F = space.n, space.F
+    H = space.rows(a)
+    for c in range(n - 2):
+        pr = None
+        for i in range(c + 1, n):
+            if H[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        if pr != c + 1:
+            H[c + 1], H[pr] = H[pr], H[c + 1]
+            for row in H:
+                row[c + 1], row[pr] = row[pr], row[c + 1]
+        inv = F.inv_t[H[c + 1][c]]
+        for i in range(c + 2, n):
+            if H[i][c]:
+                f = F.mul(H[i][c], inv)
+                mf = F.mul_t[f]
+                neg, add = F.neg_t, F.add_t
+                H[i] = [add[x][neg[mf[y]]] for x, y in zip(H[i], H[c + 1])]
+                for row in H:
+                    row[c + 1] = add[row[c + 1]][mf[row[i]]]
+    polys = [(1,)]
+    for k in range(1, n + 1):
+        zpoly = (F.neg_t[H[k - 1][k - 1]], 1)
+        p = list(pmul(F, zpoly, polys[k - 1]))
+        coef = 1
+        for m in range(1, k):
+            coef = F.mul(coef, H[k - m][k - m - 1])
+            if coef == 0:
+                break
+            term = F.mul(coef, H[k - 1 - m][k - 1])
+            if term:
+                neg_term = F.neg_t[term]
+                for i, x in enumerate(polys[k - 1 - m]):
+                    p[i] = F.add(p[i], F.mul(neg_term, x))
+        polys.append(tuple(p))
+    out = polys[n]
+    if len(out) < n + 1:
+        out = out + (0,) * (n + 1 - len(out))
+    return out
+
 
 def charpoly_minors(space, a):
     """Characteristic polynomial via sums of principal minors (oracle)."""

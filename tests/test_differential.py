@@ -1,7 +1,8 @@
 """Differential tests: the one group closure and the shared helpers against
 standalone reference copies of the separate implementations they replaced,
 on every input from small groups; the batched products against one ``mul``
-call per product; the per-class fixed-point evaluations against per-element
+call per product; the batched characteristic polynomials against the
+per-matrix Hessenberg reduction; the per-class fixed-point evaluations against per-element
 scans; the membership predicates and the point-permutation fixed points
 against copies of the per-family loops and per-case branches they replaced;
 the action orbits and (twisted) classes against the depth-first search and
@@ -49,6 +50,7 @@ from classprop.stats import (
     subset_expectation,
 )
 from oracles import (
+    charpoly_hessenberg,
     class_fixed,
     class_images,
     dfs_orbits,
@@ -58,6 +60,7 @@ from oracles import (
     relation_classes_loop,
     restrict,
 )
+from test_table_digests import TABLE_DIGESTS
 
 
 def _ref_closure(identity, mul, gens, stop_over=None):
@@ -120,6 +123,47 @@ def test_permutation_products_match_mul(chunk, monkeypatch):
     got = list(g11.products(frontier, gens))
     assert got == [_perm_mul(g, h) for g in frontier for h in gens]
     assert all(type(x) is int for p in got for x in p)
+
+
+# ---------------------------------------------------------------------------
+# Characteristic polynomials: the batched Berkowitz kernel against the
+# per-matrix Hessenberg reduction.
+
+@pytest.mark.parametrize("key", sorted(TABLE_DIGESTS), ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_charpolys_match_hessenberg_on_frozen_tables(key):
+    table = build_group(*key)
+    sp = table.space
+    want = [charpoly_hessenberg(sp, g) for g in table.elements]
+    assert list(sp.charpolys(table.elements)) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_charpolys_match_hessenberg_on_random_matrices(n, q):
+    rng = random.Random(1000 * n + q)
+    sp = MatSpace(n, q)
+    mats = [tuple(rng.randrange(q) for _ in range(n * n)) for _ in range(40)]
+    # singular on purpose: zero, rank one, a repeated row, and sparse
+    row = [rng.randrange(q) for _ in range(n)]
+    mats += [(0,) * (n * n), tuple(x if i == 0 else 0 for i in range(n) for x in row),
+             tuple(row * n)]
+    mats += [tuple(rng.randrange(q) if rng.random() < 0.2 else 0 for _ in range(n * n))
+             for _ in range(20)]
+    got = list(sp.charpolys(mats))
+    assert got == [charpoly_hessenberg(sp, g) for g in mats]
+    assert all(type(c) is int for f in got for c in f)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_charpolys_stream_across_chunk_edges(extra):
+    length = matgroup._PRODUCT_CHUNK + extra
+    rng = random.Random(length)
+    sp = MatSpace(4, 9)
+    mats = [tuple(rng.randrange(9) for _ in range(16)) for _ in range(length)]
+    want = [charpoly_hessenberg(sp, g) for g in mats]
+    assert list(sp.charpolys(mats)) == want
+    assert list(sp.charpolys(g for g in mats)) == want
+    assert list(sp.charpolys(mats[:0])) == []
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
