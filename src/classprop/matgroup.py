@@ -29,7 +29,6 @@ from .gf import (
     _check_int,
     has_small_degree_factor,
     pdivmod,
-    pmul,
 )
 
 DEFAULT_GROUP_CAP = 20_000_000
@@ -290,56 +289,6 @@ class MatSpace:
                 v[pc] = F.neg_t[rows[r][fc]]
             basis.append(tuple(v))
         return basis
-
-    def charpoly(self, a):
-        """Monic characteristic polynomial, constant term first.
-
-        Similarity reduction to upper Hessenberg form (each row operation is
-        balanced by the inverse column operation), then the leading-minor
-        recurrence on the Hessenberg matrix.
-        """
-        n, F = self.n, self.F
-        H = self.rows(a)
-        for c in range(n - 2):
-            pr = None
-            for i in range(c + 1, n):
-                if H[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != c + 1:
-                H[c + 1], H[pr] = H[pr], H[c + 1]
-                for row in H:
-                    row[c + 1], row[pr] = row[pr], row[c + 1]
-            inv = F.inv_t[H[c + 1][c]]
-            for i in range(c + 2, n):
-                if H[i][c]:
-                    f = F.mul(H[i][c], inv)
-                    mf = F.mul_t[f]
-                    neg, add = F.neg_t, F.add_t
-                    H[i] = [add[x][neg[mf[y]]] for x, y in zip(H[i], H[c + 1])]
-                    for row in H:
-                        row[c + 1] = add[row[c + 1]][mf[row[i]]]
-        polys = [(1,)]
-        for k in range(1, n + 1):
-            zpoly = (F.neg_t[H[k - 1][k - 1]], 1)
-            p = list(pmul(F, zpoly, polys[k - 1]))
-            coef = 1
-            for m in range(1, k):
-                coef = F.mul(coef, H[k - m][k - m - 1])
-                if coef == 0:
-                    break
-                term = F.mul(coef, H[k - 1 - m][k - 1])
-                if term:
-                    neg_term = F.neg_t[term]
-                    for i, x in enumerate(polys[k - 1 - m]):
-                        p[i] = F.add(p[i], F.mul(neg_term, x))
-            polys.append(tuple(p))
-        out = polys[n]
-        if len(out) < n + 1:
-            out = out + (0,) * (n + 1 - len(out))
-        return out
 
     def vec_code(self, v):
         code = 0
@@ -1433,11 +1382,6 @@ def _form_translation(space, g, action):
 # ---------------------------------------------------------------------------
 # Element subsets defined by small invariant subspaces.
 
-def sieve_free(space, g, t):
-    """True when charpoly(g) has no irreducible factor of degree <= t."""
-    return not has_small_degree_factor(space.F, space.charpoly(g), t)
-
-
 def _cofactor_free(F, f, roots, t):
     """True when f = (z - r_1) ... (z - r_k) h over the listed roots r_i,
     no listed root divides h, and h has no irreducible factor of degree
@@ -1454,63 +1398,75 @@ def _cofactor_free(F, f, roots, t):
 
 
 def member_test(family, space, t, coset=None):
-    """Membership predicate on one element g of a family's coset.
+    """Membership predicate on the characteristic polynomial f of one
+    element g of a family's coset (``MatSpace.charpolys`` computes f).
 
-    Every predicate is a factor condition on a characteristic polynomial.
-    coset: None or an integer label asks that charpoly(g) have no
-    irreducible factor of degree <= t (the predicate does not look at the
-    label); "tau" is the inverse-transpose coset of GL, where g stands for
-    g tau (see ``tau_sieve_free``); "S" / "O" are the orthogonal variants.
-    The generalised eigenspaces of an isometry for lambda and mu are
-    orthogonal unless lambda mu = 1, so an eigenvalue +-1 of multiplicity
-    one spans a nondegenerate line whose perp carries the cofactor h:
+    Every predicate is a factor condition on f.  coset: None or an integer
+    label asks that f have no irreducible factor of degree <= t (the
+    predicate does not look at the label); "tau" is the inverse-transpose
+    coset of GL, where f is the polynomial of x = g g^-T, the square of
+    g tau: f has no factor of degree <= t (n even), or f = (z - 1) h with h
+    free of z - 1 and of every factor of degree <= t (n odd), so x fixes a
+    unique line and no other subspace of dimension <= t.  "S" / "O" are the
+    orthogonal variants.  The generalised eigenspaces of an isometry for
+    lambda and mu are orthogonal unless lambda mu = 1, so an eigenvalue +-1
+    of multiplicity one spans a nondegenerate line whose perp carries the
+    cofactor h:
     - n even, S: no factor of degree <= t (no small invariant subspace);
     - n even, O: (z - 1)(z + 1) h, a reflection on a nondegenerate 2-space
       and h sieve-free on its perp; in characteristic 2 this reads
-      (z - 1)^2 h, and Dickson label 1 rules out g = 1 on ker (g - 1)^2;
+      (z - 1)^2 h, and Dickson label 1 rules out g = 1 on ker (g - 1)^2.
+      That label is not a property of f: ``membership_sets`` scans only
+      the elements whose table label (the Dickson label, for even q) is 1;
     - n odd (odd q): (z - 1) h for S and (z + 1) h for O, with h free of
       that root and sieve-free.
     Bad combinations raise ValueError.
     """
     _check_int("t", t, 1)
+    F = space.F
     if coset == "tau":
         if family != "GL":
             raise ValueError("the inverse-transpose coset lives over GL")
-        return lambda g: tau_sieve_free(space, g, t)
+        roots = (1,) if space.n % 2 else ()
+        return lambda f: _cofactor_free(F, f, roots, t)
     if family in ("GL", "SL", "Sp", "GU", "SU"):
         if coset in ("S", "O"):
             raise ValueError("S/O sets are for orthogonal families")
-        return lambda g: sieve_free(space, g, t)
+        return lambda f: not has_small_degree_factor(F, f, t)
     if not family.startswith(("O", "SO", "Omega")):
         raise ValueError(f"no membership sets for family {family!r}")
     if coset not in ("S", "O"):
         raise ValueError("orthogonal membership needs coset 'S' or 'O'")
-    F = space.F
     minus = F.neg_t[1]
     if space.n % 2 == 0:
         if coset == "S":
-            return lambda g: sieve_free(space, g, t)
-        if space.q % 2:
-            return lambda g: _cofactor_free(F, space.charpoly(g), (1, minus), t)
-        return lambda g: (
-            _cofactor_free(F, space.charpoly(g), (1, 1), t)
-            and _dickson_label(space, g) == 1
-        )
-    if space.q % 2 == 0:
+            return lambda f: not has_small_degree_factor(F, f, t)
+        roots = (1, minus)  # (1, 1) in characteristic 2
+    elif space.q % 2 == 0:
         raise ValueError("odd-dimensional sets need odd q")
-    root = 1 if coset == "S" else minus
-    return lambda g: _cofactor_free(F, space.charpoly(g), (root,), t)
+    else:
+        roots = (1,) if coset == "S" else (minus,)
+    return lambda f: _cofactor_free(F, f, roots, t)
 
 
-def _scan(table, test, label=None):
-    """Indices of the table elements, with that label when one is given,
-    that pass test."""
-    labels = table.labels
-    return [
-        i
-        for i, g in enumerate(table.elements)
-        if (label is None or labels[i] == label) and test(g)
-    ]
+def _scan(table, test, label=None, tau=False):
+    """Indices of the table elements g, with that label when one is given,
+    whose characteristic polynomial passes test; with tau, the polynomial
+    of g g^-T.  The elements stream through ``MatSpace.charpolys``."""
+    sp = table.space
+    indices, mats = itertools.count(), table.elements
+    if label is not None:
+        indices = itertools.compress(indices, (l == label for l in table.labels))
+        mats = itertools.compress(mats, (l == label for l in table.labels))
+    if tau:
+        mats = _tau_squares(sp, mats)
+    return [i for i, f in zip(indices, sp.charpolys(mats)) if test(f)]
+
+
+def _tau_squares(space, mats):
+    """g g^-T for each g of mats: the square of the coset element g tau."""
+    for g in mats:
+        yield space.mul(g, space.transpose(space.inv(g)))
 
 
 def membership_sets(table: GroupTable, t, coset=None):
@@ -1526,29 +1482,20 @@ def membership_sets(table: GroupTable, t, coset=None):
             "membership_sets does not scan the tau coset; use tau_membership"
         )
     test = member_test(table.family, table.space, t, coset)
-    label = None if coset in (None, "S", "O") else coset
-    if label is not None and not table.coset_size(label):
-        raise ValueError(f"empty coset label {label!r}")
+    if coset in ("S", "O"):
+        # the even-q O set asks for Dickson label 1, the table's label there
+        label = 1 if coset == "O" and table.q % 2 == 0 else None
+    else:
+        label = coset
+        if label is not None and not table.coset_size(label):
+            raise ValueError(f"empty coset label {label!r}")
     return _scan(table, test, label)
-
-
-def tau_sieve_free(space, g, t):
-    """Membership test for the single coset element g tau.
-
-    The square of g tau acts as x = g g^-T.  Membership asks that charpoly(x)
-    have no irreducible factor of degree <= t (n even), or that it be
-    (z - 1) h with h free of z - 1 and of every factor of degree <= t (n odd):
-    x then fixes a unique line and no other subspace of dimension <= t.
-    """
-    x = space.mul(g, space.transpose(space.inv(g)))
-    roots = (1,) if space.n % 2 else ()
-    return _cofactor_free(space.F, space.charpoly(x), roots, t)
 
 
 def tau_membership(table: GroupTable, t):
     """Indices g of a GL table whose coset element g tau avoids small
     subspaces (see ``member_test``)."""
-    return _scan(table, member_test(table.family, table.space, t, "tau"))
+    return _scan(table, member_test(table.family, table.space, t, "tau"), tau=True)
 
 
 def point_permutation(space, g, action: ActionTable, tau=False):

@@ -24,6 +24,7 @@ from .matgroup import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     MatSpace,
+    _tau_squares,
     bfs_closure,
     build_group,
     enumerate_action,
@@ -77,10 +78,6 @@ class ProportionReport:
     def __post_init__(self):
         if isinstance(self.value, Fraction) and not 0 <= self.value <= 1:
             raise ValueError("exact proportion out of [0, 1]")
-
-    @property
-    def ci(self):
-        return (self.ci_low, self.ci_high)
 
 
 def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None,
@@ -141,13 +138,18 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
 
 def _mc_scan(n, q, t, coset, trials, seed):
     """Hits among uniform draws from GL (tau: the g of g tau) or one
-    determinant coset."""
+    determinant coset; the draws stream through ``MatSpace.charpolys`` in
+    draw order."""
     rng = random.Random(seed)
     space = MatSpace(n, q)
     test = member_test("GL", space, t, coset)
     if coset in (None, "tau"):
-        return sum(test(random_gl(n, q, rng)) for _ in range(trials))
-    return sum(test(random_coset_gl(n, q, coset, rng)) for _ in range(trials))
+        draws = (random_gl(n, q, rng) for _ in range(trials))
+    else:
+        draws = (random_coset_gl(n, q, coset, rng) for _ in range(trials))
+    if coset == "tau":
+        draws = _tau_squares(space, draws)
+    return sum(map(test, space.charpolys(draws)))
 
 
 def _bitslice(rows):
@@ -674,17 +676,6 @@ def psl2(p):
     group = PermGroup(p + 1, [shift, tuple(flip)], name=f"PSL(2,{p})")
     if group.order() != p * (p * p - 1) // 2:
         raise AssertionError("projective line closure has the wrong order")
-    return group
-
-
-def permutation_group(table, action):
-    """Faithful permutation copy of an enumerated matrix group action."""
-    act = _as_action(table, action)
-    gens = [tuple(point_permutation(table.space, g, act)) for g in table.gens]
-    name = f"{table.family}_{table.n}({table.q})"
-    group = PermGroup(len(act), gens, name=name)
-    if group.order() != table.order():
-        raise ValueError("the action is not faithful")
     return group
 
 

@@ -4,12 +4,14 @@ Each function here recomputes, by enumeration or by a slower direct
 formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
-(Hessenberg reduction), the no-small-invariant-subspace sets (the
-characteristic-polynomial sieve), the kernels, perps and restrictions of
-the orthogonal sets (factor conditions on the characteristic polynomial),
-GF(2) invertibility (the bit-sliced kernel), fixed subspaces (the point
-permutation), and action orbits and (twisted) conjugacy classes (one
-union-find over index maps).
+(Hessenberg reduction and minor sums, against the batched Berkowitz
+kernel), the per-element sieve and tau tests and the no-small-invariant-
+subspace sets (the scans over batched characteristic polynomials), the
+kernels, perps and restrictions of the orthogonal sets (factor conditions
+on the characteristic polynomial), GF(2) invertibility (the bit-sliced
+kernel), fixed subspaces (the point permutation), and action orbits and
+(twisted) conjugacy classes (one union-find over index maps).  The
+permutation copy of a matrix action is here too; only tests use it.
 """
 
 import itertools
@@ -18,11 +20,21 @@ from fractions import Fraction
 import numpy as np
 
 from classprop.cyclo import CycRing
-from classprop.gf import Field, pdeg, pmod, pmonic, pmul, pnorm, residue_class_counts
+from classprop.gf import (
+    Field,
+    has_small_degree_factor,
+    pdeg,
+    pmod,
+    pmonic,
+    pmul,
+    pnorm,
+    residue_class_counts,
+)
 from classprop.matgroup import (
     _PRODUCT_CHUNK,
     ActionTable,
     MatSpace,
+    _cofactor_free,
     _cols_to_mat,
     all_subspaces,
     enumerate_action,
@@ -33,6 +45,7 @@ from classprop.matgroup import (
     subspace_vectors,
 )
 from classprop.series import Series
+from classprop.stats import PermGroup
 
 # Largest number of candidate polynomials count_enumerated will sieve.
 DEFAULT_ENUM_CAP = 30_000
@@ -327,6 +340,25 @@ def charpoly_minors(space, a):
     return tuple(coeffs)
 
 
+def sieve_free(space, g, t):
+    """True when the characteristic polynomial of g has no irreducible
+    factor of degree <= t (one element at a time)."""
+    return not has_small_degree_factor(space.F, charpoly_hessenberg(space, g), t)
+
+
+def tau_sieve_free(space, g, t):
+    """Membership test for the single coset element g tau.
+
+    The square of g tau acts as x = g g^-T.  Membership asks that charpoly(x)
+    have no irreducible factor of degree <= t (n even), or that it be
+    (z - 1) h with h free of z - 1 and of every factor of degree <= t (n odd):
+    x then fixes a unique line and no other subspace of dimension <= t.
+    """
+    x = space.mul(g, space.transpose(space.inv(g)))
+    roots = (1,) if space.n % 2 else ()
+    return _cofactor_free(space.F, charpoly_hessenberg(space, x), roots, t)
+
+
 def fixes_some_small_subspace(space, g, t):
     """Direct scan over all subspaces of dimension <= t (duality oracle)."""
     lut = space.all_vector_images(g)
@@ -480,6 +512,17 @@ def dfs_orbits(table, action):
                     stack.append(pi)
         out.append(sorted(orb))
     return out
+
+
+def permutation_group(table, action):
+    """Faithful permutation copy of an enumerated matrix group action."""
+    act = action if isinstance(action, ActionTable) else enumerate_action(table, action)
+    gens = [tuple(point_permutation(table.space, g, act)) for g in table.gens]
+    name = f"{table.family}_{table.n}({table.q})"
+    group = PermGroup(len(act), gens, name=name)
+    if group.order() != table.order():
+        raise ValueError("the action is not faithful")
+    return group
 
 
 def relation_classes_loop(space, elements, index, pairs):

@@ -31,10 +31,8 @@ from classprop.matgroup import (
     perp_basis_dot,
     point_permutation,
     rref_basis,
-    sieve_free,
     subspace_vectors,
     tau_membership,
-    tau_sieve_free,
 )
 from classprop.stats import (
     ExpectationReport,
@@ -59,6 +57,8 @@ from oracles import (
     perp_basis_form,
     relation_classes_loop,
     restrict,
+    sieve_free,
+    tau_sieve_free,
 )
 from test_table_digests import TABLE_DIGESTS
 

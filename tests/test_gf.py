@@ -352,6 +352,7 @@ ORACLE_NAMES = (
     "gf2_nonsingular_elimination", "dfs_orbits", "relation_classes_loop",
     "kernel_basis", "mat_add", "perp_basis_form", "restrict", "_restrict",
     "_reflection_complement_free", "_eigenline_complement_free",
+    "charpoly_hessenberg", "sieve_free", "tau_sieve_free", "permutation_group",
 )
 
 
@@ -362,16 +363,17 @@ def test_runtime_counts_never_enumerate():
 
     for mod in (classprop, gf, cyclo, series, limits, matgroup, stats, cli):
         assert not [name for name in ORACLE_NAMES if hasattr(mod, name)], mod
-    for name in ("charpoly_minors", "kernel_basis", "add"):
+    # one characteristic-polynomial route: the batched MatSpace.charpolys
+    for name in ("charpoly_minors", "kernel_basis", "add", "charpoly"):
         assert not hasattr(matgroup.MatSpace, name), name
     # one construction route per table: no second Z_p arithmetic in gf, no
     # second GroupTable assembly in matgroup; the fpr check reads acting
-    # trivially off the fixed-point count; no dead MatSpace.pow and no
-    # Taylor-term knob on exp_enclosure
+    # trivially off the fixed-point count; no dead MatSpace.pow or
+    # ProportionReport.ci and no Taylor-term knob on exp_enclosure
     for mod, name in [(gf, "_zp_mod"), (gf, "_zp_irreducible"),
                       (matgroup, "_table_from_payload"), (gf.Field, "_vec_add"),
                       (gf.Field, "_vec_neg"), (stats, "_trivial_indices"),
-                      (matgroup.MatSpace, "pow")]:
+                      (matgroup.MatSpace, "pow"), (stats.ProportionReport, "ci")]:
         assert not hasattr(mod, name), name
     assert list(inspect.signature(limits.exp_enclosure).parameters) == ["z"]
     assert "label_kind" not in {f.name for f in dataclasses.fields(matgroup.GroupTable)}

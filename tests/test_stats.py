@@ -30,7 +30,6 @@ from classprop.stats import (
     no_short_cycle_counts,
     orbits,
     orthogonal_reflection_identity_check,
-    permutation_group,
     proportion,
     psl2,
     subset_expectation,
@@ -41,7 +40,7 @@ from classprop.stats import (
     wilson_interval,
     _mc_gl2_t1,
 )
-from oracles import fixed_points_by_type, gf2_nonsingular_elimination
+from oracles import fixed_points_by_type, gf2_nonsingular_elimination, permutation_group
 
 
 # ---------------------------------------------------------------------------
