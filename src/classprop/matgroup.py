@@ -1424,24 +1424,21 @@ def member_test(family, space, t, coset=None):
     """
     _check_int("t", t, 1)
     F = space.F
+    minus = F.neg_t[1]
     if coset == "tau":
         if family != "GL":
             raise ValueError("the inverse-transpose coset lives over GL")
         roots = (1,) if space.n % 2 else ()
-        return lambda f: _cofactor_free(F, f, roots, t)
-    if family in ("GL", "SL", "Sp", "GU", "SU"):
+    elif family in ("GL", "SL", "Sp", "GU", "SU"):
         if coset in ("S", "O"):
             raise ValueError("S/O sets are for orthogonal families")
-        return lambda f: not has_small_degree_factor(F, f, t)
-    if not family.startswith(("O", "SO", "Omega")):
+        roots = ()
+    elif not family.startswith(("O", "SO", "Omega")):
         raise ValueError(f"no membership sets for family {family!r}")
-    if coset not in ("S", "O"):
+    elif coset not in ("S", "O"):
         raise ValueError("orthogonal membership needs coset 'S' or 'O'")
-    minus = F.neg_t[1]
-    if space.n % 2 == 0:
-        if coset == "S":
-            return lambda f: not has_small_degree_factor(F, f, t)
-        roots = (1, minus)  # (1, 1) in characteristic 2
+    elif space.n % 2 == 0:
+        roots = () if coset == "S" else (1, minus)  # (1, 1) in characteristic 2
     elif space.q % 2 == 0:
         raise ValueError("odd-dimensional sets need odd q")
     else:
