@@ -5,7 +5,8 @@ formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
 (Hessenberg reduction and minor sums, against the batched Berkowitz
-kernel), the per-element sieve and tau tests and the no-small-invariant-
+kernel), the tau squares g g^-T (one inverse per element, against the
+batched elimination), the per-element sieve and tau tests and the no-small-invariant-
 subspace sets (the scans over batched characteristic polynomials), the
 kernels, perps and restrictions of the orthogonal sets (factor conditions
 on the characteristic polynomial), GF(2) invertibility (the bit-sliced
@@ -346,6 +347,12 @@ def sieve_free(space, g, t):
     return not has_small_degree_factor(space.F, charpoly_hessenberg(space, g), t)
 
 
+def tau_square(space, g):
+    """x = g g^-T, the square of g tau, by one inverse, transpose and product
+    (against the batched elimination of ``matgroup._tau_squares``)."""
+    return space.mul(g, space.transpose(space.inv(g)))
+
+
 def tau_sieve_free(space, g, t):
     """Membership test for the single coset element g tau.
 
@@ -354,7 +361,7 @@ def tau_sieve_free(space, g, t):
     (z - 1) h with h free of z - 1 and of every factor of degree <= t (n odd):
     x then fixes a unique line and no other subspace of dimension <= t.
     """
-    x = space.mul(g, space.transpose(space.inv(g)))
+    x = tau_square(space, g)
     roots = (1,) if space.n % 2 else ()
     return _cofactor_free(space.F, charpoly_hessenberg(space, x), roots, t)
 

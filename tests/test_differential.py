@@ -2,7 +2,8 @@
 standalone reference copies of the separate implementations they replaced,
 on every input from small groups; the batched products against one ``mul``
 call per product; the batched characteristic polynomials against the
-per-matrix Hessenberg reduction; the per-class fixed-point evaluations against per-element
+per-matrix Hessenberg reduction; the batched tau squares against one
+inverse, transpose and product per element; the per-class fixed-point evaluations against per-element
 scans; the membership predicates and the point-permutation fixed points
 against copies of the per-family loops and per-case branches they replaced;
 the action orbits and (twisted) classes against the depth-first search and
@@ -21,6 +22,7 @@ from classprop.matgroup import (
     ResourceCapExceeded,
     _eval_quad,
     _form_translation,
+    _tau_squares,
     all_subspaces,
     bfs_closure,
     build_group,
@@ -30,6 +32,7 @@ from classprop.matgroup import (
     membership_sets,
     perp_basis_dot,
     point_permutation,
+    random_gl,
     rref_basis,
     subspace_vectors,
     tau_membership,
@@ -59,6 +62,7 @@ from oracles import (
     restrict,
     sieve_free,
     tau_sieve_free,
+    tau_square,
 )
 from test_table_digests import TABLE_DIGESTS
 
@@ -164,6 +168,51 @@ def test_charpolys_stream_across_chunk_edges(extra):
     assert list(sp.charpolys(mats)) == want
     assert list(sp.charpolys(g for g in mats)) == want
     assert list(sp.charpolys(mats[:0])) == []
+
+
+# ---------------------------------------------------------------------------
+# Tau squares: the batched elimination against one inverse, transpose and
+# product per element.
+
+def _monomial(space, shift, rng):
+    """The cyclic shift e_i -> e_(i + shift) with random nonzero entries;
+    with shift = +-1, elimination swaps rows at every step but the last."""
+    n, q = space.n, space.q
+    return tuple(rng.randrange(1, q) if j == (i + shift) % n else 0
+                 for i in range(n) for j in range(n))
+
+
+@pytest.mark.parametrize(
+    "key", sorted(k for k in TABLE_DIGESTS if k[0] == "GL"), ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_tau_squares_match_inverse_on_frozen_gl_tables(key):
+    table = build_group(*key)
+    sp = table.space
+    want = [tau_square(sp, g) for g in table.elements]
+    assert list(_tau_squares(sp, table.elements)) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_tau_squares_match_inverse_on_random_matrices(n, q):
+    rng = random.Random(1000 * n + q)
+    sp = MatSpace(n, q)
+    mats = [random_gl(n, q, rng) for _ in range(40)]
+    mats += [_monomial(sp, shift, rng) for shift in (1, -1, 0) for _ in range(3)]
+    got = list(_tau_squares(sp, mats))
+    assert got == [tau_square(sp, g) for g in mats]
+    assert all(type(x) is int for m in got for x in m)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_tau_squares_stream_across_chunk_edges(extra):
+    length = matgroup._PRODUCT_CHUNK + extra
+    rng = random.Random(length)
+    sp = MatSpace(4, 9)
+    mats = [random_gl(4, 9, rng) for _ in range(length)]
+    want = [tau_square(sp, g) for g in mats]
+    assert list(_tau_squares(sp, mats)) == want
+    assert list(_tau_squares(sp, (g for g in mats))) == want
+    assert list(_tau_squares(sp, mats[:0])) == []
 
 
 @pytest.mark.parametrize("chunk", [1, 3])

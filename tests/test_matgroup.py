@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from classprop import matgroup
-from classprop.gf import Field
+from classprop.gf import Field, has_small_degree_factor
 from classprop.matgroup import (
     ActionSpec,
     DEFAULT_GROUP_CAP,
@@ -827,6 +827,25 @@ def test_tau_membership_odd_n_fixes_unique_line():
         g = tb.elements[i]
         x = sp.mul(g, sp.transpose(sp.inv(g)))
         assert fixed_points(sp, x, act) == 1
+
+
+def test_scans_sieve_once_per_element(monkeypatch):
+    # perfbench/tests/test_checks.py::test_gl22_counters pins the traced
+    # gf.has_small_degree_factor calls on GL2(2) to 6, one per element.  The
+    # sieve memo sits below the public function, so the count holds.  Per-class
+    # evaluation (ROADMAP item 1) moves this test and that pin together.
+    calls = []
+
+    def counted(F, f, t):
+        calls.append(f)
+        return has_small_degree_factor(F, f, t)
+
+    monkeypatch.setattr(matgroup, "has_small_degree_factor", counted)
+    membership_sets(build_group("GL", 2, 2), 1)
+    assert len(calls) == 6
+    calls.clear()
+    tau_membership(build_group("GL", 4, 2), 1)
+    assert len(calls) == 20_160
 
 
 # ---------------------------------------------------------------------------
