@@ -12,6 +12,7 @@ helpers take the field as first argument.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import gcd
 
@@ -307,12 +308,22 @@ def ppowmod(F, base, k, mod):
 def has_small_degree_factor(F, f, t):
     """Whether f has an irreducible factor of degree <= t.
 
-    Runs a distinct-degree sieve: gcd(f, z^(q^d) - z) is nontrivial exactly
-    when f has a factor of degree dividing d, so scanning d = 1..t detects
-    precisely the factors of degree <= t.
+    The answer depends only on the monic associate of f, so the sieve runs
+    once per (field, monic f, t) and is kept in a bounded LRU memo.
     """
     _check_int("t", t, 1)
-    f = pmonic(F, f)
+    return _sieve(F, pmonic(F, f), t)
+
+
+@functools.lru_cache(maxsize=4096)
+def _sieve(F, f, t):
+    """The distinct-degree sieve behind ``has_small_degree_factor`` on monic
+    f: gcd(f, z^(q^d) - z) is nontrivial exactly when f has a factor of
+    degree dividing d, so scanning d = 1..t detects precisely the factors of
+    degree <= t.  Fields are interned per q and f is a tuple, so (F, f, t)
+    is a sound key; the bound keeps a scan of mostly distinct polynomials
+    in fixed memory.
+    """
     deg = pdeg(f)
     if deg < 1:
         return False

@@ -1401,7 +1401,9 @@ def member_test(family, space, t, coset=None):
     """Membership predicate on the characteristic polynomial f of one
     element g of a family's coset (``MatSpace.charpolys`` computes f).
 
-    Every predicate is a factor condition on f.  coset: None or an integer
+    Every predicate is a factor condition on f, and ends in one
+    ``has_small_degree_factor`` call, whose sieve is memoised per (field,
+    monic polynomial, t) in a bounded LRU.  coset: None or an integer
     label asks that f have no irreducible factor of degree <= t (the
     predicate does not look at the label); "tau" is the inverse-transpose
     coset of GL, where f is the polynomial of x = g g^-T, the square of
@@ -1449,7 +1451,9 @@ def member_test(family, space, t, coset=None):
 def _scan(table, test, label=None, tau=False):
     """Indices of the table elements g, with that label when one is given,
     whose characteristic polynomial passes test; with tau, the polynomial
-    of g g^-T.  The elements stream through ``MatSpace.charpolys``."""
+    of g g^-T, batched by ``_tau_squares``.  The elements stream through
+    ``MatSpace.charpolys``, and test runs once per element; its sieve runs
+    once per distinct (monic polynomial, t) while the memo holds it."""
     sp = table.space
     indices, mats = itertools.count(), table.elements
     if label is not None:
@@ -1461,9 +1465,33 @@ def _scan(table, test, label=None, tau=False):
 
 
 def _tau_squares(space, mats):
-    """g g^-T for each g of mats: the square of the coset element g tau."""
-    for g in mats:
-        yield space.mul(g, space.transpose(space.inv(g)))
+    """g g^-T for each invertible g of the iterable mats, in order: the
+    square of the coset element g tau.
+
+    Batched over slices of _PRODUCT_CHUNK matrices: one Gauss-Jordan
+    elimination of [g | g^T] over the field's lookup tables, pivoting on the
+    first nonzero entry of each column, leaves g^-1 g^T, the transpose of
+    g g^-T.
+    """
+    n, q, F = space.n, space.q, space.F
+    mul, mac = _product_tables(F)
+    negq = np.array(F.neg_t, dtype=np.intp) * q
+    invq = np.array([0] + F.inv_t[1:], dtype=np.intp) * q
+    it = iter(mats)
+    while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
+        g = np.array(part, dtype=np.intp).reshape(-1, n, n)
+        rows = np.concatenate([g, g.transpose(0, 2, 1)], axis=2)
+        b = np.arange(len(part))
+        for c in range(n):
+            p = c + np.argmax(rows[:, c:, c] != 0, axis=1)
+            pivot = rows[b, p]
+            rows[b, p] = rows[:, c]
+            rows[:, c] = mul[invq[pivot[:, c, None]] + pivot]
+            # row i plus -a_ic times row c, for every row i but c
+            fq = negq[rows[:, :, c]]
+            fq[:, c] = 0
+            rows = mac[rows * (q * q) + fq[:, :, None] + rows[:, None, c]]
+        yield from map(tuple, rows[:, :, n:].transpose(0, 2, 1).reshape(-1, n * n).tolist())
 
 
 def membership_sets(table: GroupTable, t, coset=None):

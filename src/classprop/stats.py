@@ -138,8 +138,9 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
 
 def _mc_scan(n, q, t, coset, trials, seed):
     """Hits among uniform draws from GL (tau: the g of g tau) or one
-    determinant coset; the draws stream through ``MatSpace.charpolys`` in
-    draw order."""
+    determinant coset; the draws stream in draw order through the batched
+    ``_tau_squares`` (tau only) and ``MatSpace.charpolys``, and the sieve
+    memo serves any polynomial drawn twice."""
     rng = random.Random(seed)
     space = MatSpace(n, q)
     test = member_test("GL", space, t, coset)

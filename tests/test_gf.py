@@ -182,6 +182,41 @@ def test_sieve_agrees_with_trial_division():
         assert has_small_degree_factor(F, f, t) == oracle
 
 
+def test_sieve_memo_keys_the_monic_associate():
+    F7 = Field(7)
+    f = pmul(F7, (1, 0, 1), (1, 1, 0, 1))  # (z^2+1)(z^3+z+1)
+    gf._sieve.cache_clear()
+    assert not has_small_degree_factor(F7, f, 1)
+    info = gf._sieve.cache_info()
+    assert info.currsize == 1
+    for c in range(2, 7):
+        scaled = tuple(F7.mul(c, x) for x in f)
+        assert scaled != f
+        assert not has_small_degree_factor(F7, scaled, 1)
+        assert has_small_degree_factor(F7, scaled, 2)
+        assert has_small_degree_factor(F7, f, 2)
+    after = gf._sieve.cache_info()
+    assert (after.currsize, after.misses) == (2, 2)
+
+
+def test_sieve_rejects_bad_t_before_the_memo():
+    F5 = Field(5)
+    before = gf._sieve.cache_info()
+    for bad in (0, -1, 1.0, True, None):
+        with pytest.raises(ValueError):
+            has_small_degree_factor(F5, (2, 0, 1), bad)
+    assert gf._sieve.cache_info() == before
+
+
+def test_sieve_memo_stays_bounded_on_a_large_scan():
+    from classprop.stats import proportion
+
+    proportion(("GL", 8, 7), 1, method="montecarlo", trials=6000, seed=17)
+    info = gf._sieve.cache_info()
+    assert info.maxsize == 4096
+    assert info.currsize <= info.maxsize
+
+
 # ---------------------------------------------------------------------------
 # conjugations
 
