@@ -6,13 +6,13 @@ irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
 (Hessenberg reduction and minor sums, against the batched Berkowitz
 kernel), the tau squares g g^-T (one inverse per element, against the
-batched elimination), the per-element sieve and tau tests and the no-small-invariant-
-subspace sets (the scans over batched characteristic polynomials), the
-kernels, perps and restrictions of the orthogonal sets (factor conditions
-on the characteristic polynomial), GF(2) invertibility (the bit-sliced
-kernel), fixed subspaces (the point permutation), and action orbits and
-(twisted) conjugacy classes (one union-find over index maps).  The
-permutation copy of a matrix action is here too; only tests use it.
+batched elimination), the per-element sieve and tau tests and the
+no-small-invariant-subspace sets (the scans over batched characteristic
+polynomials), the kernels, perps and restrictions of the orthogonal sets
+(factor conditions on the characteristic polynomial), GF(2) invertibility
+(the bit-sliced kernel), fixed subspaces (the point permutation), and action
+orbits and (twisted) conjugacy classes (one union-find over index maps).
+The permutation copy of a matrix action is here too; only tests use it.
 """
 
 import itertools
