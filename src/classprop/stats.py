@@ -338,7 +338,9 @@ def subset_expectation(table, members, action, comparator=None):
 
 
 def fixed_sets(table, indices, action):
-    """Fixed-point index sets for a batch of elements, one frozenset each."""
+    """Fixed-point index sets for a batch of elements, one frozenset each;
+    indices may be any iterable, read once."""
+    indices = list(indices)
     _check_indices(table, indices)
     act = _as_action(table, action)
     return [

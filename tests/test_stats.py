@@ -374,6 +374,17 @@ def test_fixed_sets_and_expectation_inequality_reject_bad_indices():
             expectation_inequality(tb, 0, members + [bad], spec)
 
 
+def test_fixed_sets_read_an_iterator_of_indices_once():
+    # an iterator was consumed by the index check and gave []
+    tb = build_group("GL", 3, 2)
+    spec = ActionSpec("subspace", 1)
+    want = fixed_sets(tb, [0, 1, 2, 3, 4], spec)
+    assert len(want) == 5
+    assert fixed_sets(tb, range(5), spec) == want
+    assert fixed_sets(tb, (i for i in range(5)), spec) == want
+    assert fixed_sets(tb, iter([]), spec) == []
+
+
 def test_expectation_inequality_rejects_foreign_member_fixed():
     # fixed sets of the whole group summed over the sieved members' count
     # gave wrong sides and ok: True
