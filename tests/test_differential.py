@@ -44,6 +44,7 @@ from classprop.stats import (
     _generates,
     _tau_acts,
     coset_average_fixed_points,
+    fixed_sets,
     fpr_bound_check,
     orbits,
     proportion,
@@ -902,3 +903,55 @@ def test_fixed_quadratic_forms_match_solver():
     for g in tb.elements:
         want = _ref_fixed_form_indices(tb.space, g, act)
         assert fixed_point_indices(tb.space, g, act) == want
+
+
+# ---------------------------------------------------------------------------
+# Fixed sets: whole batches of elements against the per-case branches, one
+# element at a time.
+
+def _ref_fixed_sets(tb, indices, act):
+    return [frozenset(_ref_fixed_point_indices(tb.space, tb.elements[i], act))
+            for i in indices]
+
+
+@pytest.mark.parametrize("group,sample", [(("GL", 3, 2), None), (("GL", 2, 3), None),
+                                          (("GL", 4, 2), 500), (("GL", 3, 3), 300)])
+def test_fixed_sets_match_per_case_branches(group, sample):
+    tb = build_group(*group)
+    indices = range(len(tb))
+    if sample is not None:
+        indices = random.Random(23).sample(indices, sample)
+    for act, _sides in _subspace_type_actions(tb):
+        assert fixed_sets(tb, indices, act) == _ref_fixed_sets(tb, indices, act)
+
+
+@pytest.mark.parametrize("group,sample", [(("O+", 4, 2), None), (("O+", 6, 2), 400)])
+@pytest.mark.parametrize("restrict", ["nonsingular", "totally_singular"])
+def test_fixed_sets_match_on_restricted_orthogonal_points(group, sample, restrict):
+    tb = build_group(*group)
+    act = enumerate_action(tb, ActionSpec("subspace", 1, restrict=restrict))
+    indices = range(len(tb))
+    if sample is not None:
+        indices = random.Random(31).sample(indices, sample)
+    assert fixed_sets(tb, indices, act) == _ref_fixed_sets(tb, indices, act)
+
+
+@pytest.mark.parametrize("spec", [ActionSpec("antiflag", 2, restrict="totally_singular"),
+                                  ActionSpec("quadratic_forms")])
+def test_fixed_sets_match_on_symplectic_points(spec):
+    tb = build_group("Sp", 4, 2)
+    act = enumerate_action(tb, spec)
+    indices = range(len(tb))
+    assert fixed_sets(tb, indices, act) == _ref_fixed_sets(tb, indices, act)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, None])
+@pytest.mark.parametrize("spec", [ActionSpec("subspace", 2), ActionSpec("antiflag", 1)])
+def test_fixed_sets_stream_across_chunk_edges(extra, spec):
+    tb = build_group("GL", 4, 2)
+    length = 0 if extra is None else matgroup._PRODUCT_CHUNK + extra
+    indices = random.Random(length).sample(range(len(tb)), length)
+    act = enumerate_action(tb, spec)
+    want = _ref_fixed_sets(tb, indices, act)
+    assert fixed_sets(tb, indices, act) == want
+    assert fixed_sets(tb, (i for i in indices), act) == want
