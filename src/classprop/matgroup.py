@@ -36,6 +36,8 @@ DEFAULT_ACTION_CAP = 2_000_000
 
 # products per batched step of ``products``; bounds the working arrays
 _PRODUCT_CHUNK = 256
+# matrices times plan entries per batched step of ``_fixed_rows``
+_FIXED_CELLS = 1 << 20
 
 CACHE_ENV = "CLASSPROP_CACHE"
 _CACHE_LAYOUT = "matgroup-cache-3"
@@ -1168,8 +1170,9 @@ class ActionTable:
 
     Subspace-like points are stored as indices into dimension classes, so a
     point permutation reduces to per-class image indices plus one pass over
-    the points.  The dot-product perp map from class k to class n - k is
-    built once per table, on first use.
+    the points.  The dot-product perp map from class k to class n - k, and
+    the fixed-point plan of each side (see ``_fixed_plan``), are built once
+    per table, on first use.
     """
 
     def __init__(self, space, form, spec):
@@ -1178,6 +1181,7 @@ class ActionTable:
         self.spec = spec
         self.classes = {}
         self.perps = {}
+        self.plans = {}
         self.points = []
         if spec.restrict not in _RESTRICTIONS:
             raise ValueError(f"unknown restrict {spec.restrict!r}")
@@ -1348,11 +1352,108 @@ def _class_images(lut, action, k, tau):
     return [position[frozenset(lut[c] for c in vs)] for vs in src]
 
 
+def _fixed_plan(action, tau):
+    """The tests that decide, for one side of a subspace-type action, which
+    points an element fixes, built once per (action, tau).
+
+    g (or g tau) fixes a point when g maps each listed source basis into
+    its listed target subspace of the same dimension:
+    - a subspace U, the basis of U (of perp(U) with tau) into U;
+    - a flag or an off-middle antiflag (U, W), which g tau maps to
+      (g perp W, g perp U): U's source into U and W's source into W, or
+      with tau, a basis of perp(W) into U and one of perp(U) into W;
+    - a middle antiflag {U, W}: the sources of U and W into U and W, or
+      into W and U (two alternatives).
+    Returns (cols, slots, mask): the distinct source vectors as the columns
+    of an (n, V) array; for each point, alternative and basis vector, the
+    column index and the row offset of the target in mask; and mask, the
+    flat boolean table of (target subspace, vector code) membership, one
+    row of q^n codes per subspace of the classes the targets come from.
+    Raises ValueError where tau does not act.
+    """
+    if tau in action.plans:
+        return action.plans[tau]
+    space, spec, points = action.space, action.spec, action.points
+    n, k = space.n, spec.k
+    if spec.kind == "subspace" and tau and 2 * k != n:
+        raise ValueError("tau moves k-spaces to (n-k)-spaces")
+    dims = sorted({k, n - k}) if spec.kind != "subspace" else [k]
+    offset = {d: sum(len(action._class(e)) for e in dims if e < d) for d in dims}
+
+    def into(d, i):
+        """The source basis that must land in subspace i of class d."""
+        if not tau:
+            return action._class(d).bases[i]
+        return action._class(n - d).bases[action._perp(d)[i]]
+
+    if spec.kind == "subspace":
+        alts = [[[(into(k, i), (k, i))]] for i in points]
+    elif spec.kind == "antiflag" and 2 * k == n:
+        alts = [[[(into(k, i), (k, i)), (into(k, j), (k, j))],
+                 [(into(k, i), (k, j)), (into(k, j), (k, i))]] for i, j in points]
+    elif tau:
+        alts = [[[(into(n - k, j), (k, i)), (into(k, i), (n - k, j))]]
+                for i, j in points]
+    else:
+        alts = [[[(into(k, i), (k, i)), (into(n - k, j), (n - k, j))]]
+                for i, j in points]
+    Q = space.q**n
+    column = {}
+    slots = np.array(
+        [[[(column.setdefault(space.vec_code(v), len(column)),
+            (offset[d] + t) * Q)
+           for basis, (d, t) in alt for v in basis] for alt in point]
+         for point in alts],
+        dtype=np.intp,
+    )
+    cols = np.array([space.code_vec(c) for c in column], dtype=np.intp).T
+    mask = np.zeros((offset[dims[-1]] + len(action._class(dims[-1])), Q), dtype=bool)
+    for d in dims:
+        for t, vs in enumerate(action._class(d).vecsets):
+            mask[offset[d] + t, list(vs)] = True
+    action.plans[tau] = plan = (cols, slots, mask.ravel())
+    return plan
+
+
+def _fixed_rows(space, mats, action, tau=False):
+    """Sorted positions of the action points fixed by g (or by g tau), for
+    each matrix g of the iterable mats, in order.
+
+    Subspace-type points are decided by ``_fixed_plan``: per slice of
+    matrices, one batched product over the field's lookup tables gives the
+    codes of g v for every source vector v, and one lookup in the plan's
+    mask tests each against its target.  A slice holds _PRODUCT_CHUNK
+    matrices, fewer when an action's plan has more than _FIXED_CELLS //
+    _PRODUCT_CHUNK entries, so its working arrays stay within _FIXED_CELLS
+    entries.  Quadratic-form points read each matrix's point permutation.
+    """
+    if action.spec.kind == "quadratic_forms":
+        for g in mats:
+            perm = point_permutation(space, g, action, tau=tau)
+            yield [p for p, image in enumerate(perm) if image == p]
+        return
+    cols, slots, mask = _fixed_plan(action, tau)
+    n, q = space.n, space.q
+    mul, mac = _product_tables(space.F)
+    powers = q ** np.arange(n, dtype=np.intp)
+    step = max(1, min(_PRODUCT_CHUNK, _FIXED_CELLS // (slots.size // 2)))
+    it = iter(mats)
+    while part := list(itertools.islice(it, step)):
+        gq = np.array(part, dtype=np.intp).reshape(-1, n, n) * q
+        # img[b, i, v] = sum over j of g_b[i, j] * cols[j, v]
+        img = mul[gq[:, :, 0, None] + cols[0]]
+        for j in range(1, n):
+            img = mac[img * (q * q) + gq[:, :, j, None] + cols[j]]
+        codes = powers @ img
+        hit = mask[codes[:, slots[..., 0]] + slots[..., 1]]
+        fixed = hit.all(axis=3).any(axis=2)
+        yield from (np.flatnonzero(row).tolist() for row in fixed)
+
+
 def fixed_point_indices(space, g, action: ActionTable, tau=False):
-    """Indices of the action points fixed by g (or by g tau): the points that
-    ``point_permutation`` maps to themselves.  Raises where it raises."""
-    perm = point_permutation(space, g, action, tau=tau)
-    return [p for p, image in enumerate(perm) if image == p]
+    """Indices of the action points fixed by g (or by g tau), in order: one
+    ``_fixed_rows`` call.  Raises ValueError where tau does not act."""
+    return next(_fixed_rows(space, [g], action, tau=tau))
 
 
 def fixed_points(space, g, action, tau=False):

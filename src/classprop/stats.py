@@ -24,12 +24,12 @@ from .matgroup import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     MatSpace,
+    _fixed_rows,
     _tau_squares,
     bfs_closure,
     build_group,
     enumerate_action,
     fixed_point_indices,
-    fixed_points,
     frontier_chunks,
     index_orbits,
     member_test,
@@ -306,9 +306,10 @@ def _class_weights(table, members, tau=False):
 
 
 def _orbit_fixed_sums(table, members, act):
-    """Fixed points of the members summed per orbit of act, one
-    fixed_point_indices call per class that _class_weights returns: the
-    group permutes each orbit, so a per-orbit count is a class function."""
+    """Fixed points of the members summed per orbit of act, evaluated at
+    the smallest member of each class that _class_weights returns (the
+    representatives stream through ``_fixed_rows``): the group permutes
+    each orbit, so a per-orbit count is a class function."""
     weights = _class_weights(table, members)
     orbs = orbits(table, act)
     orbit_of = [0] * len(act)
@@ -316,8 +317,9 @@ def _orbit_fixed_sums(table, members, act):
         for p in orb:
             orbit_of[p] = oi
     sums = [0] * len(orbs)
-    for i, w in weights:
-        for p in fixed_point_indices(table.space, table.elements[i], act):
+    reps = (table.elements[i] for i, _ in weights)
+    for (_, w), fixed in zip(weights, _fixed_rows(table.space, reps, act)):
+        for p in fixed:
             sums[orbit_of[p]] += w
     return sums
 
@@ -339,14 +341,13 @@ def subset_expectation(table, members, action, comparator=None):
 
 def fixed_sets(table, indices, action):
     """Fixed-point index sets for a batch of elements, one frozenset each;
-    indices may be any iterable, read once."""
+    indices may be any iterable, read once.  The elements stream through
+    ``_fixed_rows`` in batches."""
     indices = list(indices)
     _check_indices(table, indices)
     act = _as_action(table, action)
-    return [
-        frozenset(fixed_point_indices(table.space, table.elements[i], act))
-        for i in indices
-    ]
+    mats = (table.elements[i] for i in indices)
+    return [frozenset(fixed) for fixed in _fixed_rows(table.space, mats, act)]
 
 
 def expectation_inequality(table, x, members, action, x_tau=False,
@@ -456,8 +457,9 @@ def fpr_bound_check(table, kmax=None, include_tau=None):
         for tau in weights:
             if tau and not _tau_acts(act.spec, n):
                 continue
-            counts = ((fixed_points(table.space, table.elements[i], act, tau=tau), i, w)
-                      for i, w in weights[tau])
+            reps = (table.elements[i] for i, _ in weights[tau])
+            fixed = _fixed_rows(table.space, reps, act, tau=tau)
+            counts = ((len(fix), i, w) for (i, w), fix in zip(weights[tau], fixed))
             kept[tau] = [row for row in counts if row[0] != npts]
         for bid, bound in sorted(_fpr_bounds(n, q, act.spec)):
             for tau, rows in kept.items():
