@@ -885,8 +885,43 @@ def _gu_label(space, g, q0):
     return (k // step) % (q0 + 1) if step else k % (q0 + 1)
 
 
-def _dickson_label(space, g):
-    return space.rank(space.sub(g, space.identity)) % 2
+def _dickson_labels(space, mats):
+    """rank(g - 1) mod 2 for each matrix g of the iterable mats, in order:
+    the Dickson label of an orthogonal element at even q.
+
+    Batched over slices of _PRODUCT_CHUNK matrices: Gauss-Jordan
+    elimination over the field's lookup tables with no row swaps.  Column c
+    takes its pivot from the first row not yet used as a pivot that has a
+    nonzero entry there, clears column c in every other row, and marks the
+    row used; the rank is the number of columns that found a pivot.
+    """
+    n, q, F = space.n, space.q, space.F
+    mul, mac = _product_tables(F)
+    negq = np.array(F.neg_t, dtype=np.intp) * q
+    invq = np.array([0] + F.inv_t[1:], dtype=np.intp) * q
+    minus_one = np.array([F.add_t[x][F.neg_t[1]] for x in range(q)], dtype=np.intp)
+    diag = np.arange(n)
+    it = iter(mats)
+    while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
+        a = np.array(part, dtype=np.intp).reshape(-1, n, n)
+        a[:, diag, diag] = minus_one[a[:, diag, diag]]
+        b = np.arange(len(part))
+        used = np.zeros(a.shape[:2], dtype=bool)
+        rank = np.zeros(len(part), dtype=np.intp)
+        for c in range(n):
+            free = (a[:, :, c] != 0) & ~used
+            p = np.argmax(free, axis=1)
+            found = free[b, p]
+            rank += found
+            used[b, p] |= found
+            # the pivot row scaled to 1 at column c; a zero row where none
+            # was found, which leaves every row as it is
+            pivot = a[b, p]
+            pivot = mul[invq[pivot[:, c, None]] + pivot]
+            fq = negq[a[:, :, c]]
+            fq[b, p] = 0
+            a = mac[a * (q * q) + fq[:, :, None] + pivot[:, None, :]]
+        yield from (rank % 2).tolist()
 
 
 def _make_labels(family, space, elements, q):
@@ -897,7 +932,7 @@ def _make_labels(family, space, elements, q):
     if family == "Sp":
         return tuple(0 for _ in elements)
     if q % 2 == 0:
-        return tuple(_dickson_label(space, g) for g in elements)
+        return tuple(_dickson_labels(space, elements))
     return tuple(0 if space.det(g) == 1 else 1 for g in elements)
 
 

@@ -5,13 +5,14 @@ formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
 (Hessenberg reduction and minor sums, against the batched Berkowitz
-kernel), the tau squares g g^-T (one inverse per element, against the
-batched elimination), the per-element sieve and tau tests and the
-no-small-invariant-subspace sets (the scans over batched characteristic
-polynomials), the kernels, perps and restrictions of the orthogonal sets
-(factor conditions on the characteristic polynomial), GF(2) invertibility
-(the bit-sliced kernel), fixed subspaces (the point permutation), and action
-orbits and (twisted) conjugacy classes (one union-find over index maps).
+kernel), the tau squares g g^-T and the Dickson labels rank(g - 1) mod 2
+(one inverse or rank per element, against the batched eliminations), the
+per-element sieve and tau tests and the no-small-invariant-subspace sets
+(the scans over batched characteristic polynomials), the kernels, perps
+and restrictions of the orthogonal sets (factor conditions on the
+characteristic polynomial), GF(2) invertibility (the bit-sliced kernel),
+fixed subspaces (the batched fixed-point kernel), and action orbits and
+(twisted) conjugacy classes (one union-find over index maps).
 The permutation copy of a matrix action is here too; only tests use it.
 """
 
@@ -351,6 +352,12 @@ def tau_square(space, g):
     """x = g g^-T, the square of g tau, by one inverse, transpose and product
     (against the batched elimination of ``matgroup._tau_squares``)."""
     return space.mul(g, space.transpose(space.inv(g)))
+
+
+def dickson_label(space, g):
+    """rank(g - 1) mod 2 by one elimination per element (against the
+    batched elimination of ``matgroup._dickson_labels``)."""
+    return space.rank(space.sub(g, space.identity)) % 2
 
 
 def tau_sieve_free(space, g, t):

@@ -2,10 +2,11 @@
 standalone reference copies of the separate implementations they replaced,
 on every input from small groups; the batched products against one ``mul``
 call per product; the batched characteristic polynomials against the
-per-matrix Hessenberg reduction; the batched tau squares against one
-inverse, transpose and product per element; the per-class fixed-point evaluations against per-element
-scans; the membership predicates and the point-permutation fixed points
-against copies of the per-family loops and per-case branches they replaced;
+per-matrix Hessenberg reduction; the batched tau squares and Dickson
+labels against one inverse, transpose and product, or one rank, per
+element; the per-class fixed-point evaluations against per-element scans;
+the membership predicates and the batched fixed points against copies of
+the per-family loops and per-case branches they replaced;
 the action orbits and (twisted) classes against the depth-first search and
 the two-map loop that computed them before one shared union-find."""
 
@@ -22,6 +23,7 @@ from classprop.matgroup import (
     ResourceCapExceeded,
     _eval_quad,
     _form_translation,
+    _dickson_labels,
     _tau_squares,
     all_subspaces,
     bfs_closure,
@@ -56,6 +58,7 @@ from oracles import (
     class_fixed,
     class_images,
     dfs_orbits,
+    dickson_label,
     kernel_basis,
     mat_add,
     perp_basis_form,
@@ -214,6 +217,57 @@ def test_tau_squares_stream_across_chunk_edges(extra):
     assert list(_tau_squares(sp, mats)) == want
     assert list(_tau_squares(sp, (g for g in mats))) == want
     assert list(_tau_squares(sp, mats[:0])) == []
+
+
+# ---------------------------------------------------------------------------
+# Dickson labels: the batched elimination against one rank per element.
+
+EVEN_ORTHOGONAL = sorted(
+    {k for k in TABLE_DIGESTS if k[0].startswith(("O", "Omega")) and k[2] % 2 == 0}
+    | {("O+", 6, 2), ("O-", 6, 2), ("O+", 4, 4)})
+
+
+@pytest.mark.parametrize("key", EVEN_ORTHOGONAL, ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_dickson_labels_match_rank_on_even_orthogonal_tables(key):
+    table = build_group(*key)
+    sp = table.space
+    want = tuple(dickson_label(sp, g) for g in table.elements)
+    assert table.labels == want
+    assert tuple(_dickson_labels(sp, table.elements)) == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_dickson_labels_match_rank_on_random_matrices(n, q):
+    rng = random.Random(1000 * n + q)
+    sp = MatSpace(n, q)
+    mats = [tuple(rng.randrange(q) for _ in range(n * n)) for _ in range(40)]
+    mats += [random_gl(n, q, rng) for _ in range(20)]
+    mats += [_monomial(sp, shift, rng) for shift in (1, -1, 0) for _ in range(3)]
+    # rank(g - 1) from 0 to n: the identity, a transvection, g - 1 of rank one
+    # with a repeated row, and sparse matrices
+    row = [rng.randrange(q) for _ in range(n)]
+    mats += [sp.identity, sp.from_rows([[1 if i == j or (i, j) == (0, n - 1) else 0
+                                        for j in range(n)] for i in range(n)]),
+             mat_add(sp, sp.identity, tuple(row * n))]
+    mats += [tuple(rng.randrange(q) if rng.random() < 0.2 else 0 for _ in range(n * n))
+             for _ in range(20)]
+    got = list(_dickson_labels(sp, mats))
+    assert got == [dickson_label(sp, g) for g in mats]
+    assert all(type(x) is int for x in got)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_dickson_labels_stream_across_chunk_edges(extra):
+    length = matgroup._PRODUCT_CHUNK + extra
+    rng = random.Random(length)
+    sp = MatSpace(4, 4)
+    mats = [tuple(rng.randrange(4) if rng.random() < 0.5 else 0 for _ in range(16))
+            for _ in range(length)]
+    want = [dickson_label(sp, g) for g in mats]
+    assert list(_dickson_labels(sp, mats)) == want
+    assert list(_dickson_labels(sp, (g for g in mats))) == want
+    assert list(_dickson_labels(sp, mats[:0])) == []
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
