@@ -34,7 +34,12 @@ from classprop.matgroup import (
     subspace_vectors,
     tau_membership,
 )
-from classprop.stats import coset_average_fixed_points, expectation_inequality, psl2
+from classprop.stats import (
+    coset_average_fixed_points,
+    expectation_inequality,
+    fixed_sets,
+    psl2,
+)
 from oracles import (
     charpoly_minors,
     fixed_points_by_type,
@@ -846,6 +851,40 @@ def test_scans_sieve_once_per_element(monkeypatch):
     calls.clear()
     tau_membership(build_group("GL", 4, 2), 1)
     assert len(calls) == 20_160
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_fixed_sets_build_no_vector_image_tables(monkeypatch):
+    # the batched kernel decides every point of a slice at once; a fallback
+    # to one point permutation per element builds one q^n table each
+    tb = build_group("GL", 4, 2)
+    members = membership_sets(tb, 1)
+    calls = _count_calls(monkeypatch, MatSpace, "all_vector_images")
+    fixed = fixed_sets(tb, members, ActionSpec("subspace", 2))
+    assert len(fixed) == len(members) == 5824
+    assert calls == []
+
+
+def test_even_q_labels_need_no_rank_per_element(monkeypatch):
+    # the Dickson labels of a fresh O+6(2) build come from the batched
+    # elimination; one MatSpace.rank per element made 40 320 calls
+    monkeypatch.delenv(matgroup.CACHE_ENV, raising=False)
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    calls = _count_calls(monkeypatch, MatSpace, "rank")
+    tb = build_group("O+", 6, 2)
+    assert len(tb) == 40_320 and tb.labels.count(1) == 20_160
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
