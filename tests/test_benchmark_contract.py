@@ -2,19 +2,40 @@
 tests read its sources with ``ast``, without importing them, and check that
 every classprop name they reference still exists, and that every keyword
 argument they pass is a parameter of the function they call, so a rename or
-deletion in ``src/`` fails here and not only in a benchmark run."""
+deletion in ``src/`` fails here and not only in a benchmark run.  The
+sources are the modules of ``perfbench/`` and the code strings that its
+tests hand to ``traced(...)``, which run in a fresh interpreter."""
 
 import ast
 import importlib
 import inspect
+import textwrap
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 LAYERS = ("gf", "cyclo", "series", "limits", "matgroup", "stats", "cli")
 
 
+def _snippets(tree):
+    """The string literals passed as the first argument of ``traced(...)``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "traced" and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            yield node.args[0].value
+
+
 def _trees():
-    return {path.name: ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))}
+    """Parsed sources by name: each module of perfbench/, and per test file
+    of perfbench/tests/, one module holding all its traced snippets."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))}
+    for path in sorted((BENCH / "tests").glob("*.py")):
+        body = [stmt for snippet in _snippets(ast.parse(path.read_text()))
+                for stmt in ast.parse(textwrap.dedent(snippet)).body]
+        if body:
+            trees[f"tests/{path.name} traced"] = ast.Module(body=body, type_ignores=[])
+    return trees
 
 
 def _references():
@@ -49,6 +70,11 @@ def test_references_were_found():
     layers = {layer for _, layer, _ in REFERENCES}
     assert {"matgroup", "stats", "series", "limits", "cli"} <= layers
     assert ("spans.py", "matgroup", "tau_membership") in REFERENCES
+    # the traced snippets of the benchmark's own tests
+    traced = "tests/test_checks.py traced"
+    assert {(traced, "stats", "fixed_point_indices"), (traced, "matgroup", "membership_sets"),
+            (traced, "cyclo", "CycRing"), (traced, "gf", "has_small_degree_factor")} \
+        <= set(REFERENCES)
 
 
 def _exists(layer, name):
@@ -97,6 +123,7 @@ def test_keyword_arguments_were_found():
     assert ("workloads.py", "stats", "expectation_inequality", "member_fixed") in KEYWORDS
     assert ("workloads.py", "stats", "proportion", "trials") in KEYWORDS
     assert ("workloads.py", "matgroup", "ActionSpec", "restrict") in KEYWORDS
+    assert ("tests/test_checks.py traced", "stats", "proportion", "trials") in KEYWORDS
 
 
 def test_benchmark_keywords_are_parameters():
