@@ -1391,12 +1391,12 @@ def _fixed_plan(action, tau):
     """The tests that decide, for one side of a subspace-type action, which
     points an element fixes, built once per (action, tau).
 
-    g (or g tau) fixes a point when g maps each listed source basis into
-    its listed target subspace of the same dimension:
-    - a subspace U, the basis of U (of perp(U) with tau) into U;
-    - a flag or an off-middle antiflag (U, W), which g tau maps to
-      (g perp W, g perp U): U's source into U and W's source into W, or
-      with tau, a basis of perp(W) into U and one of perp(U) into W;
+    The source of a subspace X is a basis of X, or with tau of perp(X).  g
+    (or g tau) fixes a point when g maps each listed source into its listed
+    target, a subspace of the same dimension:
+    - a subspace U: the source of U into U;
+    - a flag or an off-middle antiflag (U, W): the sources of U and W into U
+      and W; with tau, which maps it to (g perp W, g perp U), into W and U;
     - a middle antiflag {U, W}: the sources of U and W into U and W, or
       into W and U (two alternatives).
     Returns (cols, slots, mask): the distinct source vectors as the columns
@@ -1415,22 +1415,21 @@ def _fixed_plan(action, tau):
     dims = sorted({k, n - k}) if spec.kind != "subspace" else [k]
     offset = {d: sum(len(action._class(e)) for e in dims if e < d) for d in dims}
 
-    def into(d, i):
-        """The source basis that must land in subspace i of class d."""
+    def source(d, i):  # of subspace i of class d
         if not tau:
             return action._class(d).bases[i]
         return action._class(n - d).bases[action._perp(d)[i]]
 
     if spec.kind == "subspace":
-        alts = [[[(into(k, i), (k, i))]] for i in points]
+        alts = [[[(source(k, i), (k, i))]] for i in points]
     elif spec.kind == "antiflag" and 2 * k == n:
-        alts = [[[(into(k, i), (k, i)), (into(k, j), (k, j))],
-                 [(into(k, i), (k, j)), (into(k, j), (k, i))]] for i, j in points]
+        alts = [[[(source(k, i), (k, i)), (source(k, j), (k, j))],
+                 [(source(k, i), (k, j)), (source(k, j), (k, i))]] for i, j in points]
     elif tau:
-        alts = [[[(into(n - k, j), (k, i)), (into(k, i), (n - k, j))]]
+        alts = [[[(source(n - k, j), (k, i)), (source(k, i), (n - k, j))]]
                 for i, j in points]
     else:
-        alts = [[[(into(k, i), (k, i)), (into(n - k, j), (n - k, j))]]
+        alts = [[[(source(k, i), (k, i)), (source(n - k, j), (n - k, j))]]
                 for i, j in points]
     Q = space.q**n
     column = {}
