@@ -916,7 +916,7 @@ def _dickson_labels(space, mats):
             used[b, p] |= found
             # the pivot row scaled to 1 at column c; a zero row where none
             # was found, which leaves every row as it is
-            pivot = a[b, p]
+            pivot = a[b, p] * found[:, None]
             pivot = mul[invq[pivot[:, c, None]] + pivot]
             fq = negq[a[:, :, c]]
             fq[b, p] = 0
