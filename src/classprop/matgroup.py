@@ -885,43 +885,54 @@ def _gu_label(space, g, q0):
     return (k // step) % (q0 + 1) if step else k % (q0 + 1)
 
 
-def _dickson_labels(space, mats):
-    """rank(g - 1) mod 2 for each matrix g of the iterable mats, in order:
-    the Dickson label of an orthogonal element at even q.
+def _gauss_jordan(F, a, ncols):
+    """Gauss-Jordan elimination over the lookup tables of F of every matrix
+    in the batch a, of shape (b, rows, columns), on its first ncols columns
+    and with no row swaps.
 
-    Batched over slices of _PRODUCT_CHUNK matrices: Gauss-Jordan
-    elimination over the field's lookup tables with no row swaps.  Column c
-    takes its pivot from the first row not yet used as a pivot that has a
-    nonzero entry there, clears column c in every other row, and marks the
-    row used; the rank is the number of columns that found a pivot.
+    Column c takes its pivot from the first row, not yet used as a pivot,
+    that has a nonzero entry there; that row is scaled to 1 at c and
+    column c is cleared in every other row.  Returns the reduced batch and
+    the (b, ncols) array of pivot rows, -1 where a column found none; the
+    rank is the number of columns that found one.
     """
-    n, q, F = space.n, space.q, space.F
+    q = F.q
     mul, mac = _product_tables(F)
     negq = np.array(F.neg_t, dtype=np.intp) * q
     invq = np.array([0] + F.inv_t[1:], dtype=np.intp) * q
+    b = np.arange(len(a))
+    used = np.zeros(a.shape[:2], dtype=bool)
+    pivots = np.full((len(a), ncols), -1, dtype=np.intp)
+    for c in range(ncols):
+        free = (a[:, :, c] != 0) & ~used
+        p = np.argmax(free, axis=1)
+        found = free[b, p]
+        used[b, p] |= found
+        pivots[found, c] = p[found]
+        # the pivot row scaled to 1 at column c; a zero row where none was
+        # found, which leaves every row as it is
+        pivot = a[b, p] * found[:, None]
+        pivot = mul[invq[pivot[:, c, None]] + pivot]
+        fq = negq[a[:, :, c]]
+        fq[b, p] = 0
+        a = mac[a * (q * q) + fq[:, :, None] + pivot[:, None, :]]
+        a[b[found], p[found]] = pivot[found]
+    return a, pivots
+
+
+def _dickson_labels(space, mats):
+    """rank(g - 1) mod 2 for each matrix g of the iterable mats, in order:
+    the Dickson label of an orthogonal element at even q.  Batched over
+    slices of _PRODUCT_CHUNK matrices, one ``_gauss_jordan`` each."""
+    n, q, F = space.n, space.q, space.F
     minus_one = np.array([F.add_t[x][F.neg_t[1]] for x in range(q)], dtype=np.intp)
     diag = np.arange(n)
     it = iter(mats)
     while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
         a = np.array(part, dtype=np.intp).reshape(-1, n, n)
         a[:, diag, diag] = minus_one[a[:, diag, diag]]
-        b = np.arange(len(part))
-        used = np.zeros(a.shape[:2], dtype=bool)
-        rank = np.zeros(len(part), dtype=np.intp)
-        for c in range(n):
-            free = (a[:, :, c] != 0) & ~used
-            p = np.argmax(free, axis=1)
-            found = free[b, p]
-            rank += found
-            used[b, p] |= found
-            # the pivot row scaled to 1 at column c; a zero row where none
-            # was found, which leaves every row as it is
-            pivot = a[b, p] * found[:, None]
-            pivot = mul[invq[pivot[:, c, None]] + pivot]
-            fq = negq[a[:, :, c]]
-            fq[b, p] = 0
-            a = mac[a * (q * q) + fq[:, :, None] + pivot[:, None, :]]
-        yield from (rank % 2).tolist()
+        _, pivots = _gauss_jordan(F, a, n)
+        yield from ((pivots >= 0).sum(axis=1) % 2).tolist()
 
 
 def _make_labels(family, space, elements, q):
@@ -1207,7 +1218,7 @@ class ActionTable:
     point permutation reduces to per-class image indices plus one pass over
     the points.  The dot-product perp map from class k to class n - k, and
     the fixed-point plan of each side (see ``_fixed_plan``), are built once
-    per table, on first use.
+    per action, on first use.
     """
 
     def __init__(self, space, form, spec):
@@ -1603,30 +1614,17 @@ def _tau_squares(space, mats):
     """g g^-T for each invertible g of the iterable mats, in order: the
     square of the coset element g tau.
 
-    Batched over slices of _PRODUCT_CHUNK matrices: one Gauss-Jordan
-    elimination of [g | g^T] over the field's lookup tables, pivoting on the
-    first nonzero entry of each column, leaves g^-1 g^T, the transpose of
-    g g^-T.
+    Batched over slices of _PRODUCT_CHUNK matrices: ``_gauss_jordan`` on
+    [g | g^T] leaves g^-1 g^T, the transpose of g g^-T, as the right halves
+    of the pivot rows of the n columns, taken in column order.
     """
-    n, q, F = space.n, space.q, space.F
-    mul, mac = _product_tables(F)
-    negq = np.array(F.neg_t, dtype=np.intp) * q
-    invq = np.array([0] + F.inv_t[1:], dtype=np.intp) * q
+    n, F = space.n, space.F
     it = iter(mats)
     while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
         g = np.array(part, dtype=np.intp).reshape(-1, n, n)
-        rows = np.concatenate([g, g.transpose(0, 2, 1)], axis=2)
-        b = np.arange(len(part))
-        for c in range(n):
-            p = c + np.argmax(rows[:, c:, c] != 0, axis=1)
-            pivot = rows[b, p]
-            rows[b, p] = rows[:, c]
-            rows[:, c] = mul[invq[pivot[:, c, None]] + pivot]
-            # row i plus -a_ic times row c, for every row i but c
-            fq = negq[rows[:, :, c]]
-            fq[:, c] = 0
-            rows = mac[rows * (q * q) + fq[:, :, None] + rows[:, None, c]]
-        yield from map(tuple, rows[:, :, n:].transpose(0, 2, 1).reshape(-1, n * n).tolist())
+        rows, pivots = _gauss_jordan(F, np.concatenate([g, g.transpose(0, 2, 1)], axis=2), n)
+        x = rows[np.arange(len(part))[:, None], pivots, n:]
+        yield from map(tuple, x.transpose(0, 2, 1).reshape(-1, n * n).tolist())
 
 
 def membership_sets(table: GroupTable, t, coset=None):
