@@ -915,7 +915,11 @@ def _gauss_jordan(F, a, ncols):
         pivot = mul[invq[pivot[:, c, None]] + pivot]
         fq = negq[a[:, :, c]]
         fq[b, p] = 0
-        a = mac[a * (q * q) + fq[:, :, None] + pivot[:, None, :]]
+        # in place, so that a slice holds one temporary of its size
+        a *= q * q
+        a += fq[:, :, None]
+        a += pivot[:, None, :]
+        a = mac[a]
         a[b[found], p[found]] = pivot[found]
     return a, pivots
 
@@ -1489,9 +1493,9 @@ def _fixed_rows(space, mats, action, tau=False):
         img = mul[gq[:, :, 0, None] + cols[0]]
         for j in range(1, n):
             img = mac[img * (q * q) + gq[:, :, j, None] + cols[j]]
-        codes = powers @ img
-        hit = mask[codes[:, slots[..., 0]] + slots[..., 1]]
-        fixed = hit.all(axis=3).any(axis=2)
+        cells = (powers @ img)[:, slots[..., 0]]
+        cells += slots[..., 1]
+        fixed = mask[cells].all(axis=3).any(axis=2)
         yield from (np.flatnonzero(row).tolist() for row in fixed)
 
 
