@@ -892,9 +892,9 @@ def _gauss_jordan(F, a, ncols):
 
     Column c takes its pivot from the first row, not yet used as a pivot,
     that has a nonzero entry there; that row is scaled to 1 at c and
-    column c is cleared in every other row.  Returns the reduced batch and
-    the (b, ncols) array of pivot rows, -1 where a column found none; the
-    rank is the number of columns that found one.
+    column c is cleared in every other row.  a is overwritten.  Returns the
+    reduced batch and the (b, ncols) array of pivot rows, -1 where a column
+    found none; the rank is the number of columns that found one.
     """
     q = F.q
     mul, mac = _product_tables(F)
@@ -915,7 +915,7 @@ def _gauss_jordan(F, a, ncols):
         pivot = mul[invq[pivot[:, c, None]] + pivot]
         fq = negq[a[:, :, c]]
         fq[b, p] = 0
-        # in place, so that a slice holds one temporary of its size
+        # in place, so that a step holds one temporary of the batch's size
         a *= q * q
         a += fq[:, :, None]
         a += pivot[:, None, :]
