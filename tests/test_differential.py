@@ -895,7 +895,9 @@ def _subspace_type_actions(tb):
 
 
 @pytest.mark.parametrize("group,sample", [(("GL", 3, 2), None), (("GL", 2, 3), None),
-                                          (("GL", 4, 2), 500), (("GL", 3, 3), 300)])
+                                          (("GL", 4, 2), 500), (("GL", 3, 3), 300),
+                                          (("GL", 2, 4), None), (("GL", 2, 8), 300),
+                                          (("GL", 2, 9), 300)])
 def test_fixed_point_indices_match_per_case_branches(group, sample):
     tb = build_group(*group)
     indices = range(len(tb))
@@ -969,7 +971,8 @@ def _ref_fixed_sets(tb, indices, act):
 
 
 @pytest.mark.parametrize("group,sample", [(("GL", 3, 2), None), (("GL", 2, 3), None),
-                                          (("GL", 4, 2), 500), (("GL", 3, 3), 300)])
+                                          (("GL", 4, 2), 500), (("GL", 3, 3), 300),
+                                          (("GL", 2, 4), None), (("GL", 2, 9), 300)])
 def test_fixed_sets_match_per_case_branches(group, sample):
     tb = build_group(*group)
     indices = range(len(tb))
