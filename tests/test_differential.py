@@ -8,7 +8,8 @@ element; the per-class fixed-point evaluations against per-element scans;
 the membership predicates and the batched fixed points against copies of
 the per-family loops and per-case branches they replaced;
 the action orbits and (twisted) classes against the depth-first search and
-the two-map loop that computed them before one shared union-find."""
+the two-map loop that computed them before one shared union-find; the
+generation probe's reports against one closure per draw."""
 
 import random
 from fractions import Fraction
@@ -42,16 +43,19 @@ from classprop.matgroup import (
 from classprop.stats import (
     ExpectationReport,
     FprReport,
+    GenerationReport,
     _fpr_bounds,
     _generates,
     _tau_acts,
     coset_average_fixed_points,
     fixed_sets,
     fpr_bound_check,
+    generation_probe,
     orbits,
     proportion,
     psl2,
     subset_expectation,
+    wilson_interval,
 )
 from oracles import (
     charpoly_hessenberg,
@@ -349,13 +353,81 @@ def test_permutation_closure_matches():
     assert bfs_closure(g7, g7.gens)[0] == ref
 
 
-def test_generates_matches_on_every_pair():
+@pytest.fixture(scope="module")
+def g7_generates():
+    """PSL(2,7) and the _generates verdict of every pair (x, s)."""
     g7 = psl2(7)
+    return g7, {(x, s): _generates(g7, x, s)
+                for x in g7.elements for s in g7.elements}
+
+
+def test_generates_matches_on_every_pair(g7_generates):
+    g7, verdicts = g7_generates
     half = g7.order() // 2
-    for x in g7.elements:
-        for s in g7.elements:
-            ref = _ref_closure(g7.identity, _perm_mul, (x, s), stop_over=half)
-            assert _generates(g7, x, s) == (ref is None)
+    for (x, s), verdict in verdicts.items():
+        ref = _ref_closure(g7.identity, _perm_mul, (x, s), stop_over=half)
+        assert verdict == (ref is None)
+
+
+# ---------------------------------------------------------------------------
+# Generation probe: the probe's report against a per-draw loop that decides
+# every draw by its own _generates closure.
+
+def _ref_probe(group, x, pool=None, trials="exhaustive", seed=None,
+               generates=_generates):
+    """The GenerationReport of a per-draw probe over the draws that
+    generation_probe makes."""
+    pool = list(group.elements) if pool is None else pool
+    exhaustive = trials == "exhaustive"
+    if exhaustive:
+        draws = pool
+    else:
+        rng = random.Random(seed)
+        draws = [pool[rng.randrange(len(pool))] for _ in range(trials)]
+    verdicts = [generates(group, x, s) for s in draws]
+    hits = sum(verdicts)
+    witness = next((group.index[s] for s, v in zip(draws, verdicts) if v), None)
+    head = (group.name, group.index[x], group.element_order(x), len(pool))
+    if exhaustive:
+        return GenerationReport(*head, "exhaustive", len(draws), hits,
+                                Fraction(hits, len(draws)), witness=witness)
+    lo, hi = wilson_interval(hits, trials)
+    return GenerationReport(*head, "montecarlo", trials, hits, hits / trials,
+                            lo, hi, witness)
+
+
+def test_probe_matches_per_draw_on_every_x_of_psl27(g7_generates):
+    g7, verdicts = g7_generates
+    table = lambda group, x, s: verdicts[x, s]  # noqa: E731
+    for x in g7.elements[1:]:
+        assert generation_probe(g7, x) == _ref_probe(g7, x, generates=table)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_probe_matches_per_draw_at_every_element_order(p):
+    group = psl2(p)
+    reps = {}
+    for cls in group.conjugacy_classes():
+        x = group.elements[cls[0]]
+        reps.setdefault(group.element_order(x), x)
+    del reps[1]
+    assert len(reps) == 5
+    for order, x in sorted(reps.items()):
+        seed = 100 * p + order
+        assert (generation_probe(group, x, trials=300, seed=seed)
+                == _ref_probe(group, x, trials=300, seed=seed))
+
+
+def test_probe_matches_per_draw_on_a_pool_with_repeats():
+    g11 = psl2(11)
+    rng = random.Random(11)
+    x = next(g for g in g11.elements if g11.element_order(g) == 11)
+    pool = rng.choices(g11.elements, k=50)
+    pool += pool[:20] + [g11.identity, x, x]
+    assert len(set(pool)) < len(pool)
+    assert generation_probe(g11, x, coset=pool) == _ref_probe(g11, x, pool)
+    assert (generation_probe(g11, x, coset=pool, trials=400, seed=2)
+            == _ref_probe(g11, x, pool, trials=400, seed=2))
 
 
 def _inputs(tb):
