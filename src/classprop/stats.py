@@ -684,16 +684,6 @@ def psl2(p):
     return group
 
 
-def _generates(group, x, s):
-    """True when x and s generate the whole group.
-
-    The closure breaks off as soon as it exceeds half the order: a proper
-    subgroup has index at least 2.
-    """
-    half = group.order() // 2
-    return len(bfs_closure(group, (x, s), stop_over=half)[0]) > half
-
-
 @dataclass(frozen=True)
 class GenerationReport:
     group: str
@@ -718,6 +708,12 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     ValueError.  trials="exhaustive" scans the pool and returns an exact
     Fraction; an integer samples uniformly and returns a float with a 99%
     Wilson interval.  The identity is rejected.
+
+    A partner s is decided once, by closing <x, s> until it passes half the
+    order (a proper subgroup has index at least 2), and the verdict is
+    shared: <x, x^i s x^j> = <x, s>, so every partner of the double coset
+    <x>s<x> generates with s; a closure that stops short is the proper
+    subgroup H = <x, s>, and <x, s'> lies in H for every s' in H.
     """
     if isinstance(x, (tuple, list)):
         x = tuple(x)
@@ -745,10 +741,21 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
         _check_int("seed", seed, 0)
         rng = random.Random(seed)
         draws = (pool[rng.randrange(len(pool))] for _ in range(trials))
+    half = group.order() // 2
+    powers = list(itertools.accumulate(itertools.repeat(x, xo - 1), group.mul,
+                                       initial=group.identity))
+    verdict = {}  # partner -> whether it generates with x
     hits = 0
     witness = None
     for s in draws:
-        if _generates(group, x, s):
+        if s not in verdict:
+            closure = bfs_closure(group, (x, s), stop_over=half)[0]
+            if len(closure) > half:
+                left = list(group.products(powers, [s]))
+                verdict.update(dict.fromkeys(group.products(left, powers), True))
+            else:
+                verdict.update(dict.fromkeys(closure, False))
+        if verdict[s]:
             hits += 1
             if witness is None:
                 witness = group.index[s]

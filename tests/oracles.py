@@ -12,7 +12,9 @@ per-element sieve and tau tests and the no-small-invariant-subspace sets
 and restrictions of the orthogonal sets (factor conditions on the
 characteristic polynomial), GF(2) invertibility (the bit-sliced kernel),
 fixed subspaces (the batched fixed-point kernel), and action orbits and
-(twisted) conjugacy classes (one union-find over index maps).
+(twisted) conjugacy classes (one union-find over index maps), and
+generation of a permutation group by a pair (one closure per pair, against
+the probe's verdicts shared over double cosets and proper subgroups).
 The permutation copy of a matrix action is here too; only tests use it.
 """
 
@@ -39,6 +41,7 @@ from classprop.matgroup import (
     _cofactor_free,
     _cols_to_mat,
     all_subspaces,
+    bfs_closure,
     enumerate_action,
     fixed_point_indices,
     perp_basis_dot,
@@ -564,3 +567,16 @@ def relation_classes_loop(space, elements, index, pairs):
     for i in range(len(elements)):
         classes.setdefault(find(i), []).append(i)
     return list(classes.values())
+
+
+# ---------------------------------------------------------------------------
+# Generation of a permutation group by a pair.
+
+def _generates(group, x, s):
+    """True when x and s generate the whole group.
+
+    The closure breaks off as soon as it exceeds half the order: a proper
+    subgroup has index at least 2.
+    """
+    half = group.order() // 2
+    return len(bfs_closure(group, (x, s), stop_over=half)[0]) > half

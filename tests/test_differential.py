@@ -45,7 +45,6 @@ from classprop.stats import (
     FprReport,
     GenerationReport,
     _fpr_bounds,
-    _generates,
     _tau_acts,
     coset_average_fixed_points,
     fixed_sets,
@@ -58,6 +57,7 @@ from classprop.stats import (
     wilson_interval,
 )
 from oracles import (
+    _generates,
     charpoly_hessenberg,
     class_fixed,
     class_images,

@@ -385,7 +385,7 @@ ORACLE_NAMES = (
     "kernel_basis", "mat_add", "perp_basis_form", "restrict", "_restrict",
     "_reflection_complement_free", "_eigenline_complement_free",
     "charpoly_hessenberg", "sieve_free", "tau_sieve_free", "permutation_group",
-    "tau_square", "dickson_label",
+    "tau_square", "dickson_label", "_generates",
 )
 
 

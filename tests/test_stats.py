@@ -726,6 +726,42 @@ def test_generation_probe_rejects_elements_outside_the_group():
         generation_probe(g7, outside)
 
 
+def _count_closures(monkeypatch):
+    """The generator pairs of every stats.bfs_closure call from now on."""
+    calls = []
+    closure = stats.bfs_closure
+
+    def counted(space, gens, *args, **kwargs):
+        calls.append(gens)
+        return closure(space, gens, *args, **kwargs)
+
+    monkeypatch.setattr(stats, "bfs_closure", counted)
+    return calls
+
+
+def test_generation_probe_closes_once_per_double_coset(monkeypatch):
+    # x of order 11 in PSL(2,11): 605 partners generate, in 5 double cosets
+    # <x>s<x> of 121 elements; the other 55 form the normaliser of <x>, so
+    # at most 7 closures: one per double coset, <x> and the normaliser
+    g11 = psl2(11)
+    x = next(c[0] for c in g11.conjugacy_classes()
+             if g11.element_order(g11.elements[c[0]]) == 11)
+    calls = _count_closures(monkeypatch)
+    for seed in range(10):
+        generation_probe(g11, x, trials=2000, seed=seed)
+        assert len(calls) <= 7, seed
+        calls.clear()
+    assert generation_probe(g11, x).hits == 605
+    assert len(calls) == 7
+
+
+def test_three_halves_generation_closure_count(monkeypatch):
+    g7 = psl2(7)
+    calls = _count_closures(monkeypatch)
+    three_halves_generation(g7)
+    assert len(calls) == 68  # one closure per partner made 840
+
+
 def test_three_halves_generation_psl27():
     recs = three_halves_generation(psl2(7))
     assert len(recs) == 5
