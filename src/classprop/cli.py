@@ -441,6 +441,10 @@ def cmd_probe(cfg):
         raise ValueError("probe targets are named psl2-<prime>, e.g. psl2-7")
     p = int(cfg.group.split("-", 1)[1])
     group = psl2(p)
+    if cfg.three_halves and (cfg.x, cfg.x_order, cfg.trials) != (None,) * 3:
+        raise ValueError("--three-halves takes no --x, --x-order or --trials")
+    if cfg.x is not None and cfg.x_order is not None:
+        raise ValueError("give --x or --x-order, not both")
     if cfg.three_halves:
         records = three_halves_generation(group)
         ok = all(rec["proportion"] > 0 for rec in records)

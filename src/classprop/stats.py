@@ -354,9 +354,13 @@ def expectation_inequality(table, x, members, action, x_tau=False,
                            member_fixed=None):
     """Sharing a fixed point with a random subset element, versus the bound.
 
-    The probability that x and a uniformly random member of the subset have a
-    common fixed point is at most fpr(x) times the subset's fixed-point
-    expectation.  Returns a dict with both sides, exactly.  member_fixed may
+    The probability that x and a uniformly random member s of the subset
+    have a common fixed point is at most E|Fix(x) & Fix(s)|, a union bound
+    over the fixed points of x that holds for any subset and action.  On a
+    transitive action and a conjugation-stable subset each point is fixed
+    by the same share of members, so the bound is fpr(x) times the subset's
+    fixed-point expectation.  Returns a dict with both sides, the fpr and
+    the expectation, exactly.  member_fixed may
     carry precomputed fixed_sets output, one set per member; when it is
     absent the subset's conjugation stability is verified here.
     """
@@ -372,11 +376,15 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     xfix = frozenset(
         fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)
     )
-    hits = sum(1 for s in member_fixed if xfix & s)
+    hits = common = 0
+    for s in member_fixed:
+        shared = len(xfix & s)
+        hits += shared > 0
+        common += shared
     lhs = Fraction(hits, len(members))
     fpr = Fraction(len(xfix), len(act))
     expect = Fraction(sum(len(s) for s in member_fixed), len(members))
-    rhs = fpr * expect
+    rhs = Fraction(common, len(members))
     return {
         "lhs": lhs,
         "fpr": fpr,

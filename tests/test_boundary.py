@@ -228,8 +228,9 @@ def test_bad_integer_raises_value_error(call, values):
 
 # ---------------------------------------------------------------------------
 # The CLI: argparse turns bools and floats away itself, so its table holds
-# the 0, negative and past-range integers, the empty grid lists and the
-# partial exactness-bridge instances.
+# the 0, negative and past-range integers, the empty grid lists, the
+# partial exactness-bridge instances and the probe option combinations
+# that would leave an option unused.
 
 CLI_CASES = [
     ("limit", "--family", "gl", "--t", "1", "--q", "{}", [0, 1, -1]),
@@ -268,6 +269,11 @@ CLI_CASES = [
     ("probe", "--group", "psl2-5", "--x", "{}", [60, -1]),
     ("probe", "--group", "psl2-5", "--x", "1", "--seed", "1", "--trials", "{}", [0, -1]),
     ("probe", "--group", "psl2-5", "--x", "1", "--trials", "5", "--seed", "{}", [-1]),
+    # options that the chosen probe would otherwise ignore
+    ("probe", "--group", "psl2-5", "--x", "1", "--x-order", "{}", [2, 5]),
+    ("probe", "--group", "psl2-5", "--three-halves", "--x", "{}", [1]),
+    ("probe", "--group", "psl2-5", "--three-halves", "--x-order", "{}", [2]),
+    ("probe", "--group", "psl2-5", "--three-halves", "--trials", "{}", [10]),
 ]
 
 

@@ -169,6 +169,16 @@ def test_expectation_suite_rejects_coset_without_members(tmp_path, capsys, coset
     assert capsys.readouterr().err == f"classprop: {message}\n"
 
 
+def test_expectation_suite_passes_on_an_intransitive_action(tmp_path):
+    # O-4(2) has two orbits on its 15 lines, 5 singular and 10 nonsingular
+    code, doc = run_json(tmp_path, "verify", "--suite", "expectation",
+                         "--family", "O-", "--n", "4", "--q", "2", "--coset", "O")
+    assert code == cli.EXIT_OK
+    res = doc["result"]
+    assert res["pass"] and res["failures"] == []
+    assert (res["checked"], res["members"]) == (120, 20)
+
+
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     code = cli.main(["presets", "--out", str(out)])

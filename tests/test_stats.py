@@ -423,6 +423,32 @@ def test_expectation_inequality_holds_on_samples():
     assert rec2 == rec3
 
 
+def test_expectation_inequality_bound_is_the_mean_common_fixed_count():
+    # transitive: the bound is fpr(x) times the expectation, for every x
+    tb = build_group("GL", 3, 2)
+    members = membership_sets(tb, 1)
+    act = enumerate_action(tb, ActionSpec("subspace", 1))
+    mf = fixed_sets(tb, members, act)
+    for x in range(len(tb)):
+        rec = expectation_inequality(tb, x, members, act, member_fixed=mf)
+        assert rec["rhs"] == rec["fpr"] * rec["expectation"]
+    # intransitive (O-4(2) on its 5 singular and 10 nonsingular lines): the
+    # product is no bound there, the mean of |Fix(x) & Fix(s)| is
+    tb = build_group("O-", 4, 2)
+    members = membership_sets(tb, 1, "O")
+    act = enumerate_action(tb, ActionSpec("subspace", 1))
+    assert len(orbits(tb, act)) == 2
+    mf = fixed_sets(tb, members, act)
+    over_product = 0
+    for x in range(len(tb)):
+        rec = expectation_inequality(tb, x, members, act, member_fixed=mf)
+        want = Fraction(sum(len(fixed_sets(tb, [x], act)[0] & s) for s in mf),
+                        len(members))
+        assert rec["rhs"] == want and rec["ok"]
+        over_product += rec["lhs"] > rec["fpr"] * rec["expectation"]
+    assert over_product > 0
+
+
 def test_expectation_inequality_nonzero_case():
     tb = build_group("GL", 4, 2)
     members = membership_sets(tb, 1)
