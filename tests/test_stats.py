@@ -440,10 +440,9 @@ def test_expectation_inequality_bound_is_the_mean_common_fixed_count():
     assert len(orbits(tb, act)) == 2
     mf = fixed_sets(tb, members, act)
     over_product = 0
-    for x in range(len(tb)):
+    for x, xfix in enumerate(fixed_sets(tb, range(len(tb)), act)):
         rec = expectation_inequality(tb, x, members, act, member_fixed=mf)
-        want = Fraction(sum(len(fixed_sets(tb, [x], act)[0] & s) for s in mf),
-                        len(members))
+        want = Fraction(sum(len(xfix & s) for s in mf), len(members))
         assert rec["rhs"] == want and rec["ok"]
         over_product += rec["lhs"] > rec["fpr"] * rec["expectation"]
     assert over_product > 0
