@@ -440,11 +440,14 @@ def cmd_probe(cfg):
     if not cfg.group or not cfg.group.startswith("psl2-"):
         raise ValueError("probe targets are named psl2-<prime>, e.g. psl2-7")
     p = int(cfg.group.split("-", 1)[1])
-    group = psl2(p)
-    if cfg.three_halves and (cfg.x, cfg.x_order, cfg.trials) != (None,) * 3:
-        raise ValueError("--three-halves takes no --x, --x-order or --trials")
+    picked = (cfg.x, cfg.x_order, cfg.trials, cfg.seed)
+    if cfg.three_halves and picked != (None,) * 4:
+        raise ValueError("--three-halves takes no --x, --x-order, --trials or --seed")
     if cfg.x is not None and cfg.x_order is not None:
         raise ValueError("give --x or --x-order, not both")
+    if cfg.seed is not None and cfg.trials is None:
+        raise ValueError("--seed needs --trials: an exhaustive probe draws nothing")
+    group = psl2(p)
     if cfg.three_halves:
         records = three_halves_generation(group)
         ok = all(rec["proportion"] > 0 for rec in records)

@@ -355,12 +355,13 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     """Sharing a fixed point with a random subset element, versus the bound.
 
     The probability that x and a uniformly random member s of the subset
-    have a common fixed point is at most E|Fix(x) & Fix(s)|, a union bound
-    over the fixed points of x that holds for any subset and action.  On a
-    transitive action and a conjugation-stable subset each point is fixed
-    by the same share of members, so the bound is fpr(x) times the subset's
-    fixed-point expectation.  Returns a dict with both sides, the fpr and
-    the expectation, exactly.  member_fixed may
+    have a common fixed point is at most the sum over the fixed points p of
+    x of the share of members fixing p, a union bound.  On a conjugation-
+    stable subset that share is the same on each orbit O of the action:
+    E|Fix(s) & O| / |O|.  So the bound is the sum over orbits of
+    |Fix(x) & O| E|Fix(s) & O| / |O|, which on a transitive action is fpr(x)
+    times the subset's fixed-point expectation.  Returns a dict with both
+    sides, the fpr and the expectation, exactly.  member_fixed may
     carry precomputed fixed_sets output, one set per member; when it is
     absent the subset's conjugation stability is verified here.
     """
@@ -376,15 +377,14 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     xfix = frozenset(
         fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)
     )
-    hits = common = 0
-    for s in member_fixed:
-        shared = len(xfix & s)
-        hits += shared > 0
-        common += shared
+    hits = sum(1 for s in member_fixed if xfix & s)
+    fixing = Counter(itertools.chain.from_iterable(member_fixed))  # per point
     lhs = Fraction(hits, len(members))
     fpr = Fraction(len(xfix), len(act))
-    expect = Fraction(sum(len(s) for s in member_fixed), len(members))
-    rhs = Fraction(common, len(members))
+    expect = Fraction(sum(fixing.values()), len(members))
+    rhs = sum(Fraction(len(xfix.intersection(orb)) * sum(fixing[p] for p in orb),
+                       len(orb) * len(members))
+              for orb in orbits(table, act))
     return {
         "lhs": lhs,
         "fpr": fpr,
@@ -720,7 +720,7 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     A partner s is decided once, by closing <x, s> until it passes half the
     order (a proper subgroup has index at least 2), and the verdict is
     shared: <x, x^i s x^j> = <x, s>, so every partner of the double coset
-    <x>s<x> generates with s; a closure that stops short is the proper
+    <x>s<x> generates with x; a closure that stops short is the proper
     subgroup H = <x, s>, and <x, s'> lies in H for every s' in H.
     """
     if isinstance(x, (tuple, list)):

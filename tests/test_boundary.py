@@ -274,6 +274,9 @@ CLI_CASES = [
     ("probe", "--group", "psl2-5", "--three-halves", "--x", "{}", [1]),
     ("probe", "--group", "psl2-5", "--three-halves", "--x-order", "{}", [2]),
     ("probe", "--group", "psl2-5", "--three-halves", "--trials", "{}", [10]),
+    ("probe", "--group", "psl2-5", "--three-halves", "--seed", "{}", [1]),
+    ("probe", "--group", "psl2-5", "--x", "1", "--seed", "{}", [1]),
+    ("probe", "--group", "psl2-5", "--x-order", "5", "--seed", "{}", [1]),
 ]
 
 

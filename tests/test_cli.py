@@ -330,6 +330,22 @@ def test_probe_seeded_montecarlo_deterministic(tmp_path):
     assert doc["result"]["report"]["trials"] == 60
 
 
+@pytest.mark.parametrize("extra", [
+    ("--x", "1", "--x-order", "7"),
+    ("--x", "1", "--seed", "3"),
+    ("--three-halves", "--seed", "3"),
+    ("--three-halves", "--trials", "60"),
+])
+def test_probe_unused_option_exits_before_building_the_group(
+        tmp_path, capsys, monkeypatch, extra):
+    built = []
+    monkeypatch.setattr(cli, "psl2", built.append)
+    code, _ = run(tmp_path, "probe", "--group", "psl2-7", *extra)
+    assert code == cli.EXIT_USAGE
+    assert built == []
+    assert capsys.readouterr().err.startswith("classprop: ")
+
+
 def test_probe_bad_group_name(tmp_path, capsys):
     code, _ = run(tmp_path, "probe", "--group", "alt5", "--x", "1")
     assert code == cli.EXIT_USAGE

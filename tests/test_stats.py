@@ -41,6 +41,7 @@ from classprop.stats import (
     _mc_gl2_t1,
 )
 from oracles import fixed_points_by_type, gf2_nonsingular_elimination, permutation_group
+from test_differential import _ref_probe
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +424,7 @@ def test_expectation_inequality_holds_on_samples():
     assert rec2 == rec3
 
 
-def test_expectation_inequality_bound_is_the_mean_common_fixed_count():
+def test_expectation_inequality_bound_sums_per_orbit():
     # transitive: the bound is fpr(x) times the expectation, for every x
     tb = build_group("GL", 3, 2)
     members = membership_sets(tb, 1)
@@ -433,7 +434,8 @@ def test_expectation_inequality_bound_is_the_mean_common_fixed_count():
         rec = expectation_inequality(tb, x, members, act, member_fixed=mf)
         assert rec["rhs"] == rec["fpr"] * rec["expectation"]
     # intransitive (O-4(2) on its 5 singular and 10 nonsingular lines): the
-    # product is no bound there, the mean of |Fix(x) & Fix(s)| is
+    # product is no bound there; the per-orbit sum is, and on a
+    # conjugation-stable subset it equals the mean of |Fix(x) & Fix(s)|
     tb = build_group("O-", 4, 2)
     members = membership_sets(tb, 1, "O")
     act = enumerate_action(tb, ActionSpec("subspace", 1))
@@ -442,10 +444,23 @@ def test_expectation_inequality_bound_is_the_mean_common_fixed_count():
     over_product = 0
     for x, xfix in enumerate(fixed_sets(tb, range(len(tb)), act)):
         rec = expectation_inequality(tb, x, members, act, member_fixed=mf)
-        want = Fraction(sum(len(xfix & s) for s in mf), len(members))
-        assert rec["rhs"] == want and rec["ok"]
+        common = Fraction(sum(len(xfix & s) for s in mf), len(members))
+        assert rec["rhs"] == common and rec["ok"]
         over_product += rec["lhs"] > rec["fpr"] * rec["expectation"]
     assert over_product > 0
+
+
+def test_expectation_inequality_fails_off_a_conjugation_stable_subset():
+    # s fixes one of the 7 points of GL3(2); as the whole subset it shares
+    # that point with x = s, while the per-orbit bound spreads its one
+    # fixed point over the orbit: 1 > 1/7
+    tb = build_group("GL", 3, 2)
+    act = enumerate_action(tb, ActionSpec("subspace", 1))
+    s = next(i for i, fix in enumerate(fixed_sets(tb, range(len(tb)), act))
+             if len(fix) == 1)
+    rec = expectation_inequality(tb, s, [s], act,
+                                 member_fixed=fixed_sets(tb, [s], act))
+    assert (rec["lhs"], rec["rhs"], rec["ok"]) == (1, Fraction(1, 7), False)
 
 
 def test_expectation_inequality_nonzero_case():
@@ -773,9 +788,11 @@ def test_generation_probe_closes_once_per_double_coset(monkeypatch):
              if g11.element_order(g11.elements[c[0]]) == 11)
     calls = _count_closures(monkeypatch)
     for seed in range(10):
-        generation_probe(g11, x, trials=2000, seed=seed)
+        rep = generation_probe(g11, x, trials=2000, seed=seed)
         assert len(calls) <= 7, seed
         calls.clear()
+    # the last report's shared verdicts agree with one closure per draw
+    assert rep == _ref_probe(g11, g11.elements[x], trials=2000, seed=9)
     assert generation_probe(g11, x).hits == 605
     assert len(calls) == 7
 
