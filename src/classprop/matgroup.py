@@ -2,13 +2,18 @@
 
 Matrices are flat row-major tuples of field codes, so they hash and compare
 cheaply.  Groups are built by breadth-first closure (``bfs_closure``, which
-also closes the permutation groups of ``stats``; each BFS level is multiplied
-by the generators in batched numpy table lookups) from hard-coded generator
-seeds; the element count is checked against the classical order formula, and
-when a seed undergenerates (a real phenomenon: the 4-dimensional plus-type
-orthogonal group over GF(2) is not generated by its reflections) the builder
-deterministically completes the seed from a pool of form-preserving candidates
-until the order matches.
+also closes the permutation groups of ``stats``) from hard-coded generator
+seeds.  Inside the closure a matrix is the int64 codes of its q^n-ary row
+vectors, so a product g s is one lookup per row in the table of s^T on all
+q^n vectors, and the new elements of a level come from ``np.unique`` of
+int64 keys.  The element count is checked against the classical order
+formula, and when a seed undergenerates (a real phenomenon: the
+4-dimensional plus-type orthogonal group over GF(2) is not generated by its
+reflections) the builder deterministically completes the seed from a pool
+of form-preserving candidates until the order matches.  Coset labels are
+homomorphisms, so each is summed along the BFS tree from the generators'
+labels; conjugacy classes join index maps g -> a g b, computed on the same
+row codes, by vectorised min-label propagation.
 
 Everything downstream (actions, fixed points, the element subsets defined by
 characteristic-polynomial conditions) works on the enumerated tables.
@@ -34,8 +39,12 @@ from .gf import (
 DEFAULT_GROUP_CAP = 20_000_000
 DEFAULT_ACTION_CAP = 2_000_000
 
-# products per batched step of ``products``; bounds the working arrays
+# matrices per batched step of ``charpolys``, ``_tau_squares`` and
+# ``_fixed_rows``; bounds their working arrays
 _PRODUCT_CHUNK = 256
+# products per slice of a ``bfs_closure`` level; bounds its working arrays
+# and the element tuples decoded at once
+_CLOSURE_CHUNK = 4096
 # matrices times plan entries per batched step of ``_fixed_rows``
 _FIXED_CELLS = 1 << 20
 
@@ -79,6 +88,7 @@ class MatSpace:
         self.n = n
         self.F = Field(q)
         self.q = q
+        self._powers = q ** np.arange(n, dtype=np.int64)  # digit weights of a row code
         self.identity = tuple(
             1 if i == j else 0 for i in range(n) for j in range(n)
         )
@@ -104,22 +114,6 @@ class MatSpace:
                         acc = add_t[acc][mul_t[x][b[k * n + j]]]
                 out.append(acc)
         return tuple(out)
-
-    def products(self, frontier, gens):
-        """Every g*h for g in frontier and h in gens, frontier-major, as
-        tuples: the same values, in the same order, as nested ``mul`` calls."""
-        n, q = self.n, self.q
-        mul, mac = _product_tables(self.F)
-        hs = np.array(gens, dtype=np.intp).reshape(-1, n, n)
-        for part in frontier_chunks(frontier, gens):
-            aq = np.array(part, dtype=np.intp).reshape(-1, n, n) * q
-            # acc[f, g, i, j] = sum over k of a_f[i, k] * h_g[k, j]
-            acc = mul[aq[:, None, :, 0, None] + hs[None, :, 0, None, :]]
-            for k in range(1, n):
-                acc *= q * q
-                acc += aq[:, None, :, k, None] + hs[None, :, k, None, :]
-                acc = mac[acc]
-            yield from map(tuple, acc.reshape(-1, n * n).tolist())
 
     def charpolys(self, mats):
         """Monic characteristic polynomial of each matrix of the iterable
@@ -341,6 +335,47 @@ class MatSpace:
             stride *= q
             count *= q
         return images
+
+    # Row-code tables: a batch of matrices as an (N, n) int64 array holding
+    # the code of each row vector, read by ``bfs_closure`` and
+    # ``relation_classes``.
+
+    @functools.cached_property
+    def _digits(self):
+        """_digits[c]: the vector with code c."""
+        return np.arange(self.q**self.n)[:, None] // self._powers % self.q
+
+    def _encode(self, mats):
+        return np.asarray(mats, dtype=np.int64).reshape(-1, self.n, self.n) @ self._powers
+
+    def _decode(self, rows):
+        """Flat code tuples of the matrices with these row codes."""
+        return list(map(tuple, self._digits[rows].reshape(len(rows), self.n**2).tolist()))
+
+    def _keys(self, rows):
+        """One int64 per matrix: its row codes read in base q^n."""
+        if self.q ** (self.n * self.n) >= 1 << 63:
+            raise ValueError(f"{self.n}x{self.n} matrices over GF({self.q}) "
+                             "have no int64 code")
+        return rows @ self._powers**self.n
+
+    def _right(self, gens):
+        """rows -> (rows, len(gens), n) row codes of g s for each s of gens:
+        row v of g becomes v s = s^T v, one lookup in ``all_vector_images``."""
+        luts = np.array([self.all_vector_images(self.transpose(s)) for s in gens],
+                        dtype=np.int64).reshape(len(gens), self.q**self.n)
+        which = np.arange(len(gens))[:, None]
+        return lambda rows: luts[which, rows[:, None, :]]
+
+    def _left(self, a):
+        """rows -> row codes of a g: a acts on the column codes of g, and
+        the column codes of a matrix are the row codes of its transpose."""
+        lut = np.array(self.all_vector_images(a), dtype=np.int64)
+
+        def flip(codes):
+            return self._digits[codes].transpose(0, 2, 1) @ self._powers
+
+        return lambda rows: flip(lut[flip(rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -711,91 +746,117 @@ def _seed_and_pool(family, space, form):
 # ---------------------------------------------------------------------------
 # Closure and group tables.
 
-def frontier_chunks(frontier, gens):
-    """Consecutive slices of frontier, each with at most _PRODUCT_CHUNK
-    products against gens (at least one element); none when gens is empty."""
-    if not gens:
-        return
-    step = max(1, _PRODUCT_CHUNK // len(gens))
-    for start in range(0, len(frontier), step):
-        yield frontier[start : start + step]
-
-
 def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     """All products of the generators, breadth first from the identity.
 
-    space is a MatSpace or a stats.PermGroup (anything with ``identity`` and
-    ``products``, which multiplies a whole BFS level by the generators in
-    one batched call, frontier-major).  Returns (elements, element ->
-    position).  More than cap elements raise ResourceCapExceeded; more than
-    stop_over return the partial closure at once.
+    space is a MatSpace or a stats.PermGroup; each holds a batch of elements
+    as an integer array with one row per element (see ``MatSpace._encode``
+    and ``PermGroup._encode``).  For a MatSpace the row is the codes of the
+    matrix's q^n-ary row vectors, so g s costs n lookups in the table
+    ``all_vector_images(s^T)``; for a PermGroup it is the permutation, and
+    g s is the position gather g[s].  Each BFS level is multiplied by the
+    generators in slices of at most _CLOSURE_CHUNK products, frontier-major.
+    The new elements of a slice come from ``np.unique`` of the products'
+    keys (int64 row codes in base q^n, or a permutation's bytes) against
+    the sorted keys seen so far, taken in the order a loop over the
+    products would first meet them.
+
+    Returns (elements, element -> position, parent, generator), where the
+    last two are the Schreier vector of the BFS tree: elements[i] is
+    elements[parent[i]] * gens[generator[i]] for i > 0, and both are 0 at
+    the identity.  More than cap elements raise ResourceCapExceeded; more
+    than stop_over return the partial closure at once.
     """
     if stop_over is None:
         stop_over = cap
-    seen = {space.identity: 0}
+    frontier = space._encode([space.identity])
+    seen = space._keys(frontier)  # sorted keys of the elements found so far
+    times = space._right(gens)
     elements = [space.identity]
-    frontier = [space.identity]
-    while frontier:
-        nxt = []
-        for p in space.products(frontier, gens):
-            if p not in seen:
-                if len(elements) >= cap:
-                    raise ResourceCapExceeded(
-                        f"group closure exceeded cap {cap}"
-                    )
-                seen[p] = len(elements)
-                elements.append(p)
-                if len(elements) > stop_over:
-                    return elements, seen
-                nxt.append(p)
-        frontier = nxt
-    return elements, seen
+    # found[i]: the product that first gave element i, numbered frontier-major
+    # over the whole closure, so element i is found[i] // G times generator
+    # found[i] % G
+    G = max(1, len(gens))
+    found = [np.zeros(1, dtype=np.intp)]
+    step = max(1, _CLOSURE_CHUNK // G)
+    done = not gens
+    while not done and len(frontier):
+        first, nxt = len(elements) - len(frontier), []
+        for lo in range(0, len(frontier), step):
+            products = times(frontier[lo : lo + step]).reshape(-1, frontier.shape[1])
+            keys, at = np.unique(space._keys(products), return_index=True)
+            new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
+            # two sorted runs: the stable sort merges them
+            seen = np.sort(np.concatenate((seen, keys[new])), kind="stable")
+            at = np.sort(at[new])
+            done = len(elements) + len(at) > stop_over and stop_over < cap
+            if done:
+                at = at[: max(1, stop_over + 1 - len(elements))]
+            elif len(elements) + len(at) > cap:
+                raise ResourceCapExceeded(f"group closure exceeded cap {cap}")
+            elements += space._decode(products[at])
+            found.append(at + (first + lo) * G)
+            if done:
+                break
+            nxt.append(products[at])
+        else:
+            frontier = np.concatenate(nxt)
+    found = np.concatenate(found)
+    index = dict(zip(elements, range(len(elements))))
+    return elements, index, found // G, found % G
 
 
 def index_orbits(size, maps):
     """Orbits on range(size) of the relation i ~ m[i], one index map m per
-    item of maps, as sorted lists ordered by smallest member (union-find)."""
-    parent = list(range(size))
+    item of maps, as sorted lists ordered by smallest member.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
+    Vectorised min-label propagation: each index starts as its own label;
+    a round gives i and m[i] the smaller of their labels for every map, then
+    replaces each label by the label of that label until none changes.  A
+    label only falls and always names a member of its orbit, so the rounds
+    stop with each orbit labelled by its smallest member.
+    """
+    maps = [np.asarray(m, dtype=np.intp) for m in maps]
+    label = np.arange(size)
+    while True:
+        before = label.copy()
+        for m in maps:
+            np.minimum(label, label[m], out=label)
+            np.minimum.at(label, m, label)
+        while not np.array_equal(hop := label[label], label):
+            label = hop
+        if np.array_equal(label, before):
+            break
+    order = np.argsort(label, kind="stable")
+    cuts = np.flatnonzero(np.diff(label[order])) + 1
+    return [part.tolist() for part in np.split(order, cuts)] if size else []
 
-    for m in maps:
-        for i, j in enumerate(m):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)  # the root is the smallest
-    orbits = {}
-    for i in range(size):
-        orbits.setdefault(find(i), []).append(i)
-    return list(orbits.values())
 
-
-def relation_classes(space, elements, index, pairs):
+def relation_classes(space, elements, pairs):
     """Classes of the relation g ~ a g b, one (a, b) per pair, as sorted
     lists of element indices ordered by smallest member.
 
     With (s^-1, s) per generator s these are the conjugacy classes; with
     (s, s^T) they are the twisted classes g ~ s g s^T, which index the
     classes of the coset elements g tau since s (g tau) s^-1 = (s g s^T) tau.
-    Each pair gives the index map g -> a g b to ``index_orbits``, composed
-    from batched ``products``: g -> g b over every g, then h -> a h over
-    every h.
+    The elements are encoded once (see ``bfs_closure``); each pair maps
+    them with ``space._right(b)`` and ``space._left(a)`` (for a MatSpace, b
+    acts on the row codes and a on the column codes, each through one
+    ``all_vector_images`` table), and the index map g -> a g b comes from
+    ``searchsorted`` over the sorted keys.  ``index_orbits`` joins the maps.
     """
+    rows = space._encode(elements)
+    keys = space._keys(rows)
+    order = np.argsort(keys)
+    keys = keys[order]
 
     def maps():
         for a, b in pairs:
-            right = [index[x] for x in space.products(elements, [b])]
-            # a against slices of elements: one call on all of them would
-            # build arrays of the whole group's size
-            left = [
-                index[x]
-                for start in range(0, len(elements), _PRODUCT_CHUNK)
-                for x in space.products([a], elements[start : start + _PRODUCT_CHUNK])
-            ]
-            yield [left[r] for r in right]
+            image = space._keys(space._left(a)(space._right([b])(rows)[:, 0]))
+            pos = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+            if not np.array_equal(keys[pos], image):
+                raise ValueError("a g b is not in the element list")
+            yield order[pos]
 
     return index_orbits(len(elements), maps())
 
@@ -867,13 +928,8 @@ class GroupTable:
                 pairs = [(s, sp.transpose(s)) for s in self.gens]
             else:
                 pairs = [(sp.inv(s), s) for s in self.gens]
-            self._classes[tau] = relation_classes(sp, self.elements, self.index, pairs)
+            self._classes[tau] = relation_classes(sp, self.elements, pairs)
         return self._classes[tau]
-
-
-def _det_label(space, g, q):
-    F = space.F
-    return F.dlog[space.det(g)] % (q - 1) if q > 2 else 0
 
 
 def _gu_label(space, g, q0):
@@ -924,31 +980,34 @@ def _gauss_jordan(F, a, ncols):
     return a, pivots
 
 
-def _dickson_labels(space, mats):
-    """rank(g - 1) mod 2 for each matrix g of the iterable mats, in order:
-    the Dickson label of an orthogonal element at even q.  Batched over
-    slices of _PRODUCT_CHUNK matrices, one ``_gauss_jordan`` each."""
-    n, q, F = space.n, space.q, space.F
-    minus_one = np.array([F.add_t[x][F.neg_t[1]] for x in range(q)], dtype=np.intp)
-    diag = np.arange(n)
-    it = iter(mats)
-    while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
-        a = np.array(part, dtype=np.intp).reshape(-1, n, n)
-        a[:, diag, diag] = minus_one[a[:, diag, diag]]
-        _, pivots = _gauss_jordan(F, a, n)
-        yield from ((pivots >= 0).sum(axis=1) % 2).tolist()
-
-
-def _make_labels(family, space, elements, q):
+def _label(family, space, g, q):
+    """Coset label of one element: the det label (GL, SL), the GU label,
+    0 (Sp), the Dickson label rank(g - 1) mod 2 (orthogonal, even q), or
+    0 / 1 for det 1 / -1 (orthogonal, odd q)."""
     if family in ("GL", "SL"):
-        return tuple(_det_label(space, g, q) for g in elements)
+        return space.F.dlog[space.det(g)] % (q - 1) if q > 2 else 0
     if family in ("GU", "SU"):
-        return tuple(_gu_label(space, g, q) for g in elements)
+        return _gu_label(space, g, q)
     if family == "Sp":
-        return tuple(0 for _ in elements)
+        return 0
     if q % 2 == 0:
-        return tuple(_dickson_labels(space, elements))
-    return tuple(0 if space.det(g) == 1 else 1 for g in elements)
+        return space.rank(space.sub(g, space.identity)) % 2
+    return 0 if space.det(g) == 1 else 1
+
+
+def _closure_labels(family, space, q, gens, parent, generator):
+    """Labels of a closure's elements from its Schreier vector (see
+    ``bfs_closure``).  Each label is a homomorphism to the integers mod m
+    (q - 1 for det, q + 1 for GU, 2 for the orthogonal labels), so
+    label(g s) = label(g) + label(s): ``_label`` runs on the generators
+    only, and the sums along the BFS tree come by pointer doubling."""
+    m = {"GL": q - 1, "SL": q - 1, "GU": q + 1, "SU": q + 1, "Sp": 1}.get(family, 2)
+    step = np.array([_label(family, space, s, q) for s in gens] or [0], dtype=np.intp)
+    label, up = step[generator], parent
+    label[0] = 0
+    while up.any():
+        label, up = (label + label[up]) % m, up[up]
+    return tuple(label.tolist())
 
 
 _TABLE_MEMO = {}
@@ -966,14 +1025,16 @@ def _cache_path(family, n, q):
 def _read_cache(path, target):
     """The payload stored at path, or None when the file is missing, pickle
     rejects it, or it is not a dict of the current layout holding target
-    elements; build_group then rebuilds the table and overwrites the file."""
+    elements, target labels and the generators; build_group then rebuilds
+    the table and overwrites the file."""
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
     except Exception:  # OSError, or garbage failing to unpickle in any way
         return None
     if (isinstance(payload, dict) and payload.get("layout") == _CACHE_LAYOUT
-            and len(payload.get("elements", ())) == target):
+            and "gens" in payload
+            and len(payload.get("elements", ())) == len(payload.get("labels", ())) == target):
         return payload
     return None
 
@@ -1020,7 +1081,7 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
 
     seed, pool = _seed_and_pool(ambient, space, form)
     gens = [g for g in seed if admissible(g)]
-    elements, index = bfs_closure(space, gens, cap)
+    elements, index, parent, generator = bfs_closure(space, gens, cap)
     exhausted = False
     rounds = 0
     while len(elements) != target:
@@ -1039,15 +1100,15 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
             exhausted = True
             continue
         gens.append(nxt)
-        elements, index = bfs_closure(space, gens, cap)
+        elements, index, parent, generator = bfs_closure(space, gens, cap)
         rounds += 1
         if rounds > 64:
             raise AssertionError("generator completion did not converge")
     for g in gens:
         if not preserves_form(space, form, g):
             raise AssertionError("generator does not preserve the form")
-    table = GroupTable(ambient, n, q, tuple(elements),
-                       _make_labels(ambient, space, elements, q), tuple(gens))
+    labels = _closure_labels(ambient, space, q, gens, parent, generator)
+    table = GroupTable(ambient, n, q, tuple(elements), labels, tuple(gens))
     if path:
         payload = {
             "layout": _CACHE_LAYOUT,

@@ -30,7 +30,6 @@ from .matgroup import (
     build_group,
     enumerate_action,
     fixed_point_indices,
-    frontier_chunks,
     index_orbits,
     member_test,
     membership_sets,
@@ -621,8 +620,10 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
 class PermGroup:
     """A finite permutation group enumerated from generators, sorted.
 
-    It has the ``identity`` and ``products`` that ``bfs_closure`` asks of a
-    space.
+    It has the ``identity`` and the row methods (``_encode``, ``_decode``,
+    ``_keys``, ``_right``, ``_left``) that ``bfs_closure`` and
+    ``relation_classes`` ask of a space: a batch of elements is an
+    (N, degree) array of permutations, keyed by each row's bytes.
     """
 
     def __init__(self, degree, gens, name=""):
@@ -645,10 +646,27 @@ class PermGroup:
 
     def products(self, frontier, gens):
         """Every mul(g, h) for g in frontier and h in gens, frontier-major."""
-        hs = np.array(gens, dtype=np.intp)
-        for part in frontier_chunks(frontier, gens):
-            a = np.array(part, dtype=np.intp)
-            yield from map(tuple, a[:, hs].reshape(-1, self.degree).tolist())
+        return self._decode(self._right(gens)(self._encode(frontier)).reshape(-1, self.degree))
+
+    def _encode(self, perms):
+        return np.asarray(perms, dtype=np.intp).reshape(-1, self.degree)
+
+    def _decode(self, rows):
+        return list(map(tuple, rows.tolist()))
+
+    def _keys(self, rows):
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.itemsize * self.degree))).ravel()
+
+    def _right(self, gens):
+        """rows -> (rows, len(gens), degree) array of g s for each s of
+        gens: the position gathers g[s]."""
+        s = self._encode(gens)
+        return lambda rows: rows[:, s]
+
+    def _left(self, a):
+        """rows -> rows of a g, the lookup a[g]."""
+        return np.asarray(a, dtype=np.intp).__getitem__
 
     def inv(self, a):
         out = [0] * self.degree
@@ -666,7 +684,7 @@ class PermGroup:
     def conjugacy_classes(self):
         """Element indices grouped by conjugacy, ordered by smallest member."""
         pairs = [(self.inv(s), s) for s in self.gens]
-        return relation_classes(self, self.elements, self.index, pairs)
+        return relation_classes(self, self.elements, pairs)
 
 
 def psl2(p):

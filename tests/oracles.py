@@ -5,14 +5,18 @@ formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
 the Euler factors (the q-exponential identity), characteristic polynomials
 (Hessenberg reduction and minor sums, against the batched Berkowitz
-kernel), the tau squares g g^-T and the Dickson labels rank(g - 1) mod 2
-(one inverse or rank per element, against the batched eliminations), the
+kernel), the tau squares g g^-T (one inverse per element, against the
+batched elimination), the coset labels (one det or rank per element, and
+the batched rank of g - 1, against the labels a build reads off its
+closure), matrix products (n multiply-adds per entry over the field's
+lookup tables, against the row-code closure and class maps), the
 per-element sieve and tau tests and the no-small-invariant-subspace sets
 (the scans over batched characteristic polynomials), the kernels, perps
 and restrictions of the orthogonal sets (factor conditions on the
 characteristic polynomial), GF(2) invertibility (the bit-sliced kernel),
 fixed subspaces (the batched fixed-point kernel), and action orbits and
-(twisted) conjugacy classes (one union-find over index maps), and
+(twisted) conjugacy classes (a depth-first search, and one union-find
+over index maps, against the vectorised min-label propagation), and
 generation of a permutation group by a pair (one closure per pair, against
 the probe's verdicts shared over double cosets and proper subgroups).
 The permutation copy of a matrix action is here too; only tests use it.
@@ -34,11 +38,13 @@ from classprop.gf import (
     pnorm,
     residue_class_counts,
 )
+from classprop import matgroup
 from classprop.matgroup import (
-    _PRODUCT_CHUNK,
     ActionTable,
     MatSpace,
     _cofactor_free,
+    _gauss_jordan,
+    _product_tables,
     _cols_to_mat,
     all_subspaces,
     bfs_closure,
@@ -358,9 +364,62 @@ def tau_square(space, g):
 
 
 def dickson_label(space, g):
-    """rank(g - 1) mod 2 by one elimination per element (against the
-    batched elimination of ``matgroup._dickson_labels``)."""
+    """rank(g - 1) mod 2 by one elimination per element (against
+    ``batched_dickson_labels`` and the labels a build reads off its
+    closure)."""
     return space.rank(space.sub(g, space.identity)) % 2
+
+
+def batched_dickson_labels(space, mats):
+    """rank(g - 1) mod 2 for each matrix g of the iterable mats, in order,
+    from one ``matgroup._gauss_jordan`` per slice of _PRODUCT_CHUNK
+    matrices: the rank is the count of columns that found a pivot."""
+    n, q, F = space.n, space.q, space.F
+    minus_one = np.array([F.add_t[x][F.neg_t[1]] for x in range(q)], dtype=np.intp)
+    diag = np.arange(n)
+    it = iter(mats)
+    while part := list(itertools.islice(it, matgroup._PRODUCT_CHUNK)):
+        a = np.array(part, dtype=np.intp).reshape(-1, n, n)
+        a[:, diag, diag] = minus_one[a[:, diag, diag]]
+        _, pivots = _gauss_jordan(F, a, n)
+        yield from ((pivots >= 0).sum(axis=1) % 2).tolist()
+
+
+def element_labels(table):
+    """The coset label of every element of an ambient table, one det or
+    rank per element: the det label mod q - 1 (GL, SL), the GU label mod
+    q0 + 1, 0 (Sp), rank(g - 1) mod 2 (orthogonal, even q), or 0 / 1 for
+    det 1 / -1 (orthogonal, odd q)."""
+    sp, fam, q = table.space, table.family, table.q
+    dlog = sp.F.dlog
+    if fam in ("GL", "SL"):
+        return tuple(dlog[sp.det(g)] % (q - 1) if q > 2 else 0 for g in table.elements)
+    if fam in ("GU", "SU"):
+        return tuple(dlog[sp.det(g)] // (q - 1) % (q + 1) for g in table.elements)
+    if fam == "Sp":
+        return (0,) * len(table)
+    if q % 2 == 0:
+        return tuple(dickson_label(sp, g) for g in table.elements)
+    return tuple(0 if sp.det(g) == 1 else 1 for g in table.elements)
+
+
+def mat_products(space, frontier, gens):
+    """Every g*h for g in frontier and h in gens, frontier-major, as flat
+    code tuples, by the field's flat lookup tables (n multiply-adds per
+    entry), in slices of at most _PRODUCT_CHUNK products."""
+    n, q = space.n, space.q
+    mul, mac = _product_tables(space.F)
+    hs = np.array(gens, dtype=np.intp).reshape(-1, n, n)
+    step = max(1, matgroup._PRODUCT_CHUNK // max(1, len(gens)))
+    for start in range(0, len(frontier) if len(gens) else 0, step):
+        aq = np.array(frontier[start : start + step], dtype=np.intp).reshape(-1, n, n) * q
+        # acc[f, g, i, j] = sum over k of a_f[i, k] * h_g[k, j]
+        acc = mul[aq[:, None, :, 0, None] + hs[None, :, 0, None, :]]
+        for k in range(1, n):
+            acc *= q * q
+            acc += aq[:, None, :, k, None] + hs[None, :, k, None, :]
+            acc = mac[acc]
+        yield from map(tuple, acc.reshape(-1, n * n).tolist())
 
 
 def tau_sieve_free(space, g, t):
@@ -544,7 +603,13 @@ def permutation_group(table, action):
 
 def relation_classes_loop(space, elements, index, pairs):
     """Classes of g ~ a g b, one (a, b) per pair: union-find over the two
-    index maps g -> g b and h -> a h of each pair, joined in one loop."""
+    index maps g -> g b and h -> a h of each pair, joined in one loop; the
+    products come from ``mat_products`` or ``PermGroup.products``."""
+    if isinstance(space, MatSpace):
+        def products(frontier, gens):
+            return mat_products(space, frontier, gens)
+    else:
+        products = space.products
     parent = list(range(len(elements)))
 
     def find(i):
@@ -552,12 +617,13 @@ def relation_classes_loop(space, elements, index, pairs):
             parent[i] = i = parent[parent[i]]
         return i
 
+    chunk = matgroup._PRODUCT_CHUNK
     for a, b in pairs:
-        right = [index[x] for x in space.products(elements, [b])]
+        right = [index[x] for x in products(elements, [b])]
         left = [
             index[x]
-            for start in range(0, len(elements), _PRODUCT_CHUNK)
-            for x in space.products([a], elements[start : start + _PRODUCT_CHUNK])
+            for start in range(0, len(elements), chunk)
+            for x in products([a], elements[start : start + chunk])
         ]
         for i, r in enumerate(right):
             ri, rj = find(i), find(left[r])

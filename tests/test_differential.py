@@ -1,15 +1,17 @@
 """Differential tests: the one group closure and the shared helpers against
 standalone reference copies of the separate implementations they replaced,
-on every input from small groups; the batched products against one ``mul``
-call per product; the batched characteristic polynomials against the
-per-matrix Hessenberg reduction; the batched tau squares and Dickson
-labels against one inverse, transpose and product, or one rank, per
-element; the per-class fixed-point evaluations against per-element scans;
-the membership predicates and the batched fixed points against copies of
-the per-family loops and per-case branches they replaced;
-the action orbits and (twisted) classes against the depth-first search and
-the two-map loop that computed them before one shared union-find; the
-generation probe's reports against one closure per draw."""
+on every input from small groups; the lookup-table matrix product, which
+the row-code closure and class maps replaced, against one ``mul`` call per
+product; the batched characteristic polynomials against the per-matrix
+Hessenberg reduction; the batched tau squares and Dickson labels against
+one inverse, transpose and product, or one rank, per element; the labels
+a build reads off its closure against one det or rank per element; the
+per-class fixed-point evaluations against per-element scans; the
+membership predicates and the batched fixed points against copies of the
+per-family loops and per-case branches they replaced; the action orbits
+and (twisted) classes against the depth-first search and the two-map
+union-find loop that computed them before the vectorised min-label
+propagation; the generation probe's reports against one closure per draw."""
 
 import random
 from fractions import Fraction
@@ -24,7 +26,6 @@ from classprop.matgroup import (
     ResourceCapExceeded,
     _eval_quad,
     _form_translation,
-    _dickson_labels,
     _tau_squares,
     all_subspaces,
     bfs_closure,
@@ -58,13 +59,16 @@ from classprop.stats import (
 )
 from oracles import (
     _generates,
+    batched_dickson_labels,
     charpoly_hessenberg,
     class_fixed,
     class_images,
     dfs_orbits,
     dickson_label,
+    element_labels,
     kernel_basis,
     mat_add,
+    mat_products,
     perp_basis_form,
     relation_classes_loop,
     restrict,
@@ -120,7 +124,7 @@ def test_matrix_products_match_mul(q, chunk, monkeypatch):
         rand = lambda: tuple(rng.randrange(q) for _ in range(n * n))  # noqa: E731
         frontier = [rand() for _ in range(7)]
         gens = [rand() for _ in range(3)]
-        got = list(sp.products(frontier, gens))
+        got = list(mat_products(sp, frontier, gens))
         assert got == [sp.mul(g, h) for g in frontier for h in gens]
         assert all(type(x) is int for p in got for x in p)
 
@@ -237,7 +241,7 @@ def test_dickson_labels_match_rank_on_even_orthogonal_tables(key):
     sp = table.space
     want = tuple(dickson_label(sp, g) for g in table.elements)
     assert table.labels == want
-    assert tuple(_dickson_labels(sp, table.elements)) == want
+    assert tuple(batched_dickson_labels(sp, table.elements)) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -256,7 +260,7 @@ def test_dickson_labels_match_rank_on_random_matrices(n, q):
              mat_add(sp, sp.identity, tuple(row * n))]
     mats += [tuple(rng.randrange(q) if rng.random() < 0.2 else 0 for _ in range(n * n))
              for _ in range(20)]
-    got = list(_dickson_labels(sp, mats))
+    got = list(batched_dickson_labels(sp, mats))
     assert got == [dickson_label(sp, g) for g in mats]
     assert all(type(x) is int for x in got)
 
@@ -269,9 +273,9 @@ def test_dickson_labels_stream_across_chunk_edges(extra):
     mats = [tuple(rng.randrange(4) if rng.random() < 0.5 else 0 for _ in range(16))
             for _ in range(length)]
     want = [dickson_label(sp, g) for g in mats]
-    assert list(_dickson_labels(sp, mats)) == want
-    assert list(_dickson_labels(sp, (g for g in mats))) == want
-    assert list(_dickson_labels(sp, mats[:0])) == []
+    assert list(batched_dickson_labels(sp, mats)) == want
+    assert list(batched_dickson_labels(sp, (g for g in mats))) == want
+    assert list(batched_dickson_labels(sp, mats[:0])) == []
 
 
 @pytest.mark.parametrize("chunk", [1, 3])
@@ -280,12 +284,12 @@ def test_closure_prefix_and_cap_independent_of_chunk(chunk, monkeypatch):
     g7 = psl2(7)
     cases = [(tb.space, list(tb.gens)), (g7, g7.gens)]
     full = [bfs_closure(sp, gens)[0] for sp, gens in cases]
-    monkeypatch.setattr(matgroup, "_PRODUCT_CHUNK", chunk)
+    monkeypatch.setattr(matgroup, "_CLOSURE_CHUNK", chunk)
     for (sp, gens), ref in zip(cases, full):
         order = len(ref)
         assert bfs_closure(sp, gens)[0] == ref
         for stop in (1, 2, 5, 10, 37, order // 2, order - 1):
-            partial, seen = bfs_closure(sp, gens, stop_over=stop)
+            partial, seen = bfs_closure(sp, gens, stop_over=stop)[:2]
             assert partial == ref[: stop + 1]
             assert seen == {g: i for i, g in enumerate(partial)}
         assert bfs_closure(sp, gens, cap=order)[0] == ref
@@ -340,7 +344,7 @@ def test_matrix_closure_matches(tables):
                                       ("GU", 3, 2), ("Sp", 4, 2))]
     for tb in tables + more:
         sp, gens = tb.space, list(tb.gens)
-        elements, seen = bfs_closure(sp, gens)
+        elements, seen = bfs_closure(sp, gens)[:2]
         assert elements == _ref_closure(sp.identity, sp.mul, gens)
         assert elements == list(tb.elements)
         assert seen == tb.index
@@ -351,6 +355,50 @@ def test_permutation_closure_matches():
     ref = _ref_closure(g7.identity, _perm_mul, g7.gens)
     assert g7.elements == sorted(ref)
     assert bfs_closure(g7, g7.gens)[0] == ref
+
+
+def test_closure_schreier_vector_rebuilds_every_element():
+    # element i is its BFS parent times its generator, the parent found first
+    tb = build_group("GL", 3, 2)
+    g7 = psl2(7)
+    for sp, gens in [(tb.space, list(tb.gens)), (g7, g7.gens)]:
+        elements, _, parent, generator = bfs_closure(sp, gens)
+        assert parent[0] == generator[0] == 0
+        for i in range(1, len(elements)):
+            assert parent[i] < i
+            assert sp.mul(elements[parent[i]], gens[generator[i]]) == elements[i]
+
+
+def test_degree_18_closure_and_classes_match():
+    # 18^18 > 2^63, so a base-degree int64 code of a PSL(2,17) element would
+    # overflow; permutations are keyed by their bytes
+    g17 = psl2(17)
+    assert bfs_closure(g17, g17.gens)[0] == _ref_closure(g17.identity, _perm_mul, g17.gens)
+    pairs = [(g17.inv(s), s) for s in g17.gens]
+    assert g17.conjugacy_classes() == relation_classes_loop(
+        g17, g17.elements, g17.index, pairs)
+
+
+def test_closure_refuses_matrices_without_an_int64_code():
+    # 2^(8 * 8) = 2^64 keys do not fit an int64: an error, not a wrong closure
+    sp = MatSpace(8, 2)
+    shift = sp.from_rows([[1 if j == (i + 1) % 8 else 0 for j in range(8)] for i in range(8)])
+    with pytest.raises(ValueError, match="int64"):
+        bfs_closure(sp, [shift])
+    # the largest GF(2) dimension that fits closes as the reference does
+    sp = MatSpace(7, 2)
+    shift = sp.from_rows([[1 if j == (i + 1) % 7 else 0 for j in range(7)] for i in range(7)])
+    assert bfs_closure(sp, [shift])[0] == _ref_closure(sp.identity, sp.mul, [shift])
+
+
+@pytest.mark.parametrize("key", [("GL", 3, 4), ("SU", 3, 2), ("O", 3, 5)],
+                         ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_closure_labels_match_per_element_labels(key, monkeypatch):
+    # a fresh build sums generator labels along its BFS tree
+    monkeypatch.delenv(matgroup.CACHE_ENV, raising=False)
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    table = build_group(*key)
+    assert table.labels == element_labels(table)
 
 
 @pytest.fixture(scope="module")
@@ -734,6 +782,7 @@ def test_orbits_match_depth_first_search(group, spec):
     (("GL", 3, 2), False), (("GL", 3, 2), True), (("GL", 2, 3), False),
     (("GL", 2, 3), True), (("GL", 4, 2), False), (("GL", 4, 2), True),
     (("SL", 3, 3), False), (("SL", 3, 3), True), (("O+", 4, 2), False),
+    (("Sp", 4, 2), False), (("GU", 3, 2), False),
 ])
 def test_matrix_classes_match_two_map_loop(group, tau):
     tb = build_group(*group)

@@ -385,7 +385,9 @@ ORACLE_NAMES = (
     "kernel_basis", "mat_add", "perp_basis_form", "restrict", "_restrict",
     "_reflection_complement_free", "_eigenline_complement_free",
     "charpoly_hessenberg", "sieve_free", "tau_sieve_free", "permutation_group",
-    "tau_square", "dickson_label", "_generates",
+    "tau_square", "dickson_label", "_generates", "batched_dickson_labels",
+    "_dickson_labels", "element_labels", "_make_labels", "mat_products",
+    "frontier_chunks",
 )
 
 
@@ -399,6 +401,8 @@ def test_runtime_counts_never_enumerate():
     # one characteristic-polynomial route: the batched MatSpace.charpolys
     for name in ("charpoly_minors", "kernel_basis", "add", "charpoly"):
         assert not hasattr(matgroup.MatSpace, name), name
+    # one product route: closures and class maps look up row codes
+    assert not hasattr(matgroup.MatSpace, "products")
     # one construction route per table: no second Z_p arithmetic in gf, no
     # second GroupTable assembly in matgroup; the fpr check reads acting
     # trivially off the fixed-point count; no dead MatSpace.pow or

@@ -348,6 +348,29 @@ def test_cache_short_payload_is_rebuilt(tmp_path, monkeypatch):
     assert build_group("GL", 2, 2).order() == 6
 
 
+@pytest.mark.parametrize("damage", ["short labels", "no gens"])
+def test_cache_payload_missing_labels_or_gens_is_rebuilt(damage, tmp_path, monkeypatch):
+    # a payload with every element but 5 labels once served a GL2(3) whose
+    # coset-1 scan found 1 member instead of 12; one without gens raised
+    # KeyError.  Both are misses: the table is rebuilt and the file
+    # overwritten with a payload that a fresh memo loads unchanged
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    want = build_group("GL", 2, 3)
+    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q3.pkl"
+    payload = pickle.loads(path.read_bytes())
+    if damage == "short labels":
+        payload["labels"] = payload["labels"][:5]
+    else:
+        del payload["gens"]
+    path.write_bytes(pickle.dumps(payload))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    got = build_group("GL", 2, 3)
+    assert (got.elements, got.labels, got.gens) == (want.elements, want.labels, want.gens)
+    assert len(membership_sets(got, 1, 1)) == 12
+    assert pickle.loads(path.read_bytes())["labels"] == want.labels
+
+
 # ---------------------------------------------------------------------------
 # Subspaces and perps.
 
@@ -876,15 +899,22 @@ def test_fixed_sets_build_no_vector_image_tables(monkeypatch):
     assert calls == []
 
 
-def test_even_q_labels_need_no_rank_per_element(monkeypatch):
-    # the Dickson labels of a fresh O+6(2) build come from the batched
-    # elimination; one MatSpace.rank per element made 40 320 calls
+@pytest.mark.parametrize("key,order,ones", [(("O+", 6, 2), 40_320, 20_160),
+                                             (("GU", 3, 2), 648, 432)],
+                         ids=["O+6q2", "GU3q2"])
+def test_fresh_build_labels_ride_the_closure(key, order, ones, monkeypatch):
+    # labels are summed along the BFS tree from the generators' labels: one
+    # det or rank per generator, where one per element made 40 320 rank
+    # calls on O+6(2), and no batched elimination
     monkeypatch.delenv(matgroup.CACHE_ENV, raising=False)
     monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    calls = _count_calls(monkeypatch, MatSpace, "rank")
-    tb = build_group("O+", 6, 2)
-    assert len(tb) == 40_320 and tb.labels.count(1) == 20_160
-    assert calls == []
+    ranks = _count_calls(monkeypatch, MatSpace, "rank")
+    dets = _count_calls(monkeypatch, MatSpace, "det")
+    eliminations = _count_calls(monkeypatch, matgroup, "_gauss_jordan")
+    tb = build_group(*key)
+    assert len(tb) == order and len(tb) - tb.labels.count(0) == ones
+    assert len(ranks) + len(dets) <= len(tb.gens)
+    assert eliminations == []
 
 
 # ---------------------------------------------------------------------------
@@ -926,9 +956,9 @@ def test_random_gl_roughly_uniform_on_small_group():
 
 def test_bfs_closure_stop_over_returns_a_prefix():
     tb = build_group("GL", 3, 2)
-    full, _ = bfs_closure(tb.space, list(tb.gens))
+    full = bfs_closure(tb.space, list(tb.gens))[0]
     assert full == list(tb.elements)
-    partial, seen = bfs_closure(tb.space, list(tb.gens), stop_over=10)
+    partial, seen = bfs_closure(tb.space, list(tb.gens), stop_over=10)[:2]
     assert partial == full[:11]
     assert seen == {g: i for i, g in enumerate(partial)}
     assert bfs_closure(tb.space, list(tb.gens), stop_over=168)[0] == full
@@ -943,9 +973,9 @@ def test_bfs_closure_cap():
 
 def test_bfs_closure_without_generators():
     sp = MatSpace(3, 4)
-    assert bfs_closure(sp, []) == ([sp.identity], {sp.identity: 0})
+    assert bfs_closure(sp, [])[:2] == ([sp.identity], {sp.identity: 0})
     g7 = psl2(7)
-    assert bfs_closure(g7, []) == ([g7.identity], {g7.identity: 0})
+    assert bfs_closure(g7, [])[:2] == ([g7.identity], {g7.identity: 0})
 
 
 def test_build_group_rejects_dimension_below_one():
@@ -957,5 +987,5 @@ def test_build_group_rejects_dimension_below_one():
 def test_bfs_closure_of_single_rotation():
     sp = MatSpace(2, 3)
     g = sp.from_rows([[0, 2], [1, 0]])
-    els, seen = bfs_closure(sp, [g])
+    els, seen = bfs_closure(sp, [g])[:2]
     assert len(els) == 4  # an order-4 cyclic subgroup of GL_2(3)
