@@ -47,7 +47,6 @@ from classprop.matgroup import (
     _product_tables,
     _cols_to_mat,
     all_subspaces,
-    bfs_closure,
     enumerate_action,
     fixed_point_indices,
     perp_basis_dot,
@@ -639,10 +638,21 @@ def relation_classes_loop(space, elements, index, pairs):
 # Generation of a permutation group by a pair.
 
 def _generates(group, x, s):
-    """True when x and s generate the whole group.
-
-    The closure breaks off as soon as it exceeds half the order: a proper
-    subgroup has index at least 2.
+    """True when x and s generate the whole group, by one breadth-first
+    closure of its own (a set of element tuples, independent of
+    ``bfs_closure``).  The closure breaks off as soon as it exceeds half
+    the order: a proper subgroup has index at least 2.
     """
     half = group.order() // 2
-    return len(bfs_closure(group, (x, s), stop_over=half)[0]) > half
+    seen = {group.identity}
+    frontier = [group.identity]
+    while frontier and len(seen) <= half:
+        nxt = []
+        for g in frontier:
+            for h in (x, s):
+                p = group.mul(g, h)
+                if p not in seen:
+                    seen.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return len(seen) > half
