@@ -656,3 +656,78 @@ def _generates(group, x, s):
                     nxt.append(p)
         frontier = nxt
     return len(seen) > half
+
+
+# ---------------------------------------------------------------------------
+# Group tables as element tuples.
+
+def tuple_closure(space, gens):
+    """Breadth-first closure as element tuples with a dict index: the row
+    codes of each level come from the same lookups as ``bfs_closure``, and
+    every new element is decoded to its tuple at once.  Returns (elements,
+    index, parent, generator), the last two the Schreier vector."""
+    frontier = space._encode([space.identity])
+    seen = space._keys(frontier)
+    times = space._right(gens)
+    elements = [space.identity]
+    G = max(1, len(gens))
+    found = [np.zeros(1, dtype=np.intp)]
+    step = max(1, matgroup._CLOSURE_CHUNK // G)
+    while gens and len(frontier):
+        first, nxt = len(elements) - len(frontier), []
+        for lo in range(0, len(frontier), step):
+            products = times(frontier[lo : lo + step]).reshape(-1, frontier.shape[1])
+            keys, at = np.unique(space._keys(products), return_index=True)
+            new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
+            seen = np.sort(np.concatenate((seen, keys[new])), kind="stable")
+            at = np.sort(at[new])
+            elements += space._decode(products[at])
+            found.append(at + (first + lo) * G)
+            nxt.append(products[at])
+        frontier = np.concatenate(nxt)
+    found = np.concatenate(found)
+    index = dict(zip(elements, range(len(elements))))
+    return elements, index, found // G, found % G
+
+
+def tuple_table(family, n, q):
+    """(elements, labels, gens, index) of ``build_group(family, n, q)`` as
+    tuples and a dict: the same seed, completion pool and labels, with the
+    completion loop testing candidates against the dict, and the SO and
+    Omega halves cut out element by element."""
+    ambient = matgroup._ambient_of(family)
+    target = matgroup.group_order(ambient, n, q)
+    form = matgroup.standard_form(ambient, n, q)
+    space = MatSpace(n, q * q if ambient in ("GU", "SU") else q)
+
+    def admissible(g):
+        return ambient != "SU" or matgroup._gu_label(space, g, q) == 0
+
+    seed, pool = matgroup._seed_and_pool(ambient, space, form)
+    gens = [g for g in seed if admissible(g)]
+    elements, index, parent, generator = tuple_closure(space, gens)
+    exhausted = False
+    while len(elements) != target:
+        nxt = next((c for c in pool if admissible(c) and c not in index), None)
+        if nxt is None:
+            assert not exhausted, "generator completion failed"
+            pool, exhausted = matgroup._full_scan_candidates(space, form), True
+            continue
+        gens.append(nxt)
+        elements, index, parent, generator = tuple_closure(space, gens)
+    labels = matgroup._closure_labels(ambient, space, q, gens, parent, generator)
+    if family == ambient:
+        return tuple(elements), labels, tuple(gens), index
+    # the label-0 half, generated by t s rep(t s)^-1 over the transversal {1, r}
+    r = elements[labels.index(1)]
+    rinv = space.inv(r)
+    half = []
+    for t in (space.identity, r):
+        for s in gens:
+            x = space.mul(t, s)
+            if labels[index[x]]:
+                x = space.mul(x, rinv)
+            if x != space.identity and x not in half:
+                half.append(x)
+    kept = tuple(g for g, label in zip(elements, labels) if label == 0)
+    return kept, (0,) * len(kept), tuple(half), {g: i for i, g in enumerate(kept)}

@@ -25,6 +25,7 @@ from classprop.matgroup import (
     MatSpace,
     ResourceCapExceeded,
     _eval_quad,
+    _cofactor_free,
     _form_translation,
     _tau_squares,
     all_subspaces,
@@ -75,6 +76,7 @@ from oracles import (
     sieve_free,
     tau_sieve_free,
     tau_square,
+    tuple_table,
 )
 from test_table_digests import TABLE_DIGESTS
 
@@ -348,6 +350,18 @@ def test_matrix_closure_matches(tables):
         assert elements == _ref_closure(sp.identity, sp.mul, gens)
         assert elements == list(tb.elements)
         assert seen == tb.index
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_DIGESTS), ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_tables_match_the_tuple_route(key):
+    # elements, labels, generators and index against a build that decodes
+    # every element to its tuple and indexes the tuples in a dict
+    elements, labels, gens, index = tuple_table(*key)
+    tb = build_group(*key)
+    assert list(tb.elements) == list(elements)
+    assert tb.labels == labels
+    assert tb.gens == gens
+    assert tb.index == index
 
 
 def test_permutation_closure_matches():
@@ -906,10 +920,43 @@ def test_membership_predicates_match_per_family_loops(fam, n, q, t, coset):
     assert membership_sets(tb, t, coset) == _ref_membership_sets(tb, t, coset)
 
 
-@pytest.mark.parametrize("n,q,t", [(3, 2, 1), (4, 2, 1), (4, 2, 2), (3, 3, 1)])
+TAU_CASES = [(3, 2, 1), (4, 2, 1), (4, 2, 2), (3, 3, 1)]
+
+
+@pytest.mark.parametrize("n,q,t", TAU_CASES)
 def test_tau_membership_matches_loop(n, q, t):
     tb = build_group("GL", n, q)
     assert tau_membership(tb, t) == _ref_tau_membership(tb, t)
+
+
+def _ref_cofactor_scan(tb, t, coset):
+    """The members by one ``_cofactor_free`` call per element, on the
+    batched characteristic polynomials: the roots each set divides out, and
+    the Dickson label 1 that the even-q O set asks for."""
+    sp = tb.space
+    minus = sp.F.neg_t[1]
+    label = coset if isinstance(coset, int) else None
+    if coset == "tau":
+        roots = (1,) if tb.n % 2 else ()
+    elif coset not in ("S", "O"):
+        roots = ()
+    elif tb.n % 2 == 0:
+        roots = () if coset == "S" else (1, minus)
+        label = 1 if coset == "O" and tb.q % 2 == 0 else None
+    else:
+        roots = (1,) if coset == "S" else (minus,)
+    mats = _tau_squares(sp, tb.elements) if coset == "tau" else tb.elements
+    return [i for i, f in enumerate(sp.charpolys(mats))
+            if (label is None or tb.labels[i] == label)
+            and _cofactor_free(sp.F, f, roots, t)]
+
+
+@pytest.mark.parametrize("fam,n,q,t,coset", MEMBERSHIP_CASES + [
+    ("GL", n, q, t, "tau") for n, q, t in TAU_CASES])
+def test_membership_matches_per_element_cofactor_test(fam, n, q, t, coset):
+    tb = build_group(fam, n, q)
+    got = tau_membership(tb, t) if coset == "tau" else membership_sets(tb, t, coset)
+    assert got == _ref_cofactor_scan(tb, t, coset)
 
 
 # hits of 300 seeded Monte Carlo draws, frozen so that the draws keep their
