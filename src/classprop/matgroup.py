@@ -1,22 +1,26 @@
 """Matrix groups over small finite fields by explicit enumeration.
 
-Matrices are flat row-major tuples of field codes, so they hash and compare
-cheaply.  Groups are built by breadth-first closure (``bfs_closure``, which
-also closes the permutation groups of ``stats``) from hard-coded generator
-seeds.  Inside the closure a matrix is the int64 codes of its q^n-ary row
-vectors, so a product g s is one lookup per row in the table of s^T on all
-q^n vectors, and the new elements of a level come from ``np.unique`` of
-int64 keys.  The element count is checked against the classical order
-formula, and when a seed undergenerates (a real phenomenon: the
-4-dimensional plus-type orthogonal group over GF(2) is not generated by its
-reflections) the builder deterministically completes the seed from a pool
-of form-preserving candidates until the order matches.  Coset labels are
-homomorphisms, so each is summed along the BFS tree from the generators'
-labels; conjugacy classes join index maps g -> a g b, computed on the same
-row codes, by vectorised min-label propagation.
+A single matrix is a flat row-major tuple of field codes, so it hashes and
+compares cheaply.  A batch of matrices, and every group table, is an int64
+array of row codes: the codes of each matrix's q^n-ary row vectors.  Groups
+are built by breadth-first closure (``bfs_closure``, which also closes the
+permutation groups of ``stats``) from hard-coded generator seeds; a product
+g s is one lookup per row in the table of s^T on all q^n vectors, and the
+new elements of a level come from ``np.unique`` of int64 keys.  The element
+count is checked against the classical order formula, and when a seed
+undergenerates (a real phenomenon: the 4-dimensional plus-type orthogonal
+group over GF(2) is not generated by its reflections) the builder
+deterministically completes the seed from a pool of form-preserving
+candidates until the order matches.  Coset labels are homomorphisms, so
+each is summed along the BFS tree from the generators' labels; conjugacy
+classes join index maps g -> a g b, computed on the same row codes, by
+vectorised min-label propagation.
 
 Everything downstream (actions, fixed points, the element subsets defined by
-characteristic-polynomial conditions) works on the enumerated tables.
+characteristic-polynomial conditions) works on the row codes of the
+enumerated tables, one slice of matrix entries at a time; a table decodes an
+element to its tuple only when asked through its ``elements`` and ``index``
+views.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import functools
 import itertools
 import os
 import pickle
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,23 +38,22 @@ from .gf import (
     Field,
     _check_int,
     has_small_degree_factor,
-    pdivmod,
 )
 
 DEFAULT_GROUP_CAP = 20_000_000
 DEFAULT_ACTION_CAP = 2_000_000
 
-# matrices per batched step of ``charpolys``, ``_tau_squares`` and
-# ``_fixed_rows``; bounds their working arrays
-_PRODUCT_CHUNK = 256
-# products per slice of a ``bfs_closure`` level; bounds its working arrays
-# and the element tuples decoded at once
+# matrices per digit slice (``MatSpace._slices``) of ``charpolys``,
+# ``_tau_squares`` and ``_fixed_rows``; bounds their working arrays
+_PRODUCT_CHUNK = 1024
+# products per slice of a ``bfs_closure`` level, and rows per slice that a
+# table's ``elements`` view decodes while iterating
 _CLOSURE_CHUNK = 4096
 # matrices times plan entries per batched step of ``_fixed_rows``
 _FIXED_CELLS = 1 << 20
 
 CACHE_ENV = "CLASSPROP_CACHE"
-_CACHE_LAYOUT = "matgroup-cache-3"
+_CACHE_LAYOUT = "matgroup-cache-4"
 
 
 class ResourceCapExceeded(Exception):
@@ -115,12 +119,12 @@ class MatSpace:
                 out.append(acc)
         return tuple(out)
 
-    def charpolys(self, mats):
-        """Monic characteristic polynomial of each matrix of the iterable
-        mats, constant term first, in order.
+    def charpolys(self, rows):
+        """Monic characteristic polynomials, constant term first, of the
+        matrices with these row codes (see ``_encode``): an (N, n + 1) array.
 
         Berkowitz's division-free recursion (Inf. Process. Lett. 18, 1984),
-        batched over slices of _PRODUCT_CHUNK matrices.  Writing a trailing
+        batched over the digit slices of ``_slices``.  Writing a trailing
         principal submatrix as [[a, R], [C, M]], its polynomial (leading
         coefficient first) is the lower-triangular Toeplitz matrix with
         first column (1, -a, -R C, -R M C, ..., -R M^(m-1) C) times that of
@@ -130,11 +134,10 @@ class MatSpace:
         n, q, qq = self.n, self.q, self.q * self.q
         mul, mac = _product_tables(self.F)
         negq = np.array(self.F.neg_t, dtype=np.intp) * q
-        it = iter(mats)
-        while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
-            A = np.array(part, dtype=np.intp).reshape(-1, n, n)
+        polys = np.empty((len(rows), n + 1), dtype=np.intp)
+        for lo, A in self._slices(rows):
             Aq = A * q
-            b = len(part)
+            b = len(A)
             poly = np.ones((b, 1), dtype=np.intp)
             for k in range(n - 1, -1, -1):
                 m = n - 1 - k
@@ -159,7 +162,8 @@ class MatSpace:
                         out[:, j:hi] * qq + colq[:, j, None] + poly[:, : hi - j]
                     ]
                 poly = out
-            yield from map(tuple, poly[:, ::-1].tolist())
+            polys[lo : lo + b] = poly[:, ::-1]
+        return polys
 
     def mat_vec(self, a, v):
         n, F = self.n, self.F
@@ -337,8 +341,9 @@ class MatSpace:
         return images
 
     # Row-code tables: a batch of matrices as an (N, n) int64 array holding
-    # the code of each row vector, read by ``bfs_closure`` and
-    # ``relation_classes``.
+    # the code of each row vector.  Closures, tables, class maps and every
+    # batched kernel read this form; ``_slices`` gives the kernels the
+    # matrix entries, one slice at a time.
 
     @functools.cached_property
     def _digits(self):
@@ -351,6 +356,13 @@ class MatSpace:
     def _decode(self, rows):
         """Flat code tuples of the matrices with these row codes."""
         return list(map(tuple, self._digits[rows].reshape(len(rows), self.n**2).tolist()))
+
+    def _slices(self, rows, step=None):
+        """(start, entries) for each slice of at most step (_PRODUCT_CHUNK)
+        matrices of rows: the (b, n, n) entries of rows[start : start + b]."""
+        step = step or _PRODUCT_CHUNK
+        for lo in range(0, len(rows), step):
+            yield lo, self._digits[rows[lo : lo + step]]
 
     def _keys(self, rows):
         """One int64 per matrix: its row codes read in base q^n."""
@@ -761,10 +773,10 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     the sorted keys seen so far, taken in the order a loop over the
     products would first meet them.
 
-    Returns (elements, element -> position, parent, generator), where the
-    last two are the Schreier vector of the BFS tree: elements[i] is
-    elements[parent[i]] * gens[generator[i]] for i > 0, and both are 0 at
-    the identity.  More than cap elements raise ResourceCapExceeded; more
+    Returns (rows, parent, generator): the elements' rows in BFS order,
+    decoded to nothing, and the Schreier vector of the BFS tree: element i
+    is element parent[i] times gens[generator[i]] for i > 0, and both are 0
+    at the identity.  More than cap elements raise ResourceCapExceeded; more
     than stop_over return the partial closure at once.
     """
     if stop_over is None:
@@ -772,7 +784,7 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     frontier = space._encode([space.identity])
     seen = space._keys(frontier)  # sorted keys of the elements found so far
     times = space._right(gens)
-    elements = [space.identity]
+    levels, count = [frontier], 1
     # found[i]: the product that first gave element i, numbered frontier-major
     # over the whole closure, so element i is found[i] // G times generator
     # found[i] % G
@@ -781,7 +793,7 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     step = max(1, _CLOSURE_CHUNK // G)
     done = not gens
     while not done and len(frontier):
-        first, nxt = len(elements) - len(frontier), []
+        first, nxt = count - len(frontier), []
         for lo in range(0, len(frontier), step):
             products = times(frontier[lo : lo + step]).reshape(-1, frontier.shape[1])
             keys, at = np.unique(space._keys(products), return_index=True)
@@ -789,21 +801,20 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
             # two sorted runs: the stable sort merges them
             seen = np.sort(np.concatenate((seen, keys[new])), kind="stable")
             at = np.sort(at[new])
-            done = len(elements) + len(at) > stop_over and stop_over < cap
+            done = count + len(at) > stop_over and stop_over < cap
             if done:
-                at = at[: max(1, stop_over + 1 - len(elements))]
-            elif len(elements) + len(at) > cap:
+                at = at[: max(1, stop_over + 1 - count)]
+            elif count + len(at) > cap:
                 raise ResourceCapExceeded(f"group closure exceeded cap {cap}")
-            elements += space._decode(products[at])
+            nxt.append(products[at])
+            count += len(at)
             found.append(at + (first + lo) * G)
             if done:
                 break
-            nxt.append(products[at])
-        else:
-            frontier = np.concatenate(nxt)
+        levels += nxt
+        frontier = np.concatenate(nxt)
     found = np.concatenate(found)
-    index = dict(zip(elements, range(len(elements))))
-    return elements, index, found // G, found % G
+    return np.concatenate(levels), found // G, found % G
 
 
 def index_orbits(size, maps):
@@ -832,20 +843,20 @@ def index_orbits(size, maps):
     return [part.tolist() for part in np.split(order, cuts)] if size else []
 
 
-def relation_classes(space, elements, pairs):
-    """Classes of the relation g ~ a g b, one (a, b) per pair, as sorted
-    lists of element indices ordered by smallest member.
+def relation_classes(space, rows, pairs):
+    """Classes of the relation g ~ a g b, one (a, b) per pair, on the
+    elements with these rows (see ``bfs_closure``), as sorted lists of
+    element indices ordered by smallest member.
 
     With (s^-1, s) per generator s these are the conjugacy classes; with
     (s, s^T) they are the twisted classes g ~ s g s^T, which index the
     classes of the coset elements g tau since s (g tau) s^-1 = (s g s^T) tau.
-    The elements are encoded once (see ``bfs_closure``); each pair maps
-    them with ``space._right(b)`` and ``space._left(a)`` (for a MatSpace, b
-    acts on the row codes and a on the column codes, each through one
-    ``all_vector_images`` table), and the index map g -> a g b comes from
-    ``searchsorted`` over the sorted keys.  ``index_orbits`` joins the maps.
+    Each pair maps the rows with ``space._right(b)`` and ``space._left(a)``
+    (for a MatSpace, b acts on the row codes and a on the column codes,
+    each through one ``all_vector_images`` table), and the index map
+    g -> a g b comes from ``searchsorted`` over the sorted keys.
+    ``index_orbits`` joins the maps.
     """
-    rows = space._encode(elements)
     keys = space._keys(rows)
     order = np.argsort(keys)
     keys = keys[order]
@@ -858,44 +869,120 @@ def relation_classes(space, elements, pairs):
                 raise ValueError("a g b is not in the element list")
             yield order[pos]
 
-    return index_orbits(len(elements), maps())
+    return index_orbits(len(rows), maps())
 
 
-@dataclass
+class _Elements(Sequence):
+    """The elements of a table as flat code tuples, decoded from its row
+    codes on demand: one row per item, one slice of _CLOSURE_CHUNK rows at
+    a time while iterating; membership goes through the table's index."""
+
+    def __init__(self, space, rows, index):
+        self._space, self._rows, self._index = space, rows, index
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._space._decode(self._rows[i])
+        return self._space._decode(self._rows[[i]])[0]
+
+    def __iter__(self):
+        for lo in range(0, len(self._rows), _CLOSURE_CHUNK):
+            yield from self._space._decode(self._rows[lo : lo + _CLOSURE_CHUNK])
+
+    def __contains__(self, g):
+        return g in self._index
+
+    def __eq__(self, other):
+        if isinstance(other, _Elements):
+            return self._space is other._space and np.array_equal(self._rows, other._rows)
+        if isinstance(other, (tuple, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class _Index(Mapping):
+    """Element tuple -> its position in a table of row codes.  The key of
+    a flat code tuple g is sum g[k] q^k, the same int64 as ``_keys`` of
+    its rows, and it is looked up by ``searchsorted`` in the sorted keys,
+    which are taken on first use; no dict is built."""
+
+    def __init__(self, space, rows):
+        self._space, self._rows = space, rows
+
+    @functools.cached_property
+    def _sorted(self):
+        keys = self._space._keys(self._rows)
+        order = np.argsort(keys)
+        return keys[order], order
+
+    def __getitem__(self, g):
+        n, q = self._space.n, self._space.q
+        try:
+            valid = len(g) == n * n and all(0 <= x < q for x in g)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise KeyError(g)
+        key = 0
+        for x in reversed(g):
+            key = key * q + x
+        keys, order = self._sorted
+        i = int(np.searchsorted(keys, key))
+        if i == len(keys) or keys[i] != key:
+            raise KeyError(g)
+        return int(order[i])
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(_Elements(self._space, self._rows, self))
+
+
+@dataclass(eq=False)
 class GroupTable:
-    """An enumerated group: its elements, one coset label per element, and
-    the generators its conjugacy classes are taken under.
+    """An enumerated group: the row codes of its elements (see
+    ``bfs_closure``), one coset label per element, and the generators its
+    conjugacy classes are taken under.
 
     The six init fields are the whole input, and the only way a table is
-    made (built, loaded from the disk cache, or cut down to a label-0 half).
-    Derived from them: ``space``, the matrices over GF(q) (GF(q^2) for GU
-    and SU); ``form``, ``standard_form(family, n, q)``; ``index``, element ->
-    position; and the empty conjugacy-class memo.
+    made (built, loaded from the disk cache, or cut down to a label-0 half);
+    rows is made read-only.  Derived from them: ``space``, the matrices over
+    GF(q) (GF(q^2) for GU and SU); ``form``, ``standard_form(family, n,
+    q)``; the read-only views ``elements``, a sequence of flat code tuples
+    decoded on demand, and ``index``, element -> position, looked up
+    through the sorted keys; and the empty conjugacy-class memo.
     """
 
     family: str
     n: int
     q: int  # defining q of the family label (entries in GF(q^2) for GU/SU)
-    elements: tuple
+    rows: np.ndarray = field(repr=False)
     labels: tuple
     gens: tuple
     space: MatSpace = field(init=False)
     form: FormSpec = field(init=False)
-    index: dict = field(init=False)
-    _classes: dict = field(init=False, repr=False, compare=False)
+    elements: _Elements = field(init=False, repr=False)
+    index: _Index = field(init=False, repr=False)
+    _classes: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         q = self.q * self.q if self.family in ("GU", "SU") else self.q
         self.space = MatSpace(self.n, q)
         self.form = standard_form(self.family, self.n, self.q)
-        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.rows.flags.writeable = False  # shared by every caller
+        self.index = _Index(self.space, self.rows)
+        self.elements = _Elements(self.space, self.rows, self.index)
         self._classes = {}
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.rows)
 
     def order(self):
-        return len(self.elements)
+        return len(self.rows)
 
     def coset_indices(self, label):
         _check_int("coset label", label, 0)
@@ -906,9 +993,9 @@ class GroupTable:
         table for None and tau, half of it for the orthogonal S and O
         variants, otherwise the elements carrying that label."""
         if coset in (None, "tau"):
-            return len(self.elements)
+            return len(self.rows)
         if coset in ("S", "O"):
-            return len(self.elements) // 2
+            return len(self.rows) // 2
         _check_int("coset label", coset, 0)
         return self.labels.count(coset)
 
@@ -928,7 +1015,7 @@ class GroupTable:
                 pairs = [(s, sp.transpose(s)) for s in self.gens]
             else:
                 pairs = [(sp.inv(s), s) for s in self.gens]
-            self._classes[tau] = relation_classes(sp, self.elements, pairs)
+            self._classes[tau] = relation_classes(sp, self.rows, pairs)
         return self._classes[tau]
 
 
@@ -1022,21 +1109,32 @@ def _cache_path(family, n, q):
     return os.path.join(root, f"{_CACHE_LAYOUT}-{safe}{n}q{q}.pkl")
 
 
-def _read_cache(path, target):
+def _read_cache(path, space, target):
     """The payload stored at path, or None when the file is missing, pickle
-    rejects it, or it is not a dict of the current layout holding target
-    elements, target labels and the generators; build_group then rebuilds
-    the table and overwrites the file."""
+    rejects it, or it is not a dict of the current layout holding the
+    generators, target labels and the rows of a table of target elements:
+    an int64 array of shape (target, n) of codes in [0, q^n), with distinct
+    keys and the identity first.  build_group then rebuilds the table and
+    overwrites the file."""
     try:
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
     except Exception:  # OSError, or garbage failing to unpickle in any way
         return None
-    if (isinstance(payload, dict) and payload.get("layout") == _CACHE_LAYOUT
-            and "gens" in payload
-            and len(payload.get("elements", ())) == len(payload.get("labels", ())) == target):
-        return payload
-    return None
+    if not (isinstance(payload, dict) and payload.get("layout") == _CACHE_LAYOUT
+            and "gens" in payload):
+        return None
+    rows, labels = payload.get("rows"), payload.get("labels")
+    if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64
+            and rows.shape == (target, space.n)
+            and isinstance(labels, np.ndarray) and labels.dtype.kind == "i"
+            and labels.shape == (target,)):
+        return None
+    if (rows.min() < 0 or rows.max() >= space.q**space.n
+            or not np.array_equal(rows[0], space._encode([space.identity])[0])
+            or len(np.unique(space._keys(rows))) != target):
+        return None
+    return payload
 
 
 def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
@@ -1063,44 +1161,45 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     if memo_key in _TABLE_MEMO:
         return _TABLE_MEMO[memo_key]
 
+    space = MatSpace(n, q * q if ambient in ("GU", "SU") else q)
     path = _cache_path(ambient, n, q)
-    payload = _read_cache(path, target) if path else None
+    payload = _read_cache(path, space, target) if path else None
     if payload:
-        table = GroupTable(ambient, n, q, payload["elements"],
-                           payload["labels"], payload["gens"])
+        table = GroupTable(ambient, n, q, payload["rows"],
+                           tuple(payload["labels"].tolist()), payload["gens"])
         if sub_select:
             table = _subtable(table, family)
         _TABLE_MEMO[memo_key] = table
         return table
 
     form = standard_form(ambient, n, q)
-    space = MatSpace(n, q * q if ambient in ("GU", "SU") else q)
 
     def admissible(g):
         return ambient != "SU" or _gu_label(space, g, q) == 0
 
     seed, pool = _seed_and_pool(ambient, space, form)
     gens = [g for g in seed if admissible(g)]
-    elements, index, parent, generator = bfs_closure(space, gens, cap)
+    rows, parent, generator = bfs_closure(space, gens, cap)
     exhausted = False
     rounds = 0
-    while len(elements) != target:
+    while len(rows) != target:
+        found = _Index(space, rows)
         nxt = None
         for cand in pool:
-            if admissible(cand) and cand not in index:
+            if admissible(cand) and cand not in found:
                 nxt = cand
                 break
         if nxt is None:
             if exhausted:
                 raise AssertionError(
                     f"generator completion failed for {ambient}_{n}({q}): "
-                    f"got {len(elements)}, wanted {target}"
+                    f"got {len(rows)}, wanted {target}"
                 )
             pool = _full_scan_candidates(space, form)
             exhausted = True
             continue
         gens.append(nxt)
-        elements, index, parent, generator = bfs_closure(space, gens, cap)
+        rows, parent, generator = bfs_closure(space, gens, cap)
         rounds += 1
         if rounds > 64:
             raise AssertionError("generator completion did not converge")
@@ -1108,12 +1207,12 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         if not preserves_form(space, form, g):
             raise AssertionError("generator does not preserve the form")
     labels = _closure_labels(ambient, space, q, gens, parent, generator)
-    table = GroupTable(ambient, n, q, tuple(elements), labels, tuple(gens))
+    table = GroupTable(ambient, n, q, rows, labels, tuple(gens))
     if path:
         payload = {
             "layout": _CACHE_LAYOUT,
-            "elements": table.elements,
-            "labels": table.labels,
+            "rows": table.rows,
+            "labels": np.array(labels, dtype=np.int64),
             "gens": table.gens,
         }
         tmp = path + ".tmp"
@@ -1130,12 +1229,11 @@ def _subtable(table, family):
     """The label-0 half of an orthogonal table, in table order, generated by
     its Schreier generators t s rep(t s)^-1 over the transversal {1, r}."""
     space, labels, index = table.space, table.labels, table.index
-    keep = [i for i, l in enumerate(labels) if l == 0]
-    elements = tuple(table.elements[i] for i in keep)
+    keep = np.flatnonzero(np.array(labels) == 0)
     want = group_order(family, table.n, table.q)
-    if len(elements) != want:
+    if len(keep) != want:
         raise AssertionError(
-            f"{family}: label-0 part has {len(elements)} elements, wanted {want}"
+            f"{family}: label-0 part has {len(keep)} elements, wanted {want}"
         )
     r = table.elements[labels.index(1)]
     rinv = space.inv(r)
@@ -1147,8 +1245,8 @@ def _subtable(table, family):
                 x = space.mul(x, rinv)
             if x != space.identity and x not in gens:
                 gens.append(x)
-    return GroupTable(family, table.n, table.q, elements,
-                      tuple(0 for _ in elements), tuple(gens))
+    return GroupTable(family, table.n, table.q, table.rows[keep],
+                      (0,) * len(keep), tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -1525,20 +1623,21 @@ def _fixed_plan(action, tau):
     return plan
 
 
-def _fixed_rows(space, mats, action, tau=False):
+def _fixed_rows(space, rows, action, tau=False):
     """Sorted positions of the action points fixed by g (or by g tau), for
-    each matrix g of the iterable mats, in order.
+    each matrix g with these row codes, in order, as a generator.
 
-    Subspace-type points are decided by ``_fixed_plan``: per slice of
-    matrices, one batched product over the field's lookup tables gives the
-    codes of g v for every source vector v, and one lookup in the plan's
-    mask tests each against its target.  A slice holds _PRODUCT_CHUNK
-    matrices, fewer when an action's plan has more than _FIXED_CELLS //
-    _PRODUCT_CHUNK entries, so its working arrays stay within _FIXED_CELLS
-    entries.  Quadratic-form points read each matrix's point permutation.
+    Subspace-type points are decided by ``_fixed_plan``: per digit slice
+    (see ``MatSpace._slices``), one batched product over the field's lookup
+    tables gives the codes of g v for every source vector v, and one lookup
+    in the plan's mask tests each against its target.  A slice holds
+    _PRODUCT_CHUNK matrices, fewer when an action's plan has more than
+    _FIXED_CELLS // _PRODUCT_CHUNK entries, so its working arrays stay
+    within _FIXED_CELLS entries.  Quadratic-form points read each matrix's
+    point permutation.
     """
     if action.spec.kind == "quadratic_forms":
-        for g in mats:
+        for g in space._decode(rows):
             perm = point_permutation(space, g, action, tau=tau)
             yield [p for p, image in enumerate(perm) if image == p]
         return
@@ -1547,9 +1646,8 @@ def _fixed_rows(space, mats, action, tau=False):
     mul, mac = _product_tables(space.F)
     powers = q ** np.arange(n, dtype=np.intp)
     step = max(1, min(_PRODUCT_CHUNK, _FIXED_CELLS // (slots.size // 2)))
-    it = iter(mats)
-    while part := list(itertools.islice(it, step)):
-        gq = np.array(part, dtype=np.intp).reshape(-1, n, n) * q
+    for _, g in space._slices(rows, step):
+        gq = g * q
         # img[b, i, v] = sum over j of g_b[i, j] * cols[j, v]
         img = mul[gq[:, :, 0, None] + cols[0]]
         for j in range(1, n):
@@ -1563,7 +1661,7 @@ def _fixed_rows(space, mats, action, tau=False):
 def fixed_point_indices(space, g, action: ActionTable, tau=False):
     """Indices of the action points fixed by g (or by g tau), in order: one
     ``_fixed_rows`` call.  Raises ValueError where tau does not act."""
-    return next(_fixed_rows(space, [g], action, tau=tau))
+    return next(_fixed_rows(space, space._encode([g]), action, tau=tau))
 
 
 def fixed_points(space, g, action, tau=False):
@@ -1593,28 +1691,51 @@ def _form_translation(space, g, action):
 # ---------------------------------------------------------------------------
 # Element subsets defined by small invariant subspaces.
 
-def _cofactor_free(F, f, roots, t):
-    """True when f = (z - r_1) ... (z - r_k) h over the listed roots r_i,
-    no listed root divides h, and h has no irreducible factor of degree
-    <= t."""
-    h = f
+def _divide_root(F, f, r):
+    """Quotient and remainder of each row of f (coefficients, constant
+    first) by z - r: synthetic division over the lookup tables of F, one
+    coefficient column per step."""
+    q = F.q
+    mac = _product_tables(F)[1]
+    d = f.shape[1] - 1
+    quot = np.empty((len(f), d), dtype=np.intp)
+    acc = f[:, d]
+    for i in range(d - 1, -1, -1):
+        quot[:, i] = acc
+        acc = mac[(f[:, i] * q + r) * q + acc]
+    return quot, acc
+
+
+def _cofactors_free(F, roots, t, polys):
+    """Mask over the monic polynomials f, one per row of polys (constant
+    first): f = (z - r_1) ... (z - r_k) h over the listed roots r_i, no
+    listed root divides h, and h has no irreducible factor of degree <= t.
+
+    The roots divide out of the whole slice at once (``_divide_root``);
+    ``has_small_degree_factor`` then runs once for each cofactor h that
+    passed."""
+    h, ok = polys, np.ones(len(polys), dtype=bool)
     for r in roots:
-        h, rem = pdivmod(F, h, (F.neg_t[r], 1))
-        if rem != ():
-            return False
+        h, rem = _divide_root(F, h, r)
+        ok &= rem == 0
     for r in set(roots):
-        if pdivmod(F, h, (F.neg_t[r], 1))[1] == ():
-            return False
-    return not has_small_degree_factor(F, h, t)
+        ok &= _divide_root(F, h, r)[1] != 0
+    passed = np.flatnonzero(ok)
+    ok[passed] = [not has_small_degree_factor(F, f, t)
+                  for f in map(tuple, h[passed].tolist())]
+    return ok
 
 
 def member_test(family, space, t, coset=None):
-    """Membership predicate on the characteristic polynomial f of one
-    element g of a family's coset (``MatSpace.charpolys`` computes f).
+    """Membership predicate on a slice of characteristic polynomials (an
+    array from ``MatSpace.charpolys``, one row per element g of a family's
+    coset); it returns a boolean mask over the rows.
 
-    Every predicate is a factor condition on f, and ends in one
-    ``has_small_degree_factor`` call, whose sieve is memoised per (field,
-    monic polynomial, t) in a bounded LRU.  coset: None or an integer
+    Every predicate is a factor condition on each polynomial f: listed
+    roots divide out of the slice at once, and each f whose roots do
+    divide out ends in one ``has_small_degree_factor`` call, whose sieve is
+    memoised per (field, monic polynomial, t) in a bounded LRU (see
+    ``_cofactors_free``).  coset: None or an integer
     label asks that f have no irreducible factor of degree <= t (the
     predicate does not look at the label); "tau" is the inverse-transpose
     coset of GL, where f is the polynomial of x = g g^-T, the square of
@@ -1656,40 +1777,41 @@ def member_test(family, space, t, coset=None):
         raise ValueError("odd-dimensional sets need odd q")
     else:
         roots = (1,) if coset == "S" else (minus,)
-    return lambda f: _cofactor_free(F, f, roots, t)
+    return functools.partial(_cofactors_free, F, roots, t)
 
 
 def _scan(table, test, label=None, tau=False):
     """Indices of the table elements g, with that label when one is given,
     whose characteristic polynomial passes test; with tau, the polynomial
-    of g g^-T, batched by ``_tau_squares``.  The elements stream through
-    ``MatSpace.charpolys``, and test runs once per element; its sieve runs
-    once per distinct (monic polynomial, t) while the memo holds it."""
-    sp = table.space
-    indices, mats = itertools.count(), table.elements
+    of g g^-T (``_tau_squares``).  The row codes go through
+    ``MatSpace.charpolys``, and test runs on the whole array of
+    polynomials; its sieve runs once per distinct (monic polynomial, t)
+    while the memo holds it."""
+    sp, rows = table.space, table.rows
+    indices = np.arange(len(rows))
     if label is not None:
-        indices = itertools.compress(indices, (l == label for l in table.labels))
-        mats = itertools.compress(mats, (l == label for l in table.labels))
+        indices = np.flatnonzero(np.array(table.labels) == label)
+        rows = rows[indices]
     if tau:
-        mats = _tau_squares(sp, mats)
-    return [i for i, f in zip(indices, sp.charpolys(mats)) if test(f)]
+        rows = _tau_squares(sp, rows)
+    return indices[test(sp.charpolys(rows))].tolist()
 
 
-def _tau_squares(space, mats):
-    """g g^-T for each invertible g of the iterable mats, in order: the
-    square of the coset element g tau.
+def _tau_squares(space, rows):
+    """Row codes of g g^-T for each invertible g with these row codes, in
+    order: the square of the coset element g tau.
 
-    Batched over slices of _PRODUCT_CHUNK matrices: ``_gauss_jordan`` on
+    Per digit slice (see ``MatSpace._slices``), ``_gauss_jordan`` on
     [g | g^T] leaves g^-1 g^T, the transpose of g g^-T, as the right halves
     of the pivot rows of the n columns, taken in column order.
     """
     n, F = space.n, space.F
-    it = iter(mats)
-    while part := list(itertools.islice(it, _PRODUCT_CHUNK)):
-        g = np.array(part, dtype=np.intp).reshape(-1, n, n)
-        rows, pivots = _gauss_jordan(F, np.concatenate([g, g.transpose(0, 2, 1)], axis=2), n)
-        x = rows[np.arange(len(part))[:, None], pivots, n:]
-        yield from map(tuple, x.transpose(0, 2, 1).reshape(-1, n * n).tolist())
+    out = np.empty_like(rows)
+    for lo, g in space._slices(rows):
+        a, pivots = _gauss_jordan(F, np.concatenate([g, g.transpose(0, 2, 1)], axis=2), n)
+        # column i of the transpose is row i of g g^-T
+        out[lo : lo + len(g)] = space._powers @ a[np.arange(len(g))[:, None], pivots, n:]
+    return out
 
 
 def membership_sets(table: GroupTable, t, coset=None):

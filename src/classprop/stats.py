@@ -24,6 +24,7 @@ from .matgroup import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     MatSpace,
+    _PRODUCT_CHUNK,
     _fixed_rows,
     _tau_squares,
     bfs_closure,
@@ -137,9 +138,10 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
 
 def _mc_scan(n, q, t, coset, trials, seed):
     """Hits among uniform draws from GL (tau: the g of g tau) or one
-    determinant coset; the draws stream in draw order through the batched
-    ``_tau_squares`` (tau only) and ``MatSpace.charpolys``, and the sieve
-    memo serves any polynomial drawn twice."""
+    determinant coset; the draws go in draw order, _PRODUCT_CHUNK at a
+    time, to row codes and through the batched ``_tau_squares`` (tau only),
+    ``MatSpace.charpolys`` and the membership test, and the sieve memo
+    serves any polynomial drawn twice."""
     rng = random.Random(seed)
     space = MatSpace(n, q)
     test = member_test("GL", space, t, coset)
@@ -147,9 +149,13 @@ def _mc_scan(n, q, t, coset, trials, seed):
         draws = (random_gl(n, q, rng) for _ in range(trials))
     else:
         draws = (random_coset_gl(n, q, coset, rng) for _ in range(trials))
-    if coset == "tau":
-        draws = _tau_squares(space, draws)
-    return sum(map(test, space.charpolys(draws)))
+    hits = 0
+    while part := list(itertools.islice(draws, _PRODUCT_CHUNK)):
+        rows = space._encode(part)
+        if coset == "tau":
+            rows = _tau_squares(space, rows)
+        hits += int(test(space.charpolys(rows)).sum())
+    return hits
 
 
 def _bitslice(rows):
@@ -316,7 +322,7 @@ def _orbit_fixed_sums(table, members, act):
         for p in orb:
             orbit_of[p] = oi
     sums = [0] * len(orbs)
-    reps = (table.elements[i] for i, _ in weights)
+    reps = table.rows[[i for i, _ in weights]]
     for (_, w), fixed in zip(weights, _fixed_rows(table.space, reps, act)):
         for p in fixed:
             sums[orbit_of[p]] += w
@@ -340,13 +346,13 @@ def subset_expectation(table, members, action, comparator=None):
 
 def fixed_sets(table, indices, action):
     """Fixed-point index sets for a batch of elements, one frozenset each;
-    indices may be any iterable, read once.  The elements stream through
-    ``_fixed_rows`` in batches."""
+    indices may be any iterable, read once.  Their row codes go through
+    ``_fixed_rows`` in slices."""
     indices = list(indices)
     _check_indices(table, indices)
     act = _as_action(table, action)
-    mats = (table.elements[i] for i in indices)
-    return [frozenset(fixed) for fixed in _fixed_rows(table.space, mats, act)]
+    rows = table.rows[np.array(indices, dtype=np.intp)]
+    return [frozenset(fixed) for fixed in _fixed_rows(table.space, rows, act)]
 
 
 def expectation_inequality(table, x, members, action, x_tau=False,
@@ -464,7 +470,7 @@ def fpr_bound_check(table, kmax=None, include_tau=None):
         for tau in weights:
             if tau and not _tau_acts(act.spec, n):
                 continue
-            reps = (table.elements[i] for i, _ in weights[tau])
+            reps = table.rows[[i for i, _ in weights[tau]]]
             fixed = _fixed_rows(table.space, reps, act, tau=tau)
             counts = ((len(fix), i, w) for (i, w), fix in zip(weights[tau], fixed))
             kept[tau] = [row for row in counts if row[0] != npts]
@@ -635,7 +641,8 @@ class PermGroup:
         for g in self.gens:
             if sorted(g) != list(ident):
                 raise ValueError("generator is not a permutation")
-        self.elements = sorted(bfs_closure(self, self.gens, PERM_GROUP_CAP)[0])
+        rows = bfs_closure(self, self.gens, PERM_GROUP_CAP)[0]
+        self.elements = sorted(self._decode(rows))
         self.index = {e: i for i, e in enumerate(self.elements)}
 
     def order(self):
@@ -684,7 +691,7 @@ class PermGroup:
     def conjugacy_classes(self):
         """Element indices grouped by conjugacy, ordered by smallest member."""
         pairs = [(self.inv(s), s) for s in self.gens]
-        return relation_classes(self, self.elements, pairs)
+        return relation_classes(self, self._encode(self.elements), pairs)
 
 
 def psl2(p):
@@ -780,7 +787,7 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
                 left = list(group.products(powers, [s]))
                 verdict.update(dict.fromkeys(group.products(left, powers), True))
             else:
-                verdict.update(dict.fromkeys(closure, False))
+                verdict.update(dict.fromkeys(group._decode(closure), False))
         if verdict[s]:
             hits += 1
             if witness is None:

@@ -32,6 +32,7 @@ from classprop.gf import (
     Field,
     has_small_degree_factor,
     pdeg,
+    pdivmod,
     pmod,
     pmonic,
     pmul,
@@ -42,7 +43,6 @@ from classprop import matgroup
 from classprop.matgroup import (
     ActionTable,
     MatSpace,
-    _cofactor_free,
     _gauss_jordan,
     _product_tables,
     _cols_to_mat,
@@ -419,6 +419,22 @@ def mat_products(space, frontier, gens):
             acc += aq[:, None, :, k, None] + hs[None, :, k, None, :]
             acc = mac[acc]
         yield from map(tuple, acc.reshape(-1, n * n).tolist())
+
+
+def _cofactor_free(F, f, roots, t):
+    """True when f = (z - r_1) ... (z - r_k) h over the listed roots r_i,
+    no listed root divides h, and h has no irreducible factor of degree
+    <= t: one ``pdivmod`` per root (against the slice-wide synthetic
+    division of ``matgroup.member_test``)."""
+    h = f
+    for r in roots:
+        h, rem = pdivmod(F, h, (F.neg_t[r], 1))
+        if rem != ():
+            return False
+    for r in set(roots):
+        if pdivmod(F, h, (F.neg_t[r], 1))[1] == ():
+            return False
+    return not has_small_degree_factor(F, h, t)
 
 
 def tau_sieve_free(space, g, t):

@@ -16,6 +16,7 @@ propagation; the generation probe's reports against one closure per draw."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from classprop import matgroup
@@ -25,7 +26,6 @@ from classprop.matgroup import (
     MatSpace,
     ResourceCapExceeded,
     _eval_quad,
-    _cofactor_free,
     _form_translation,
     _tau_squares,
     all_subspaces,
@@ -59,6 +59,7 @@ from classprop.stats import (
     wilson_interval,
 )
 from oracles import (
+    _cofactor_free,
     _generates,
     batched_dickson_labels,
     charpoly_hessenberg,
@@ -101,6 +102,16 @@ def _ref_closure(identity, mul, gens, stop_over=None):
     return elements
 
 
+def _charpolys(space, rows):
+    """``MatSpace.charpolys`` of these row codes, as tuples."""
+    return list(map(tuple, space.charpolys(rows).tolist()))
+
+
+def _same_closure(got, want):
+    """Equal (rows, parent, generator) triples of ``bfs_closure``."""
+    return all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 def _perm_mul(a, b):
     return tuple(map(a.__getitem__, b))
 
@@ -116,7 +127,7 @@ def _is_prime_power(q):
 PRIME_POWERS = [q for q in range(2, 82) if _is_prime_power(q)]
 
 
-@pytest.mark.parametrize("chunk", [1, 3, matgroup._PRODUCT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, 256])
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_matrix_products_match_mul(q, chunk, monkeypatch):
     monkeypatch.setattr(matgroup, "_PRODUCT_CHUNK", chunk)
@@ -131,7 +142,7 @@ def test_matrix_products_match_mul(q, chunk, monkeypatch):
         assert all(type(x) is int for p in got for x in p)
 
 
-@pytest.mark.parametrize("chunk", [1, 3, matgroup._PRODUCT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 3, 256])
 def test_permutation_products_match_mul(chunk, monkeypatch):
     monkeypatch.setattr(matgroup, "_PRODUCT_CHUNK", chunk)
     g11 = psl2(11)
@@ -152,7 +163,7 @@ def test_charpolys_match_hessenberg_on_frozen_tables(key):
     table = build_group(*key)
     sp = table.space
     want = [charpoly_hessenberg(sp, g) for g in table.elements]
-    assert list(sp.charpolys(table.elements)) == want
+    assert _charpolys(sp, table.rows) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -167,7 +178,7 @@ def test_charpolys_match_hessenberg_on_random_matrices(n, q):
              tuple(row * n)]
     mats += [tuple(rng.randrange(q) if rng.random() < 0.2 else 0 for _ in range(n * n))
              for _ in range(20)]
-    got = list(sp.charpolys(mats))
+    got = _charpolys(sp, sp._encode(mats))
     assert got == [charpoly_hessenberg(sp, g) for g in mats]
     assert all(type(c) is int for f in got for c in f)
 
@@ -179,9 +190,11 @@ def test_charpolys_stream_across_chunk_edges(extra):
     sp = MatSpace(4, 9)
     mats = [tuple(rng.randrange(9) for _ in range(16)) for _ in range(length)]
     want = [charpoly_hessenberg(sp, g) for g in mats]
-    assert list(sp.charpolys(mats)) == want
-    assert list(sp.charpolys(g for g in mats)) == want
-    assert list(sp.charpolys(mats[:0])) == []
+    rows = sp._encode(mats)
+    assert _charpolys(sp, rows) == want
+    # a strided view slices the same way
+    assert _charpolys(sp, rows[::-1]) == want[::-1]
+    assert _charpolys(sp, rows[:0]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +215,7 @@ def test_tau_squares_match_inverse_on_frozen_gl_tables(key):
     table = build_group(*key)
     sp = table.space
     want = [tau_square(sp, g) for g in table.elements]
-    assert list(_tau_squares(sp, table.elements)) == want
+    assert sp._decode(_tau_squares(sp, table.rows)) == want
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -212,7 +225,7 @@ def test_tau_squares_match_inverse_on_random_matrices(n, q):
     sp = MatSpace(n, q)
     mats = [random_gl(n, q, rng) for _ in range(40)]
     mats += [_monomial(sp, shift, rng) for shift in (1, -1, 0) for _ in range(3)]
-    got = list(_tau_squares(sp, mats))
+    got = sp._decode(_tau_squares(sp, sp._encode(mats)))
     assert got == [tau_square(sp, g) for g in mats]
     assert all(type(x) is int for m in got for x in m)
 
@@ -224,9 +237,11 @@ def test_tau_squares_stream_across_chunk_edges(extra):
     sp = MatSpace(4, 9)
     mats = [random_gl(4, 9, rng) for _ in range(length)]
     want = [tau_square(sp, g) for g in mats]
-    assert list(_tau_squares(sp, mats)) == want
-    assert list(_tau_squares(sp, (g for g in mats))) == want
-    assert list(_tau_squares(sp, mats[:0])) == []
+    rows = sp._encode(mats)
+    assert sp._decode(_tau_squares(sp, rows)) == want
+    # a strided view slices the same way
+    assert sp._decode(_tau_squares(sp, rows[::-1])) == want[::-1]
+    assert sp._decode(_tau_squares(sp, rows[:0])) == []
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +300,15 @@ def test_closure_prefix_and_cap_independent_of_chunk(chunk, monkeypatch):
     tb = build_group("GL", 3, 2)
     g7 = psl2(7)
     cases = [(tb.space, list(tb.gens)), (g7, g7.gens)]
-    full = [bfs_closure(sp, gens)[0] for sp, gens in cases]
+    full = [bfs_closure(sp, gens) for sp, gens in cases]
     monkeypatch.setattr(matgroup, "_CLOSURE_CHUNK", chunk)
     for (sp, gens), ref in zip(cases, full):
-        order = len(ref)
-        assert bfs_closure(sp, gens)[0] == ref
+        order = len(ref[0])
+        assert _same_closure(bfs_closure(sp, gens), ref)
         for stop in (1, 2, 5, 10, 37, order // 2, order - 1):
-            partial, seen = bfs_closure(sp, gens, stop_over=stop)[:2]
-            assert partial == ref[: stop + 1]
-            assert seen == {g: i for i, g in enumerate(partial)}
-        assert bfs_closure(sp, gens, cap=order)[0] == ref
+            partial = bfs_closure(sp, gens, stop_over=stop)
+            assert _same_closure(partial, [part[: stop + 1] for part in ref])
+        assert _same_closure(bfs_closure(sp, gens, cap=order), ref)
         with pytest.raises(ResourceCapExceeded):
             bfs_closure(sp, gens, cap=order - 1)
 
@@ -346,10 +360,10 @@ def test_matrix_closure_matches(tables):
                                       ("GU", 3, 2), ("Sp", 4, 2))]
     for tb in tables + more:
         sp, gens = tb.space, list(tb.gens)
-        elements, seen = bfs_closure(sp, gens)[:2]
+        elements = sp._decode(bfs_closure(sp, gens)[0])
         assert elements == _ref_closure(sp.identity, sp.mul, gens)
         assert elements == list(tb.elements)
-        assert seen == tb.index
+        assert tb.index == {g: i for i, g in enumerate(elements)}
 
 
 @pytest.mark.parametrize("key", sorted(TABLE_DIGESTS), ids="{0[0]}{0[1]}q{0[2]}".format)
@@ -368,7 +382,7 @@ def test_permutation_closure_matches():
     g7 = psl2(7)
     ref = _ref_closure(g7.identity, _perm_mul, g7.gens)
     assert g7.elements == sorted(ref)
-    assert bfs_closure(g7, g7.gens)[0] == ref
+    assert g7._decode(bfs_closure(g7, g7.gens)[0]) == ref
 
 
 def test_closure_schreier_vector_rebuilds_every_element():
@@ -376,7 +390,8 @@ def test_closure_schreier_vector_rebuilds_every_element():
     tb = build_group("GL", 3, 2)
     g7 = psl2(7)
     for sp, gens in [(tb.space, list(tb.gens)), (g7, g7.gens)]:
-        elements, _, parent, generator = bfs_closure(sp, gens)
+        rows, parent, generator = bfs_closure(sp, gens)
+        elements = sp._decode(rows)
         assert parent[0] == generator[0] == 0
         for i in range(1, len(elements)):
             assert parent[i] < i
@@ -387,7 +402,8 @@ def test_degree_18_closure_and_classes_match():
     # 18^18 > 2^63, so a base-degree int64 code of a PSL(2,17) element would
     # overflow; permutations are keyed by their bytes
     g17 = psl2(17)
-    assert bfs_closure(g17, g17.gens)[0] == _ref_closure(g17.identity, _perm_mul, g17.gens)
+    rows = bfs_closure(g17, g17.gens)[0]
+    assert g17._decode(rows) == _ref_closure(g17.identity, _perm_mul, g17.gens)
     pairs = [(g17.inv(s), s) for s in g17.gens]
     assert g17.conjugacy_classes() == relation_classes_loop(
         g17, g17.elements, g17.index, pairs)
@@ -402,7 +418,7 @@ def test_closure_refuses_matrices_without_an_int64_code():
     # the largest GF(2) dimension that fits closes as the reference does
     sp = MatSpace(7, 2)
     shift = sp.from_rows([[1 if j == (i + 1) % 7 else 0 for j in range(7)] for i in range(7)])
-    assert bfs_closure(sp, [shift])[0] == _ref_closure(sp.identity, sp.mul, [shift])
+    assert sp._decode(bfs_closure(sp, [shift])[0]) == _ref_closure(sp.identity, sp.mul, [shift])
 
 
 @pytest.mark.parametrize("key", [("GL", 3, 4), ("SU", 3, 2), ("O", 3, 5)],
@@ -945,8 +961,8 @@ def _ref_cofactor_scan(tb, t, coset):
         label = 1 if coset == "O" and tb.q % 2 == 0 else None
     else:
         roots = (1,) if coset == "S" else (minus,)
-    mats = _tau_squares(sp, tb.elements) if coset == "tau" else tb.elements
-    return [i for i, f in enumerate(sp.charpolys(mats))
+    rows = _tau_squares(sp, tb.rows) if coset == "tau" else tb.rows
+    return [i for i, f in enumerate(_charpolys(sp, rows))
             if (label is None or tb.labels[i] == label)
             and _cofactor_free(sp.F, f, roots, t)]
 

@@ -387,7 +387,7 @@ ORACLE_NAMES = (
     "charpoly_hessenberg", "sieve_free", "tau_sieve_free", "permutation_group",
     "tau_square", "dickson_label", "_generates", "batched_dickson_labels",
     "_dickson_labels", "element_labels", "_make_labels", "mat_products",
-    "frontier_chunks", "tuple_closure", "tuple_table",
+    "frontier_chunks", "tuple_closure", "tuple_table", "_cofactor_free",
 )
 
 
@@ -416,7 +416,7 @@ def test_runtime_counts_never_enumerate():
     assert "label_kind" not in {f.name for f in dataclasses.fields(matgroup.GroupTable)}
     assert list(inspect.signature(gf.Field).parameters) == ["q"]
     assert list(inspect.signature(matgroup.GroupTable).parameters) == [
-        "family", "n", "q", "elements", "labels", "gens"]
+        "family", "n", "q", "rows", "labels", "gens"]
     tol = Fraction(1, 10**6)
     assert limits.bound_suite((2, 3), (1, 2), tol)["all_pass"]
     for tag, q in [("GL", 3), ("SU", 3), ("Sp_odd", 3), ("Sp_even", 4), ("O_half", 3)]:

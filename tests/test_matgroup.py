@@ -4,9 +4,10 @@ import pickle
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from classprop import matgroup
+from classprop import gf, matgroup
 from classprop.gf import Field, has_small_degree_factor
 from classprop.matgroup import (
     ActionSpec,
@@ -97,21 +98,22 @@ def test_charpoly_matches_minor_expansion(q, n):
     rng = random.Random(100 * q + n)
     sp = MatSpace(n, q)
     mats = [tuple(rng.randrange(q) for _ in range(n * n)) for _ in range(30)]
-    assert list(sp.charpolys(mats)) == [charpoly_minors(sp, g) for g in mats]
+    got = sp.charpolys(sp._encode(mats)).tolist()
+    assert got == [list(charpoly_minors(sp, g)) for g in mats]
 
 
 def test_charpoly_identity_and_companion():
     sp = MatSpace(4, 3)
     F = sp.F
     # (z - 1)^4 = z^4 - 4z^3 + 6z^2 - 4z + 1, reduced mod 3
-    assert list(sp.charpolys([sp.identity])) == [(1, 2, 0, 2, 1)]
+    assert sp.charpolys(sp._encode([sp.identity])).tolist() == [[1, 2, 0, 2, 1]]
     f = (2, 1, 0, 2, 1)
     comp = [[0] * 4 for _ in range(4)]
     for i in range(3):
         comp[i + 1][i] = 1
     for i in range(4):
         comp[i][3] = F.neg(f[i])
-    assert list(sp.charpolys([sp.from_rows(comp)])) == [f]
+    assert sp.charpolys(sp._encode([sp.from_rows(comp)])).tolist() == [list(f)]
 
 
 def test_all_vector_images_agrees_with_mat_vec():
@@ -236,7 +238,7 @@ def test_build_group_orders(family, n, q, want):
     assert len(set(tb.elements)) == want
     assert tb.index[tb.space.identity] == 0
     # the generators regenerate the table, SO and Omega subtables included
-    assert set(bfs_closure(tb.space, tb.gens)[0]) == set(tb.elements)
+    assert set(tb.space._decode(bfs_closure(tb.space, tb.gens)[0])) == set(tb.elements)
 
 
 @pytest.mark.parametrize("family,n,q", [("Sp", 4, 2), ("O-", 4, 2), ("GU", 2, 2), ("O", 3, 3)])
@@ -341,9 +343,9 @@ def test_cache_short_payload_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
     monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
     path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q2.pkl"
-    ident = MatSpace(2, 2).identity
-    payload = {"layout": matgroup._CACHE_LAYOUT, "order": 6,
-               "elements": (ident,), "labels": (0,), "gens": ()}
+    sp = MatSpace(2, 2)
+    payload = {"layout": matgroup._CACHE_LAYOUT, "rows": sp._encode([sp.identity]),
+               "labels": np.zeros(1, dtype=np.int64), "gens": ()}
     path.write_bytes(pickle.dumps(payload))
     assert build_group("GL", 2, 2).order() == 6
 
@@ -368,7 +370,72 @@ def test_cache_payload_missing_labels_or_gens_is_rebuilt(damage, tmp_path, monke
     got = build_group("GL", 2, 3)
     assert (got.elements, got.labels, got.gens) == (want.elements, want.labels, want.gens)
     assert len(membership_sets(got, 1, 1)) == 12
-    assert pickle.loads(path.read_bytes())["labels"] == want.labels
+    assert pickle.loads(path.read_bytes())["labels"].tolist() == list(want.labels)
+
+
+def _swap_first_rows(rows):
+    rows[[0, 1]] = rows[[1, 0]]
+    return rows
+
+
+def _repeat_a_row(rows):
+    rows[2] = rows[1]
+    return rows
+
+
+def _set_code(code):
+    def damage(rows):
+        rows[3, 1] = code
+        return rows
+    return damage
+
+
+# the payload's rows, rewritten; each result breaks one load check
+DAMAGED_ROWS = {
+    "no length": lambda rows: 5,
+    "nested tuples": lambda rows: tuple(map(tuple, rows.tolist())),
+    "int32": lambda rows: rows.astype(np.int32),
+    "one row short": lambda rows: rows[:-1],
+    "one column short": lambda rows: rows[:, :-1],
+    "code q^n": _set_code(3 ** 2),
+    "negative code": _set_code(-1),
+    "repeated key": _repeat_a_row,
+    "identity not first": _swap_first_rows,
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGED_ROWS)
+def test_cache_damaged_rows_are_rebuilt(damage, tmp_path, monkeypatch):
+    # the load checks the rows' type, dtype, shape, code range, distinct
+    # keys and identity first; a payload failing one is a miss (once a
+    # TypeError, for elements of no length), and the rebuilt table
+    # overwrites it
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    want = build_group("GL", 2, 3)
+    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q3.pkl"
+    payload = pickle.loads(path.read_bytes())
+    payload["rows"] = DAMAGED_ROWS[damage](payload["rows"].copy())
+    path.write_bytes(pickle.dumps(payload))
+    assert matgroup._read_cache(str(path), want.space, 48) is None
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    got = build_group("GL", 2, 3)
+    assert got.elements == want.elements and got.labels == want.labels
+    assert matgroup._read_cache(str(path), want.space, 48) is not None
+
+
+@pytest.mark.parametrize("labels", [5, (0,) * 48], ids=["no length", "tuple"])
+def test_cache_labels_not_an_array_are_rebuilt(labels, tmp_path, monkeypatch):
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    want = build_group("GL", 2, 3)
+    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q3.pkl"
+    payload = pickle.loads(path.read_bytes())
+    payload["labels"] = labels
+    path.write_bytes(pickle.dumps(payload))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    assert build_group("GL", 2, 3).labels == want.labels
+    assert matgroup._read_cache(str(path), want.space, 48) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +955,65 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+# has_small_degree_factor calls per scan, as one call per element whose
+# listed roots divide out made them before the roots divided out per slice
+SIEVE_CALLS = [
+    (("O+", 6, 2), 1, "O", 8_512),
+    (("GL", 4, 2), 1, None, 20_160),
+    (("GL", 4, 2), 1, "tau", 20_160),
+]
+
+
+@pytest.mark.parametrize("key,t,coset,calls", SIEVE_CALLS, ids=["O+6q2-O", "GL4q2", "GL4q2-tau"])
+def test_sieve_calls_per_scan_are_frozen(key, t, coset, calls, monkeypatch):
+    tb = build_group(*key)
+    counted = _count_calls(monkeypatch, matgroup, "has_small_degree_factor")
+    if coset == "tau":
+        tau_membership(tb, t)
+    else:
+        membership_sets(tb, t, coset)
+    assert len(counted) == calls
+
+
+def test_membership_scans_divide_no_roots_by_pdivmod(monkeypatch):
+    # the roots divide out of a whole slice of polynomials by synthetic
+    # division; once the sieve memo holds every cofactor, a scan makes no
+    # polynomial division at all
+    gl4, gl3 = build_group("GL", 4, 2), build_group("GL", 3, 3)
+    o6, o5 = build_group("O+", 6, 2), build_group("O", 3, 5)
+    scans = [lambda: membership_sets(gl4, 1), lambda: tau_membership(gl4, 1),
+             lambda: membership_sets(gl3, 1, 1), lambda: tau_membership(gl3, 1),
+             lambda: membership_sets(o6, 1, "S"), lambda: membership_sets(o6, 1, "O"),
+             lambda: membership_sets(o5, 1, "S"), lambda: membership_sets(o5, 1, "O")]
+    before = [scan() for scan in scans]
+    counted = _count_calls(monkeypatch, gf, "pdivmod")
+    if hasattr(matgroup, "pdivmod"):
+        monkeypatch.setattr(matgroup, "pdivmod", gf.pdivmod)
+    assert [scan() for scan in scans] == before
+    assert counted == []
+
+
+def test_o62_build_scan_and_fixed_sets_decode_few_rows(monkeypatch):
+    # a fresh O+6(2) build, its O-set scan and the fixed sets of its members
+    # run on row codes; an element is decoded to its tuple only through the
+    # table's views
+    monkeypatch.delenv(matgroup.CACHE_ENV, raising=False)
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    decoded = []
+    decode = MatSpace._decode
+
+    def counted(self, rows):
+        decoded.append(len(rows))
+        return decode(self, rows)
+
+    monkeypatch.setattr(MatSpace, "_decode", counted)
+    tb = build_group("O+", 6, 2)
+    members = membership_sets(tb, 1, "O")
+    fixed = fixed_sets(tb, members, ActionSpec("subspace", 1, restrict="nonsingular"))
+    assert len(members) == len(fixed) == 8512
+    assert sum(decoded) < 1000
+
+
 def test_fixed_sets_build_no_vector_image_tables(monkeypatch):
     # the batched kernel decides every point of a slice at once; a fallback
     # to one point permutation per element builds one q^n table each
@@ -956,12 +1082,13 @@ def test_random_gl_roughly_uniform_on_small_group():
 
 def test_bfs_closure_stop_over_returns_a_prefix():
     tb = build_group("GL", 3, 2)
-    full = bfs_closure(tb.space, list(tb.gens))[0]
-    assert full == list(tb.elements)
-    partial, seen = bfs_closure(tb.space, list(tb.gens), stop_over=10)[:2]
-    assert partial == full[:11]
-    assert seen == {g: i for i, g in enumerate(partial)}
-    assert bfs_closure(tb.space, list(tb.gens), stop_over=168)[0] == full
+    full, parent, generator = bfs_closure(tb.space, list(tb.gens))
+    assert np.array_equal(full, tb.rows)
+    partial = bfs_closure(tb.space, list(tb.gens), stop_over=10)
+    assert np.array_equal(partial[0], full[:11])
+    assert np.array_equal(partial[1], parent[:11])
+    assert np.array_equal(partial[2], generator[:11])
+    assert np.array_equal(bfs_closure(tb.space, list(tb.gens), stop_over=168)[0], full)
 
 
 def test_bfs_closure_cap():
@@ -972,10 +1099,10 @@ def test_bfs_closure_cap():
 
 
 def test_bfs_closure_without_generators():
-    sp = MatSpace(3, 4)
-    assert bfs_closure(sp, [])[:2] == ([sp.identity], {sp.identity: 0})
-    g7 = psl2(7)
-    assert bfs_closure(g7, [])[:2] == ([g7.identity], {g7.identity: 0})
+    for sp in (MatSpace(3, 4), psl2(7)):
+        rows, parent, generator = bfs_closure(sp, [])
+        assert sp._decode(rows) == [sp.identity]
+        assert parent.tolist() == generator.tolist() == [0]
 
 
 def test_build_group_rejects_dimension_below_one():
@@ -987,5 +1114,5 @@ def test_build_group_rejects_dimension_below_one():
 def test_bfs_closure_of_single_rotation():
     sp = MatSpace(2, 3)
     g = sp.from_rows([[0, 2], [1, 0]])
-    els, seen = bfs_closure(sp, [g])[:2]
-    assert len(els) == 4  # an order-4 cyclic subgroup of GL_2(3)
+    rows = bfs_closure(sp, [g])[0]
+    assert len(rows) == 4  # an order-4 cyclic subgroup of GL_2(3)

@@ -4,7 +4,8 @@ Each group table's (elements, labels, gens) and each field's arithmetic
 tables hash to the sha256 recorded here, so a change to how a table is
 assembled (closure, generator completion, labels, the field modulus) that
 moves any element, label, generator or table entry shows up as a digest
-mismatch.  The digests are of ``repr`` of plain tuples and lists of ints.
+mismatch.  The digests are of ``repr`` of plain tuples and lists of ints;
+a table's elements are its decoded ``elements`` view.
 """
 
 import hashlib
@@ -118,7 +119,7 @@ def test_table_digest(key):
     tb = build_group(*key)
     assert all(tb.index[g] == i for i, g in enumerate(tb.elements))
     assert len(tb.index) == len(tb.elements)
-    assert sha((tb.elements, tb.labels, tb.gens)) == TABLE_DIGESTS[key]
+    assert sha((tuple(tb.elements), tb.labels, tb.gens)) == TABLE_DIGESTS[key]
 
 
 def test_field_digests_cover_every_prime_power():
