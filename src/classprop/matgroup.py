@@ -898,8 +898,6 @@ class _Elements(Sequence):
     def __eq__(self, other):
         if isinstance(other, _Elements):
             return self._space is other._space and np.array_equal(self._rows, other._rows)
-        if isinstance(other, (tuple, list)):
-            return list(self) == list(other)
         return NotImplemented
 
 

@@ -1014,6 +1014,27 @@ def test_o62_build_scan_and_fixed_sets_decode_few_rows(monkeypatch):
     assert sum(decoded) < 1000
 
 
+def test_fixed_rows_slices_stay_within_fixed_cells(monkeypatch):
+    # the GL4(2) middle antiflags have a plan of 2 240 entries, so a slice
+    # of _PRODUCT_CHUNK matrices would pass _FIXED_CELLS; the slices shrink
+    tb = build_group("GL", 4, 2)
+    act = enumerate_action(tb, ActionSpec("antiflag", 2))
+    cells = matgroup._fixed_plan(act, False)[1].size // 2
+    assert cells * matgroup._PRODUCT_CHUNK > matgroup._FIXED_CELLS
+    sizes = []
+    slices = MatSpace._slices
+
+    def recorded(self, rows, step=None):
+        for lo, g in slices(self, rows, step):
+            sizes.append(len(g))
+            yield lo, g
+
+    monkeypatch.setattr(MatSpace, "_slices", recorded)
+    assert len(list(matgroup._fixed_rows(tb.space, tb.rows, act))) == len(tb)
+    assert sum(sizes) == len(tb)
+    assert max(sizes) * cells <= matgroup._FIXED_CELLS
+
+
 def test_fixed_sets_build_no_vector_image_tables(monkeypatch):
     # the batched kernel decides every point of a slice at once; a fallback
     # to one point permutation per element builds one q^n table each
