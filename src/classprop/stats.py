@@ -313,8 +313,8 @@ def _class_weights(table, members, tau=False):
 def _orbit_fixed_sums(table, members, act):
     """Fixed points of the members summed per orbit of act, evaluated at
     the smallest member of each class that _class_weights returns (the
-    representatives stream through ``_fixed_rows``): the group permutes
-    each orbit, so a per-orbit count is a class function."""
+    representatives' row codes go through ``_fixed_rows``): the group
+    permutes each orbit, so a per-orbit count is a class function."""
     weights = _class_weights(table, members)
     orbs = orbits(table, act)
     orbit_of = [0] * len(act)
@@ -351,7 +351,7 @@ def fixed_sets(table, indices, action):
     indices = list(indices)
     _check_indices(table, indices)
     act = _as_action(table, action)
-    rows = table.rows[np.array(indices, dtype=np.intp)]
+    rows = table.rows[indices]
     return [frozenset(fixed) for fixed in _fixed_rows(table.space, rows, act)]
 
 
