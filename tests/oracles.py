@@ -677,18 +677,60 @@ def _generates(group, x, s):
 # ---------------------------------------------------------------------------
 # Group tables as element tuples.
 
-def tuple_closure(space, gens):
+def slice_closure(space, gens, chunk, cap=matgroup.DEFAULT_GROUP_CAP,
+                  stop_over=None):
+    """``bfs_closure`` by slices: each BFS level is multiplied by the
+    generators in slices of at most chunk products, frontier-major, and
+    every slice merges its new keys into the sorted keys seen so far, so
+    the cap is checked per slice.  Returns the same (rows, parent,
+    generator) as ``bfs_closure``, for every chunk."""
+    if stop_over is None:
+        stop_over = cap
+    frontier = space._encode([space.identity])
+    seen = space._keys(frontier)
+    times = space._right(gens)
+    levels, count = [frontier], 1
+    G = max(1, len(gens))
+    found = [np.zeros(1, dtype=np.intp)]
+    step = max(1, chunk // G)
+    done = not gens
+    while not done and len(frontier):
+        first, nxt = count - len(frontier), []
+        for lo in range(0, len(frontier), step):
+            products = times(frontier[lo : lo + step]).reshape(-1, frontier.shape[1])
+            keys, at = np.unique(space._keys(products), return_index=True)
+            new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
+            seen = np.sort(np.concatenate((seen, keys[new])), kind="stable")
+            at = np.sort(at[new])
+            done = count + len(at) > stop_over and stop_over < cap
+            if done:
+                at = at[: max(1, stop_over + 1 - count)]
+            elif count + len(at) > cap:
+                raise matgroup.ResourceCapExceeded(f"group closure exceeded cap {cap}")
+            nxt.append(products[at])
+            count += len(at)
+            found.append(at + (first + lo) * G)
+            if done:
+                break
+        levels += nxt
+        frontier = np.concatenate(nxt)
+    found = np.concatenate(found)
+    return np.concatenate(levels), found // G, found % G
+
+
+def tuple_closure(space, gens, chunk=4096):
     """Breadth-first closure as element tuples with a dict index: the row
-    codes of each level come from the same lookups as ``bfs_closure``, and
-    every new element is decoded to its tuple at once.  Returns (elements,
-    index, parent, generator), the last two the Schreier vector."""
+    codes of each level come from the same lookups as ``bfs_closure``, in
+    slices of at most chunk products, and every new element is decoded to
+    its tuple at once.  Returns (elements, index, parent, generator), the
+    last two the Schreier vector."""
     frontier = space._encode([space.identity])
     seen = space._keys(frontier)
     times = space._right(gens)
     elements = [space.identity]
     G = max(1, len(gens))
     found = [np.zeros(1, dtype=np.intp)]
-    step = max(1, matgroup._CLOSURE_CHUNK // G)
+    step = max(1, chunk // G)
     while gens and len(frontier):
         first, nxt = len(elements) - len(frontier), []
         for lo in range(0, len(frontier), step):

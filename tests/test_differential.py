@@ -75,6 +75,7 @@ from oracles import (
     relation_classes_loop,
     restrict,
     sieve_free,
+    slice_closure,
     tau_sieve_free,
     tau_square,
     tuple_table,
@@ -295,22 +296,36 @@ def test_dickson_labels_stream_across_chunk_edges(extra):
     assert list(batched_dickson_labels(sp, mats[:0])) == []
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
-def test_closure_prefix_and_cap_independent_of_chunk(chunk, monkeypatch):
-    tb = build_group("GL", 3, 2)
-    g7 = psl2(7)
-    cases = [(tb.space, list(tb.gens)), (g7, g7.gens)]
-    full = [bfs_closure(sp, gens) for sp, gens in cases]
-    monkeypatch.setattr(matgroup, "_CLOSURE_CHUNK", chunk)
-    for (sp, gens), ref in zip(cases, full):
-        order = len(ref[0])
-        assert _same_closure(bfs_closure(sp, gens), ref)
-        for stop in (1, 2, 5, 10, 37, order // 2, order - 1):
-            partial = bfs_closure(sp, gens, stop_over=stop)
-            assert _same_closure(partial, [part[: stop + 1] for part in ref])
-        assert _same_closure(bfs_closure(sp, gens, cap=order), ref)
+def _closure_case(name):
+    if name == "PSL(2,7)":
+        g7 = psl2(7)
+        return g7, g7.gens
+    family, n, q = {"GL3(2)": ("GL", 3, 2), "Sp4(3)": ("Sp", 4, 3)}[name]
+    tb = build_group(family, n, q)
+    return tb.space, list(tb.gens)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("name", ["GL3(2)", "PSL(2,7)", "Sp4(3)"])
+def test_closure_matches_slice_reference(name, chunk):
+    # the per-level merge gives what the per-slice loop gives at any slice
+    # size: the closure, each stop_over prefix and the cap raise
+    sp, gens = _closure_case(name)
+    ref = slice_closure(sp, gens, chunk)
+    order = len(ref[0])
+    assert _same_closure(bfs_closure(sp, gens), ref)
+    stops = [1, 2, 5, 10, 37, 4000, order // 2, order - 1]
+    for stop in [s for s in stops if s < order]:
+        want = [part[: stop + 1] for part in ref]
+        assert _same_closure(bfs_closure(sp, gens, stop_over=stop), want)
+        if order < 1000:
+            assert _same_closure(slice_closure(sp, gens, chunk, stop_over=stop), want)
+    assert _same_closure(bfs_closure(sp, gens, cap=order), ref)
+    with pytest.raises(ResourceCapExceeded):
+        bfs_closure(sp, gens, cap=order - 1)
+    if order < 1000:
         with pytest.raises(ResourceCapExceeded):
-            bfs_closure(sp, gens, cap=order - 1)
+            slice_closure(sp, gens, chunk, cap=order - 1)
 
 
 def _ref_span(space, basis):

@@ -387,7 +387,8 @@ ORACLE_NAMES = (
     "charpoly_hessenberg", "sieve_free", "tau_sieve_free", "permutation_group",
     "tau_square", "dickson_label", "_generates", "batched_dickson_labels",
     "_dickson_labels", "element_labels", "_make_labels", "mat_products",
-    "frontier_chunks", "tuple_closure", "tuple_table", "_cofactor_free",
+    "frontier_chunks", "slice_closure", "tuple_closure", "tuple_table",
+    "_cofactor_free",
 )
 
 
