@@ -44,11 +44,9 @@ DEFAULT_GROUP_CAP = 20_000_000
 DEFAULT_ACTION_CAP = 2_000_000
 
 # matrices per digit slice (``MatSpace._slices``) of ``charpolys``,
-# ``_tau_squares`` and ``_fixed_rows``; bounds their working arrays
+# ``_tau_squares`` and ``_fixed_rows``, and rows per slice that a table's
+# ``elements`` view decodes while iterating; bounds their working arrays
 _PRODUCT_CHUNK = 1024
-# products per slice of a ``bfs_closure`` level, and rows per slice that a
-# table's ``elements`` view decodes while iterating
-_CLOSURE_CHUNK = 4096
 # matrices times plan entries per batched step of ``_fixed_rows``
 _FIXED_CELLS = 1 << 20
 
@@ -766,18 +764,20 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     and ``PermGroup._encode``).  For a MatSpace the row is the codes of the
     matrix's q^n-ary row vectors, so g s costs n lookups in the table
     ``all_vector_images(s^T)``; for a PermGroup it is the permutation, and
-    g s is the position gather g[s].  Each BFS level is multiplied by the
-    generators in slices of at most _CLOSURE_CHUNK products, frontier-major.
-    The new elements of a slice come from ``np.unique`` of the products'
-    keys (int64 row codes in base q^n, or a permutation's bytes) against
-    the sorted keys seen so far, taken in the order a loop over the
-    products would first meet them.
+    g s is the position gather g[s].  Each BFS level is multiplied by all
+    the generators at once, frontier-major, so a level's products are held
+    together.  The new elements of a level come from one ``np.unique`` of
+    the products' keys (int64 row codes in base q^n, or a permutation's
+    bytes) and one ``searchsorted`` against the sorted keys seen so far,
+    taken in the order a loop over the products would first meet them; one
+    sorted merge adds their keys to the seen ones.
 
     Returns (rows, parent, generator): the elements' rows in BFS order,
     decoded to nothing, and the Schreier vector of the BFS tree: element i
     is element parent[i] times gens[generator[i]] for i > 0, and both are 0
-    at the identity.  More than cap elements raise ResourceCapExceeded; more
-    than stop_over return the partial closure at once.
+    at the identity.  More than cap elements raise ResourceCapExceeded,
+    checked once per level, after its products are formed; more than
+    stop_over return the partial closure at once.
     """
     if stop_over is None:
         stop_over = cap
@@ -790,29 +790,24 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     # found[i] % G
     G = max(1, len(gens))
     found = [np.zeros(1, dtype=np.intp)]
-    step = max(1, _CLOSURE_CHUNK // G)
-    done = not gens
-    while not done and len(frontier):
-        first, nxt = count - len(frontier), []
-        for lo in range(0, len(frontier), step):
-            products = times(frontier[lo : lo + step]).reshape(-1, frontier.shape[1])
-            keys, at = np.unique(space._keys(products), return_index=True)
-            new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
-            # two sorted runs: the stable sort merges them
-            seen = np.sort(np.concatenate((seen, keys[new])), kind="stable")
-            at = np.sort(at[new])
-            done = count + len(at) > stop_over and stop_over < cap
-            if done:
-                at = at[: max(1, stop_over + 1 - count)]
-            elif count + len(at) > cap:
-                raise ResourceCapExceeded(f"group closure exceeded cap {cap}")
-            nxt.append(products[at])
-            count += len(at)
-            found.append(at + (first + lo) * G)
-            if done:
-                break
-        levels += nxt
-        frontier = np.concatenate(nxt)
+    while gens and len(frontier):
+        products = times(frontier).reshape(-1, frontier.shape[1])
+        keys, at = np.unique(space._keys(products), return_index=True)
+        new = seen[np.minimum(np.searchsorted(seen, keys), len(seen) - 1)] != keys
+        # two sorted runs: the stable sort merges them
+        seen = np.sort(np.concatenate((seen, keys[new])), kind="stable")
+        at = np.sort(at[new])
+        stop = count + len(at) > stop_over and stop_over < cap
+        if stop:
+            at = at[: max(1, stop_over + 1 - count)]
+        elif count + len(at) > cap:
+            raise ResourceCapExceeded(f"group closure exceeded cap {cap}")
+        found.append(at + (count - len(frontier)) * G)
+        frontier = products[at]
+        levels.append(frontier)
+        count += len(at)
+        if stop:
+            break
     found = np.concatenate(found)
     return np.concatenate(levels), found // G, found % G
 
@@ -874,7 +869,7 @@ def relation_classes(space, rows, pairs):
 
 class _Elements(Sequence):
     """The elements of a table as flat code tuples, decoded from its row
-    codes on demand: one row per item, one slice of _CLOSURE_CHUNK rows at
+    codes on demand: one row per item, one slice of _PRODUCT_CHUNK rows at
     a time while iterating; membership goes through the table's index."""
 
     def __init__(self, space, rows, index):
@@ -889,8 +884,8 @@ class _Elements(Sequence):
         return self._space._decode(self._rows[[i]])[0]
 
     def __iter__(self):
-        for lo in range(0, len(self._rows), _CLOSURE_CHUNK):
-            yield from self._space._decode(self._rows[lo : lo + _CLOSURE_CHUNK])
+        for lo in range(0, len(self._rows), _PRODUCT_CHUNK):
+            yield from self._space._decode(self._rows[lo : lo + _PRODUCT_CHUNK])
 
     def __contains__(self, g):
         return g in self._index
@@ -1176,26 +1171,18 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         return ambient != "SU" or _gu_label(space, g, q) == 0
 
     seed, pool = _seed_and_pool(ambient, space, form)
+    pool = itertools.chain(pool, _full_scan_candidates(space, form))
     gens = [g for g in seed if admissible(g)]
     rows, parent, generator = bfs_closure(space, gens, cap)
-    exhausted = False
     rounds = 0
     while len(rows) != target:
         found = _Index(space, rows)
-        nxt = None
-        for cand in pool:
-            if admissible(cand) and cand not in found:
-                nxt = cand
-                break
+        nxt = next((c for c in pool if admissible(c) and c not in found), None)
         if nxt is None:
-            if exhausted:
-                raise AssertionError(
-                    f"generator completion failed for {ambient}_{n}({q}): "
-                    f"got {len(rows)}, wanted {target}"
-                )
-            pool = _full_scan_candidates(space, form)
-            exhausted = True
-            continue
+            raise AssertionError(
+                f"generator completion failed for {ambient}_{n}({q}): "
+                f"got {len(rows)}, wanted {target}"
+            )
         gens.append(nxt)
         rows, parent, generator = bfs_closure(space, gens, cap)
         rounds += 1

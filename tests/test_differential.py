@@ -328,6 +328,27 @@ def test_closure_matches_slice_reference(name, chunk):
             slice_closure(sp, gens, chunk, cap=order - 1)
 
 
+def test_closure_sorts_once_per_level(monkeypatch):
+    # Sp4(3) has levels of up to 102 448 products: one np.unique per level,
+    # however many products the level holds
+    sp, gens = _closure_case("Sp4(3)")
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    rows, parent, _ = bfs_closure(sp, gens)
+    monkeypatch.setattr(np, "unique", unique)
+    depth = np.zeros(len(rows), dtype=np.intp)
+    for i in range(1, len(rows)):  # parents come first in BFS order
+        depth[i] = depth[parent[i]] + 1
+    assert np.bincount(depth).max() * len(gens) > 4096
+    assert len(calls) == depth.max() + 1
+
+
 def _ref_span(space, basis):
     F = space.F
     vecs = [(0,) * space.n]
