@@ -24,6 +24,7 @@ from .matgroup import (
     DEFAULT_GROUP_CAP,
     GroupTable,
     MatSpace,
+    ResourceCapExceeded,
     _PRODUCT_CHUNK,
     _fixed_rows,
     _tau_squares,
@@ -698,12 +699,18 @@ def psl2(p):
     """PSL_2(p) for a prime p >= 5, acting on the projective line.
 
     Points 0..p-1 are the field elements and point p is infinity; the
-    generators are z -> z+1 and z -> -1/z.  The closure order is checked
-    against p(p^2-1)/2.
+    generators are z -> z+1 and z -> -1/z.  An order p(p^2-1)/2 above
+    PERM_GROUP_CAP raises ResourceCapExceeded before the closure starts, and
+    the closure order is checked against it.
     """
     _check_int("p", p, 5)
     if not is_prime(p):
         raise ValueError(f"p={p} is not a prime")
+    order = p * (p * p - 1) // 2
+    if order > PERM_GROUP_CAP:
+        raise ResourceCapExceeded(
+            f"PSL(2,{p}) has order {order}, beyond cap {PERM_GROUP_CAP}"
+        )
     inf = p
     shift = tuple((z + 1) % p for z in range(p)) + (inf,)
     flip = [0] * (p + 1)
@@ -712,7 +719,7 @@ def psl2(p):
     for z in range(1, p):
         flip[z] = -pow(z, -1, p) % p
     group = PermGroup(p + 1, [shift, tuple(flip)], name=f"PSL(2,{p})")
-    if group.order() != p * (p * p - 1) // 2:
+    if group.order() != order:
         raise AssertionError("projective line closure has the wrong order")
     return group
 

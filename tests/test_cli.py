@@ -346,6 +346,12 @@ def test_probe_unused_option_exits_before_building_the_group(
     assert capsys.readouterr().err.startswith("classprop: ")
 
 
+def test_probe_beyond_the_permutation_cap_exits_3(tmp_path, capsys):
+    code, _ = run(tmp_path, "probe", "--group", "psl2-163", "--x", "1")
+    assert code == cli.EXIT_RESOURCE
+    assert "resource cap" in capsys.readouterr().err
+
+
 def test_probe_bad_group_name(tmp_path, capsys):
     code, _ = run(tmp_path, "probe", "--group", "alt5", "--x", "1")
     assert code == cli.EXIT_USAGE

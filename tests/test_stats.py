@@ -684,6 +684,21 @@ def test_psl2_structure():
         psl2(3)
 
 
+def test_psl2_beyond_the_cap_fails_before_closing(monkeypatch):
+    # PSL(2,163) has order 2 165 292, above PERM_GROUP_CAP: no closure starts
+    closed = []
+    monkeypatch.setattr(stats, "PermGroup", lambda *args, **kwargs: closed.append(args))
+    with pytest.raises(ResourceCapExceeded, match="2165292"):
+        psl2(163)
+    assert closed == []
+    monkeypatch.undo()
+    monkeypatch.setattr(stats, "PERM_GROUP_CAP", 168)
+    assert psl2(7).order() == 168
+    monkeypatch.setattr(stats, "PERM_GROUP_CAP", 167)
+    with pytest.raises(ResourceCapExceeded):
+        psl2(7)
+
+
 def test_perm_group_basics(monkeypatch):
     g = PermGroup(3, [(1, 2, 0)])
     assert g.order() == 3
