@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import classprop
-from classprop import cli, matgroup
+from classprop import cli, matgroup, stats
 from classprop.series import sl_coset_series
 
 
@@ -177,6 +177,44 @@ def test_expectation_suite_passes_on_an_intransitive_action(tmp_path):
     res = doc["result"]
     assert res["pass"] and res["failures"] == []
     assert (res["checked"], res["members"]) == (120, 20)
+
+
+def _expectation_by_element(cfg):
+    """(min slack, failures) of the expectation suite with one
+    ``expectation_inequality`` per element x."""
+    table = cli._suite_table(cfg)
+    members = matgroup.membership_sets(table, cfg.t or 1, cfg.coset)
+    act = matgroup.enumerate_action(table, matgroup.ActionSpec("subspace", cfg.k or 1))
+    mf = stats.fixed_sets(table, members, act)
+    recs = [{"x": x, **cli.expectation_inequality(table, x, members, act, member_fixed=mf)}
+            for x in range(len(table.elements))]
+    return min(r["rhs"] - r["lhs"] for r in recs), [r for r in recs if not r["ok"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--family", "GL", "--n", "3", "--q", "2"),
+    ("--family", "Sp", "--n", "4", "--q", "2"),
+    ("--family", "O-", "--n", "4", "--q", "2", "--coset", "O"),
+], ids=lambda argv: argv[1])
+def test_expectation_suite_matches_per_element_loop(argv, monkeypatch):
+    args = cli.build_parser().parse_args(["verify", "--suite", "expectation", *argv])
+    cfg = cli._config_from_args(args)
+    ok, res = cli._suite_expectation(cfg)
+    assert ok and res["failures"] == []
+    assert res["min_slack"] == _expectation_by_element(cfg)[0]
+    # a class-invariant verdict that fails: every element of each failing
+    # class is listed, in the order of x
+    inequality = cli.expectation_inequality
+
+    def forced(*args, **kwargs):
+        rec = inequality(*args, **kwargs)
+        return {**rec, "ok": rec["fpr"] == 0}
+
+    monkeypatch.setattr(cli, "expectation_inequality", forced)
+    ok, res = cli._suite_expectation(cfg)
+    worst, failures = _expectation_by_element(cfg)
+    assert not ok and 0 < len(failures) < len(cli._suite_table(cfg).elements)
+    assert (res["min_slack"], res["failures"]) == (worst, failures)
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
