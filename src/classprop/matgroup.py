@@ -1649,11 +1649,6 @@ def fixed_point_indices(space, g, action: ActionTable, tau=False):
     return next(_fixed_rows(space, space._encode([g]), action, tau=tau))
 
 
-def fixed_points(space, g, action, tau=False):
-    """Number of action points fixed by g (or by g tau)."""
-    return len(fixed_point_indices(space, g, action, tau=tau))
-
-
 def _form_translation(space, g, action):
     """Vector c with g . Q_v = Q_{g v + c} in the quadratic-forms action."""
     n, F = space.n, space.F

@@ -33,7 +33,6 @@ from classprop.matgroup import (
     build_group,
     enumerate_action,
     fixed_point_indices,
-    fixed_points,
     membership_sets,
     perp_basis_dot,
     point_permutation,
@@ -635,7 +634,7 @@ def _ref_fpr_bound_check(table, include_tau=None):
             for ai, act in enumerate(actions):
                 if tau and not _tau_acts(act.spec, n):
                     continue
-                fp = fixed_points(table.space, g, act, tau=tau)
+                fp = len(fixed_point_indices(table.space, g, act, tau=tau))
                 for bid, bound in bounds[ai]:
                     row = rows[(ai, bid, tau)]
                     row[2] += 1
@@ -674,7 +673,7 @@ def _ref_coset_average(table, spec, coset=None):
 
 def _ref_subset_expectation(table, members, action, comparator=None):
     act = enumerate_action(table, action) if isinstance(action, ActionSpec) else action
-    total = sum(fixed_points(table.space, table.elements[i], act) for i in members)
+    total = sum(len(fixed_point_indices(table.space, table.elements[i], act)) for i in members)
     return ExpectationReport(act.spec, f"{len(members)} elements",
                              Fraction(total, len(members)), comparator)
 
@@ -737,7 +736,7 @@ def test_fixing_every_point_is_acting_trivially(fam, n, q, tau):
         if tau and not _tau_acts(act.spec, n):
             continue
         full = {i for i, g in enumerate(tb.elements)
-                if fixed_points(tb.space, g, act, tau=tau) == len(act)}
+                if len(fixed_point_indices(tb.space, g, act, tau=tau)) == len(act)}
         assert full == want, act.spec
 
 

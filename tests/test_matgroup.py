@@ -19,7 +19,6 @@ from classprop.matgroup import (
     build_group,
     enumerate_action,
     fixed_point_indices,
-    fixed_points,
     gaussian_binomial,
     group_order,
     member_test,
@@ -557,7 +556,7 @@ def test_identity_fixes_every_point():
     sp = MatSpace(4, 2)
     for spec in [ActionSpec("subspace", 2), ActionSpec("flag", 1), ActionSpec("antiflag", 2)]:
         act = enumerate_action(sp, spec)
-        assert fixed_points(sp, sp.identity, act) == len(act)
+        assert len(fixed_point_indices(sp, sp.identity, act)) == len(act)
 
 
 def test_transvection_fixed_one_spaces():
@@ -566,7 +565,7 @@ def test_transvection_fixed_one_spaces():
     t[0][1] = 1
     t = sp.from_rows(t)
     act = enumerate_action(sp, ActionSpec("subspace", 1))
-    assert fixed_points(sp, t, act) == 7
+    assert len(fixed_point_indices(sp, t, act)) == 7
 
 
 @pytest.mark.parametrize(
@@ -586,7 +585,7 @@ def test_burnside_orbit_count_gl42(spec):
     act = enumerate_action(tb, spec)
     classes = tb.conjugacy_classes()
     assert sum(len(cls) for cls in classes) == tb.order()
-    total = sum(len(cls) * fixed_points(tb.space, tb.elements[cls[0]], act)
+    total = sum(len(cls) * len(fixed_point_indices(tb.space, tb.elements[cls[0]], act))
                 for cls in classes)
     assert total == tb.order()
 
@@ -594,7 +593,7 @@ def test_burnside_orbit_count_gl42(spec):
 def test_burnside_singular_points_sp42():
     tb = build_group("Sp", 4, 2)
     act = enumerate_action(tb, ActionSpec("subspace", 1, restrict="totally_singular"))
-    total = sum(fixed_points(tb.space, g, act) for g in tb.elements)
+    total = sum(len(fixed_point_indices(tb.space, g, act)) for g in tb.elements)
     assert total == tb.order()
 
 
@@ -627,7 +626,7 @@ def test_point_permutation_quadratic_forms():
         perm = point_permutation(tb.space, g, act)
         assert sorted(perm) == list(range(16))
         fixed = {p for p, ip in enumerate(perm) if ip == p}
-        assert len(fixed) == fixed_points(tb.space, g, act)
+        assert len(fixed) == len(fixed_point_indices(tb.space, g, act))
         # the type of a form is invariant under the action
         for p, ip in enumerate(perm):
             assert act.points[p][1] == act.points[ip][1]
@@ -659,7 +658,7 @@ def test_fixed_points_oracle_small():
             gw = rref_basis(sp, [sp.mat_vec(g, v) for v in w])
             if gu == u and gw == w:
                 want += 1
-        assert fixed_points(sp, g, act) == want
+        assert len(fixed_point_indices(sp, g, act)) == want
 
 
 def test_tau_action_matches_direct_perp_map():
@@ -676,7 +675,7 @@ def test_tau_action_matches_direct_perp_map():
             img = rref_basis(sp, [sp.mat_vec(g, v) for v in perp_basis_dot(sp, b)])
             if img == b:
                 want += 1
-        assert fixed_points(sp, g, sub2, tau=True) == want
+        assert len(fixed_point_indices(sp, g, sub2, tau=True)) == want
         want_flags = 0
         c1 = flags._class(1)
         c3 = flags._class(3)
@@ -686,14 +685,14 @@ def test_tau_action_matches_direct_perp_map():
             iw = rref_basis(sp, [sp.mat_vec(g, v) for v in perp_basis_dot(sp, u)])
             if iu == u and iw == w:
                 want_flags += 1
-        assert fixed_points(sp, g, flags, tau=True) == want_flags
+        assert len(fixed_point_indices(sp, g, flags, tau=True)) == want_flags
 
 
 def test_tau_requires_middle_dimension():
     sp = MatSpace(4, 2)
     act = enumerate_action(sp, ActionSpec("subspace", 1))
     with pytest.raises(ValueError):
-        fixed_points(sp, sp.identity, act, tau=True)
+        fixed_point_indices(sp, sp.identity, act, tau=True)
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +724,7 @@ def test_forms_action_stabilizers_are_orthogonal_groups():
 def test_forms_action_burnside_two_orbits():
     tb = build_group("Sp", 4, 2)
     act = enumerate_action(tb, ActionSpec("quadratic_forms"))
-    total = sum(fixed_points(tb.space, g, act) for g in tb.elements)
+    total = sum(len(fixed_point_indices(tb.space, g, act)) for g in tb.elements)
     assert total == 2 * tb.order()
 
 
@@ -921,7 +920,7 @@ def test_tau_membership_odd_n_fixes_unique_line():
     for i in tau_membership(tb, 1):
         g = tb.elements[i]
         x = sp.mul(g, sp.transpose(sp.inv(g)))
-        assert fixed_points(sp, x, act) == 1
+        assert len(fixed_point_indices(sp, x, act)) == 1
 
 
 def test_scans_sieve_once_per_element(monkeypatch):
