@@ -321,6 +321,38 @@ def test_cache_roundtrip(tmp_path, monkeypatch):
     assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == files
 
 
+def _cache_listing(root):
+    return {p.name: p.stat().st_mtime_ns for p in root.iterdir()}
+
+
+# one small table per family, ambient and label-0 halves both
+COLD_WARM = [("GL", 2, 3), ("GL", 1, 2), ("SL", 2, 3), ("Sp", 2, 3), ("Sp", 4, 2),
+             ("GU", 2, 2), ("SU", 3, 2), ("O+", 4, 2), ("O-", 4, 2), ("O", 3, 3),
+             ("SO+", 4, 3), ("SO-", 4, 3), ("SO", 3, 3), ("Omega+", 4, 2),
+             ("Omega-", 4, 2)]
+
+
+@pytest.mark.parametrize("key", COLD_WARM, ids=lambda k: f"{k[0]}{k[1]}({k[2]})")
+def test_cache_cold_and_warm_tables_agree(key, tmp_path, monkeypatch):
+    # a table built into an empty cache and the same table loaded from it
+    # through a fresh memo agree in rows, labels, generators, classes and
+    # one membership count, and the load writes nothing
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    cold = build_group(*key)
+    files = _cache_listing(tmp_path)
+    assert len(files) == 1
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    warm = build_group(*key)
+    assert warm is not cold
+    assert np.array_equal(warm.rows, cold.rows)
+    assert (warm.labels, warm.gens) == (cold.labels, cold.gens)
+    assert warm.conjugacy_classes() == cold.conjugacy_classes()
+    coset = "S" if key[0].startswith(("O", "SO")) else None
+    assert membership_sets(warm, 1, coset) == membership_sets(cold, 1, coset)
+    assert _cache_listing(tmp_path) == files
+
+
 def test_cache_unreadable_file_is_rebuilt(tmp_path, monkeypatch):
     # a file pickle rejects is a miss: the table is rebuilt and the file
     # overwritten, so a later load through a fresh memo writes nothing
