@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import os
-import pickle
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -51,7 +51,7 @@ _PRODUCT_CHUNK = 1024
 _FIXED_CELLS = 1 << 20
 
 CACHE_ENV = "CLASSPROP_CACHE"
-_CACHE_LAYOUT = "matgroup-cache-4"
+_CACHE_LAYOUT = "matgroup-cache-5"
 
 
 class ResourceCapExceeded(Exception):
@@ -1099,35 +1099,26 @@ def _cache_path(family, n, q):
         return None
     os.makedirs(root, exist_ok=True)
     safe = family.replace("+", "p").replace("-", "m")
-    return os.path.join(root, f"{_CACHE_LAYOUT}-{safe}{n}q{q}.pkl")
+    return os.path.join(root, f"{_CACHE_LAYOUT}-{safe}{n}q{q}.json")
 
 
-def _read_cache(path, space, target):
-    """The payload stored at path, or None when the file is missing, pickle
-    rejects it, or it is not a dict of the current layout holding the
-    generators, target labels and the rows of a table of target elements:
-    an int64 array of shape (target, n) of codes in [0, q^n), with distinct
-    keys and the identity first.  build_group then rebuilds the table and
-    overwrites the file."""
+def _read_gens(path, space):
+    """The generator list stored at path as flat code tuples, or None when
+    the file is missing, is not JSON, or is not a list of lists of n^2 plain
+    ints in range(q).  Whether they lie in the group and generate it is for
+    ``build_group`` to check."""
     try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except Exception:  # OSError, or garbage failing to unpickle in any way
+        with open(path) as fh:
+            gens = json.load(fh)
+    except (OSError, ValueError, RecursionError):
         return None
-    if not (isinstance(payload, dict) and payload.get("layout") == _CACHE_LAYOUT
-            and "gens" in payload):
+    if not isinstance(gens, list) or not all(
+        isinstance(g, list) and len(g) == space.n**2
+        and all(type(x) is int and 0 <= x < space.q for x in g)
+        for g in gens
+    ):
         return None
-    rows, labels = payload.get("rows"), payload.get("labels")
-    if not (isinstance(rows, np.ndarray) and rows.dtype == np.int64
-            and rows.shape == (target, space.n)
-            and isinstance(labels, np.ndarray) and labels.dtype.kind == "i"
-            and labels.shape == (target,)):
-        return None
-    if (rows.min() < 0 or rows.max() >= space.q**space.n
-            or not np.array_equal(rows[0], space._encode([space.identity])[0])
-            or len(np.unique(space._keys(rows))) != target):
-        return None
-    return payload
+    return [tuple(g) for g in gens]
 
 
 def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
@@ -1137,6 +1128,12 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     SO (odd q), Omega+, Omega- (even q).  SO and Omega variants are the
     label-0 halves of their ambient orthogonal group.  For GU/SU the field
     argument is q0; matrices live over GF(q0^2).
+
+    With a cache directory set, the ambient table's generators are read
+    from its file and closed again; the file is served only when every
+    generator lies in the group and the closure has the formula's order,
+    which proves that they generate it.  Otherwise the table is built from
+    its seed and the file is overwritten with the new generator list.
     """
     _check_int("cap", cap, 1)  # group_order checks n and q
     if family.startswith("SO") and q % 2 == 0:
@@ -1144,7 +1141,6 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     if family.startswith("Omega") and q % 2 == 1:
         raise ValueError("the odd-q Omega split is not computed here")
     ambient = _ambient_of(family)
-    sub_select = family != ambient
     target = group_order(ambient, n, q)
     if target > cap:
         raise ResourceCapExceeded(
@@ -1155,56 +1151,51 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         return _TABLE_MEMO[memo_key]
 
     space = MatSpace(n, q * q if ambient in ("GU", "SU") else q)
-    path = _cache_path(ambient, n, q)
-    payload = _read_cache(path, space, target) if path else None
-    if payload:
-        table = GroupTable(ambient, n, q, payload["rows"],
-                           tuple(payload["labels"].tolist()), payload["gens"])
-        if sub_select:
-            table = _subtable(table, family)
-        _TABLE_MEMO[memo_key] = table
-        return table
-
     form = standard_form(ambient, n, q)
 
     def admissible(g):
         return ambient != "SU" or _gu_label(space, g, q) == 0
 
-    seed, pool = _seed_and_pool(ambient, space, form)
-    pool = itertools.chain(pool, _full_scan_candidates(space, form))
-    gens = [g for g in seed if admissible(g)]
-    rows, parent, generator = bfs_closure(space, gens, cap)
-    rounds = 0
-    while len(rows) != target:
-        found = _Index(space, rows)
-        nxt = next((c for c in pool if admissible(c) and c not in found), None)
-        if nxt is None:
-            raise AssertionError(
-                f"generator completion failed for {ambient}_{n}({q}): "
-                f"got {len(rows)}, wanted {target}"
-            )
-        gens.append(nxt)
+    def in_group(g):
+        # _gu_label assumes a unitary matrix, so admissible comes last
+        return (preserves_form(space, form, g)
+                and (ambient != "SL" or space.det(g) == 1) and admissible(g))
+
+    path = _cache_path(ambient, n, q)
+    gens = _read_gens(path, space) if path else None
+    hit = gens is not None and all(map(in_group, gens))
+    if hit:
         rows, parent, generator = bfs_closure(space, gens, cap)
-        rounds += 1
-        if rounds > 64:
-            raise AssertionError("generator completion did not converge")
-    for g in gens:
-        if not preserves_form(space, form, g):
-            raise AssertionError("generator does not preserve the form")
+        hit = len(rows) == target
+    if not hit:
+        seed, pool = _seed_and_pool(ambient, space, form)
+        pool = itertools.chain(pool, _full_scan_candidates(space, form))
+        gens = [g for g in seed if admissible(g)]
+        rows, parent, generator = bfs_closure(space, gens, cap)
+        rounds = 0
+        while len(rows) != target:
+            found = _Index(space, rows)
+            nxt = next((c for c in pool if admissible(c) and c not in found), None)
+            if nxt is None:
+                raise AssertionError(
+                    f"generator completion failed for {ambient}_{n}({q}): "
+                    f"got {len(rows)}, wanted {target}"
+                )
+            gens.append(nxt)
+            rows, parent, generator = bfs_closure(space, gens, cap)
+            rounds += 1
+            if rounds > 64:
+                raise AssertionError("generator completion did not converge")
+        if not all(map(in_group, gens)):
+            raise AssertionError("generator is not in the group")
+        if path:
+            tmp = path + ".tmp"
+            with open(tmp, "w") as fh:
+                json.dump(gens, fh)
+            os.replace(tmp, path)
     labels = _closure_labels(ambient, space, q, gens, parent, generator)
     table = GroupTable(ambient, n, q, rows, labels, tuple(gens))
-    if path:
-        payload = {
-            "layout": _CACHE_LAYOUT,
-            "rows": table.rows,
-            "labels": np.array(labels, dtype=np.int64),
-            "gens": table.gens,
-        }
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh)
-        os.replace(tmp, path)
-    if sub_select:
+    if family != ambient:
         table = _subtable(table, family)
     _TABLE_MEMO[memo_key] = table
     return table

@@ -1,6 +1,6 @@
 """Tests for matrix spaces, group enumeration, actions, and element subsets."""
 
-import pickle
+import json
 import random
 from fractions import Fraction
 
@@ -38,6 +38,7 @@ from classprop.stats import (
     coset_average_fixed_points,
     expectation_inequality,
     fixed_sets,
+    proportion,
     psl2,
 )
 from oracles import (
@@ -353,120 +354,112 @@ def test_cache_cold_and_warm_tables_agree(key, tmp_path, monkeypatch):
     assert _cache_listing(tmp_path) == files
 
 
-def test_cache_unreadable_file_is_rebuilt(tmp_path, monkeypatch):
-    # a file pickle rejects is a miss: the table is rebuilt and the file
-    # overwritten, so a later load through a fresh memo writes nothing
-    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
-    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q2.pkl"
-    path.write_text("garbage")
-    assert build_group("GL", 2, 2).order() == 6
-    files = {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()}
-    assert list(files) == [path.name]
-    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    assert build_group("GL", 2, 2).order() == 6
-    assert {p.name: p.stat().st_mtime_ns for p in tmp_path.iterdir()} == files
-
-
 def test_cache_short_payload_is_rebuilt(tmp_path, monkeypatch):
-    # a payload of the current layout whose elements fall short of the
-    # order formula is a miss, not a one-element GL2(2)
+    # the empty generator list is well formed, but its closure falls short
+    # of the order formula: a miss, not a one-element GL2(2)
     monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
     monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q2.pkl"
-    sp = MatSpace(2, 2)
-    payload = {"layout": matgroup._CACHE_LAYOUT, "rows": sp._encode([sp.identity]),
-               "labels": np.zeros(1, dtype=np.int64), "gens": ()}
-    path.write_bytes(pickle.dumps(payload))
+    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q2.json"
+    path.write_text("[]")
     assert build_group("GL", 2, 2).order() == 6
+    assert json.loads(path.read_text()) != []
 
 
-@pytest.mark.parametrize("damage", ["short labels", "no gens"])
-def test_cache_payload_missing_labels_or_gens_is_rebuilt(damage, tmp_path, monkeypatch):
-    # a payload with every element but 5 labels once served a GL2(3) whose
-    # coset-1 scan found 1 member instead of 12; one without gens raised
-    # KeyError.  Both are misses: the table is rebuilt and the file
-    # overwritten with a payload that a fresh memo loads unchanged
-    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
-    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    want = build_group("GL", 2, 3)
-    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q3.pkl"
-    payload = pickle.loads(path.read_bytes())
-    if damage == "short labels":
-        payload["labels"] = payload["labels"][:5]
-    else:
-        del payload["gens"]
-    path.write_bytes(pickle.dumps(payload))
-    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    got = build_group("GL", 2, 3)
-    assert (got.elements, got.labels, got.gens) == (want.elements, want.labels, want.gens)
-    assert len(membership_sets(got, 1, 1)) == 12
-    assert pickle.loads(path.read_bytes())["labels"].tolist() == list(want.labels)
-
-
-def _swap_first_rows(rows):
-    rows[[0, 1]] = rows[[1, 0]]
-    return rows
-
-
-def _repeat_a_row(rows):
-    rows[2] = rows[1]
-    return rows
-
-
-def _set_code(code):
-    def damage(rows):
-        rows[3, 1] = code
-        return rows
+def _set_entry(value):
+    def damage(gens):
+        gens[0][0] = value
+        return json.dumps(gens)
     return damage
 
 
-# the payload's rows, rewritten; each result breaks one load check
-DAMAGED_ROWS = {
-    "no length": lambda rows: 5,
-    "nested tuples": lambda rows: tuple(map(tuple, rows.tolist())),
-    "int32": lambda rows: rows.astype(np.int32),
-    "one row short": lambda rows: rows[:-1],
-    "one column short": lambda rows: rows[:, :-1],
-    "code q^n": _set_code(3 ** 2),
-    "negative code": _set_code(-1),
-    "repeated key": _repeat_a_row,
-    "identity not first": _swap_first_rows,
+def _det_two(gens):
+    return json.dumps([[2, 0, 0, 1]] + gens)
+
+
+def _gu_torus(gens):
+    # diag(a, 1, a^-q0) is unitary with determinant a^(1 - q0) = a^-1, so
+    # it lies in GU3(2) but not in SU3(2)
+    F = MatSpace(3, 4).F
+    a = F.zeta
+    g = [a, 0, 0, 0, 1, 0, 0, 0, F.inv(F.pow(a, 2))]
+    return json.dumps(gens + [g])
+
+
+# (table, rewrite of its stored generator list); each breaks one load check
+DAMAGED_GENS = {
+    "not JSON": (("GL", 2, 3), lambda gens: "garbage"),
+    "not a list": (("GL", 2, 3), lambda gens: json.dumps({"gens": gens})),
+    "one entry short": (("GL", 2, 3), lambda gens: json.dumps([gens[0][:-1]] + gens[1:])),
+    "code q": (("GL", 2, 3), _set_entry(3)),
+    "code -1": (("GL", 2, 3), _set_entry(-1)),
+    "bool entry": (("GL", 2, 3), _set_entry(True)),
+    "float entry": (("GL", 2, 3), _set_entry(0.0)),
+    "GL4(2) in Sp4(2)": (("Sp", 4, 2), lambda gens: json.dumps(
+        matgroup._gl_generators(MatSpace(4, 2)))),
+    "det 2 in SL2(3)": (("SL", 2, 3), _det_two),
+    "not admissible in SU3(2)": (("SU", 3, 2), _gu_torus),
+    # the transvection and the torus element alone give the upper triangular
+    # subgroup of GL2(3)
+    "one generator dropped": (("GL", 2, 3), lambda gens: json.dumps(gens[1:])),
 }
 
 
-@pytest.mark.parametrize("damage", DAMAGED_ROWS)
-def test_cache_damaged_rows_are_rebuilt(damage, tmp_path, monkeypatch):
-    # the load checks the rows' type, dtype, shape, code range, distinct
-    # keys and identity first; a payload failing one is a miss (once a
-    # TypeError, for elements of no length), and the rebuilt table
-    # overwrites it
+@pytest.mark.parametrize("damage", DAMAGED_GENS)
+def test_cache_damaged_generators_are_rebuilt(damage, tmp_path, monkeypatch):
+    # a file that is not a list of well-formed generators of the group, or
+    # whose generators close to a proper subgroup, is a miss: the table is
+    # rebuilt and the file rewritten, and the next load writes nothing
+    key, rewrite = DAMAGED_GENS[damage]
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    want = build_group(*key)
+    (path,) = tmp_path.iterdir()
+    stored = path.read_text()
+    path.write_text(rewrite(json.loads(stored)))
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    got = build_group(*key)
+    assert np.array_equal(got.rows, want.rows)
+    assert (got.labels, got.gens) == (want.labels, want.gens)
+    assert path.read_text() == stored
+    files = _cache_listing(tmp_path)
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    build_group(*key)
+    assert _cache_listing(tmp_path) == files
+
+
+def test_cache_reversed_generators_are_served(tmp_path, monkeypatch):
+    # a hand-edited list that still generates is a hit: it may permute the
+    # element indices, but not the element set, a label or a proportion
     monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
     monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
     want = build_group("GL", 2, 3)
-    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q3.pkl"
-    payload = pickle.loads(path.read_bytes())
-    payload["rows"] = DAMAGED_ROWS[damage](payload["rows"].copy())
-    path.write_bytes(pickle.dumps(payload))
-    assert matgroup._read_cache(str(path), want.space, 48) is None
+    (path,) = tmp_path.iterdir()
+    path.write_text(json.dumps(json.loads(path.read_text())[::-1]))
+    files = _cache_listing(tmp_path)
     monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
     got = build_group("GL", 2, 3)
-    assert got.elements == want.elements and got.labels == want.labels
-    assert matgroup._read_cache(str(path), want.space, 48) is not None
+    assert _cache_listing(tmp_path) == files
+    assert got.gens == want.gens[::-1]
+
+    def labelled(table):
+        return sorted(zip(table.space._keys(table.rows).tolist(), table.labels))
+
+    assert labelled(got) == labelled(want)
+    for coset in (None, 0, 1, "tau"):
+        assert proportion(got, 1, coset) == proportion(want, 1, coset)
 
 
-@pytest.mark.parametrize("labels", [5, (0,) * 48], ids=["no length", "tuple"])
-def test_cache_labels_not_an_array_are_rebuilt(labels, tmp_path, monkeypatch):
-    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path))
+def test_cache_crafted_pickle_runs_no_code(tmp_path, monkeypatch):
+    # a pickle whose load calls open(marker, "w"), placed at the cache path,
+    # is never loaded: the file is rebuilt and the marker never appears
+    monkeypatch.setenv("CLASSPROP_CACHE", str(tmp_path / "cache"))
     monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    want = build_group("GL", 2, 3)
-    path = tmp_path / f"{matgroup._CACHE_LAYOUT}-GL2q3.pkl"
-    payload = pickle.loads(path.read_bytes())
-    payload["labels"] = labels
-    path.write_bytes(pickle.dumps(payload))
-    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
-    assert build_group("GL", 2, 3).labels == want.labels
-    assert matgroup._read_cache(str(path), want.space, 48) is not None
+    marker = tmp_path / "marker"
+    path = matgroup._cache_path("GL", 2, 2)
+    with open(path, "wb") as fh:
+        fh.write(b"cbuiltins\nopen\n(V" + str(marker).encode() + b"\nVw\ntR.")
+    assert build_group("GL", 2, 2).order() == 6
+    assert not marker.exists()
 
 
 # ---------------------------------------------------------------------------
