@@ -630,12 +630,14 @@ class PermGroup:
     It has the ``identity`` and the row methods (``_encode``, ``_decode``,
     ``_keys``, ``_right``, ``_left``) that ``bfs_closure`` and
     ``relation_classes`` ask of a space: a batch of elements is an
-    (N, degree) array of permutations, keyed by each row's bytes.
+    (N, degree) array of permutations, one byte per point up to degree 256
+    and two above, keyed by each row's bytes.
     """
 
     def __init__(self, degree, gens, name=""):
         self.degree = degree
         self.name = name
+        self._dtype = np.uint8 if degree <= 256 else np.uint16
         ident = tuple(range(degree))
         self.identity = ident
         self.gens = [tuple(g) for g in gens]
@@ -657,7 +659,7 @@ class PermGroup:
         return self._decode(self._right(gens)(self._encode(frontier)).reshape(-1, self.degree))
 
     def _encode(self, perms):
-        return np.asarray(perms, dtype=np.intp).reshape(-1, self.degree)
+        return np.asarray(perms, dtype=self._dtype).reshape(-1, self.degree)
 
     def _decode(self, rows):
         return list(map(tuple, rows.tolist()))
@@ -674,7 +676,7 @@ class PermGroup:
 
     def _left(self, a):
         """rows -> rows of a g, the lookup a[g]."""
-        return np.asarray(a, dtype=np.intp).__getitem__
+        return np.asarray(a, dtype=self._dtype).__getitem__
 
     def inv(self, a):
         out = [0] * self.degree

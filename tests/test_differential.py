@@ -45,6 +45,7 @@ from classprop.stats import (
     ExpectationReport,
     FprReport,
     GenerationReport,
+    PermGroup,
     _fpr_bounds,
     _tau_acts,
     coset_average_fixed_points,
@@ -860,6 +861,27 @@ def test_matrix_classes_match_two_map_loop(group, tau):
         pairs = [(sp.inv(s), s) for s in tb.gens]
     want = relation_classes_loop(sp, tb.elements, tb.index, pairs)
     assert tb.conjugacy_classes(tau) == want
+
+
+def test_psl2_byte_rows_match_references():
+    # PSL2(13) acts on 14 points, so its rows hold one byte per point; the
+    # closure and the classes are those of the slice and two-map references
+    group = psl2(13)
+    got = bfs_closure(group, group.gens)
+    assert got[0].dtype == np.uint8
+    assert _same_closure(got, slice_closure(group, group.gens, 64))
+    assert sorted(group._decode(got[0])) == group.elements
+    pairs = [(group.inv(s), s) for s in group.gens]
+    want = relation_classes_loop(group, group.elements, group.index, pairs)
+    assert group.conjugacy_classes() == want
+
+
+def test_perm_rows_above_degree_256_take_two_bytes():
+    cycle = tuple(range(1, 257)) + (0,)
+    group = PermGroup(257, [cycle])
+    assert group.order() == 257
+    assert bfs_closure(group, group.gens)[0].dtype == np.uint16
+    assert group.conjugacy_classes() == [[i] for i in range(257)]
 
 
 @pytest.mark.parametrize("p", [7, 11])
