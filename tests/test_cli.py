@@ -237,6 +237,34 @@ def test_unusable_cache_directory_is_a_usage_error(tmp_path, capsys, monkeypatch
     assert err.startswith("classprop: ") and err.count("\n") == 1
 
 
+# commands that read group tables: two from README, and the O+6(2) scan
+TABLE_COMMANDS = [
+    ("enumerate", "--family", "Sp", "--n", "4", "--q", "2", "--t", "2"),
+    ("verify", "--suite", "inverse-transpose", "--n", "4", "--q", "2", "--t", "1"),
+    ("enumerate", "--family", "O+", "--n", "6", "--q", "2", "--t", "1", "--coset", "S"),
+]
+
+
+def test_table_commands_are_byte_identical_cold_and_warm(tmp_path, capsys, monkeypatch):
+    # the first round builds every table into an empty cache; the second,
+    # through a fresh memo, loads them, prints the same and writes nothing
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(matgroup.CACHE_ENV, str(cache))
+    rounds, listings = [], []
+    for _ in range(2):
+        monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+        outputs = []
+        for argv in TABLE_COMMANDS:
+            code = cli.main(list(argv))
+            outputs.append((code, capsys.readouterr().out))
+        rounds.append(outputs)
+        listings.append({p.name: p.stat().st_mtime_ns for p in cache.iterdir()})
+    cold, warm = rounds
+    assert [code for code, _ in cold] == [cli.EXIT_OK] * len(TABLE_COMMANDS)
+    assert warm == cold
+    assert listings[0] and listings[1] == listings[0]
+
+
 def test_series_byte_identical_across_runs(tmp_path):
     args = ("series", "--family", "sl", "--q", "3", "--t", "1",
             "--coset", "1", "--order", "8")
