@@ -14,7 +14,10 @@ deterministically completes the seed from a pool of form-preserving
 candidates until the order matches.  Coset labels are homomorphisms, so
 each is summed along the BFS tree from the generators' labels; conjugacy
 classes join index maps g -> a g b, computed on the same row codes, by
-vectorised min-label propagation.
+vectorised min-label propagation.  With ``CLASSPROP_CACHE`` set, the disk
+cache holds each ambient table's generator list as JSON, nothing else: a
+load checks that every generator lies in the group and closes them again,
+and their closure reaching the formula's order proves that they generate it.
 
 Everything downstream (actions, fixed points, the element subsets defined by
 characteristic-polynomial conditions) works on the row codes of the
