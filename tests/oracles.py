@@ -18,11 +18,14 @@ fixed subspaces (the batched fixed-point kernel), and action orbits and
 (twisted) conjugacy classes (a depth-first search, and one union-find
 over index maps, against the vectorised min-label propagation), and
 generation of a permutation group by a pair (one closure per pair, against
-the probe's verdicts shared over double cosets and proper subgroups).
+the probe's verdicts shared over double cosets and proper subgroups), and
+the generic Monte Carlo scan (one rejection draw and one determinant per
+matrix, against the batched draws of ``stats._mc_scan``).
 The permutation copy of a matrix action is here too; only tests use it.
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +48,7 @@ from classprop.matgroup import (
     MatSpace,
     _gauss_jordan,
     _product_tables,
+    _tau_squares,
     _cols_to_mat,
     all_subspaces,
     enumerate_action,
@@ -576,6 +580,57 @@ def gf2_nonsingular_elimination(rows):
         below[:, : j + 1] = False
         a ^= np.where(below, a[:, j : j + 1], zero)
     return ~singular
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo draws, one candidate and one determinant at a time.
+
+def random_gl(n, q, rng):
+    """Uniform element of GL_n(q) by rejection sampling."""
+    space = MatSpace(n, q)
+    while True:
+        g = tuple(rng.randrange(q) for _ in range(n * n))
+        if space.det(g) != 0:
+            return g
+
+
+def random_coset_gl(n, q, det_class, rng):
+    """Uniform element of the det = zeta^det_class coset of SL_n(q).
+
+    A uniform GL element lands in some coset; a fixed diagonal correction
+    depending only on that coset moves it bijectively into the requested one,
+    so the result stays uniform.
+    """
+    space = MatSpace(n, q)
+    F = space.F
+    g = random_gl(n, q, rng)
+    if q == 2:
+        return g
+    have = F.dlog[space.det(g)] % (q - 1)
+    shift = (det_class - have) % (q - 1)
+    if shift:
+        d = space.rows(space.identity)
+        d[0][0] = F.exp[shift]
+        g = space.mul(g, space.from_rows(d))
+    return g
+
+
+def mc_scan_per_draw(n, q, t, coset, trials, seed):
+    """Hits of ``proportion(("GL", n, q), t, coset, "montecarlo", trials,
+    seed)`` off the packed GF(2) route: each draw is one ``random_gl`` or
+    ``random_coset_gl`` call on ``random.Random(seed)``, and the draws go
+    through ``_tau_squares`` (tau only), ``MatSpace.charpolys`` and the
+    membership test."""
+    rng = random.Random(seed)
+    space = MatSpace(n, q)
+    if coset in (None, "tau"):
+        draws = [random_gl(n, q, rng) for _ in range(trials)]
+    else:
+        draws = [random_coset_gl(n, q, coset, rng) for _ in range(trials)]
+    rows = space._encode(draws)
+    if coset == "tau":
+        rows = _tau_squares(space, rows)
+    return int(matgroup.member_test("GL", space, t, coset)(space.charpolys(rows)).sum())
 
 
 # ---------------------------------------------------------------------------

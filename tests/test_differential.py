@@ -11,7 +11,8 @@ membership predicates and the batched fixed points against copies of the
 per-family loops and per-case branches they replaced; the action orbits
 and (twisted) classes against the depth-first search and the two-map
 union-find loop that computed them before the vectorised min-label
-propagation; the generation probe's reports against one closure per draw."""
+propagation; the generation probe's reports against one closure per draw;
+the batched Monte Carlo scan against one rejection draw per matrix."""
 
 import random
 from fractions import Fraction
@@ -71,6 +72,7 @@ from oracles import (
     kernel_basis,
     mat_add,
     mat_products,
+    mc_scan_per_draw,
     perp_basis_form,
     relation_classes_loop,
     restrict,
@@ -1035,11 +1037,17 @@ def test_membership_matches_per_element_cofactor_test(fam, n, q, t, coset):
 
 
 # hits of 300 seeded Monte Carlo draws, frozen so that the draws keep their
-# random stream: (spec, t, coset, seed, hits)
+# random stream: (spec, t, coset, seed, hits).  Labels 2 of GL3(5) and 3, 5
+# of GL2(7) move most draws by a diagonal shift; tau at even n has no
+# eigenline.
 FROZEN_MC_HITS = [
     (("GL", 4, 3), 1, 1, 11, 89), (("GL", 4, 3), 1, 1, 12, 97),
     (("GL", 3, 3), 1, "tau", 11, 76), (("GL", 3, 3), 1, "tau", 12, 72),
     (("GL", 3, 3), 2, None, 11, 85), (("GL", 3, 3), 2, None, 12, 98),
+    (("GL", 3, 5), 1, 2, 11, 98), (("GL", 3, 5), 1, 2, 12, 95),
+    (("GL", 2, 7), 1, 3, 11, 153), (("GL", 2, 7), 1, 5, 12, 152),
+    (("GL", 4, 3), 1, "tau", 11, 130), (("GL", 2, 5), 1, "tau", 11, 94),
+    (("GL", 2, 5), 1, "tau", 12, 109),
 ]
 
 
@@ -1047,6 +1055,53 @@ FROZEN_MC_HITS = [
 def test_montecarlo_hits_frozen(spec, t, coset, seed, hits):
     rep = proportion(spec, t, coset=coset, method="montecarlo", trials=300, seed=seed)
     assert rep.value == hits / 300
+
+
+def test_montecarlo_long_run_hits_frozen():
+    # 2 500 draws span several blocks of candidates
+    rep = proportion(("GL", 3, 7), 2, coset=4, method="montecarlo", trials=2500, seed=11)
+    assert rep.value == 838 / 2500
+
+
+# hits of the packed GF(2) sampler (q = 2, t = 1, the whole group), frozen
+# like the ones above: (n, trials, seed, hits)
+FROZEN_PACKED_HITS = [
+    (1, 1, 2, 0), (1, 1000, 1001, 0), (1, 4097, 4098, 0),
+    (20, 1, 21, 0), (20, 1000, 1020, 285), (20, 4097, 4117, 1180),
+    (33, 1, 34, 1), (33, 1000, 1033, 297), (33, 4097, 4130, 1218),
+    (62, 1, 63, 0), (62, 1000, 1062, 280), (62, 4097, 4159, 1183),
+    (20, 10**5, 4, 28948),
+]
+
+
+@pytest.mark.parametrize("n,trials,seed,hits", FROZEN_PACKED_HITS)
+def test_packed_montecarlo_hits_frozen(n, trials, seed, hits):
+    rep = proportion(("GL", n, 2), 1, method="montecarlo", trials=trials, seed=seed)
+    assert rep.value == hits / trials
+
+
+# ---------------------------------------------------------------------------
+# The generic Monte Carlo scan: batched rejection draws against one
+# random_gl or random_coset_gl call, and one determinant, per draw.
+
+MC_GRID_TRIALS = (1, 1023, 1024, 1025, 2500)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_montecarlo_scan_matches_per_draw(n, q):
+    # every coset, t in {1, 2} and three seeds; about half the cosets take
+    # 1 000 to 2 500 draws, around the 1 024 candidates of a block, and the
+    # rest one draw each (q = 2, t = 1 on the whole group is the packed route)
+    for k, coset in enumerate([None, *range(q - 1), "tau"]):
+        t = 2 if q == 2 and coset is None else 1 + (k + n) % 2
+        trials = MC_GRID_TRIALS[(k + n + q) % 5] if (k + n + q) % 2 == 0 else 1
+        seed = (k + q) % 3
+        rep = proportion(("GL", n, q), t, coset=coset, method="montecarlo",
+                         trials=trials, seed=seed)
+        hits = mc_scan_per_draw(n, q, t, coset, trials, seed)
+        assert rep.value == hits / trials, (coset, t, trials, seed)
+        assert (rep.ci_low, rep.ci_high) == wilson_interval(hits, trials)
 
 
 # ---------------------------------------------------------------------------
