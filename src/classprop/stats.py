@@ -27,6 +27,7 @@ from .matgroup import (
     ResourceCapExceeded,
     _PRODUCT_CHUNK,
     _fixed_rows,
+    _product_tables,
     _tau_squares,
     bfs_closure,
     build_group,
@@ -139,23 +140,42 @@ def proportion(spec, t, coset=None, method="enumeration", trials=None, seed=None
 
 def _mc_scan(n, q, t, coset, trials, seed):
     """Hits among uniform draws from GL (tau: the g of g tau) or one
-    determinant coset; the draws go in draw order, _PRODUCT_CHUNK at a
-    time, to row codes and through the batched ``_tau_squares`` (tau only),
-    ``MatSpace.charpolys`` and the membership test, and the sieve memo
-    serves any polynomial drawn twice."""
+    determinant coset, by rejection sampling in blocks.
+
+    A block draws its candidates' entries by ``rng.randrange(q)``, matrix
+    after matrix and row-major, and one ``MatSpace.charpolys`` rejects the
+    singular ones: the constant term is (-1)^n det.  The first nonsingular
+    candidates still wanted stay, in draw order.  A label coset moves each
+    g to g diag(s, 1, ..., 1) with s = zeta^label / det g, a bijection of
+    GL onto that coset, so the draw stays uniform; tau takes the batched
+    ``_tau_squares``.  The membership test then reads the characteristic
+    polynomials of the whole block, and the sieve memo serves any
+    polynomial drawn twice."""
     rng = random.Random(seed)
+    draw = rng.randrange
     space = MatSpace(n, q)
+    F = space.F
     test = member_test("GL", space, t, coset)
-    if coset in (None, "tau"):
-        draws = (random_gl(n, q, rng) for _ in range(trials))
-    else:
-        draws = (random_coset_gl(n, q, coset, rng) for _ in range(trials))
+    share = math.prod(1 - q**-i for i in range(1, n + 1))  # |GL| / q^(n^2)
+    if coset not in (None, "tau"):
+        # s by the constant term c = (-1)^n det g: s = zeta^label (-1)^n / c
+        top = F.exp[coset] if n % 2 == 0 else F.neg_t[F.exp[coset]]
+        scale = np.array([F.mul(top, F.inv_t[c]) if c else 0 for c in range(q)])
+        mul = _product_tables(F)[0]
     hits = 0
-    while part := list(itertools.islice(draws, _PRODUCT_CHUNK)):
-        rows = space._encode(part)
+    while trials:
+        size = min(_PRODUCT_CHUNK, math.ceil(trials / share))
+        g = np.array([draw(q) for _ in range(size * n * n)]).reshape(size, n, n)
+        polys = space.charpolys(g @ space._powers)
+        keep = np.flatnonzero(polys[:, 0])[:trials]
+        trials -= len(keep)
+        g, polys = g[keep], polys[keep]
         if coset == "tau":
-            rows = _tau_squares(space, rows)
-        hits += int(test(space.charpolys(rows)).sum())
+            polys = space.charpolys(_tau_squares(space, g @ space._powers))
+        elif coset is not None:
+            g[:, :, 0] = mul[g[:, :, 0] * q + scale[polys[:, :1]]]
+            polys = space.charpolys(g @ space._powers)
+        hits += int(test(polys).sum())
     return hits
 
 
@@ -192,20 +212,25 @@ def gf2_nonsingular_batch(rows):
 
     rows has shape (batch, n); bit j of rows[b, i] is entry (i, j) of matrix
     b.  The batch is bit-sliced (Biham, FSE 1997), so each word operation of
-    the elimination acts on one bit lane per matrix.  For each column j, in
-    the lanes where row j has a 0 there, the first row below with a 1 is
-    added into row j; row j then clears column j below it.  Adding rows
-    keeps the rank, so a lane stays nonsingular while every pivot is 1.
+    the elimination acts on one bit lane per matrix.  For each column j,
+    one prefix OR down the column finds in every lane the first row, from
+    row j down, with a 1 there; a lane with none is singular.  One masked
+    XOR-reduce adds that row into row j in the lanes where row j has a 0,
+    and row j then clears column j below it.  Both steps skip column j
+    itself, which no later column reads.  Adding rows keeps the rank, so a
+    lane stays nonsingular while every pivot is 1.
     """
     s = _bitslice(rows)
     n = s.shape[0]
     ok = np.full(s.shape[2], ~s.dtype.type(0))
     for j in range(n):
-        pivot = s[j, j:]
-        for i in range(j + 1, n):
-            pivot ^= s[i, j:] & (s[i, j] & ~pivot[0])
-        ok &= pivot[0]
-        s[j + 1:, j:] ^= s[j + 1:, j:j + 1] & pivot
+        # seen[i]: the lanes with a 1 in column j in some row from j to j + i
+        seen = np.bitwise_or.accumulate(s[j:, j], axis=0)
+        ok &= seen[-1]
+        first = s[j + 1:, j] & ~seen[:-1]
+        pivot = s[j, j + 1:]
+        pivot ^= np.bitwise_xor.reduce(s[j + 1:, j + 1:] & first[:, None], axis=0)
+        s[j + 1:, j + 1:] ^= s[j + 1:, j, None] & pivot
     lanes = np.arange(8 * ok.itemsize, dtype=ok.dtype)
     return ((ok[:, None] >> lanes) & 1).ravel()[: rows.shape[0]].astype(bool)
 
