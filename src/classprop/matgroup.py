@@ -1229,39 +1229,6 @@ def _subtable(table, family):
 
 
 # ---------------------------------------------------------------------------
-# Samplers.
-
-def random_gl(n, q, rng):
-    """Uniform element of GL_n(q) by rejection sampling."""
-    space = MatSpace(n, q)
-    while True:
-        g = tuple(rng.randrange(q) for _ in range(n * n))
-        if space.det(g) != 0:
-            return g
-
-
-def random_coset_gl(n, q, det_class, rng):
-    """Uniform element of the det = zeta^det_class coset of SL_n(q).
-
-    A uniform GL element lands in some coset; a fixed diagonal correction
-    depending only on that coset moves it bijectively into the requested one,
-    so the result stays uniform.
-    """
-    space = MatSpace(n, q)
-    F = space.F
-    g = random_gl(n, q, rng)
-    if q == 2:
-        return g
-    have = F.dlog[space.det(g)] % (q - 1)
-    shift = (det_class - have) % (q - 1)
-    if shift:
-        d = space.rows(space.identity)
-        d[0][0] = F.exp[shift]
-        g = space.mul(g, space.from_rows(d))
-    return g
-
-
-# ---------------------------------------------------------------------------
 # Subspaces.
 
 def gaussian_binomial(n, k, q):

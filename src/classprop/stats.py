@@ -37,8 +37,6 @@ from .matgroup import (
     member_test,
     membership_sets,
     point_permutation,
-    random_coset_gl,
-    random_gl,
     relation_classes,
     tau_membership,
 )

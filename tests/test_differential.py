@@ -37,7 +37,6 @@ from classprop.matgroup import (
     membership_sets,
     perp_basis_dot,
     point_permutation,
-    random_gl,
     rref_basis,
     subspace_vectors,
     tau_membership,
@@ -74,6 +73,7 @@ from oracles import (
     mat_products,
     mc_scan_per_draw,
     perp_basis_form,
+    random_gl,
     relation_classes_loop,
     restrict,
     sieve_free,

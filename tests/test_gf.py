@@ -388,7 +388,7 @@ ORACLE_NAMES = (
     "tau_square", "dickson_label", "_generates", "batched_dickson_labels",
     "_dickson_labels", "element_labels", "_make_labels", "mat_products",
     "frontier_chunks", "slice_closure", "tuple_closure", "tuple_table",
-    "_cofactor_free",
+    "_cofactor_free", "random_gl", "random_coset_gl",
 )
 
 

@@ -26,8 +26,6 @@ from classprop.matgroup import (
     perp_basis_dot,
     point_permutation,
     preserves_form,
-    random_coset_gl,
-    random_gl,
     rref_basis,
     singular_vector_count,
     standard_form,
@@ -48,6 +46,8 @@ from oracles import (
     is_irreducible,
     kernel_basis,
     perp_basis_form,
+    random_coset_gl,
+    random_gl,
     tau_sieve_free,
 )
 
@@ -1089,7 +1089,7 @@ def test_fresh_build_labels_ride_the_closure(key, order, ones, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Samplers and closures.
+# The reference samplers of oracles, and closures.
 
 def test_random_gl_deterministic_stream():
     a = [random_gl(3, 3, random.Random(42)) for _ in range(5)]

@@ -240,6 +240,28 @@ def test_gf2_batch_identity_and_zero(n):
     assert gf2_nonsingular_elimination(rows).tolist() == want
 
 
+@pytest.mark.parametrize("batch", [1000, 4096, 65536])
+def test_gf2_batch_matches_row_elimination_on_sampler_chunks(batch):
+    # the packed sampler's chunks at the benchmark's n = 20: 4 096 rows for
+    # short runs, 65 536 for long ones, and the accepted rows after either
+    rng = np.random.Generator(np.random.PCG64(batch))
+    raw = rng.integers(0, 1 << 20, size=(batch, 20), dtype=np.uint32)
+    for rows in (raw, raw ^ _gf2_eye(20)):
+        assert np.array_equal(gf2_nonsingular_batch(rows), gf2_nonsingular_elimination(rows))
+
+
+def test_montecarlo_scan_takes_no_determinant(monkeypatch):
+    # the scan reads det g off the constant term of the batched characteristic
+    # polynomial; one det per candidate, and one more per accepted draw of a
+    # label coset, was the per-draw route it replaced
+    calls = []
+    det = MatSpace.det
+    monkeypatch.setattr(MatSpace, "det", lambda self, a: calls.append(a) or det(self, a))
+    rep = proportion(("GL", 3, 3), 1, coset=1, method="montecarlo", trials=2500, seed=7)
+    assert rep.sample_size == 2500 and 0 < rep.value < 1
+    assert calls == []
+
+
 @pytest.mark.parametrize("trials,seed,hits", [(10**3, 0, 300), (10**4, 3, 2913),
                                               (10**5, 1, 28915)])
 def test_packed_sampler_hits_frozen(trials, seed, hits):
