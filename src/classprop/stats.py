@@ -164,15 +164,15 @@ def _mc_scan(n, q, t, coset, trials, seed):
     while trials:
         size = min(_PRODUCT_CHUNK, math.ceil(trials / share))
         g = np.array([draw(q) for _ in range(size * n * n)]).reshape(size, n, n)
-        polys = space.charpolys(g @ space._powers)
+        polys = space.charpolys(space._encode(g))
         keep = np.flatnonzero(polys[:, 0])[:trials]
         trials -= len(keep)
         g, polys = g[keep], polys[keep]
         if coset == "tau":
-            polys = space.charpolys(_tau_squares(space, g @ space._powers))
+            polys = space.charpolys(_tau_squares(space, space._encode(g)))
         elif coset is not None:
             g[:, :, 0] = mul[g[:, :, 0] * q + scale[polys[:, :1]]]
-            polys = space.charpolys(g @ space._powers)
+            polys = space.charpolys(space._encode(g))
         hits += int(test(polys).sum())
     return hits
 
