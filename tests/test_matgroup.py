@@ -1089,7 +1089,7 @@ def test_fresh_build_labels_ride_the_closure(key, order, ones, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The reference samplers of oracles, and closures.
+# Samplers (the reference copies in oracles) and closures.
 
 def test_random_gl_deterministic_stream():
     a = [random_gl(3, 3, random.Random(42)) for _ in range(5)]

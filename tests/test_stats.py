@@ -252,8 +252,7 @@ def test_gf2_batch_matches_row_elimination_on_sampler_chunks(batch):
 
 def test_montecarlo_scan_takes_no_determinant(monkeypatch):
     # the scan reads det g off the constant term of the batched characteristic
-    # polynomial; one det per candidate, and one more per accepted draw of a
-    # label coset, was the per-draw route it replaced
+    # polynomial, so no candidate and no label coset takes a determinant
     calls = []
     det = MatSpace.det
     monkeypatch.setattr(MatSpace, "det", lambda self, a: calls.append(a) or det(self, a))
