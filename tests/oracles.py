@@ -20,11 +20,15 @@ over index maps, against the vectorised min-label propagation), and
 generation of a permutation group by a pair (one closure per pair, against
 the probe's verdicts shared over double cosets and proper subgroups), and
 the generic Monte Carlo scan (one rejection draw and one determinant per
-matrix, against the batched draws of ``stats._mc_scan``).
+matrix, against the batched draws of ``stats._mc_scan``), generator
+completion (a scan of every q^(n^2) matrix), the type of a quadratic form
+polarising to the symplectic form (its singular vectors counted), and the
+signed-permutation statistic (every signed permutation).
 The permutation copy of a matrix action is here too; only tests use it.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -59,7 +63,7 @@ from classprop.matgroup import (
     subspace_vectors,
 )
 from classprop.series import Series
-from classprop.stats import PermGroup
+from classprop.stats import PermGroup, _even_negative_cycles_paired
 
 # Largest number of candidate polynomials count_enumerated will sieve.
 DEFAULT_ENUM_CAP = 30_000
@@ -803,6 +807,44 @@ def tuple_closure(space, gens, chunk=4096):
     return elements, index, found // G, found % G
 
 
+def full_scan_candidates(space, form):
+    """Every matrix that preserves form, in flat code order (entry 0 least
+    significant), once there are at most 500 000 matrices in all; nothing
+    beyond that."""
+    n, q = space.n, space.F.q
+    total = q ** (n * n)
+    if total > 500_000:
+        return
+    for code in range(total):
+        g = []
+        c = code
+        for _ in range(n * n):
+            g.append(c % q)
+            c //= q
+        g = tuple(g)
+        if matgroup.preserves_form(space, form, g):
+            yield g
+
+
+def full_scan_cases():
+    """The (family, n, q) of every ambient table with a candidate pool whose
+    full scan can yield: its field has at most 81 elements, its type exists,
+    and its space holds at most 500 000 matrices."""
+    cases = []
+    for family in ("Sp", "GU", "SU", "O+", "O-", "O"):
+        for n in range(1, 5):
+            for q in range(2, 82):
+                size = q * q if family in ("GU", "SU") else q
+                try:
+                    if size > 81 or size ** (n * n) > 500_000:
+                        continue
+                    matgroup.standard_form(family, n, q)
+                except ValueError:  # q not a prime power, or no such type
+                    continue
+                cases.append((family, n, q))
+    return cases
+
+
 def tuple_table(family, n, q):
     """(elements, labels, gens, index) of ``build_group(family, n, q)`` as
     tuples and a dict: the same seed, completion pool and labels, with the
@@ -824,7 +866,7 @@ def tuple_table(family, n, q):
         nxt = next((c for c in pool if admissible(c) and c not in index), None)
         if nxt is None:
             assert not exhausted, "generator completion failed"
-            pool, exhausted = matgroup._full_scan_candidates(space, form), True
+            pool, exhausted = full_scan_candidates(space, form), True
             continue
         gens.append(nxt)
         elements, index, parent, generator = tuple_closure(space, gens)
@@ -844,3 +886,41 @@ def tuple_table(family, n, q):
                 half.append(x)
     kept = tuple(g for g, label in zip(elements, labels) if label == 0)
     return kept, (0,) * len(kept), tuple(half), {g: i for i, g in enumerate(kept)}
+
+
+# ---------------------------------------------------------------------------
+# Quadratic forms polarising to the symplectic form over GF(2).
+
+def quadratic_form_points(space, form):
+    """The points of ``ActionSpec("quadratic_forms")``: each v as
+    (code of v, type of Q_v = Q_0 + B(., v)), the type "+" exactly when Q_v
+    has as many singular vectors (zero included) as a plus-type form."""
+    n = space.n
+    base = [[0] * n for _ in range(n)]
+    for i in range(0, n, 2):
+        base[i][i + 1] = 1
+    base = space.from_rows(base)
+    plus_count = 2 ** (n - 1) + 2 ** (n // 2 - 1)
+    points = []
+    for code in range(2**n):
+        v = space.code_vec(code)
+        sing = 0
+        for xcode in range(2**n):
+            x = space.code_vec(xcode)
+            if matgroup._eval_quad(space, base, x) == form.bilinear(space, x, v):
+                sing += 1
+        points.append((code, "+" if sing == plus_count else "-"))
+    return points
+
+
+# ---------------------------------------------------------------------------
+# Signed permutations.
+
+def weyl_enumerated(m):
+    """The exact signed-permutation statistic over all m! 2^m elements of
+    the hyperoctahedral group of rank m."""
+    hits = 0
+    for perm in itertools.permutations(range(m)):
+        for signs in range(1 << m):
+            hits += _even_negative_cycles_paired(perm, signs)
+    return Fraction(hits, math.factorial(m) << m)

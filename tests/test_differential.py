@@ -12,7 +12,10 @@ per-family loops and per-case branches they replaced; the action orbits
 and (twisted) classes against the depth-first search and the two-map
 union-find loop that computed them before the vectorised min-label
 propagation; the generation probe's reports against one closure per draw;
-the batched Monte Carlo scan against one rejection draw per matrix."""
+the batched Monte Carlo scan against one rejection draw per matrix;
+generator completion against a scan of every matrix of the space; the
+quadratic-form types against their singular-vector counts; the exact
+signed-permutation statistic against every signed permutation."""
 
 import random
 from fractions import Fraction
@@ -24,6 +27,7 @@ from classprop import matgroup
 from classprop.gf import prime_power
 from classprop.matgroup import (
     ActionSpec,
+    ActionTable,
     MatSpace,
     ResourceCapExceeded,
     _eval_quad,
@@ -38,6 +42,7 @@ from classprop.matgroup import (
     perp_basis_dot,
     point_permutation,
     rref_basis,
+    standard_form,
     subspace_vectors,
     tau_membership,
 )
@@ -56,6 +61,7 @@ from classprop.stats import (
     proportion,
     psl2,
     subset_expectation,
+    weyl_negative_cycle_statistic,
     wilson_interval,
 )
 from oracles import (
@@ -68,11 +74,13 @@ from oracles import (
     dfs_orbits,
     dickson_label,
     element_labels,
+    full_scan_cases,
     kernel_basis,
     mat_add,
     mat_products,
     mc_scan_per_draw,
     perp_basis_form,
+    quadratic_form_points,
     random_gl,
     relation_classes_loop,
     restrict,
@@ -81,6 +89,7 @@ from oracles import (
     tau_sieve_free,
     tau_square,
     tuple_table,
+    weyl_enumerated,
 )
 from test_table_digests import TABLE_DIGESTS
 
@@ -1310,3 +1319,30 @@ def test_fixed_sets_stream_across_chunk_edges(extra, spec):
     want = _ref_fixed_sets(tb, indices, act)
     assert fixed_sets(tb, indices, act) == want
     assert fixed_sets(tb, (i for i in indices), act) == want
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against the searches they replaced.
+
+@pytest.mark.parametrize("key", full_scan_cases(), ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_completion_matches_the_full_scan(key):
+    # every ambient table whose completion could reach a scan of all q^(n^2)
+    # matrices, against a build that falls back to that scan
+    elements, labels, gens, _ = tuple_table(*key)
+    tb = build_group(*key)
+    assert list(tb.elements) == list(elements)
+    assert tb.labels == labels
+    assert tb.gens == gens
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_quadratic_form_types_match_singular_counts(n):
+    space, form = MatSpace(n, 2), standard_form("Sp", n, 2)
+    act = ActionTable(space, form, ActionSpec("quadratic_forms"))
+    assert act.points == quadratic_form_points(space, form)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_weyl_exact_matches_enumeration(m):
+    rep = weyl_negative_cycle_statistic(m)
+    assert (rep.value, rep.method) == (weyl_enumerated(m), "exact")

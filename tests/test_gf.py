@@ -388,7 +388,8 @@ ORACLE_NAMES = (
     "tau_square", "dickson_label", "_generates", "batched_dickson_labels",
     "_dickson_labels", "element_labels", "_make_labels", "mat_products",
     "frontier_chunks", "slice_closure", "tuple_closure", "tuple_table",
-    "_cofactor_free", "random_gl", "random_coset_gl",
+    "_cofactor_free", "random_gl", "random_coset_gl", "full_scan_candidates",
+    "quadratic_form_points", "weyl_enumerated",
 )
 
 
