@@ -8,16 +8,15 @@ permutation groups of ``stats``) from hard-coded generator seeds; a product
 g s is one lookup per row in the table of s^T on all q^n vectors, and the
 new elements of a level come from ``np.unique`` of int64 keys.  The element
 count is checked against the classical order formula, and when a seed
-undergenerates (a real phenomenon: the 4-dimensional plus-type orthogonal
-group over GF(2) is not generated by its reflections) the builder
-deterministically completes the seed from a pool of form-preserving
-candidates until the order matches.  Coset labels are homomorphisms, so
-each is summed along the BFS tree from the generators' labels; conjugacy
-classes join index maps g -> a g b, computed on the same row codes, by
-vectorised min-label propagation.  With ``CLASSPROP_CACHE`` set, the disk
-cache holds each ambient table's generator list as JSON, nothing else: a
-load checks that every generator lies in the group and closes them again,
-and their closure reaching the formula's order proves that they generate it.
+undergenerates the builder deterministically completes it from a pool of
+form-preserving candidates until the order matches (see ``build_group``).
+Coset labels are homomorphisms, so each is summed along the BFS tree from
+the generators' labels; conjugacy classes join index maps g -> a g b,
+computed on the same row codes, by vectorised min-label propagation.  With
+``CLASSPROP_CACHE`` set, the disk cache holds each ambient table's generator
+list as JSON, nothing else: a load checks that every generator lies in the
+group and closes them again, and their closure reaching the formula's order
+proves that they generate it.
 
 Everything downstream (actions, fixed points, the element subsets defined by
 characteristic-polynomial conditions) works on the row codes of the
@@ -724,20 +723,21 @@ def _unitary_candidates(space, form):
             yield space.scalar(c)
 
 
-def _full_scan_candidates(space, form):
-    n, q = space.n, space.F.q
-    total = q ** (n * n)
-    if total > 500_000:
-        return
-    for code in range(total):
-        g = []
-        c = code
-        for _ in range(n * n):
-            g.append(c % q)
-            c //= q
-        g = tuple(g)
-        if preserves_form(space, form, g):
-            yield g
+def _flip_tail(space, form):
+    """The antidiagonal flip J times each lower unitriangular L, kept when
+    J L preserves form, in flat code order of J L (entry 0 least
+    significant): where a pool runs dry, the first matrices that a scan of
+    every matrix in code order would add."""
+    n = space.n
+    # J L has ones on the antidiagonal and L's free entries above it; the
+    # largest flat index varies slowest, so the products come in code order
+    free = [k for k in reversed(range(n * n)) if k // n + k % n < n - 1]
+    for digits in itertools.product(range(space.q), repeat=len(free)):
+        g = [int(k // n + k % n == n - 1) for k in range(n * n)]
+        for k, c in zip(free, digits):
+            g[k] = c
+        if preserves_form(space, form, tuple(g)):
+            yield tuple(g)
 
 
 def _seed_and_pool(family, space, form):
@@ -1132,6 +1132,11 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
     label-0 halves of their ambient orthogonal group.  For GU/SU the field
     argument is q0; matrices live over GF(q0^2).
 
+    A seed is completed from the family pool, then from ``_flip_tail``,
+    which only O+4(2), GU3(2) and SU3(2) reach: the exceptions to generation
+    by reflections and by unitary transvections (Taylor, "The Geometry of
+    the Classical Groups", 1992).
+
     With a cache directory set, the ambient table's generators are read
     from its file and closed again; the file is served only when every
     generator lies in the group and the closure has the formula's order,
@@ -1172,7 +1177,7 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         hit = len(rows) == target
     if not hit:
         seed, pool = _seed_and_pool(ambient, space, form)
-        pool = itertools.chain(pool, _full_scan_candidates(space, form))
+        pool = itertools.chain(pool, _flip_tail(space, form))
         gens = [g for g in seed if admissible(g)]
         rows, parent, generator = bfs_closure(space, gens, cap)
         rounds = 0
@@ -1454,24 +1459,13 @@ class ActionTable:
         for i in range(0, n, 2):
             base_quad[i][i + 1] = 1
         self.base_quad = space.from_rows(base_quad)
-        m = n // 2
-        plus_count = 2 ** (n - 1) + 2 ** (m - 1)
+        # Q_v = Q_0 + B(., v) is x -> Q_0(x + v) - Q_0(v), so it has as many
+        # zeros as the plus-type Q_0 exactly when Q_0(v) = 0
         for code in range(2**n):
-            v = space.code_vec(code)
-            sing = self._translated_singulars(v)
-            self.points.append((code, "+" if sing == plus_count else "-"))
-        plus = sum(1 for _, e in self.points if e == "+")
-        assert plus == plus_count
-
-    def _translated_singulars(self, v):
-        """Singular vectors of Q_v = Q_0 + B(., v), zero vector included."""
-        space, form = self.space, self.form
-        count = 0
-        for code in range(2**space.n):
-            x = space.code_vec(code)
-            if _eval_quad(space, self.base_quad, x) == form.bilinear(space, x, v):
-                count += 1
-        return count
+            value = _eval_quad(space, self.base_quad, space.code_vec(code))
+            self.points.append((code, "-" if value else "+"))
+        plus = sum(e == "+" for _, e in self.points)
+        assert plus == 2 ** (n - 1) + 2 ** (n // 2 - 1)
 
     def __len__(self):
         return len(self.points)

@@ -40,7 +40,7 @@ from .matgroup import (
     relation_classes,
     tau_membership,
 )
-from .series import gl_no_small_factor_series, sl_coset_series
+from .series import Series, gl_no_small_factor_series, sl_coset_series
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 PERM_GROUP_CAP = 2_000_000  # elements a PermGroup closure may reach
@@ -620,18 +620,22 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
     """Proportion of signed permutations whose even-length negative cycles
     all come in pairs.
 
-    With trials=None the hyperoctahedral group of rank m is enumerated
-    exactly (feasible for m <= 7); otherwise uniform samples give a float
-    estimate with a 99% Wilson interval.
+    With trials=None the value is exact, [u^m] of the cycle-index series
+    1/(1 - u) prod_(k even <= m) (1 + exp(-u^k/k))/2: an even number of
+    negative k-cycles turns their factor exp(u^k/(2k)) into cosh(u^k/(2k))
+    (Flajolet and Sedgewick, "Analytic Combinatorics", 2009, ch. II).
+    Otherwise uniform samples give a float estimate with a 99% Wilson interval.
     """
-    _check_int("m", m, 1, 7 if trials is None else None)
+    _check_int("m", m, 1)
     if trials is None:
-        total = math.factorial(m) << m
-        hits = 0
-        for perm in itertools.permutations(range(m)):
-            for signs in range(1 << m):
-                hits += _even_negative_cycles_paired(perm, signs)
-        return WeylReport(m, Fraction(hits, total), "exact")
+        out = Series.geometric(m)
+        for k in range(2, m + 1, 2):
+            factor, term = Series.one(m), Fraction(1)  # term: (-1)^j/(k^j j!)
+            for j in range(1, m // k + 1):
+                term /= -k * j
+                factor.coeffs[k * j] = term / 2
+            out = factor * out
+        return WeylReport(m, out.coeffs[m], "exact")
     _check_int("trials", trials, 1)
     _check_int("seed", seed, 0)
     rng = random.Random(seed)

@@ -21,9 +21,11 @@ generation of a permutation group by a pair (one closure per pair, against
 the probe's verdicts shared over double cosets and proper subgroups), and
 the generic Monte Carlo scan (one rejection draw and one determinant per
 matrix, against the batched draws of ``stats._mc_scan``), generator
-completion (a scan of every q^(n^2) matrix), the type of a quadratic form
-polarising to the symplectic form (its singular vectors counted), and the
-signed-permutation statistic (every signed permutation).
+completion (a scan of every q^(n^2) matrix, against the finite tail
+``matgroup._flip_tail``), the type of a quadratic form polarising to the
+symplectic form (its singular vectors counted, against one evaluation),
+and the signed-permutation statistic (every signed permutation, against
+its cycle-index series).
 The permutation copy of a matrix action is here too; only tests use it.
 """
 

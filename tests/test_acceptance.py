@@ -359,9 +359,14 @@ def test_criterion_12_weyl_statistic():
                  and ests[20].ci_low > ests[40].ci_high)
     if not separated:
         failures.append(("trend", {m: e.value for m, e in ests.items()}))
+    # the exact series value at each large m lies inside its sampled interval
+    for m, mc in ests.items():
+        exact_m = weyl_negative_cycle_statistic(m).value
+        if not mc.ci_low <= float(exact_m) <= mc.ci_high:
+            failures.append(("exact mc", m, exact_m, mc.value))
     ok = not failures
     report(12, "weyl statistic", ok,
-           f"exact m<=6 inside MC intervals; trend "
+           f"exact m<=6 and m=10,20,40 inside MC intervals; trend "
            f"{ests[10].value:.4f} > {ests[20].value:.4f} > {ests[40].value:.4f}")
     assert ok, failures
 

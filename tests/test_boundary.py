@@ -183,7 +183,7 @@ TABLE = {
         ("t", lambda v: symmetric_expectation(7, 2, v), 1, 2),
     ],
     "weyl_negative_cycle_statistic": [
-        ("m", lambda v: weyl_negative_cycle_statistic(v), 1, 7),
+        ("m", lambda v: weyl_negative_cycle_statistic(v), 1, None),
         ("trials", lambda v: weyl_negative_cycle_statistic(3, trials=v, seed=1), 1, None),
         ("seed", lambda v: weyl_negative_cycle_statistic(3, trials=5, seed=v), 0, None),
     ],

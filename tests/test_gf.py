@@ -405,6 +405,10 @@ def test_runtime_counts_never_enumerate():
         assert not hasattr(matgroup.MatSpace, name), name
     # one product route: closures and class maps look up row codes
     assert not hasattr(matgroup.MatSpace, "products")
+    # completion, quadratic-form types and the exact Weyl statistic take
+    # closed forms, not searches
+    assert not hasattr(matgroup, "_full_scan_candidates")
+    assert not hasattr(matgroup.ActionTable, "_translated_singulars")
     # one construction route per table: no second Z_p arithmetic in gf, no
     # second GroupTable assembly in matgroup; the fpr check reads acting
     # trivially off the fixed-point count; no dead MatSpace.pow or

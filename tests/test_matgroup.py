@@ -43,6 +43,7 @@ from oracles import (
     charpoly_minors,
     fixed_points_by_type,
     fixes_some_small_subspace,
+    full_scan_cases,
     is_irreducible,
     kernel_basis,
     perp_basis_form,
@@ -301,6 +302,30 @@ def test_family_validation():
         build_group("SO+", 4, 2)  # even q wants Omega labels
     with pytest.raises(ValueError):
         build_group("Omega+", 4, 3)  # odd q wants SO labels
+
+
+def test_only_three_tables_complete_from_the_flip_tail(monkeypatch):
+    # over every table whose completion could once reach the full scan,
+    # only the exceptions to generation by reflections and by unitary
+    # transvections draw from the tail after the family pool
+    monkeypatch.delenv("CLASSPROP_CACHE", raising=False)
+    monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
+    tail = matgroup._flip_tail
+    drawn = []
+
+    def counted(space, form):
+        for g in tail(space, form):
+            drawn.append(g)
+            yield g
+
+    monkeypatch.setattr(matgroup, "_flip_tail", counted)
+    reached = set()
+    for key in full_scan_cases():
+        del drawn[:]
+        build_group(*key)
+        if drawn:
+            reached.add(key)
+    assert reached == {("O+", 4, 2), ("GU", 3, 2), ("SU", 3, 2)}
 
 
 def test_cache_roundtrip(tmp_path, monkeypatch):

@@ -682,8 +682,8 @@ def test_weyl_montecarlo_covers_exact():
 def test_weyl_argument_errors():
     with pytest.raises(ValueError):
         weyl_negative_cycle_statistic(0)
-    with pytest.raises(ValueError):
-        weyl_negative_cycle_statistic(8)  # exact cap
+    # no cap on the exact route: m = 8 is one more coefficient of its series
+    assert weyl_negative_cycle_statistic(8).value == Fraction(455, 768)
     with pytest.raises(ValueError):
         weyl_negative_cycle_statistic(4, trials=100)  # seed missing
     # bool is an int subclass; True would otherwise run one trial
