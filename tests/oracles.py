@@ -24,8 +24,13 @@ matrix, against the batched draws of ``stats._mc_scan``), generator
 completion (a scan of every q^(n^2) matrix, against the finite tail
 ``matgroup._flip_tail``), the type of a quadratic form polarising to the
 symplectic form (its singular vectors counted, against one evaluation),
-and the signed-permutation statistic (every signed permutation, against
-its cycle-index series).
+the signed-permutation statistic (every signed permutation, against its
+cycle-index series), and rank, det, inverse, vector images, spans, perps,
+subspace types and quadratic-form point images (one scalar elimination per
+matrix, and images built digit by digit, against the batched elimination
+and image kernels).  The labels, tau squares, minor sums and draws here
+take their dets, ranks and inverses from the scalar eliminations, so they
+stay independent of the runtime ones.
 The permutation copy of a matrix action is here too; only tests use it.
 """
 
@@ -59,10 +64,7 @@ from classprop.matgroup import (
     all_subspaces,
     enumerate_action,
     fixed_point_indices,
-    perp_basis_dot,
     point_permutation,
-    rref_basis,
-    subspace_vectors,
 )
 from classprop.series import Series
 from classprop.stats import PermGroup, _even_negative_cycles_paired
@@ -293,6 +295,231 @@ def unitary_residue_product_series(q0, a, order):
 
 
 # ---------------------------------------------------------------------------
+# Scalar linear algebra: one Python elimination per matrix, and vector
+# images, spans and perps built digit by digit (against the batched
+# ``matgroup._gauss_jordan`` and ``matgroup._images``).
+
+def elim(space, rows, ncols, *, reduced=True):
+    """In-place row echelon of the list of row lists over the first ncols
+    columns, reduced unless told otherwise; returns the pivot columns."""
+    F = space.F
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv_t[rows[r][c]]
+        if inv != 1:
+            mrow = F.mul_t[inv]
+            rows[r] = [mrow[x] for x in rows[r]]
+        row_r = rows[r]
+        rng = range(len(rows)) if reduced else range(r + 1, len(rows))
+        for i in rng:
+            if i != r and rows[i][c]:
+                mrow = F.mul_t[rows[i][c]]
+                neg = F.neg_t
+                add = F.add_t
+                rows[i] = [
+                    add[x][neg[mrow[y]]] for x, y in zip(rows[i], row_r)
+                ]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def scalar_rank(space, a):
+    """Rank of the flat matrix a by one row echelon."""
+    return len(elim(space, space.rows(a), space.n, reduced=False))
+
+
+def scalar_det(space, a):
+    """Determinant of the flat matrix a by one pivot loop."""
+    n, F = space.n, space.F
+    rows = space.rows(a)
+    det = 1
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if rows[i][c]:
+                pr = i
+                break
+        if pr is None:
+            return 0
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            det = F.neg_t[det]
+        piv = rows[c][c]
+        det = F.mul(det, piv)
+        mrow = F.mul_t[F.inv_t[piv]]
+        rowc = [mrow[x] for x in rows[c]]
+        rows[c] = rowc
+        for i in range(c + 1, n):
+            if rows[i][c]:
+                mf = F.mul_t[rows[i][c]]
+                neg = F.neg_t
+                add = F.add_t
+                rows[i] = [add[x][neg[mf[y]]] for x, y in zip(rows[i], rowc)]
+    return det
+
+
+def scalar_inv(space, a):
+    """Inverse of the flat matrix a by reducing [a | I]; ZeroDivisionError
+    when a is singular."""
+    n = space.n
+    rows = [
+        list(a[i * n : (i + 1) * n])
+        + [1 if j == i else 0 for j in range(n)]
+        for i in range(n)
+    ]
+    pivots = elim(space, rows, n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(rows[i][n + j] for i in range(n) for j in range(n))
+
+
+def null_basis(space, rows):
+    """Basis of the vectors with zero dot product against every row (for
+    a matrix's rows, its right null space); rows is reduced in place."""
+    n, F = space.n, space.F
+    pivots = elim(space, rows, n)
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [0] * n
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = F.neg_t[rows[r][fc]]
+        basis.append(tuple(v))
+    return basis
+
+
+def code_add(space, c1, c2):
+    """Code of the sum of the vectors with codes c1 and c2, digit by digit."""
+    if space.q == 2:
+        return c1 ^ c2
+    add = space.F.add_t
+    q = space.q
+    out = 0
+    mult = 1
+    while c1 or c2:
+        out += add[c1 % q][c2 % q] * mult
+        c1 //= q
+        c2 //= q
+        mult *= q
+    return out
+
+
+def vector_images(space, g):
+    """List L with L[code(v)] = code(g v), built digit by digit."""
+    n, q, F = space.n, space.q, space.F
+    cols = []
+    for j in range(n):
+        col = tuple(g[i * n + j] for i in range(n))
+        cols.append(
+            [space.vec_code(tuple(F.mul(c, x) for x in col)) for c in range(q)]
+        )
+    images = [0] * (q**n)
+    stride = 1
+    count = 1
+    for j in range(n):
+        colj = cols[j]
+        for c in range(1, q):
+            inc = colj[c]
+            base = c * stride
+            for idx in range(count):
+                images[base + idx] = code_add(space, images[idx], inc)
+        stride *= q
+        count *= q
+    return images
+
+
+def subspace_vectors(space, basis):
+    """Codes of every vector in the span of the basis."""
+    F = space.F
+    vecs = [(0,) * space.n]
+    for b in basis:
+        new = []
+        for c in range(1, space.q):
+            cb = tuple(F.mul(c, x) for x in b)
+            for v in vecs:
+                new.append(tuple(F.add(x, y) for x, y in zip(v, cb)))
+        vecs.extend(new)
+    return frozenset(space.vec_code(v) for v in vecs)
+
+
+def rref_basis(space, vectors):
+    """Canonical reduced-echelon basis for the span of the given vectors."""
+    rows = [list(v) for v in vectors]
+    elim(space, rows, space.n)
+    return tuple(tuple(r) for r in rows if any(r))
+
+
+def perp_basis_dot(space, basis):
+    """Perp of the span under the plain dot product, as a canonical basis."""
+    return rref_basis(space, null_basis(space, [list(b) for b in basis]))
+
+
+def subspace_type(space, form, basis):
+    """The point type of the span of basis under form (one of
+    ``matgroup._RESTRICTIONS``), from one scalar rank of its Gram matrix."""
+    if form.kind == "none":
+        return "any"
+    k = len(basis)
+    gram = tuple(form.bilinear(space, u, v) for u in basis for v in basis)
+    r = scalar_rank(MatSpace(k, space.q), gram)
+    if form.kind == "quadratic":
+        basis_singular = all(form.quad_value(space, v) == 0 for v in basis)
+        if k == 1:
+            return "totally_singular" if basis_singular else "nonsingular"
+        if basis_singular and r == 0:
+            return "totally_singular"
+    elif r == 0:
+        return "totally_singular"
+    if r == k:
+        return "nondegenerate"
+    return "degenerate"
+
+
+def form_translation(space, g, action):
+    """Vector c with g . Q_v = Q_{g v + c} in the quadratic-forms action,
+    from two scalar inverses."""
+    n, F = space.n, space.F
+    ginv = scalar_inv(space, g)
+    vals = []
+    for i in range(n):
+        e = tuple(1 if j == i else 0 for j in range(n))
+        ge = space.mat_vec(ginv, e)
+        vals.append(
+            F.sub(
+                matgroup._eval_quad(space, action.base_quad, ge),
+                matgroup._eval_quad(space, action.base_quad, e),
+            )
+        )
+    # x -> Q0(g^-1 x) - Q0(x) is linear over GF(2); write it as B(x, c)
+    giv = scalar_inv(space, space.transpose(action.form.gram))
+    return space.mat_vec(giv, tuple(vals))
+
+
+def quadratic_form_permutation(space, g, action):
+    """``point_permutation`` on quadratic-form points, one point at a time:
+    Q_v goes to Q_(g v + c)."""
+    c = form_translation(space, g, action)
+    out = []
+    for code, _eps in action.points:
+        gv = space.mat_vec(g, space.code_vec(code))
+        out.append(space.vec_code(tuple(space.F.add(x, y) for x, y in zip(gv, c))))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Matrices and element subsets.
 
 def charpoly_hessenberg(space, a):
@@ -355,7 +582,7 @@ def charpoly_minors(space, a):
         total = 0
         for sel in itertools.combinations(range(n), k):
             sub = tuple(a[i * n + j] for i in sel for j in sel)
-            total = F.add(total, MatSpace(k, space.q).det(sub))
+            total = F.add(total, scalar_det(MatSpace(k, space.q), sub))
         coeffs[n - k] = F.mul(F.minus_one_to(k), total)
     return tuple(coeffs)
 
@@ -369,14 +596,14 @@ def sieve_free(space, g, t):
 def tau_square(space, g):
     """x = g g^-T, the square of g tau, by one inverse, transpose and product
     (against the batched elimination of ``matgroup._tau_squares``)."""
-    return space.mul(g, space.transpose(space.inv(g)))
+    return space.mul(g, space.transpose(scalar_inv(space, g)))
 
 
 def dickson_label(space, g):
     """rank(g - 1) mod 2 by one elimination per element (against
     ``batched_dickson_labels`` and the labels a build reads off its
     closure)."""
-    return space.rank(space.sub(g, space.identity)) % 2
+    return scalar_rank(space, space.sub(g, space.identity)) % 2
 
 
 def batched_dickson_labels(space, mats):
@@ -402,14 +629,15 @@ def element_labels(table):
     sp, fam, q = table.space, table.family, table.q
     dlog = sp.F.dlog
     if fam in ("GL", "SL"):
-        return tuple(dlog[sp.det(g)] % (q - 1) if q > 2 else 0 for g in table.elements)
+        return tuple(dlog[scalar_det(sp, g)] % (q - 1) if q > 2 else 0
+                     for g in table.elements)
     if fam in ("GU", "SU"):
-        return tuple(dlog[sp.det(g)] // (q - 1) % (q + 1) for g in table.elements)
+        return tuple(dlog[scalar_det(sp, g)] // (q - 1) % (q + 1) for g in table.elements)
     if fam == "Sp":
         return (0,) * len(table)
     if q % 2 == 0:
         return tuple(dickson_label(sp, g) for g in table.elements)
-    return tuple(0 if sp.det(g) == 1 else 1 for g in table.elements)
+    return tuple(0 if scalar_det(sp, g) == 1 else 1 for g in table.elements)
 
 
 def mat_products(space, frontier, gens):
@@ -462,7 +690,7 @@ def tau_sieve_free(space, g, t):
 
 def fixes_some_small_subspace(space, g, t):
     """Direct scan over all subspaces of dimension <= t (duality oracle)."""
-    lut = space.all_vector_images(g)
+    lut = vector_images(space, g)
     for k in range(1, t + 1):
         for basis in all_subspaces(space, k):
             vecs = subspace_vectors(space, basis)
@@ -473,7 +701,7 @@ def fixes_some_small_subspace(space, g, t):
 
 def kernel_basis(space, a):
     """Basis of the right null space of a, as vectors."""
-    return space._null_basis(space.rows(a))
+    return null_basis(space, space.rows(a))
 
 
 def mat_add(space, a, b):
@@ -497,7 +725,7 @@ def restrict(space, g, basis):
     k = len(basis)
     F = space.F
     rowsp = [list(b) for b in basis]
-    pivots = space._elim(rowsp, space.n)
+    pivots = elim(space, rowsp, space.n)
     cols = []
     for b in basis:
         gb = space.mat_vec(g, b)
@@ -526,7 +754,7 @@ def fixed_points_by_type(space, g, action):
 def element_lut(space, g, cache):
     lut = cache.get("lut")
     if lut is None:
-        lut = cache["lut"] = space.all_vector_images(g)
+        lut = cache["lut"] = vector_images(space, g)
     return lut
 
 
@@ -596,7 +824,7 @@ def random_gl(n, q, rng):
     space = MatSpace(n, q)
     while True:
         g = tuple(rng.randrange(q) for _ in range(n * n))
-        if space.det(g) != 0:
+        if scalar_det(space, g) != 0:
             return g
 
 
@@ -612,7 +840,7 @@ def random_coset_gl(n, q, det_class, rng):
     g = random_gl(n, q, rng)
     if q == 2:
         return g
-    have = F.dlog[space.det(g)] % (q - 1)
+    have = F.dlog[scalar_det(space, g)] % (q - 1)
     shift = (det_class - have) % (q - 1)
     if shift:
         d = space.rows(space.identity)
@@ -858,7 +1086,8 @@ def tuple_table(family, n, q):
     space = MatSpace(n, q * q if ambient in ("GU", "SU") else q)
 
     def admissible(g):
-        return ambient != "SU" or matgroup._gu_label(space, g, q) == 0
+        # the GU label of ``matgroup._gu_label``, from a scalar det
+        return ambient != "SU" or space.F.dlog[scalar_det(space, g)] // (q - 1) % (q + 1) == 0
 
     seed, pool = matgroup._seed_and_pool(ambient, space, form)
     gens = [g for g in seed if admissible(g)]
@@ -877,7 +1106,7 @@ def tuple_table(family, n, q):
         return tuple(elements), labels, tuple(gens), index
     # the label-0 half, generated by t s rep(t s)^-1 over the transversal {1, r}
     r = elements[labels.index(1)]
-    rinv = space.inv(r)
+    rinv = scalar_inv(space, r)
     half = []
     for t in (space.identity, r):
         for s in gens:

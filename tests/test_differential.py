@@ -15,7 +15,10 @@ propagation; the generation probe's reports against one closure per draw;
 the batched Monte Carlo scan against one rejection draw per matrix;
 generator completion against a scan of every matrix of the space; the
 quadratic-form types against their singular-vector counts; the exact
-signed-permutation statistic against every signed permutation."""
+signed-permutation statistic against every signed permutation; the rank,
+det, inverse, vector images, spans, perps, subspace types and
+quadratic-form point images against one scalar elimination per matrix and
+images, spans and perps built digit by digit."""
 
 import random
 from fractions import Fraction
@@ -31,7 +34,6 @@ from classprop.matgroup import (
     MatSpace,
     ResourceCapExceeded,
     _eval_quad,
-    _form_translation,
     _tau_squares,
     all_subspaces,
     bfs_closure,
@@ -39,11 +41,8 @@ from classprop.matgroup import (
     enumerate_action,
     fixed_point_indices,
     membership_sets,
-    perp_basis_dot,
     point_permutation,
-    rref_basis,
     standard_form,
-    subspace_vectors,
     tau_membership,
 )
 from classprop.stats import (
@@ -71,24 +70,36 @@ from oracles import (
     charpoly_hessenberg,
     class_fixed,
     class_images,
+    code_add,
     dfs_orbits,
     dickson_label,
+    elim,
     element_labels,
+    form_translation,
     full_scan_cases,
     kernel_basis,
     mat_add,
     mat_products,
     mc_scan_per_draw,
+    perp_basis_dot,
     perp_basis_form,
+    quadratic_form_permutation,
     quadratic_form_points,
     random_gl,
     relation_classes_loop,
     restrict,
+    rref_basis,
+    scalar_det,
+    scalar_inv,
+    scalar_rank,
     sieve_free,
     slice_closure,
+    subspace_type,
+    subspace_vectors,
     tau_sieve_free,
     tau_square,
     tuple_table,
+    vector_images,
     weyl_enumerated,
 )
 from test_table_digests import TABLE_DIGESTS
@@ -378,7 +389,7 @@ def _ref_span(space, basis):
 def _ref_null(space, rows):
     n, F = space.n, space.F
     rows = [list(r) for r in rows]
-    pivots = space._elim(rows, n)
+    pivots = elim(space, rows, n)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
@@ -950,7 +961,7 @@ def _ref_orth_O_set_even(table, t):
                 continue
             w = rref_basis(space, e1 + em)
         gram = tuple(form.bilinear(space, u, v) for u in w for v in w)
-        if MatSpace(2, q).rank(gram) != 2:
+        if scalar_rank(MatSpace(2, q), gram) != 2:
             continue
         perp = perp_basis_form(space, form, w)
         if sieve_free(*restrict(space, g, perp), t):
@@ -1121,7 +1132,7 @@ def _ref_solve(space, a, b):
     """One solution x of a x = b, or None."""
     n = space.n
     rows = [list(a[i * n : (i + 1) * n]) + [b[i]] for i in range(n)]
-    pivots = space._elim(rows, n)
+    pivots = elim(space, rows, n)
     if any(rows[r][n] for r in range(len(pivots), n)):
         return None
     x = [0] * n
@@ -1131,14 +1142,14 @@ def _ref_solve(space, a, b):
 
 
 def _ref_fixed_form_indices(space, g, action):
-    c = _form_translation(space, g, action)
+    c = form_translation(space, g, action)
     gm1 = space.sub(g, space.identity)
     x0 = _ref_solve(space, gm1, c)
     if x0 is None:
         return []
     c0 = space.vec_code(x0)
     kernel = subspace_vectors(space, kernel_basis(space, gm1))
-    return sorted(space.code_add(c0, kc) for kc in kernel)
+    return sorted(code_add(space, c0, kc) for kc in kernel)
 
 
 def _basis_index(cls):
@@ -1346,3 +1357,125 @@ def test_quadratic_form_types_match_singular_counts(n):
 def test_weyl_exact_matches_enumeration(m):
     rep = weyl_negative_cycle_statistic(m)
     assert (rep.value, rep.method) == (weyl_enumerated(m), "exact")
+
+
+# ---------------------------------------------------------------------------
+# Linear algebra: the runtime rank, det, inverse, vector images, spans, perps
+# and subspace types against one scalar elimination per matrix and images,
+# spans and perps built digit by digit.
+
+def _matrices(space, rng, count):
+    """count seeded flat matrices over the space's field: every other one
+    uniform, the rest with rows n - r spanned by r random rows, for each
+    r < n in turn, so of rank at most r and singular."""
+    n, q, F = space.n, space.q, space.F
+    out = []
+    for i in range(count):
+        r = n if i % 2 else i // 2 % n
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        for row in rows[r:]:
+            coeffs = [rng.randrange(q) for _ in range(r)]
+            for col in range(n):
+                acc = 0
+                for j, c in enumerate(coeffs):
+                    acc = F.add(acc, F.mul(c, rows[j][col]))
+                row[col] = acc
+        rng.shuffle(rows)
+        out.append(space.from_rows(rows))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rank_det_inv_match_scalar_elimination(n, q):
+    sp = MatSpace(n, q)
+    singular = 0
+    for a in _matrices(sp, random.Random(100 * n + q), 20):
+        assert sp.rank(a) == scalar_rank(sp, a)
+        det = scalar_det(sp, a)
+        assert sp.det(a) == det
+        if det:
+            assert sp.inv(a) == scalar_inv(sp, a)
+        else:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                sp.inv(a)
+    assert singular >= 10
+
+
+FORM_SPACES = [("Sp", 4, 2), ("Sp", 4, 3), ("Sp", 6, 2), ("GU", 3, 2), ("O+", 4, 2),
+               ("O-", 4, 3), ("O", 5, 3)]
+
+
+@pytest.mark.parametrize("key", FORM_SPACES, ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_subspace_types_match_scalar_gram_ranks(key):
+    # every restricted subspace action with k <= n/2 keeps exactly the
+    # subspaces that one scalar rank of their Gram matrix types that way,
+    # and the runtime rank of each distinct Gram matrix is the scalar one
+    form = standard_form(*key)
+    sp = MatSpace(key[1], form.q)
+    for k in range(1, sp.n // 2 + 1):
+        bases = all_subspaces(sp, k)
+        types = [subspace_type(sp, form, b) for b in bases]
+        for restrict in ("totally_singular", "nonsingular", "nondegenerate", "degenerate"):
+            want = [i for i, t in enumerate(types) if t == restrict]
+            spec = ActionSpec("subspace", k, restrict)
+            if want:
+                assert ActionTable(sp, form, spec).points == want, restrict
+            else:
+                with pytest.raises(ValueError, match="no points"):
+                    ActionTable(sp, form, spec)
+        gspace = MatSpace(k, sp.q)
+        grams = {tuple(form.bilinear(sp, u, v) for u in b for v in b) for b in bases}
+        for gram in grams:
+            assert gspace.rank(gram) == scalar_rank(gspace, gram)
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (2, 3, 4) for q in (2, 3, 4)] + [(6, 2)])
+def test_vector_sets_and_perps_match_scalar_routes(n, q):
+    sp = MatSpace(n, q)
+    act = enumerate_action(sp, ActionSpec("subspace", 1))
+    for k in range(1, n):
+        cls, big = act._class(k), act._class(n - k)
+        assert cls.vecsets == [subspace_vectors(sp, b) for b in cls.bases]
+        where = {b: j for j, b in enumerate(big.bases)}
+        assert act._perp(k) == [where[perp_basis_dot(sp, b)] for b in cls.bases]
+
+
+@pytest.mark.parametrize("key", list(TABLE_DIGESTS), ids=lambda k: "%s%d(%d)" % k)
+def test_vector_images_match_on_table_generators(key):
+    tb = build_group(*key)
+    for g in tb.gens:
+        assert np.asarray(tb.space.all_vector_images(g)).tolist() == \
+            vector_images(tb.space, g)
+
+
+def _sp2_representatives(n):
+    """Elements of Sp_n(2), one per conjugacy class for n = 4.  For n = 6,
+    where the table takes seconds to build and its 30 classes longer, one
+    element per (characteristic polynomial, rank of g - 1) among 400 seeded
+    products of 1 to 12 symplectic transvections."""
+    if n == 4:
+        tb = build_group("Sp", 4, 2)
+        return [tb.elements[c[0]] for c in tb.conjugacy_classes()]
+    sp = MatSpace(n, 2)
+    transvections = list(matgroup._sp_candidates(sp, standard_form("Sp", n, 2)))
+    rng = random.Random(61)
+    reps = {}
+    for _ in range(400):
+        g = sp.identity
+        for _ in range(rng.randint(1, 12)):
+            g = sp.mul(g, rng.choice(transvections))
+        key = (charpoly_hessenberg(sp, g), scalar_rank(sp, sp.sub(g, sp.identity)))
+        reps.setdefault(key, g)
+    return list(reps.values())
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_quadratic_form_permutation_matches_per_point_loop(n):
+    space, form = MatSpace(n, 2), standard_form("Sp", n, 2)
+    act = ActionTable(space, form, ActionSpec("quadratic_forms"))
+    reps = _sp2_representatives(n)
+    assert len(reps) == {4: 11, 6: 17}[n]
+    for g in reps:
+        assert point_permutation(space, g, act) == quadratic_form_permutation(space, g, act)

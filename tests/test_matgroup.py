@@ -23,13 +23,10 @@ from classprop.matgroup import (
     group_order,
     member_test,
     membership_sets,
-    perp_basis_dot,
     point_permutation,
     preserves_form,
-    rref_basis,
     singular_vector_count,
     standard_form,
-    subspace_vectors,
     tau_membership,
 )
 from classprop.stats import (
@@ -46,9 +43,12 @@ from oracles import (
     full_scan_cases,
     is_irreducible,
     kernel_basis,
+    perp_basis_dot,
     perp_basis_form,
     random_coset_gl,
     random_gl,
+    rref_basis,
+    subspace_vectors,
     tau_sieve_free,
 )
 
