@@ -23,6 +23,15 @@ characteristic-polynomial conditions) works on the row codes of the
 enumerated tables, one slice of matrix entries at a time; a table decodes an
 element to its tuple only when asked through its ``elements`` and ``index``
 views.
+
+Two batched kernels over the field's lookup tables do the linear algebra.
+``_gauss_jordan`` is the only elimination: the Gram ranks of a class of
+subspaces, the tau squares, and the rank and inverse of a single matrix; a
+det is (-1)^n times the constant term of ``MatSpace.charpolys``.
+``_images`` is the only product of matrices with vectors: the vector images
+that closures and class maps look up, the vector sets and perp maps of a
+class of subspaces, the fixed-point scans and the quadratic-form point
+images.  No runtime path eliminates once per element or per basis.
 """
 
 from __future__ import annotations
@@ -74,6 +83,78 @@ def _product_tables(F):
     mac = np.array(F.add_t, dtype=np.intp)[:, mul].ravel()
     mul.flags.writeable = mac.flags.writeable = False  # shared by every caller
     return mul, mac
+
+
+def _step(cells):
+    """Matrices per batched step when each needs cells working entries: at
+    most _PRODUCT_CHUNK, and within _FIXED_CELLS in all."""
+    return max(1, min(_PRODUCT_CHUNK, _FIXED_CELLS // max(1, cells)))
+
+
+def _images(F, g, cols):
+    """Codes of g v for every matrix g of the (b, r, c) batch g and every
+    column v of the (c, V) array cols: a (b, V) array, the code of g v being
+    sum over i of (g v)_i q^i.  The only product of matrices with vectors.
+
+    One product over the lookup tables of F, one column of g at a time; its
+    working arrays hold b r V entries, which callers keep within
+    _FIXED_CELLS (see ``_step``).
+    """
+    q = F.q
+    mul, mac = _product_tables(F)
+    gq = g * q
+    # img[b, i, v] = sum over j of g_b[i, j] * cols[j, v]
+    img = mul[gq[:, :, 0, None] + cols[0]]
+    for j in range(1, g.shape[2]):
+        img = mac[img * (q * q) + gq[:, :, j, None] + cols[j]]
+    return q ** np.arange(g.shape[1]) @ img
+
+
+def _image_slices(F, g, cols):
+    """``_images`` of the batch g, one slice of ``_step`` matrices at a
+    time, so that each slice's working arrays stay within _FIXED_CELLS."""
+    step = _step(g.shape[1] * cols.shape[1])
+    for lo in range(0, len(g), step):
+        yield _images(F, g[lo : lo + step], cols)
+
+
+def _gauss_jordan(F, a, ncols):
+    """Gauss-Jordan elimination over the lookup tables of F of every matrix
+    in the batch a, of shape (b, rows, columns), on its first ncols columns
+    and with no row swaps.  The only elimination.
+
+    Column c takes its pivot from the first row, not yet used as a pivot,
+    that has a nonzero entry there; that row is scaled to 1 at c and
+    column c is cleared in every other row.  a is overwritten.  Returns the
+    reduced batch and the (b, ncols) array of pivot rows, -1 where a column
+    found none; the rank is the number of columns that found one.
+    """
+    q = F.q
+    mul, mac = _product_tables(F)
+    negq = np.array(F.neg_t, dtype=np.intp) * q
+    invq = np.array([0] + F.inv_t[1:], dtype=np.intp) * q
+    b = np.arange(len(a))
+    used = np.zeros(a.shape[:2], dtype=bool)
+    pivots = np.full((len(a), ncols), -1, dtype=np.intp)
+    for c in range(ncols):
+        free = (a[:, :, c] != 0) & ~used
+        p = np.argmax(free, axis=1)
+        found = free[b, p]
+        used[b, p] |= found
+        pivots[found, c] = p[found]
+        # the pivot row scaled to 1 at column c; a zero row where none was
+        # found, which leaves every row as it is
+        pivot = a[b, p] * found[:, None]
+        pivot = mul[invq[pivot[:, c, None]] + pivot]
+        fq = negq[a[:, :, c]]
+        fq[b, p] = 0
+        # in place, so that a step holds one temporary of the batch's size
+        a *= q * q
+        a += fq[:, :, None]
+        a += pivot[:, None, :]
+        a = mac[a]
+        a[b[found], p[found]] = pivot[found]
+    return a, pivots
 
 
 class MatSpace:
@@ -197,98 +278,28 @@ class MatSpace:
         n, F = self.n, self.F
         return tuple(F.pow(a[j * n + i], q0) for i in range(n) for j in range(n))
 
-    def _elim(self, rows, ncols, *, reduced=True):
-        """In-place row echelon over the first ncols columns; returns pivots."""
-        F = self.F
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pr = None
-            for i in range(r, len(rows)):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            rows[r], rows[pr] = rows[pr], rows[r]
-            inv = F.inv_t[rows[r][c]]
-            if inv != 1:
-                mrow = F.mul_t[inv]
-                rows[r] = [mrow[x] for x in rows[r]]
-            row_r = rows[r]
-            rng = range(len(rows)) if reduced else range(r + 1, len(rows))
-            for i in rng:
-                if i != r and rows[i][c]:
-                    mrow = F.mul_t[rows[i][c]]
-                    neg = F.neg_t
-                    add = F.add_t
-                    rows[i] = [
-                        add[x][neg[mrow[y]]] for x, y in zip(rows[i], row_r)
-                    ]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return pivots
-
     def rank(self, a):
-        rows = self.rows(a)
-        return len(self._elim(rows, self.n, reduced=False))
+        """Rank of the flat matrix a: the columns in which one
+        ``_gauss_jordan`` finds a pivot."""
+        _, pivots = _gauss_jordan(self.F, np.reshape(a, (1, self.n, self.n)), self.n)
+        return int((pivots >= 0).sum())
 
     def det(self, a):
-        n, F = self.n, self.F
-        rows = self.rows(a)
-        det = 1
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if rows[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                return 0
-            if pr != c:
-                rows[c], rows[pr] = rows[pr], rows[c]
-                det = F.neg_t[det]
-            piv = rows[c][c]
-            det = F.mul(det, piv)
-            mrow = F.mul_t[F.inv_t[piv]]
-            rowc = [mrow[x] for x in rows[c]]
-            rows[c] = rowc
-            for i in range(c + 1, n):
-                if rows[i][c]:
-                    mf = F.mul_t[rows[i][c]]
-                    neg = F.neg_t
-                    add = F.add_t
-                    rows[i] = [add[x][neg[mf[y]]] for x, y in zip(rows[i], rowc)]
-        return det
+        """Determinant of the flat matrix a: (-1)^n times the constant term
+        of its characteristic polynomial (``charpolys``)."""
+        c = int(self.charpolys(self._encode([a]))[0, 0])
+        return self.F.mul(self.F.minus_one_to(self.n), c)
 
     def inv(self, a):
+        """Inverse of the flat matrix a from one ``_gauss_jordan`` of
+        [a | I]: the pivot row of column i holds row i of a^-1 in its right
+        half.  Raises ZeroDivisionError when a is singular."""
         n = self.n
-        rows = [
-            list(a[i * n : (i + 1) * n])
-            + [1 if j == i else 0 for j in range(n)]
-            for i in range(n)
-        ]
-        pivots = self._elim(rows, n)
-        if len(pivots) < n:
+        aug = np.concatenate([np.reshape(a, (1, n, n)), np.eye(n, dtype=np.intp)[None]], axis=2)
+        red, pivots = _gauss_jordan(self.F, aug, n)
+        if (pivots < 0).any():
             raise ZeroDivisionError("matrix is singular")
-        return tuple(rows[i][n + j] for i in range(n) for j in range(n))
-
-    def _null_basis(self, rows):
-        """Basis of the vectors with zero dot product against every row (for
-        a matrix's rows, its right null space); rows is reduced in place."""
-        n, F = self.n, self.F
-        pivots = self._elim(rows, n)
-        free = [c for c in range(n) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [0] * n
-            v[fc] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = F.neg_t[rows[r][fc]]
-            basis.append(tuple(v))
-        return basis
+        return tuple(red[0, pivots[0], n:].ravel().tolist())
 
     def vec_code(self, v):
         code = 0
@@ -303,42 +314,10 @@ class MatSpace:
             code //= self.q
         return tuple(v)
 
-    def code_add(self, c1, c2):
-        if self.q == 2:
-            return c1 ^ c2
-        add = self.F.add_t
-        q = self.q
-        out = 0
-        mult = 1
-        while c1 or c2:
-            out += add[c1 % q][c2 % q] * mult
-            c1 //= q
-            c2 //= q
-            mult *= q
-        return out
-
     def all_vector_images(self, g):
-        """List L with L[code(v)] = code(g v), built digit by digit."""
-        n, q, F = self.n, self.q, self.F
-        cols = []
-        for j in range(n):
-            col = tuple(g[i * n + j] for i in range(n))
-            cols.append(
-                [self.vec_code(tuple(F.mul(c, x) for x in col)) for c in range(q)]
-            )
-        images = [0] * (q**n)
-        stride = 1
-        count = 1
-        for j in range(n):
-            colj = cols[j]
-            for c in range(1, q):
-                inc = colj[c]
-                base = c * stride
-                for idx in range(count):
-                    images[base + idx] = self.code_add(images[idx], inc)
-            stride *= q
-            count *= q
-        return images
+        """Array L with L[code(v)] = code(g v) for every vector v: one
+        ``_images`` product of g with the vectors of ``_digits``."""
+        return _images(self.F, np.reshape(g, (1, self.n, self.n)), self._digits.T)[0]
 
     # Row-code tables: a batch of matrices as an (N, n) int64 array holding
     # the code of each row vector.  Closures, tables, class maps and every
@@ -373,16 +352,17 @@ class MatSpace:
 
     def _right(self, gens):
         """rows -> (rows, len(gens), n) row codes of g s for each s of gens:
-        row v of g becomes v s = s^T v, one lookup in ``all_vector_images``."""
-        luts = np.array([self.all_vector_images(self.transpose(s)) for s in gens],
-                        dtype=np.int64).reshape(len(gens), self.q**self.n)
+        row v of g becomes v s = s^T v, one lookup in the images of s^T, all
+        from one ``_images`` product."""
+        sT = np.array(gens, dtype=np.intp).reshape(-1, self.n, self.n).transpose(0, 2, 1)
+        luts = _images(self.F, sT, self._digits.T)
         which = np.arange(len(gens))[:, None]
         return lambda rows: luts[which, rows[:, None, :]]
 
     def _left(self, a):
         """rows -> row codes of a g: a acts on the column codes of g, and
         the column codes of a matrix are the row codes of its transpose."""
-        lut = np.array(self.all_vector_images(a), dtype=np.int64)
+        lut = self.all_vector_images(a)
 
         def flip(codes):
             return self._digits[codes].transpose(0, 2, 1) @ self._powers
@@ -765,9 +745,9 @@ def bfs_closure(space, gens, cap=DEFAULT_GROUP_CAP, stop_over=None):
     space is a MatSpace or a stats.PermGroup; each holds a batch of elements
     as an integer array with one row per element (see ``MatSpace._encode``
     and ``PermGroup._encode``).  For a MatSpace the row is the codes of the
-    matrix's q^n-ary row vectors, so g s costs n lookups in the table
-    ``all_vector_images(s^T)``; for a PermGroup it is the permutation, and
-    g s is the position gather g[s].  Each BFS level is multiplied by all
+    matrix's q^n-ary row vectors, so g s costs n lookups in the vector
+    images of s^T (``MatSpace._right``); for a PermGroup it is the
+    permutation, and g s is the position gather g[s].  Each BFS level is multiplied by all
     the generators at once, frontier-major, so a level's products are held
     together.  The new elements of a level come from one ``np.unique`` of
     the products' keys (int64 row codes in base q^n, or a permutation's
@@ -851,7 +831,7 @@ def relation_classes(space, rows, pairs):
     classes of the coset elements g tau since s (g tau) s^-1 = (s g s^T) tau.
     Each pair maps the rows with ``space._right(b)`` and ``space._left(a)``
     (for a MatSpace, b acts on the row codes and a on the column codes,
-    each through one ``all_vector_images`` table), and the index map
+    each through one table of vector images), and the index map
     g -> a g b comes from ``searchsorted`` over the sorted keys.
     ``index_orbits`` joins the maps.
     """
@@ -1024,45 +1004,6 @@ def _gu_label(space, g, q0):
     return (k // step) % (q0 + 1) if step else k % (q0 + 1)
 
 
-def _gauss_jordan(F, a, ncols):
-    """Gauss-Jordan elimination over the lookup tables of F of every matrix
-    in the batch a, of shape (b, rows, columns), on its first ncols columns
-    and with no row swaps.
-
-    Column c takes its pivot from the first row, not yet used as a pivot,
-    that has a nonzero entry there; that row is scaled to 1 at c and
-    column c is cleared in every other row.  a is overwritten.  Returns the
-    reduced batch and the (b, ncols) array of pivot rows, -1 where a column
-    found none; the rank is the number of columns that found one.
-    """
-    q = F.q
-    mul, mac = _product_tables(F)
-    negq = np.array(F.neg_t, dtype=np.intp) * q
-    invq = np.array([0] + F.inv_t[1:], dtype=np.intp) * q
-    b = np.arange(len(a))
-    used = np.zeros(a.shape[:2], dtype=bool)
-    pivots = np.full((len(a), ncols), -1, dtype=np.intp)
-    for c in range(ncols):
-        free = (a[:, :, c] != 0) & ~used
-        p = np.argmax(free, axis=1)
-        found = free[b, p]
-        used[b, p] |= found
-        pivots[found, c] = p[found]
-        # the pivot row scaled to 1 at column c; a zero row where none was
-        # found, which leaves every row as it is
-        pivot = a[b, p] * found[:, None]
-        pivot = mul[invq[pivot[:, c, None]] + pivot]
-        fq = negq[a[:, :, c]]
-        fq[b, p] = 0
-        # in place, so that a step holds one temporary of the batch's size
-        a *= q * q
-        a += fq[:, :, None]
-        a += pivot[:, None, :]
-        a = mac[a]
-        a[b[found], p[found]] = pivot[found]
-    return a, pivots
-
-
 def _label(family, space, g, q):
     """Coset label of one element: the det label (GL, SL), the GU label,
     0 (Sp), the Dickson label rank(g - 1) mod 2 (orthogonal, even q), or
@@ -1183,7 +1124,7 @@ def build_group(family, n, q, cap=DEFAULT_GROUP_CAP):
         rounds = 0
         while len(rows) != target:
             found = _Index(space, rows)
-            nxt = next((c for c in pool if admissible(c) and c not in found), None)
+            nxt = next((c for c in pool if c not in found and admissible(c)), None)
             if nxt is None:
                 raise AssertionError(
                     f"generator completion failed for {ambient}_{n}({q}): "
@@ -1246,27 +1187,6 @@ def gaussian_binomial(n, k, q):
     return num // den
 
 
-def subspace_vectors(space, basis):
-    """Codes of every vector in the span of the basis."""
-    F = space.F
-    vecs = [(0,) * space.n]
-    for b in basis:
-        new = []
-        for c in range(1, space.q):
-            cb = tuple(F.mul(c, x) for x in b)
-            for v in vecs:
-                new.append(tuple(F.add(x, y) for x, y in zip(v, cb)))
-        vecs.extend(new)
-    return frozenset(space.vec_code(v) for v in vecs)
-
-
-def rref_basis(space, vectors):
-    """Canonical reduced-echelon basis for the span of the given vectors."""
-    rows = [list(v) for v in vectors]
-    space._elim(rows, space.n)
-    return tuple(tuple(r) for r in rows if any(r))
-
-
 def all_subspaces(space, k):
     """All k-dimensional subspaces as canonical echelon bases."""
     n, q = space.n, space.q
@@ -1291,11 +1211,6 @@ def all_subspaces(space, k):
     return out
 
 
-def perp_basis_dot(space, basis):
-    """Perp of the span under the plain dot product, as a canonical basis."""
-    return rref_basis(space, space._null_basis([list(b) for b in basis]))
-
-
 # ---------------------------------------------------------------------------
 # Actions.
 
@@ -1313,12 +1228,17 @@ _RESTRICTIONS = (
 
 
 class _SubspaceClass:
-    """All k-subspaces with their vector sets, indexed by vector set."""
+    """All k-subspaces with their vector sets, indexed by vector set.  The
+    vector sets come from ``_image_slices``: each basis, transposed, times
+    every coefficient vector of GF(q)^k."""
 
     def __init__(self, space, k):
         self.k = k
         self.bases = all_subspaces(space, k)
-        self.vecsets = [subspace_vectors(space, b) for b in self.bases]
+        cols = MatSpace(k, space.q)._digits.T
+        bases_t = np.array(self.bases, dtype=np.intp).transpose(0, 2, 1)
+        self.vecsets = [frozenset(row) for codes in _image_slices(space.F, bases_t, cols)
+                        for row in codes.tolist()]
         self.position = {vs: i for i, vs in enumerate(self.vecsets)}
 
     def __len__(self):
@@ -1357,13 +1277,18 @@ class ActionTable:
         return self.classes[k]
 
     def _perp(self, k):
-        """Index in class n - k of the dot-product perp of each k-subspace."""
+        """Index in class n - k of the dot-product perp of each k-subspace.
+        v lies in perp(U) exactly when U's basis maps v to 0, so one
+        ``_image_slices`` pass of the bases over every vector of ``_digits``
+        gives the vector set of each perp."""
         if k not in self.perps:
             space = self.space
-            big = self._class(space.n - k)
+            position = self._class(space.n - k).position
+            bases = np.array(self._class(k).bases, dtype=np.intp)
             self.perps[k] = [
-                big.position[subspace_vectors(space, perp_basis_dot(space, b))]
-                for b in self._class(k).bases
+                position[frozenset(np.flatnonzero(row).tolist())]
+                for codes in _image_slices(space.F, bases, space._digits.T)
+                for row in codes == 0
             ]
         return self.perps[k]
 
@@ -1377,11 +1302,9 @@ class ActionTable:
         # a k-flag needs k <= n - k, and k-subspaces beyond n/2 repeat by duality
         _check_int("k", k, 1, n // 2 if spec.kind in ("subspace", "flag") else n - 1)
         small = self._class(k)
-        keep = [
-            i
-            for i, b in enumerate(small.bases)
-            if spec.restrict == "any" or self._classify(b) == spec.restrict
-        ]
+        keep = list(range(len(small)))
+        if spec.restrict != "any":
+            keep = [i for i, t in enumerate(self._types(small.bases)) if t == spec.restrict]
         if spec.kind == "subspace":
             self.points = keep
         elif spec.kind == "flag":
@@ -1410,24 +1333,29 @@ class ActionTable:
             raise ValueError(f"unknown action kind {spec.kind!r}")
         self._check_counts()
 
-    def _classify(self, basis):
+    def _types(self, bases):
+        """The point type (one of _RESTRICTIONS) of each k-subspace with
+        these bases: "any" under no form, otherwise read off the rank r of
+        its Gram matrix, all of them ranked in one ``_gauss_jordan``, and,
+        for a quadratic form, off whether its basis vectors are singular."""
         space, form = self.space, self.form
         if form.kind == "none":
-            return "any"
-        k = len(basis)
-        gram = tuple(form.bilinear(space, u, v) for u in basis for v in basis)
-        r = MatSpace(k, space.q).rank(gram)
-        if form.kind == "quadratic":
-            basis_singular = all(form.quad_value(space, v) == 0 for v in basis)
-            if k == 1:
-                return "totally_singular" if basis_singular else "nonsingular"
-            if basis_singular and r == 0:
-                return "totally_singular"
-        elif r == 0:
-            return "totally_singular"
-        if r == k:
-            return "nondegenerate"
-        return "degenerate"
+            return ["any"] * len(bases)
+        k = len(bases[0])
+        grams = np.array([[form.bilinear(space, u, v) for u in b for v in b] for b in bases],
+                         dtype=np.intp).reshape(-1, k, k)
+        ranks = (_gauss_jordan(space.F, grams, k)[1] >= 0).sum(axis=1).tolist()
+        types = []
+        for basis, r in zip(bases, ranks):
+            quadratic = form.kind == "quadratic"
+            singular = quadratic and all(form.quad_value(space, v) == 0 for v in basis)
+            if quadratic and k == 1:
+                types.append("totally_singular" if singular else "nonsingular")
+            elif r == 0 and (singular or not quadratic):
+                types.append("totally_singular")
+            else:
+                types.append("nondegenerate" if r == k else "degenerate")
+        return types
 
     def _check_counts(self):
         spec = self.spec
@@ -1459,6 +1387,7 @@ class ActionTable:
         for i in range(0, n, 2):
             base_quad[i][i + 1] = 1
         self.base_quad = space.from_rows(base_quad)
+        self.gram_inv = space.inv(form.gram)  # J^-1 of ``_form_translation``
         # Q_v = Q_0 + B(., v) is x -> Q_0(x + v) - Q_0(v), so it has as many
         # zeros as the plus-type Q_0 exactly when Q_0(v) = 0
         for code in range(2**n):
@@ -1554,7 +1483,7 @@ def _fixed_plan(action, tau):
          for point in alts],
         dtype=np.intp,
     )
-    cols = np.array([space.code_vec(c) for c in column], dtype=np.intp).T
+    cols = space._digits[list(column)].T
     mask = np.zeros((offset[dims[-1]] + len(action._class(dims[-1])), Q), dtype=bool)
     for d in dims:
         for t, vs in enumerate(action._class(d).vecsets):
@@ -1568,13 +1497,11 @@ def _fixed_rows(space, rows, action, tau=False):
     each matrix g with these row codes, in order, as a generator.
 
     Subspace-type points are decided by ``_fixed_plan``: per digit slice
-    (see ``MatSpace._slices``), one batched product over the field's lookup
-    tables gives the codes of g v for every source vector v, and one lookup
-    in the plan's mask tests each against its target.  A slice holds
-    _PRODUCT_CHUNK matrices, fewer when an action's plan has more than
-    _FIXED_CELLS // _PRODUCT_CHUNK entries, so its working arrays stay
-    within _FIXED_CELLS entries.  Quadratic-form points read each matrix's
-    point permutation.
+    (see ``MatSpace._slices``), one ``_images`` product gives the codes of
+    g v for every source vector v, and one lookup in the plan's mask tests
+    each against its target.  A slice holds ``_step`` matrices of the
+    plan's size, so its working arrays stay within _FIXED_CELLS entries.
+    Quadratic-form points read each matrix's point permutation.
     """
     if action.spec.kind == "quadratic_forms":
         for g in space._decode(rows):
@@ -1582,17 +1509,8 @@ def _fixed_rows(space, rows, action, tau=False):
             yield [p for p, image in enumerate(perm) if image == p]
         return
     cols, slots, mask = _fixed_plan(action, tau)
-    n, q = space.n, space.q
-    mul, mac = _product_tables(space.F)
-    powers = q ** np.arange(n, dtype=np.intp)
-    step = max(1, min(_PRODUCT_CHUNK, _FIXED_CELLS // (slots.size // 2)))
-    for _, g in space._slices(rows, step):
-        gq = g * q
-        # img[b, i, v] = sum over j of g_b[i, j] * cols[j, v]
-        img = mul[gq[:, :, 0, None] + cols[0]]
-        for j in range(1, n):
-            img = mac[img * (q * q) + gq[:, :, j, None] + cols[j]]
-        cells = (powers @ img)[:, slots[..., 0]]
+    for _, g in space._slices(rows, _step(slots.size // 2)):
+        cells = _images(space.F, g, cols)[:, slots[..., 0]]
         cells += slots[..., 1]
         fixed = mask[cells].all(axis=3).any(axis=2)
         yield from (np.flatnonzero(row).tolist() for row in fixed)
@@ -1605,9 +1523,12 @@ def fixed_point_indices(space, g, action: ActionTable, tau=False):
 
 
 def _form_translation(space, g, action):
-    """Vector c with g . Q_v = Q_{g v + c} in the quadratic-forms action."""
+    """Vector c with g . Q_v = Q_{g v + c} in the quadratic-forms action.
+    g preserves the symplectic Gram matrix J, so g^-1 = J^-1 g^T J, with
+    J^-1 taken once per action: no elimination per element."""
     n, F = space.n, space.F
-    ginv = space.inv(g)
+    gram, gram_inv = action.form.gram, action.gram_inv
+    ginv = space.mul(space.mul(gram_inv, space.transpose(g)), gram)
     vals = []
     for i in range(n):
         e = tuple(1 if j == i else 0 for j in range(n))
@@ -1618,9 +1539,9 @@ def _form_translation(space, g, action):
                 _eval_quad(space, action.base_quad, e),
             )
         )
-    # x -> Q0(g^-1 x) - Q0(x) is linear over GF(2); write it as B(x, c)
-    giv = space.inv(space.transpose(action.form.gram))
-    return space.mat_vec(giv, tuple(vals))
+    # x -> Q0(g^-1 x) - Q0(x) is linear over GF(2); write it as B(x, c),
+    # so c = (J^T)^-1 vals
+    return space.mat_vec(space.transpose(gram_inv), tuple(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -1791,16 +1712,13 @@ def point_permutation(space, g, action: ActionTable, tau=False):
     if spec.kind == "quadratic_forms":
         if tau:
             raise ValueError("tau does not act on quadratic-form points")
-        # points are stored in code order, so a code is its own position
-        c = _form_translation(space, g, action)
-        out = []
-        for code, _eps in action.points:
-            gv = space.mat_vec(g, space.code_vec(code))
-            out.append(space.vec_code(tuple(space.F.add(x, y) for x, y in zip(gv, c))))
-        return out
+        # points are stored in code order, so a code is its own position;
+        # over GF(2), adding c is XOR on codes
+        c = space.vec_code(_form_translation(space, g, action))
+        return (space.all_vector_images(g) ^ c).tolist()
     n, k = space.n, spec.k
     pos = action.position
-    lut = space.all_vector_images(g)
+    lut = space.all_vector_images(g).tolist()
     if spec.kind == "subspace":
         if tau and 2 * k != n:
             raise ValueError("tau moves k-spaces to (n-k)-spaces")

@@ -389,7 +389,10 @@ ORACLE_NAMES = (
     "_dickson_labels", "element_labels", "_make_labels", "mat_products",
     "frontier_chunks", "slice_closure", "tuple_closure", "tuple_table",
     "_cofactor_free", "random_gl", "random_coset_gl", "full_scan_candidates",
-    "quadratic_form_points", "weyl_enumerated",
+    "quadratic_form_points", "weyl_enumerated", "elim", "scalar_rank", "scalar_det",
+    "scalar_inv", "null_basis", "code_add", "vector_images", "subspace_vectors",
+    "rref_basis", "perp_basis_dot", "subspace_type", "form_translation",
+    "quadratic_form_permutation",
 )
 
 
@@ -405,6 +408,14 @@ def test_runtime_counts_never_enumerate():
         assert not hasattr(matgroup.MatSpace, name), name
     # one product route: closures and class maps look up row codes
     assert not hasattr(matgroup.MatSpace, "products")
+    # one elimination, matgroup._gauss_jordan, and one product of matrices
+    # with vectors, matgroup._images: no scalar elimination, null basis or
+    # digit-wise code addition, and no per-basis span, echelon or perp
+    for name in ("_elim", "_null_basis", "code_add"):
+        assert not hasattr(matgroup.MatSpace, name), name
+    for name in ("subspace_vectors", "rref_basis", "perp_basis_dot"):
+        assert not hasattr(matgroup, name), name
+    assert not hasattr(matgroup.ActionTable, "_classify")
     # completion, quadratic-form types and the exact Weyl statistic take
     # closed forms, not searches
     assert not hasattr(matgroup, "_full_scan_candidates")

@@ -1095,22 +1095,59 @@ def test_fixed_sets_build_no_vector_image_tables(monkeypatch):
     assert calls == []
 
 
+def _count_matrices(monkeypatch, owner, name):
+    """Matrices passed to owner.name per call: the length of its second
+    positional argument, the batch (after F for ``_gauss_jordan``, after
+    self for ``MatSpace.charpolys``)."""
+    counts = []
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        counts.append(len(args[1]))
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
 @pytest.mark.parametrize("key,order,ones", [(("O+", 6, 2), 40_320, 20_160),
                                              (("GU", 3, 2), 648, 432)],
                          ids=["O+6q2", "GU3q2"])
 def test_fresh_build_labels_ride_the_closure(key, order, ones, monkeypatch):
     # labels are summed along the BFS tree from the generators' labels: one
     # det or rank per generator, where one per element made 40 320 rank
-    # calls on O+6(2), and no batched elimination
+    # calls on O+6(2); a det reads charpolys and a rank _gauss_jordan, so
+    # the matrices those two kernels see during the build count them
     monkeypatch.delenv(matgroup.CACHE_ENV, raising=False)
     monkeypatch.setattr(matgroup, "_TABLE_MEMO", {})
     ranks = _count_calls(monkeypatch, MatSpace, "rank")
     dets = _count_calls(monkeypatch, MatSpace, "det")
-    eliminations = _count_calls(monkeypatch, matgroup, "_gauss_jordan")
+    eliminated = _count_matrices(monkeypatch, matgroup, "_gauss_jordan")
+    charpolys = _count_matrices(monkeypatch, MatSpace, "charpolys")
     tb = build_group(*key)
     assert len(tb) == order and len(tb) - tb.labels.count(0) == ones
     assert len(ranks) + len(dets) <= len(tb.gens)
-    assert eliminations == []
+    assert sum(eliminated) + sum(charpolys) <= len(tb.gens)
+
+
+def test_actions_eliminate_once_per_dimension_class(monkeypatch):
+    # the Gram ranks of a restricted class come from one batched elimination,
+    # and perp maps and vector sets from the image kernel, so building the
+    # GL3(3) fpr actions with both sides of their fixed-point plans and the
+    # O+6(2) nonsingular points eliminates at most once per class: per basis,
+    # the 63 points of O+6(2) alone would take 63
+    gl33, o62 = build_group("GL", 3, 3), build_group("O+", 6, 2)
+    calls = _count_calls(monkeypatch, matgroup, "_gauss_jordan")
+    acts = []
+    for kind in ("subspace", "flag", "antiflag"):
+        act = enumerate_action(gl33, ActionSpec(kind, 1))
+        for tau in (False, True):
+            if kind != "subspace" or not tau:
+                matgroup._fixed_plan(act, tau)
+        acts.append(act)
+    acts.append(enumerate_action(o62, ActionSpec("subspace", 1, restrict="nonsingular")))
+    assert len(acts[-1]) == 28
+    assert 1 <= len(calls) <= sum(len(act.classes) for act in acts)
 
 
 # ---------------------------------------------------------------------------
