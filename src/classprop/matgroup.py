@@ -106,7 +106,11 @@ def _images(F, g, cols):
     # img[b, i, v] = sum over j of g_b[i, j] * cols[j, v]
     img = mul[gq[:, :, 0, None] + cols[0]]
     for j in range(1, g.shape[2]):
-        img = mac[img * (q * q) + gq[:, :, j, None] + cols[j]]
+        # in place, so that a step holds one temporary of the batch's size
+        img *= q * q
+        img += gq[:, :, j, None]
+        img += cols[j]
+        img = mac[img]
     return q ** np.arange(g.shape[1]) @ img
 
 
