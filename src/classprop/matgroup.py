@@ -28,10 +28,11 @@ Two batched kernels over the field's lookup tables do the linear algebra.
 ``_gauss_jordan`` is the only elimination: the Gram ranks of a class of
 subspaces, the tau squares, and the rank and inverse of a single matrix; a
 det is (-1)^n times the constant term of ``MatSpace.charpolys``.
-``_images`` is the only product of matrices with vectors: the vector images
-that closures and class maps look up, the vector sets and perp maps of a
-class of subspaces, the fixed-point scans and the quadratic-form point
-images.  No runtime path eliminates once per element or per basis.
+``_images`` is the only batched product of matrices with vectors: the vector
+images that closures and class maps look up, the vector sets and perp maps
+of a class of subspaces, the fixed-point scans and the quadratic-form point
+images (the scalar ``mul`` and ``mat_vec`` serve the per-candidate form
+checks).  No runtime path eliminates once per element or per basis.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def _step(cells):
 def _images(F, g, cols):
     """Codes of g v for every matrix g of the (b, r, c) batch g and every
     column v of the (c, V) array cols: a (b, V) array, the code of g v being
-    sum over i of (g v)_i q^i.  The only product of matrices with vectors.
+    sum over i of (g v)_i q^i.  The only batched product of matrices with
+    vectors.
 
     One product over the lookup tables of F, one column of g at a time; its
     working arrays hold b r V entries, which callers keep within
@@ -1241,7 +1243,8 @@ class _SubspaceClass:
         self.bases = all_subspaces(space, k)
         cols = MatSpace(k, space.q)._digits.T
         bases_t = np.array(self.bases, dtype=np.intp).transpose(0, 2, 1)
-        self.vecsets = [frozenset(row) for codes in _image_slices(space.F, bases_t, cols)
+        self.vecsets = [frozenset(row)
+                        for codes in _image_slices(space.F, bases_t, cols)
                         for row in codes.tolist()]
         self.position = {vs: i for i, vs in enumerate(self.vecsets)}
 
@@ -1349,9 +1352,9 @@ class ActionTable:
         grams = np.array([[form.bilinear(space, u, v) for u in b for v in b] for b in bases],
                          dtype=np.intp).reshape(-1, k, k)
         ranks = (_gauss_jordan(space.F, grams, k)[1] >= 0).sum(axis=1).tolist()
+        quadratic = form.kind == "quadratic"
         types = []
         for basis, r in zip(bases, ranks):
-            quadratic = form.kind == "quadratic"
             singular = quadratic and all(form.quad_value(space, v) == 0 for v in basis)
             if quadratic and k == 1:
                 types.append("totally_singular" if singular else "nonsingular")
