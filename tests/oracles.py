@@ -28,7 +28,9 @@ the signed-permutation statistic (every signed permutation, against its
 cycle-index series), and rank, det, inverse, vector images, spans, perps,
 subspace types and quadratic-form point images (one scalar elimination per
 matrix, and images built digit by digit, against the batched elimination
-and image kernels).  The labels, tau squares, minor sums and draws here
+and image kernels), and fixed points as one index list per element and the
+expectation record as one set loop (against the batched fixed-point masks
+and the expectation fold).  The labels, tau squares, minor sums and draws here
 take their dets, ranks and inverses from the scalar eliminations, so they
 stay independent of the runtime ones.
 The permutation copy of a matrix action is here too; only tests use it.
@@ -37,6 +39,7 @@ The permutation copy of a matrix action is here too; only tests use it.
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -517,6 +520,50 @@ def quadratic_form_permutation(space, g, action):
         gv = space.mat_vec(g, space.code_vec(code))
         out.append(space.vec_code(tuple(space.F.add(x, y) for x, y in zip(gv, c))))
     return out
+
+
+def fixed_rows_lists(space, rows, action, tau=False):
+    """Sorted positions of the action points fixed by g (or by g tau), one
+    list per matrix g with these row codes, as a generator: subspace-type
+    points through the batched plan of ``matgroup._fixed_plan``, one list
+    per row of its mask; quadratic-form points one element at a time, from
+    the scalar ``quadratic_form_permutation``."""
+    if action.spec.kind == "quadratic_forms":
+        if tau:
+            raise ValueError("tau does not act on quadratic-form points")
+        for g in space._decode(rows):
+            perm = quadratic_form_permutation(space, g, action)
+            yield [p for p, image in enumerate(perm) if image == p]
+        return
+    cols, slots, mask = matgroup._fixed_plan(action, tau)
+    for _, g in space._slices(rows, matgroup._step(slots.size // 2)):
+        cells = matgroup._images(space.F, g, cols)[:, slots[..., 0]]
+        cells += slots[..., 1]
+        fixed = mask[cells].all(axis=3).any(axis=2)
+        yield from (np.flatnonzero(row).tolist() for row in fixed)
+
+
+def expectation_by_sets(table, x, members, action, x_tau=False):
+    """The record of ``stats.expectation_inequality`` at x, from one fixed
+    set per member (``fixed_rows_lists``), the members fixing each point
+    counted over those sets, and the orbits found by ``dfs_orbits``."""
+    act = action if isinstance(action, ActionTable) else enumerate_action(table, action)
+    member_fixed = [frozenset(f) for f in
+                    fixed_rows_lists(table.space, table.rows[list(members)], act)]
+    xfix = frozenset(next(fixed_rows_lists(table.space, table.rows[[x]], act, tau=x_tau)))
+    hits = sum(1 for s in member_fixed if xfix & s)
+    fixing = Counter(itertools.chain.from_iterable(member_fixed))  # per point
+    lhs = Fraction(hits, len(members))
+    rhs = sum(Fraction(len(xfix.intersection(orb)) * sum(fixing[p] for p in orb),
+                       len(orb) * len(members))
+              for orb in dfs_orbits(table, act))
+    return {
+        "lhs": lhs,
+        "fpr": Fraction(len(xfix), len(act)),
+        "expectation": Fraction(sum(fixing.values()), len(members)),
+        "rhs": rhs,
+        "ok": lhs <= rhs,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line frontend (in-process)."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -215,6 +216,28 @@ def test_expectation_suite_matches_per_element_loop(argv, monkeypatch):
     worst, failures = _expectation_by_element(cfg)
     assert not ok and 0 < len(failures) < len(cli._suite_table(cfg).elements)
     assert (res["min_slack"], res["failures"]) == (worst, failures)
+
+
+# sha256 of the whole report that ``verify --suite expectation`` prints
+EXPECTATION_SUITE_DIGESTS = {
+    ("--family", "GL", "--n", "3", "--q", "2"):
+        "a8ada0525ad48dfc21464de1d56aa7d83d2a95f46a976ef790e498678ba0c05f",
+    ("--family", "GL", "--n", "4", "--q", "2", "--k", "2"):
+        "b97f7dc6bfec92480c3cd921ee9c3947f7b104f559eca0c58a0d95e3e0cf0fbf",
+    ("--family", "Sp", "--n", "4", "--q", "2"):
+        "39c4961cb2e76fbc2a4e71e18a75e6c64a1a05db8f60deed865e70f4cd3203d1",
+    ("--family", "O-", "--n", "4", "--q", "2", "--coset", "O"):
+        "ba48af24baaa681dfbd3b7bcaf068acedd6259eedcfb9991c1557610e267e8e0",
+    ("--family", "O+", "--n", "6", "--q", "2", "--coset", "O"):
+        "b7fafe9713581d56ad97071e8d0f5d191041474344fc23db41d3cf9434f5a9d2",
+}
+
+
+@pytest.mark.parametrize("argv", EXPECTATION_SUITE_DIGESTS, ids=" ".join)
+def test_expectation_suite_reports_match_digests(argv, capsys):
+    assert cli.main(["verify", "--suite", "expectation", *argv]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPECTATION_SUITE_DIGESTS[argv]
 
 
 def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):

@@ -20,6 +20,7 @@ det, inverse, vector images, spans, perps, subspace types and
 quadratic-form point images against one scalar elimination per matrix and
 images, spans and perps built digit by digit."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -53,6 +54,7 @@ from classprop.stats import (
     _fpr_bounds,
     _tau_acts,
     coset_average_fixed_points,
+    expectation_inequality,
     fixed_sets,
     fpr_bound_check,
     generation_probe,
@@ -75,6 +77,8 @@ from oracles import (
     dickson_label,
     elim,
     element_labels,
+    expectation_by_sets,
+    fixed_rows_lists,
     form_translation,
     full_scan_cases,
     kernel_basis,
@@ -1330,6 +1334,151 @@ def test_fixed_sets_stream_across_chunk_edges(extra, spec):
     want = _ref_fixed_sets(tb, indices, act)
     assert fixed_sets(tb, indices, act) == want
     assert fixed_sets(tb, (i for i in indices), act) == want
+
+
+# ---------------------------------------------------------------------------
+# Fixed points of every action kind against one index list per element
+# (``oracles.fixed_rows_lists``), and the statistics read off them against
+# digests of their reports taken before the batched masks and the
+# expectation fold.
+
+def _every_action_kind():
+    """(group, spec, sample) for every action kind: the points, flags and
+    antiflags of GL3(2), the 2-spaces and middle antiflags of GL4(2), the
+    restricted points of O+4(2), and the symplectic antiflags and
+    quadratic-form points of Sp4(2)."""
+    return [
+        *((("GL", 3, 2), ActionSpec(kind, 1), None) for kind in ("subspace", "flag", "antiflag")),
+        (("GL", 4, 2), ActionSpec("subspace", 2), 300),
+        (("GL", 4, 2), ActionSpec("antiflag", 2), 300),
+        (("O+", 4, 2), ActionSpec("subspace", 1, restrict="nonsingular"), None),
+        (("O+", 4, 2), ActionSpec("subspace", 1, restrict="totally_singular"), None),
+        (("Sp", 4, 2), ActionSpec("antiflag", 2, restrict="totally_singular"), None),
+        (("Sp", 4, 2), ActionSpec("quadratic_forms"), None),
+    ]
+
+
+@pytest.mark.parametrize("cells", [None, 1 << 8])
+@pytest.mark.parametrize("group,spec,sample", _every_action_kind(), ids=str)
+def test_fixed_points_match_index_lists_on_every_action_kind(group, spec, sample, cells,
+                                                             monkeypatch):
+    # 1 << 8 cells cut every batch into slices of a few matrices, so that
+    # most slices end inside the element list and the last one is short
+    if cells is not None:
+        monkeypatch.setattr(matgroup, "_FIXED_CELLS", cells)
+    tb = build_group(*group)
+    act = enumerate_action(tb, spec)
+    indices = list(range(len(tb)))
+    if sample is not None:
+        indices = random.Random(sample).sample(indices, sample)
+    want = list(fixed_rows_lists(tb.space, tb.rows[indices], act))
+    assert fixed_sets(tb, indices, act) == [frozenset(f) for f in want]
+    sides = (False, True) if tb.family == "GL" and _tau_acts(spec, tb.n) else (False,)
+    for tau in sides:
+        want = list(fixed_rows_lists(tb.space, tb.rows[indices], act, tau=tau))
+        got = [fixed_point_indices(tb.space, tb.elements[i], act, tau=tau) for i in indices]
+        assert got == want
+
+
+def test_quadratic_form_points_do_not_take_tau():
+    tb = build_group("Sp", 4, 2)
+    act = enumerate_action(tb, ActionSpec("quadratic_forms"))
+    for run in (lambda: fixed_point_indices(tb.space, tb.elements[1], act, tau=True),
+                lambda: point_permutation(tb.space, tb.elements[1], act, tau=True)):
+        with pytest.raises(ValueError, match="^tau does not act on quadratic-form points$"):
+            run()
+
+
+def _sp_words(n, count, seed):
+    """count seeded products of 1 to 12 symplectic transvections of Sp_n(2)."""
+    sp = MatSpace(n, 2)
+    transvections = list(matgroup._sp_candidates(sp, standard_form("Sp", n, 2)))
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        g = sp.identity
+        for _ in range(rng.randint(1, 12)):
+            g = sp.mul(g, rng.choice(transvections))
+        out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_quadratic_form_points_match_scalar_permutation(n):
+    # every element of Sp4(2), and 300 seeded elements of Sp6(2)
+    space, form = MatSpace(n, 2), standard_form("Sp", n, 2)
+    act = ActionTable(space, form, ActionSpec("quadratic_forms"))
+    elements = build_group("Sp", 4, 2).elements if n == 4 else _sp_words(n, 300, 67)
+    for g in elements:
+        perm = quadratic_form_permutation(space, g, act)
+        assert point_permutation(space, g, act) == perm
+        assert fixed_point_indices(space, g, act) == [p for p, i in enumerate(perm) if i == p]
+
+
+def _report_digest(obj):
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# sha256 of repr of each list of reports, as the fixed points read as index
+# lists computed them
+FPR_REPORT_DIGESTS = {
+    ("GL", 3, 2, None): "e96fca45cca7c1e201e60859e4f0191fae504e1dae0e638ac87d5370fe507c53",
+    ("GL", 2, 3, None): "22a4bca8ca62706fc86072ac3214977d267fd4017547b8d50bff0a22681e5250",
+    ("SL", 2, 3, True): "b3aeb410fe55d229aa9058c37018f013310ef9f00d0109263e585072ef556094",
+    ("GL", 4, 2, None): "f6e3a9d0d5fd96ce6aaf11e7eb33e2dfaacb6cba5a611f8ae4b2439de5ba8907",
+}
+COSET_AVERAGE_DIGEST = "6471ec1237feb223d1478bcb4c0e8a788f05c09fc02b8b2a78687565b70b96fa"
+SUBSET_EXPECTATION_DIGEST = (
+    "307ef69165a91849f5dba2a82f31418d6a1c91e53d4d1c22175c9f02ce54ef4b")
+
+
+@pytest.mark.parametrize("key", FPR_REPORT_DIGESTS, ids=str)
+def test_fpr_reports_match_digests(key):
+    fam, n, q, include_tau = key
+    reports = fpr_bound_check(build_group(fam, n, q), include_tau=include_tau)
+    assert _report_digest(reports) == FPR_REPORT_DIGESTS[key]
+
+
+def test_coset_averages_match_digest():
+    reports = [coset_average_fixed_points(build_group(fam, n, q), spec, coset=coset)
+               for fam, n, q, coset, spec in COSET_AVERAGE_CASES]
+    assert _report_digest(reports) == COSET_AVERAGE_DIGEST
+
+
+def _expectation_cases():
+    """(table, members, action) for the subset expectations and the
+    expectation records: plain and tau sides, transitive and intransitive
+    actions, and quadratic-form points."""
+    gl3, gl23, sp4, om4 = (build_group(*g) for g in
+                           (("GL", 3, 2), ("GL", 2, 3), ("Sp", 4, 2), ("O-", 4, 2)))
+    return [
+        (gl3, membership_sets(gl3, 1), ActionSpec("subspace", 1)),
+        (gl3, list(range(168)), ActionSpec("flag", 1)),
+        (gl23, membership_sets(gl23, 1), ActionSpec("subspace", 1)),
+        (sp4, membership_sets(sp4, 2), ActionSpec("quadratic_forms")),
+        (sp4, membership_sets(sp4, 1), ActionSpec("subspace", 1)),
+        (om4, membership_sets(om4, 1, "O"), ActionSpec("subspace", 1)),
+    ]
+
+
+def test_subset_expectations_match_digest():
+    reports = [subset_expectation(tb, members, spec)
+               for tb, members, spec in _expectation_cases()]
+    assert _report_digest(reports) == SUBSET_EXPECTATION_DIGEST
+
+
+def test_expectation_inequality_matches_set_loop():
+    for tb, members, spec in _expectation_cases():
+        act = enumerate_action(tb, spec)
+        sides = (False, True) if tb.family == "GL" and _tau_acts(spec, tb.n) else (False,)
+        mf = fixed_sets(tb, members, act)
+        xs = sorted({c[0] for c in tb.conjugacy_classes()} | {len(tb) - 1})
+        for x in xs:
+            for tau in sides:
+                want = expectation_by_sets(tb, x, members, act, x_tau=tau)
+                assert expectation_inequality(tb, x, members, act, x_tau=tau) == want
+                assert expectation_inequality(tb, x, members, act, x_tau=tau,
+                                              member_fixed=mf) == want
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,7 @@ ORACLE_NAMES = (
     "quadratic_form_points", "weyl_enumerated", "elim", "scalar_rank", "scalar_det",
     "scalar_inv", "null_basis", "code_add", "vector_images", "subspace_vectors",
     "rref_basis", "perp_basis_dot", "subspace_type", "form_translation",
-    "quadratic_form_permutation",
+    "quadratic_form_permutation", "fixed_rows_lists", "expectation_by_sets",
 )
 
 
