@@ -33,6 +33,7 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -54,15 +55,15 @@ from .matgroup import (
     ActionSpec,
     ResourceCapExceeded,
     DEFAULT_GROUP_CAP,
+    _fixed_rows,
     build_group,
     enumerate_action,
     membership_sets,
 )
 from .series import gl_no_small_factor_series, sl_coset_series
 from .stats import (
+    _expectation_fold,
     coset_average_fixed_points,
-    expectation_inequality,
-    fixed_sets,
     fpr_bound_check,
     generation_probe,
     inverse_transpose_identity_check,
@@ -381,13 +382,15 @@ def _suite_expectation(cfg):
     if not members:
         raise ValueError("the sieved subset is empty at these parameters")
     act = enumerate_action(table, ActionSpec("subspace", k))
-    mf = fixed_sets(table, members, act)
+    record = _expectation_fold(table, members, act)
     failures = []
     worst = None
     # the members are conjugation-stable and the action orbits belong to the
     # group, so every field of the record is a class function of x
-    for cls in table.conjugacy_classes():
-        rec = expectation_inequality(table, cls[0], members, act, member_fixed=mf)
+    classes = table.conjugacy_classes()
+    fixed = _fixed_rows(table.space, table.rows[[cls[0] for cls in classes]], act)
+    for cls, xfix in zip(classes, itertools.chain.from_iterable(fixed)):
+        rec = record(xfix)
         slack = rec["rhs"] - rec["lhs"]
         if worst is None or slack < worst:
             worst = slack

@@ -30,9 +30,12 @@ subspaces, the tau squares, and the rank and inverse of a single matrix; a
 det is (-1)^n times the constant term of ``MatSpace.charpolys``.
 ``_images`` is the only batched product of matrices with vectors: the vector
 images that closures and class maps look up, the vector sets and perp maps
-of a class of subspaces, the fixed-point scans and the quadratic-form point
-images (the scalar ``mul`` and ``mat_vec`` serve the per-candidate form
-checks).  No runtime path eliminates once per element or per basis.
+of a class of subspaces, the quadratic-form point images, and the fixed
+points, which ``_fixed_rows`` returns as one boolean (matrices, points) mask
+per slice for every action kind (the scalar ``mul`` and ``mat_vec`` serve
+the per-candidate form checks).  No runtime path eliminates once per
+element or per basis, and no fixed-point path decodes, inverts or
+multiplies a single element.
 """
 
 from __future__ import annotations
@@ -1394,12 +1397,19 @@ class ActionTable:
         for i in range(0, n, 2):
             base_quad[i][i + 1] = 1
         self.base_quad = space.from_rows(base_quad)
-        self.gram_inv = space.inv(form.gram)  # J^-1 of ``_form_translation``
-        # Q_v = Q_0 + B(., v) is x -> Q_0(x + v) - Q_0(v), so it has as many
-        # zeros as the plus-type Q_0 exactly when Q_0(v) = 0
-        for code in range(2**n):
-            value = _eval_quad(space, self.base_quad, space.code_vec(code))
-            self.points.append((code, "-" if value else "+"))
+        if _quad_to_gram(space, self.base_quad) != form.gram:
+            raise ValueError("quadratic-form points need the standard symplectic form")
+        # Q_0 at every vector code.  Q_v = Q_0 + B(., v) is
+        # x -> Q_0(x + v) - Q_0(v), so it has as many zeros as the plus-type
+        # Q_0 exactly when Q_0(v) = 0.  g maps Q_v to Q_(g v + c), where
+        # x -> Q_0(g^-1 x) - Q_0(x) is B(x, c).  J is the involution that
+        # swaps coordinates 2k and 2k + 1, so g^-1 e_i = J g^T J e_i, and
+        # Q_0, zero on each e_i, is invariant under that swap: bit i of the
+        # translation c is Q_0 at row i of g, one lookup of g's row codes.
+        self.base_values = np.array(
+            [_eval_quad(space, self.base_quad, space.code_vec(code)) for code in range(2**n)])
+        self.points = [(code, "-" if value else "+")
+                       for code, value in enumerate(self.base_values.tolist())]
         plus = sum(e == "+" for _, e in self.points)
         assert plus == 2 ** (n - 1) + 2 ** (n // 2 - 1)
 
@@ -1500,55 +1510,42 @@ def _fixed_plan(action, tau):
 
 
 def _fixed_rows(space, rows, action, tau=False):
-    """Sorted positions of the action points fixed by g (or by g tau), for
-    each matrix g with these row codes, in order, as a generator.
+    """Which action points g (or g tau) fixes, for the matrices g with
+    these row codes: one boolean (matrices, points) mask per digit slice
+    (see ``MatSpace._slices``), in order, as a generator.  Raises
+    ValueError where tau does not act.
 
-    Subspace-type points are decided by ``_fixed_plan``: per digit slice
-    (see ``MatSpace._slices``), one ``_images`` product gives the codes of
-    g v for every source vector v, and one lookup in the plan's mask tests
-    each against its target.  A slice holds ``_step`` matrices of the
-    plan's size, so its working arrays stay within _FIXED_CELLS entries.
-    Quadratic-form points read each matrix's point permutation.
+    A slice holds ``_step`` matrices of its working size, so that its
+    arrays stay within _FIXED_CELLS entries, and one ``_images`` product
+    decides all of it; no matrix is decoded, inverted or multiplied on its
+    own.  Subspace-type points are decided by ``_fixed_plan``: the product
+    gives the codes of g v for every source vector v, and one lookup in
+    the plan's mask tests each against its target.  A quadratic-form point
+    v is fixed when g v + c = v, c being the translation of g (see
+    ``ActionTable._build_quadratic_forms``): the product gives g v for
+    every v, and adding c is XOR on codes.
     """
     if action.spec.kind == "quadratic_forms":
-        for g in space._decode(rows):
-            perm = point_permutation(space, g, action, tau=tau)
-            yield [p for p, image in enumerate(perm) if image == p]
+        if tau:
+            raise ValueError("tau does not act on quadratic-form points")
+        codes = np.arange(len(action))  # points are stored in code order
+        for lo, g in space._slices(rows, _step(space.n * len(codes))):
+            c = action.base_values[rows[lo : lo + len(g)]] @ space._powers
+            yield (_images(space.F, g, space._digits.T) ^ c[:, None]) == codes
         return
     cols, slots, mask = _fixed_plan(action, tau)
     for _, g in space._slices(rows, _step(slots.size // 2)):
         cells = _images(space.F, g, cols)[:, slots[..., 0]]
         cells += slots[..., 1]
-        fixed = mask[cells].all(axis=3).any(axis=2)
-        yield from (np.flatnonzero(row).tolist() for row in fixed)
+        yield mask[cells].all(axis=3).any(axis=2)
 
 
 def fixed_point_indices(space, g, action: ActionTable, tau=False):
-    """Indices of the action points fixed by g (or by g tau), in order: one
-    ``_fixed_rows`` call.  Raises ValueError where tau does not act."""
-    return next(_fixed_rows(space, space._encode([g]), action, tau=tau))
-
-
-def _form_translation(space, g, action):
-    """Vector c with g . Q_v = Q_{g v + c} in the quadratic-forms action.
-    g preserves the symplectic Gram matrix J, so g^-1 = J^-1 g^T J, with
-    J^-1 taken once per action: no elimination per element."""
-    n, F = space.n, space.F
-    gram, gram_inv = action.form.gram, action.gram_inv
-    ginv = space.mul(space.mul(gram_inv, space.transpose(g)), gram)
-    vals = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        ge = space.mat_vec(ginv, e)
-        vals.append(
-            F.sub(
-                _eval_quad(space, action.base_quad, ge),
-                _eval_quad(space, action.base_quad, e),
-            )
-        )
-    # x -> Q0(g^-1 x) - Q0(x) is linear over GF(2); write it as B(x, c),
-    # so c = (J^T)^-1 vals
-    return space.mat_vec(space.transpose(gram_inv), tuple(vals))
+    """Indices of the action points fixed by g (or by g tau), in order: the
+    one row of a ``_fixed_rows`` mask.  Raises ValueError where tau does
+    not act."""
+    fixed = next(_fixed_rows(space, space._encode([g]), action, tau=tau))
+    return np.flatnonzero(fixed[0]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -1720,8 +1717,8 @@ def point_permutation(space, g, action: ActionTable, tau=False):
         if tau:
             raise ValueError("tau does not act on quadratic-form points")
         # points are stored in code order, so a code is its own position;
-        # over GF(2), adding c is XOR on codes
-        c = space.vec_code(_form_translation(space, g, action))
+        # over GF(2), adding the translation c is XOR on codes
+        c = action.base_values[space._encode([g])[0]] @ space._powers
         return (space.all_vector_images(g) ^ c).tolist()
     n, k = space.n, spec.k
     pos = action.position

@@ -336,21 +336,15 @@ def _class_weights(table, members, tau=False):
 
 def _orbit_fixed_sums(table, members, act):
     """Fixed points of the members summed per orbit of act, evaluated at
-    the smallest member of each class that _class_weights returns (the
-    representatives' row codes go through ``_fixed_rows``): the group
-    permutes each orbit, so a per-orbit count is a class function."""
+    the smallest member of each class that _class_weights returns: the
+    group permutes each orbit, so a per-orbit count is a class function.
+    The representatives' ``_fixed_rows`` masks, weighted by class size,
+    give the members fixing each point in one product."""
     weights = _class_weights(table, members)
-    orbs = orbits(table, act)
-    orbit_of = [0] * len(act)
-    for oi, orb in enumerate(orbs):
-        for p in orb:
-            orbit_of[p] = oi
-    sums = [0] * len(orbs)
     reps = table.rows[[i for i, _ in weights]]
-    for (_, w), fixed in zip(weights, _fixed_rows(table.space, reps, act)):
-        for p in fixed:
-            sums[orbit_of[p]] += w
-    return sums
+    fixed = np.concatenate(list(_fixed_rows(table.space, reps, act)))
+    fixing = np.array([w for _, w in weights]) @ fixed
+    return [int(fixing[orb].sum()) for orb in orbits(table, act)]
 
 
 def subset_expectation(table, members, action, comparator=None):
@@ -371,12 +365,59 @@ def subset_expectation(table, members, action, comparator=None):
 def fixed_sets(table, indices, action):
     """Fixed-point index sets for a batch of elements, one frozenset each;
     indices may be any iterable, read once.  Their row codes go through
-    ``_fixed_rows`` in slices."""
+    ``_fixed_rows`` in slices, and each set is one row of its mask."""
     indices = list(indices)
     _check_indices(table, indices)
     act = _as_action(table, action)
-    rows = table.rows[indices]
-    return [frozenset(fixed) for fixed in _fixed_rows(table.space, rows, act)]
+    points = np.arange(len(act))
+    return [frozenset(points[row].tolist())
+            for fixed in _fixed_rows(table.space, table.rows[indices], act)
+            for row in fixed]
+
+
+def _expectation_fold(table, members, act, member_fixed=None):
+    """The record of ``expectation_inequality`` over a subset, as a
+    function of the element x, from one pass over the subset: the members'
+    fixed-point mask (their ``_fixed_rows``, or member_fixed, one
+    ``fixed_sets`` set per member), the members fixing each point, the
+    orbits and the expectation.  The function it returns takes the boolean
+    mask of the points that x (or x tau) fixes to the record at x: one mask
+    row and one boolean reduction.  The members are not checked for
+    conjugation stability here."""
+    m = len(members)
+    # fixed[p, s]: member s fixes point p
+    if member_fixed is None:
+        rows = table.rows[list(members)]
+        fixed = np.concatenate(list(_fixed_rows(table.space, rows, act))).T.copy()
+    elif len(member_fixed) != m:
+        raise ValueError("member_fixed must hold one fixed set per member")
+    else:
+        sizes = np.fromiter(map(len, member_fixed), dtype=np.intp, count=m)
+        points = np.fromiter(itertools.chain.from_iterable(member_fixed), dtype=np.intp,
+                             count=int(sizes.sum()))
+        fixed = np.zeros((len(act), m), dtype=bool)
+        fixed[points, np.repeat(np.arange(m), sizes)] = True
+    fixing = np.count_nonzero(fixed, axis=1)  # members fixing each point
+    orbs = orbits(table, act)
+    in_orbit = np.zeros((len(act), len(orbs)), dtype=np.intp)
+    for i, orb in enumerate(orbs):
+        in_orbit[orb, i] = 1
+    shares = [Fraction(int(f), len(orb) * m)
+              for f, orb in zip(fixing @ in_orbit, orbs)]
+    expect = Fraction(int(fixing.sum()), m)
+
+    def record(xfix):
+        lhs = Fraction(np.count_nonzero(fixed[xfix].any(axis=0)), m)
+        rhs = sum(k * share for k, share in zip((xfix @ in_orbit).tolist(), shares))
+        return {
+            "lhs": lhs,
+            "fpr": Fraction(int(np.count_nonzero(xfix)), len(act)),
+            "expectation": expect,
+            "rhs": rhs,
+            "ok": lhs <= rhs,
+        }
+
+    return record
 
 
 def expectation_inequality(table, x, members, action, x_tau=False,
@@ -393,6 +434,10 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     sides, the fpr and the expectation, exactly.  member_fixed may
     carry precomputed fixed_sets output, one set per member; when it is
     absent the subset's conjugation stability is verified here.
+
+    The one-x entry of ``_expectation_fold``, which ``verify --suite
+    expectation`` evaluates at every class representative; Fix(x) comes
+    from ``fixed_point_indices``.
     """
     if not members:
         raise ValueError("empty element subset")
@@ -400,27 +445,10 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     act = _as_action(table, action)
     if member_fixed is None:
         _class_weights(table, members)  # raises unless members fill their classes
-        member_fixed = fixed_sets(table, members, act)
-    elif len(member_fixed) != len(members):
-        raise ValueError("member_fixed must hold one fixed set per member")
-    xfix = frozenset(
-        fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)
-    )
-    hits = sum(1 for s in member_fixed if xfix & s)
-    fixing = Counter(itertools.chain.from_iterable(member_fixed))  # per point
-    lhs = Fraction(hits, len(members))
-    fpr = Fraction(len(xfix), len(act))
-    expect = Fraction(sum(fixing.values()), len(members))
-    rhs = sum(Fraction(len(xfix.intersection(orb)) * sum(fixing[p] for p in orb),
-                       len(orb) * len(members))
-              for orb in orbits(table, act))
-    return {
-        "lhs": lhs,
-        "fpr": fpr,
-        "expectation": expect,
-        "rhs": rhs,
-        "ok": lhs <= rhs,
-    }
+    record = _expectation_fold(table, members, act, member_fixed)
+    xfix = np.zeros(len(act), dtype=bool)
+    xfix[fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)] = True
+    return record(xfix)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +524,8 @@ def fpr_bound_check(table, kmax=None, include_tau=None):
                 continue
             reps = table.rows[[i for i, _ in weights[tau]]]
             fixed = _fixed_rows(table.space, reps, act, tau=tau)
-            counts = ((len(fix), i, w) for (i, w), fix in zip(weights[tau], fixed))
-            kept[tau] = [row for row in counts if row[0] != npts]
+            sizes = np.concatenate([np.count_nonzero(f, axis=1) for f in fixed]).tolist()
+            kept[tau] = [(fp, i, w) for fp, (i, w) in zip(sizes, weights[tau]) if fp != npts]
         for bid, bound in sorted(_fpr_bounds(n, q, act.spec)):
             for tau, rows in kept.items():
                 # classes come by smallest member, and max keeps the first

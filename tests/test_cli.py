@@ -9,6 +9,7 @@ import pytest
 import classprop
 from classprop import cli, matgroup, stats
 from classprop.series import sl_coset_series
+from oracles import expectation_by_sets
 
 
 def run(tmp_path, *argv):
@@ -180,15 +181,17 @@ def test_expectation_suite_passes_on_an_intransitive_action(tmp_path):
     assert (res["checked"], res["members"]) == (120, 20)
 
 
-def _expectation_by_element(cfg):
-    """(min slack, failures) of the expectation suite with one
-    ``expectation_inequality`` per element x."""
+def _expectation_by_element(cfg, verdict=None):
+    """(min slack, failures) of the expectation suite with one set-loop
+    record (``oracles.expectation_by_sets``) per element x; verdict, when
+    given, replaces each record's "ok"."""
     table = cli._suite_table(cfg)
     members = matgroup.membership_sets(table, cfg.t or 1, cfg.coset)
     act = matgroup.enumerate_action(table, matgroup.ActionSpec("subspace", cfg.k or 1))
-    mf = stats.fixed_sets(table, members, act)
-    recs = [{"x": x, **cli.expectation_inequality(table, x, members, act, member_fixed=mf)}
+    recs = [{"x": x, **expectation_by_sets(table, x, members, act)}
             for x in range(len(table.elements))]
+    if verdict is not None:
+        recs = [{**rec, "ok": verdict(rec)} for rec in recs]
     return min(r["rhs"] - r["lhs"] for r in recs), [r for r in recs if not r["ok"]]
 
 
@@ -205,15 +208,18 @@ def test_expectation_suite_matches_per_element_loop(argv, monkeypatch):
     assert res["min_slack"] == _expectation_by_element(cfg)[0]
     # a class-invariant verdict that fails: every element of each failing
     # class is listed, in the order of x
-    inequality = cli.expectation_inequality
+    fold = cli._expectation_fold
+
+    def verdict(rec):
+        return rec["fpr"] == 0
 
     def forced(*args, **kwargs):
-        rec = inequality(*args, **kwargs)
-        return {**rec, "ok": rec["fpr"] == 0}
+        record = fold(*args, **kwargs)
+        return lambda xfix: {**(rec := record(xfix)), "ok": verdict(rec)}
 
-    monkeypatch.setattr(cli, "expectation_inequality", forced)
+    monkeypatch.setattr(cli, "_expectation_fold", forced)
     ok, res = cli._suite_expectation(cfg)
-    worst, failures = _expectation_by_element(cfg)
+    worst, failures = _expectation_by_element(cfg, verdict)
     assert not ok and 0 < len(failures) < len(cli._suite_table(cfg).elements)
     assert (res["min_slack"], res["failures"]) == (worst, failures)
 

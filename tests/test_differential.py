@@ -1371,11 +1371,15 @@ def test_fixed_points_match_index_lists_on_every_action_kind(group, spec, sample
     indices = list(range(len(tb)))
     if sample is not None:
         indices = random.Random(sample).sample(indices, sample)
-    want = list(fixed_rows_lists(tb.space, tb.rows[indices], act))
+    rows = tb.rows[indices]
+    want = list(fixed_rows_lists(tb.space, rows, act))
     assert fixed_sets(tb, indices, act) == [frozenset(f) for f in want]
     sides = (False, True) if tb.family == "GL" and _tau_acts(spec, tb.n) else (False,)
     for tau in sides:
-        want = list(fixed_rows_lists(tb.space, tb.rows[indices], act, tau=tau))
+        want = list(fixed_rows_lists(tb.space, rows, act, tau=tau))
+        masks = np.concatenate(list(matgroup._fixed_rows(tb.space, rows, act, tau=tau)))
+        assert masks.shape == (len(indices), len(act)) and masks.dtype == bool
+        assert [np.flatnonzero(row).tolist() for row in masks] == want
         got = [fixed_point_indices(tb.space, tb.elements[i], act, tau=tau) for i in indices]
         assert got == want
 

@@ -408,6 +408,13 @@ def test_runtime_counts_never_enumerate():
         assert not hasattr(matgroup.MatSpace, name), name
     # one product route: closures and class maps look up row codes
     assert not hasattr(matgroup.MatSpace, "products")
+    # one fixed-point route: quadratic-form points read their translation
+    # off the row codes, with no inverse per element
+    assert not hasattr(matgroup, "_form_translation")
+    assert not hasattr(matgroup.ActionTable, "gram_inv")
+    act = matgroup.ActionTable(matgroup.MatSpace(4, 2), matgroup.standard_form("Sp", 4, 2),
+                               matgroup.ActionSpec("quadratic_forms"))
+    assert not hasattr(act, "gram_inv")
     # one elimination, matgroup._gauss_jordan, and one product of matrices
     # with vectors, matgroup._images: no scalar elimination, null basis or
     # digit-wise code addition, and no per-basis span, echelon or perp

@@ -51,6 +51,7 @@ from oracles import (
     subspace_vectors,
     tau_sieve_free,
 )
+from test_differential import _sp_words
 
 
 # ---------------------------------------------------------------------------
@@ -794,6 +795,16 @@ def test_forms_action_needs_even_q_symplectic():
         enumerate_action(tb, ActionSpec("quadratic_forms"))
 
 
+def test_forms_action_needs_the_standard_symplectic_form():
+    # the points and their translations are read off Q_0 = x0 x1 + x2 x3,
+    # which polarises to the standard form only
+    sp = MatSpace(4, 2)
+    gram = sp.from_rows([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+    form = matgroup.FormSpec("symplectic", 4, 2, gram=gram)
+    with pytest.raises(ValueError, match="standard symplectic form"):
+        matgroup.ActionTable(sp, form, ActionSpec("quadratic_forms"))
+
+
 # ---------------------------------------------------------------------------
 # Membership sets.
 
@@ -1063,12 +1074,25 @@ def test_o62_build_scan_and_fixed_sets_decode_few_rows(monkeypatch):
     assert sum(decoded) < 1000
 
 
-def test_fixed_rows_slices_stay_within_fixed_cells(monkeypatch):
-    # the GL4(2) middle antiflags have a plan of 2 240 entries, so a slice
-    # of _PRODUCT_CHUNK matrices would pass _FIXED_CELLS; the slices shrink
-    tb = build_group("GL", 4, 2)
-    act = enumerate_action(tb, ActionSpec("antiflag", 2))
-    cells = matgroup._fixed_plan(act, False)[1].size // 2
+@pytest.mark.parametrize("group,spec", [
+    (("GL", 4, 2), ActionSpec("antiflag", 2)),
+    (("Sp", 6, 2), ActionSpec("quadratic_forms")),
+], ids=["GL4(2) middle antiflags", "Sp6(2) quadratic forms"])
+def test_fixed_rows_slices_stay_within_fixed_cells(group, spec, monkeypatch):
+    # the GL4(2) middle antiflags have a plan of 2 240 entries, and the
+    # Sp6(2) quadratic-form points n 2^n = 384 image cells per matrix, so a
+    # slice of _PRODUCT_CHUNK matrices would pass _FIXED_CELLS (the latter
+    # once _FIXED_CELLS is cut to 1 << 16); the slices shrink
+    if spec.kind == "quadratic_forms":
+        monkeypatch.setattr(matgroup, "_FIXED_CELLS", 1 << 16)
+        space = MatSpace(6, 2)
+        act = matgroup.ActionTable(space, standard_form("Sp", 6, 2), spec)
+        rows = space._encode(_sp_words(6, 600, 71))
+        cells = space.n * len(act)
+    else:
+        tb = build_group(*group)
+        space, rows, act = tb.space, tb.rows, enumerate_action(tb, spec)
+        cells = matgroup._fixed_plan(act, False)[1].size // 2
     assert cells * matgroup._PRODUCT_CHUNK > matgroup._FIXED_CELLS
     sizes = []
     slices = MatSpace._slices
@@ -1079,9 +1103,22 @@ def test_fixed_rows_slices_stay_within_fixed_cells(monkeypatch):
             yield lo, g
 
     monkeypatch.setattr(MatSpace, "_slices", recorded)
-    assert len(list(matgroup._fixed_rows(tb.space, tb.rows, act))) == len(tb)
-    assert sum(sizes) == len(tb)
+    masks = list(matgroup._fixed_rows(space, rows, act))
+    assert [m.shape for m in masks] == [(b, len(act)) for b in sizes]
+    assert sum(sizes) == len(rows)
     assert max(sizes) * cells <= matgroup._FIXED_CELLS
+
+
+def test_quadratic_form_fixed_points_decode_invert_and_multiply_nothing(monkeypatch):
+    # the translation of each element is one lookup of its row codes, and
+    # its vector images come from one batched product per slice
+    tb = build_group("Sp", 4, 2)
+    act = enumerate_action(tb, ActionSpec("quadratic_forms"))
+    calls = {name: _count_calls(monkeypatch, MatSpace, name)
+             for name in ("_decode", "inv", "mul")}
+    fixed = fixed_sets(tb, range(len(tb)), act)
+    assert len(fixed) == len(tb) == 720
+    assert calls == {"_decode": [], "inv": [], "mul": []}
 
 
 def test_fixed_sets_build_no_vector_image_tables(monkeypatch):
