@@ -33,7 +33,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import itertools
 import json
 import math
 import sys
@@ -383,23 +382,17 @@ def _suite_expectation(cfg):
         raise ValueError("the sieved subset is empty at these parameters")
     act = enumerate_action(table, ActionSpec("subspace", k))
     record = _expectation_fold(table, members, act)
-    failures = []
-    worst = None
     # the members are conjugation-stable and the action orbits belong to the
     # group, so every field of the record is a class function of x
     classes = table.conjugacy_classes()
     fixed = _fixed_rows(table.space, table.rows[[cls[0] for cls in classes]], act)
-    for cls, xfix in zip(classes, itertools.chain.from_iterable(fixed)):
-        rec = record(xfix)
-        slack = rec["rhs"] - rec["lhs"]
-        if worst is None or slack < worst:
-            worst = slack
-        if not rec["ok"]:
-            failures += [{"x": x, **rec} for x in cls]
-    failures.sort(key=lambda rec: rec["x"])
+    recs = [record(xfix) for mask in fixed for xfix in mask]
+    failures = sorted(({"x": x, **rec} for cls, rec in zip(classes, recs) if not rec["ok"]
+                       for x in cls), key=lambda rec: rec["x"])
     summary = {"family": table.family, "n": table.n, "q": table.q,
                "t": t, "k": k, "members": len(members),
-               "checked": len(table.elements), "min_slack": worst,
+               "checked": len(table.elements),
+               "min_slack": min(rec["rhs"] - rec["lhs"] for rec in recs),
                "failures": failures}
     return not failures, summary
 

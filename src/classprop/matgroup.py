@@ -30,12 +30,10 @@ subspaces, the tau squares, and the rank and inverse of a single matrix; a
 det is (-1)^n times the constant term of ``MatSpace.charpolys``.
 ``_images`` is the only batched product of matrices with vectors: the vector
 images that closures and class maps look up, the vector sets and perp maps
-of a class of subspaces, the quadratic-form point images, and the fixed
-points, which ``_fixed_rows`` returns as one boolean (matrices, points) mask
-per slice for every action kind (the scalar ``mul`` and ``mat_vec`` serve
-the per-candidate form checks).  No runtime path eliminates once per
-element or per basis, and no fixed-point path decodes, inverts or
-multiplies a single element.
+of a class of subspaces, the quadratic-form point images and the
+fixed-point masks of every action kind (the scalar ``mul`` and ``mat_vec``
+serve the per-candidate form checks).  No runtime path eliminates, or reads
+fixed points, once per element or per basis.
 """
 
 from __future__ import annotations
@@ -369,12 +367,15 @@ class MatSpace:
         return lambda rows: luts[which, rows[:, None, :]]
 
     def _left(self, a):
-        """rows -> row codes of a g: a acts on the column codes of g, and
-        the column codes of a matrix are the row codes of its transpose."""
+        """rows -> row codes of a g: a acts on the column codes of g, which
+        are the row codes of g^T, decoded one slice (``_slices``) at a time."""
         lut = self.all_vector_images(a)
 
         def flip(codes):
-            return self._digits[codes].transpose(0, 2, 1) @ self._powers
+            out = np.empty_like(codes)
+            for lo, g in self._slices(codes):
+                out[lo : lo + len(g)] = g.transpose(0, 2, 1) @ self._powers
+            return out
 
         return lambda rows: flip(lut[flip(rows)])
 
@@ -1393,23 +1394,18 @@ class ActionTable:
         if self.spec.restrict != "any":
             raise ValueError("quadratic-form points take no restrict")
         n = space.n
-        base_quad = [[0] * n for _ in range(n)]
-        for i in range(0, n, 2):
-            base_quad[i][i + 1] = 1
-        self.base_quad = space.from_rows(base_quad)
+        self.base_quad = tuple(int(j == i + 1 and i % 2 == 0) for i in range(n) for j in range(n))
         if _quad_to_gram(space, self.base_quad) != form.gram:
             raise ValueError("quadratic-form points need the standard symplectic form")
-        # Q_0 at every vector code.  Q_v = Q_0 + B(., v) is
-        # x -> Q_0(x + v) - Q_0(v), so it has as many zeros as the plus-type
-        # Q_0 exactly when Q_0(v) = 0.  g maps Q_v to Q_(g v + c), where
-        # x -> Q_0(g^-1 x) - Q_0(x) is B(x, c).  J is the involution that
-        # swaps coordinates 2k and 2k + 1, so g^-1 e_i = J g^T J e_i, and
-        # Q_0, zero on each e_i, is invariant under that swap: bit i of the
-        # translation c is Q_0 at row i of g, one lookup of g's row codes.
-        self.base_values = np.array(
-            [_eval_quad(space, self.base_quad, space.code_vec(code)) for code in range(2**n)])
-        self.points = [(code, "-" if value else "+")
-                       for code, value in enumerate(self.base_values.tolist())]
+        # Q_0 = x_0 x_1 + x_2 x_3 + ... at every vector code.  Q_v = Q_0 +
+        # B(., v) is x -> Q_0(x + v) - Q_0(v): plus type exactly when
+        # Q_0(v) = 0.  g maps Q_v to Q_(g v + c), B(x, c) = Q_0(g^-1 x) -
+        # Q_0(x), and g^-1 = J g^T J with J swapping coordinates 2k, 2k + 1;
+        # Q_0 is zero on each e_i and invariant under that swap, so bit i of
+        # c is Q_0 at row i of g.
+        x = space._digits
+        self.base_values = np.bitwise_xor.reduce(x[:, 0::2] & x[:, 1::2], axis=1)
+        self.points = [(c, "-" if v else "+") for c, v in enumerate(self.base_values.tolist())]
         plus = sum(e == "+" for _, e in self.points)
         assert plus == 2 ** (n - 1) + 2 ** (n // 2 - 1)
 
@@ -1512,18 +1508,12 @@ def _fixed_plan(action, tau):
 def _fixed_rows(space, rows, action, tau=False):
     """Which action points g (or g tau) fixes, for the matrices g with
     these row codes: one boolean (matrices, points) mask per digit slice
-    (see ``MatSpace._slices``), in order, as a generator.  Raises
-    ValueError where tau does not act.
-
-    A slice holds ``_step`` matrices of its working size, so that its
-    arrays stay within _FIXED_CELLS entries, and one ``_images`` product
-    decides all of it; no matrix is decoded, inverted or multiplied on its
-    own.  Subspace-type points are decided by ``_fixed_plan``: the product
-    gives the codes of g v for every source vector v, and one lookup in
-    the plan's mask tests each against its target.  A quadratic-form point
-    v is fixed when g v + c = v, c being the translation of g (see
-    ``ActionTable._build_quadratic_forms``): the product gives g v for
-    every v, and adding c is XOR on codes.
+    (``MatSpace._slices``) of ``_step`` matrices, whose working arrays stay
+    within _FIXED_CELLS entries, as a generator.  One ``_images`` product
+    decides a slice: g v for the source vectors v of ``_fixed_plan``,
+    tested by one lookup in its mask, or for quadratic-form points g v XOR
+    the translation of g (``ActionTable._build_quadratic_forms``) against v
+    for every v.  Raises ValueError where tau does not act.
     """
     if action.spec.kind == "quadratic_forms":
         if tau:

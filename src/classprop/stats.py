@@ -44,6 +44,7 @@ from .series import Series, gl_no_small_factor_series, sl_coset_series
 
 Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 PERM_GROUP_CAP = 2_000_000  # elements a PermGroup closure may reach
+WEYL_EXACT_CAP = 400  # exact Weyl m; time grows as m^3, 2 s at 400 on 2 cores
 
 
 def wilson_interval(hits, trials):
@@ -335,11 +336,10 @@ def _class_weights(table, members, tau=False):
 
 
 def _orbit_fixed_sums(table, members, act):
-    """Fixed points of the members summed per orbit of act, evaluated at
-    the smallest member of each class that _class_weights returns: the
-    group permutes each orbit, so a per-orbit count is a class function.
-    The representatives' ``_fixed_rows`` masks, weighted by class size,
-    give the members fixing each point in one product."""
+    """Fixed points of the members summed per orbit of act: the group
+    permutes each orbit, so a per-orbit count is a class function, and the
+    ``_fixed_rows`` masks of the smallest member of each class that
+    _class_weights returns, weighted by its count, are summed at once."""
     weights = _class_weights(table, members)
     reps = table.rows[[i for i, _ in weights]]
     fixed = np.concatenate(list(_fixed_rows(table.space, reps, act)))
@@ -370,52 +370,36 @@ def fixed_sets(table, indices, action):
     _check_indices(table, indices)
     act = _as_action(table, action)
     points = np.arange(len(act))
-    return [frozenset(points[row].tolist())
-            for fixed in _fixed_rows(table.space, table.rows[indices], act)
-            for row in fixed]
+    masks = _fixed_rows(table.space, table.rows[indices], act)
+    return [frozenset(points[row].tolist()) for mask in masks for row in mask]
 
 
 def _expectation_fold(table, members, act, member_fixed=None):
-    """The record of ``expectation_inequality`` over a subset, as a
-    function of the element x, from one pass over the subset: the members'
-    fixed-point mask (their ``_fixed_rows``, or member_fixed, one
-    ``fixed_sets`` set per member), the members fixing each point, the
-    orbits and the expectation.  The function it returns takes the boolean
-    mask of the points that x (or x tau) fixes to the record at x: one mask
-    row and one boolean reduction.  The members are not checked for
-    conjugation stability here."""
+    """The ``expectation_inequality`` record as a function of the boolean
+    mask of the points x fixes, at one mask row and one boolean reduction
+    per x, after one pass over the members (not checked for conjugation
+    stability): their fixed-point mask, from ``_fixed_rows`` or from
+    member_fixed, the members fixing each point and the orbits."""
     m = len(members)
-    # fixed[p, s]: member s fixes point p
     if member_fixed is None:
         rows = table.rows[list(members)]
         fixed = np.concatenate(list(_fixed_rows(table.space, rows, act))).T.copy()
     elif len(member_fixed) != m:
         raise ValueError("member_fixed must hold one fixed set per member")
     else:
-        sizes = np.fromiter(map(len, member_fixed), dtype=np.intp, count=m)
-        points = np.fromiter(itertools.chain.from_iterable(member_fixed), dtype=np.intp,
-                             count=int(sizes.sum()))
         fixed = np.zeros((len(act), m), dtype=bool)
-        fixed[points, np.repeat(np.arange(m), sizes)] = True
-    fixing = np.count_nonzero(fixed, axis=1)  # members fixing each point
-    orbs = orbits(table, act)
-    in_orbit = np.zeros((len(act), len(orbs)), dtype=np.intp)
-    for i, orb in enumerate(orbs):
-        in_orbit[orb, i] = 1
-    shares = [Fraction(int(f), len(orb) * m)
-              for f, orb in zip(fixing @ in_orbit, orbs)]
+        owner = np.repeat(np.arange(m), [len(s) for s in member_fixed])
+        fixed[list(itertools.chain.from_iterable(member_fixed)), owner] = True
+    fixing = np.count_nonzero(fixed, axis=1)  # fixed[p, s]: member s fixes point p
+    orbs = [np.array(orb) for orb in orbits(table, act)]
+    shares = [Fraction(int(fixing[orb].sum()), len(orb) * m) for orb in orbs]
     expect = Fraction(int(fixing.sum()), m)
 
     def record(xfix):
         lhs = Fraction(np.count_nonzero(fixed[xfix].any(axis=0)), m)
-        rhs = sum(k * share for k, share in zip((xfix @ in_orbit).tolist(), shares))
-        return {
-            "lhs": lhs,
-            "fpr": Fraction(int(np.count_nonzero(xfix)), len(act)),
-            "expectation": expect,
-            "rhs": rhs,
-            "ok": lhs <= rhs,
-        }
+        rhs = sum(np.count_nonzero(xfix[orb]) * share for orb, share in zip(orbs, shares))
+        return {"lhs": lhs, "fpr": Fraction(np.count_nonzero(xfix), len(act)),
+                "expectation": expect, "rhs": rhs, "ok": lhs <= rhs}
 
     return record
 
@@ -433,11 +417,8 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     times the subset's fixed-point expectation.  Returns a dict with both
     sides, the fpr and the expectation, exactly.  member_fixed may
     carry precomputed fixed_sets output, one set per member; when it is
-    absent the subset's conjugation stability is verified here.
-
-    The one-x entry of ``_expectation_fold``, which ``verify --suite
-    expectation`` evaluates at every class representative; Fix(x) comes
-    from ``fixed_point_indices``.
+    absent the subset's conjugation stability is verified here.  This is
+    ``_expectation_fold`` at one x, with Fix(x) from ``fixed_point_indices``.
     """
     if not members:
         raise ValueError("empty element subset")
@@ -446,9 +427,8 @@ def expectation_inequality(table, x, members, action, x_tau=False,
     if member_fixed is None:
         _class_weights(table, members)  # raises unless members fill their classes
     record = _expectation_fold(table, members, act, member_fixed)
-    xfix = np.zeros(len(act), dtype=bool)
-    xfix[fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)] = True
-    return record(xfix)
+    fixed = fixed_point_indices(table.space, table.elements[x], act, tau=x_tau)
+    return record(np.isin(np.arange(len(act)), fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +633,12 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
     negative k-cycles turns their factor exp(u^k/(2k)) into cosh(u^k/(2k))
     (Flajolet and Sedgewick, "Analytic Combinatorics", 2009, ch. II).
     Otherwise uniform samples give a float estimate with a 99% Wilson interval.
+    An exact m above WEYL_EXACT_CAP raises ResourceCapExceeded at once.
     """
     _check_int("m", m, 1)
     if trials is None:
+        if m > WEYL_EXACT_CAP:
+            raise ResourceCapExceeded(f"exact statistic needs m <= {WEYL_EXACT_CAP}")
         out = Series.geometric(m)
         for k in range(2, m + 1, 2):
             factor, term = Series.one(m), Fraction(1)  # term: (-1)^j/(k^j j!)

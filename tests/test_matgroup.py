@@ -488,6 +488,31 @@ def test_cache_crafted_pickle_runs_no_code(tmp_path, monkeypatch):
     assert not marker.exists()
 
 
+@pytest.mark.parametrize("tau", [False, True])
+def test_relation_classes_decode_one_slice_at_a_time(tau, monkeypatch):
+    # the class maps read matrix entries through the space's digit table;
+    # with slices of 32 matrices, no lookup of GL3(2)'s 168 rows may decode
+    # more than one slice, and the classes stay the table's
+    tb = build_group("GL", 3, 2)
+    sp = tb.space
+    want = tb.conjugacy_classes(tau)
+    decoded = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, index):
+            decoded.append(np.size(index))
+            return np.asarray(super().__getitem__(index))
+
+    monkeypatch.setattr(matgroup, "_PRODUCT_CHUNK", 32)
+    monkeypatch.setitem(vars(sp), "_digits", sp._digits.view(Recorded))
+    if tau:
+        pairs = [(s, sp.transpose(s)) for s in tb.gens]
+    else:
+        pairs = [(sp.inv(s), s) for s in tb.gens]
+    assert matgroup.relation_classes(sp, tb.rows, pairs) == want
+    assert decoded and max(decoded) <= 32 * sp.n
+
+
 # ---------------------------------------------------------------------------
 # Subspaces and perps.
 

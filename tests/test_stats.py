@@ -682,13 +682,22 @@ def test_weyl_montecarlo_covers_exact():
 def test_weyl_argument_errors():
     with pytest.raises(ValueError):
         weyl_negative_cycle_statistic(0)
-    # no cap on the exact route: m = 8 is one more coefficient of its series
+    # m = 8 is one more coefficient of the series the exact route reads
     assert weyl_negative_cycle_statistic(8).value == Fraction(455, 768)
     with pytest.raises(ValueError):
         weyl_negative_cycle_statistic(4, trials=100)  # seed missing
     # bool is an int subclass; True would otherwise run one trial
     with pytest.raises(ValueError, match="^trials must be an integer, got True$"):
         weyl_negative_cycle_statistic(4, trials=True, seed=1)
+
+
+def test_weyl_exact_route_is_capped_before_any_work(monkeypatch):
+    # the series is never started above the cap; the sampler takes any m
+    monkeypatch.setattr(stats, "Series", None)
+    cap = stats.WEYL_EXACT_CAP
+    with pytest.raises(ResourceCapExceeded, match=f"^exact statistic needs m <= {cap}$"):
+        weyl_negative_cycle_statistic(cap + 1)
+    assert weyl_negative_cycle_statistic(cap + 1, trials=10, seed=1).method == "montecarlo"
 
 
 # ---------------------------------------------------------------------------
