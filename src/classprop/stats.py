@@ -395,10 +395,10 @@ def _expectation_fold(table, members, act, member_fixed=None):
     shares = [Fraction(int(fixing[orb].sum()), len(orb) * m) for orb in orbs]
     expect = Fraction(int(fixing.sum()), m)
 
-    def record(xfix):
-        lhs = Fraction(np.count_nonzero(fixed[xfix].any(axis=0)), m)
-        rhs = sum(np.count_nonzero(xfix[orb]) * share for orb, share in zip(orbs, shares))
-        return {"lhs": lhs, "fpr": Fraction(np.count_nonzero(xfix), len(act)),
+    def record(xfix):  # counts as Python ints, so that the Fractions are too
+        lhs = Fraction(int(np.count_nonzero(fixed[xfix].any(axis=0))), m)
+        rhs = sum(int(np.count_nonzero(xfix[orb])) * share for orb, share in zip(orbs, shares))
+        return {"lhs": lhs, "fpr": Fraction(int(np.count_nonzero(xfix)), len(act)),
                 "expectation": expect, "rhs": rhs, "ok": lhs <= rhs}
 
     return record

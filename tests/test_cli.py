@@ -222,6 +222,8 @@ def test_expectation_suite_matches_per_element_loop(argv, monkeypatch):
     worst, failures = _expectation_by_element(cfg, verdict)
     assert not ok and 0 < len(failures) < len(cli._suite_table(cfg).elements)
     assert (res["min_slack"], res["failures"]) == (worst, failures)
+    # the failure records render as JSON
+    assert json.loads(cli._render(cfg, ok, res))["result"]["failures"]
 
 
 # sha256 of the whole report that ``verify --suite expectation`` prints

@@ -1480,9 +1480,13 @@ def test_expectation_inequality_matches_set_loop():
         for x in xs:
             for tau in sides:
                 want = expectation_by_sets(tb, x, members, act, x_tau=tau)
-                assert expectation_inequality(tb, x, members, act, x_tau=tau) == want
+                got = expectation_inequality(tb, x, members, act, x_tau=tau)
+                assert got == want
                 assert expectation_inequality(tb, x, members, act, x_tau=tau,
                                               member_fixed=mf) == want
+                # plain Python values, as a JSON report needs them
+                assert type(got["ok"]) is bool
+                assert all(type(got[key].numerator) is int for key in got if key != "ok")
 
 
 # ---------------------------------------------------------------------------

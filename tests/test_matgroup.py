@@ -1099,25 +1099,9 @@ def test_o62_build_scan_and_fixed_sets_decode_few_rows(monkeypatch):
     assert sum(decoded) < 1000
 
 
-@pytest.mark.parametrize("group,spec", [
-    (("GL", 4, 2), ActionSpec("antiflag", 2)),
-    (("Sp", 6, 2), ActionSpec("quadratic_forms")),
-], ids=["GL4(2) middle antiflags", "Sp6(2) quadratic forms"])
-def test_fixed_rows_slices_stay_within_fixed_cells(group, spec, monkeypatch):
-    # the GL4(2) middle antiflags have a plan of 2 240 entries, and the
-    # Sp6(2) quadratic-form points n 2^n = 384 image cells per matrix, so a
-    # slice of _PRODUCT_CHUNK matrices would pass _FIXED_CELLS (the latter
-    # once _FIXED_CELLS is cut to 1 << 16); the slices shrink
-    if spec.kind == "quadratic_forms":
-        monkeypatch.setattr(matgroup, "_FIXED_CELLS", 1 << 16)
-        space = MatSpace(6, 2)
-        act = matgroup.ActionTable(space, standard_form("Sp", 6, 2), spec)
-        rows = space._encode(_sp_words(6, 600, 71))
-        cells = space.n * len(act)
-    else:
-        tb = build_group(*group)
-        space, rows, act = tb.space, tb.rows, enumerate_action(tb, spec)
-        cells = matgroup._fixed_plan(act, False)[1].size // 2
+def _assert_slices_within_fixed_cells(monkeypatch, space, rows, act, cells):
+    """_fixed_rows cuts rows into slices of at most _FIXED_CELLS working
+    entries, cells per matrix, and yields one mask row per matrix."""
     assert cells * matgroup._PRODUCT_CHUNK > matgroup._FIXED_CELLS
     sizes = []
     slices = MatSpace._slices
@@ -1132,6 +1116,25 @@ def test_fixed_rows_slices_stay_within_fixed_cells(group, spec, monkeypatch):
     assert [m.shape for m in masks] == [(b, len(act)) for b in sizes]
     assert sum(sizes) == len(rows)
     assert max(sizes) * cells <= matgroup._FIXED_CELLS
+
+
+def test_fixed_rows_slices_stay_within_fixed_cells(monkeypatch):
+    # the GL4(2) middle antiflags have a plan of 2 240 entries, so a slice
+    # of _PRODUCT_CHUNK matrices would pass _FIXED_CELLS; the slices shrink
+    tb = build_group("GL", 4, 2)
+    act = enumerate_action(tb, ActionSpec("antiflag", 2))
+    cells = matgroup._fixed_plan(act, False)[1].size // 2
+    _assert_slices_within_fixed_cells(monkeypatch, tb.space, tb.rows, act, cells)
+
+
+def test_quadratic_form_slices_stay_within_fixed_cells(monkeypatch):
+    # each Sp6(2) matrix takes n 2^n = 384 image cells, so with _FIXED_CELLS
+    # cut to 1 << 16 a slice of _PRODUCT_CHUNK matrices would pass it
+    monkeypatch.setattr(matgroup, "_FIXED_CELLS", 1 << 16)
+    space = MatSpace(6, 2)
+    act = matgroup.ActionTable(space, standard_form("Sp", 6, 2), ActionSpec("quadratic_forms"))
+    rows = space._encode(_sp_words(6, 600, 71))
+    _assert_slices_within_fixed_cells(monkeypatch, space, rows, act, space.n * len(act))
 
 
 def test_quadratic_form_fixed_points_decode_invert_and_multiply_nothing(monkeypatch):
