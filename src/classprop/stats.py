@@ -387,9 +387,11 @@ def _expectation_fold(table, members, act, member_fixed=None):
     elif len(member_fixed) != m:
         raise ValueError("member_fixed must hold one fixed set per member")
     else:
+        sizes = np.fromiter(map(len, member_fixed), dtype=np.intp, count=m)
+        points = np.fromiter(itertools.chain.from_iterable(member_fixed), dtype=np.intp,
+                             count=int(sizes.sum()))
         fixed = np.zeros((len(act), m), dtype=bool)
-        owner = np.repeat(np.arange(m), [len(s) for s in member_fixed])
-        fixed[list(itertools.chain.from_iterable(member_fixed)), owner] = True
+        fixed[points, np.repeat(np.arange(m), sizes)] = True
     fixing = np.count_nonzero(fixed, axis=1)  # fixed[p, s]: member s fixes point p
     orbs = [np.array(orb) for orb in orbits(table, act)]
     shares = [Fraction(int(fixing[orb].sum()), len(orb) * m) for orb in orbs]
