@@ -30,12 +30,15 @@ subspace types and quadratic-form point images (one scalar elimination per
 matrix, and images built digit by digit, against the batched elimination
 and image kernels), and fixed points as one index list per element and the
 expectation record as one set loop (against the batched fixed-point masks
-and the expectation fold).  The labels, tau squares, minor sums and draws here
-take their dets, ranks and inverses from the scalar eliminations, so they
-stay independent of the runtime ones.
+and the expectation fold), and flag and antiflag points (one scalar test per
+pair of subspaces, against the incidence read off a membership table).  The
+labels, tau squares, minor sums and draws here take their dets, ranks and
+inverses from the scalar eliminations, so they stay independent of the
+runtime ones.
 The permutation copy of a matrix action is here too; only tests use it.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -458,6 +461,31 @@ def subspace_vectors(space, basis):
     return frozenset(space.vec_code(v) for v in vecs)
 
 
+_span = functools.lru_cache(maxsize=None)(subspace_vectors)
+
+
+def incidence_points(space, form, kind, k, restrict="any"):
+    """Flag or antiflag points by one scalar test per pair of subspaces, in
+    row-major order of class indices (those of ``all_subspaces``): U of
+    dimension k of the restricted type (``subspace_type``) and W of
+    dimension n - k, with W holding every basis vector of U (a flag) or
+    meeting U only in 0 (an antiflag); for 2k = n an antiflag is an
+    unordered pair, both of the restricted type, listed once as i < j."""
+    n = space.n
+    small = all_subspaces(space, k)
+    keep = [i for i, b in enumerate(small)
+            if restrict == "any" or subspace_type(space, form, b) == restrict]
+    vecs = {i: _span(space, small[i]) for i in keep}
+    if kind == "antiflag" and 2 * k == n:
+        return [(i, j) for a, i in enumerate(keep) for j in keep[a + 1:]
+                if len(vecs[i] & vecs[j]) == 1]
+    big = [_span(space, b) for b in all_subspaces(space, n - k)]
+    if kind == "flag":
+        return [(i, j) for i in keep for j, w in enumerate(big)
+                if all(space.vec_code(b) in w for b in small[i])]
+    return [(i, j) for i in keep for j, w in enumerate(big) if len(vecs[i] & w) == 1]
+
+
 def rref_basis(space, vectors):
     """Canonical reduced-echelon basis for the span of the given vectors."""
     rows = [list(v) for v in vectors]
@@ -806,14 +834,15 @@ def element_lut(space, g, cache):
 
 
 def class_fixed(space, g, cls, cache):
-    """Per class member: is the subspace fixed by g (tested basis by basis)."""
+    """Per class member: is the subspace fixed by g (tested basis by basis,
+    against the span of its basis from ``subspace_vectors``)."""
     key = ("fixed", cls.k)
     out = cache.get(key)
     if out is None:
         lut = element_lut(space, g, cache)
         out = [
-            all(lut[space.vec_code(b)] in vs for b in basis)
-            for basis, vs in zip(cls.bases, cls.vecsets)
+            all(lut[space.vec_code(b)] in _span(space, basis) for b in basis)
+            for basis in cls.bases
         ]
         cache[key] = out
     return out

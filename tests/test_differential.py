@@ -32,6 +32,7 @@ from classprop.gf import prime_power
 from classprop.matgroup import (
     ActionSpec,
     ActionTable,
+    FormSpec,
     MatSpace,
     ResourceCapExceeded,
     _eval_quad,
@@ -80,6 +81,7 @@ from oracles import (
     expectation_by_sets,
     fixed_rows_lists,
     form_translation,
+    incidence_points,
     full_scan_cases,
     kernel_basis,
     mat_add,
@@ -1597,6 +1599,35 @@ def test_vector_sets_and_perps_match_scalar_routes(n, q):
         assert cls.vecsets == [subspace_vectors(sp, b) for b in cls.bases]
         where = {b: j for j, b in enumerate(big.bases)}
         assert act._perp(k) == [where[perp_basis_dot(sp, b)] for b in cls.bases]
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (4, 3), (3, 4), (3, 9)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_incidence_points_match_scalar_pairs(n, q, k):
+    # flags and antiflags, middle ones included, are the pairs that one
+    # scalar test per pair of subspaces finds, in the same order
+    sp = MatSpace(n, q)
+    form = FormSpec("none", n, q)
+    for kind in ("flag", "antiflag") if 2 * k <= n else ("antiflag",):
+        want = incidence_points(sp, form, kind, k)
+        assert enumerate_action(sp, ActionSpec(kind, k)).points == want, kind
+
+
+@pytest.mark.parametrize("key", [("Sp", 4, 3), ("O+", 6, 2), ("GU", 3, 2), ("O", 5, 3)],
+                         ids="{0[0]}{0[1]}q{0[2]}".format)
+def test_restricted_incidence_points_match_scalar_pairs(key):
+    form = standard_form(*key)
+    sp = MatSpace(key[1], form.q)
+    for k in (1, 2):
+        for kind in ("flag", "antiflag") if 2 * k <= sp.n else ("antiflag",):
+            for restrict in matgroup._RESTRICTIONS[1:]:
+                want = incidence_points(sp, form, kind, k, restrict)
+                spec = ActionSpec(kind, k, restrict)
+                if want:
+                    assert ActionTable(sp, form, spec).points == want, spec
+                else:
+                    with pytest.raises(ValueError, match="no points"):
+                        ActionTable(sp, form, spec)
 
 
 @pytest.mark.parametrize("key", list(TABLE_DIGESTS), ids=lambda k: "%s%d(%d)" % k)

@@ -393,6 +393,7 @@ ORACLE_NAMES = (
     "scalar_inv", "null_basis", "code_add", "vector_images", "subspace_vectors",
     "rref_basis", "perp_basis_dot", "subspace_type", "form_translation",
     "quadratic_form_permutation", "fixed_rows_lists", "expectation_by_sets",
+    "incidence_points", "_span",
 )
 
 
