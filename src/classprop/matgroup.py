@@ -29,7 +29,7 @@ Two batched kernels over the field's lookup tables do the linear algebra.
 subspaces, the tau squares, and the rank and inverse of a single matrix; a
 det is (-1)^n times the constant term of ``MatSpace.charpolys``.
 ``_images`` is the only batched product of matrices with vectors: the vector
-images that closures and class maps look up, the vector sets and perp maps
+images that closures and class maps look up, the vector codes and perp maps
 of a class of subspaces, the quadratic-form point images and the
 fixed-point masks of every action kind (the scalar ``mul`` and ``mat_vec``
 serve the per-candidate form checks).  No runtime path eliminates, or reads
@@ -1238,32 +1238,58 @@ _RESTRICTIONS = (
 
 
 class _SubspaceClass:
-    """All k-subspaces with their vector sets, indexed by vector set.  The
-    vector sets come from ``_image_slices``: each basis, transposed, times
-    every coefficient vector of GF(q)^k."""
+    """All k-subspaces of GF(q)^n: their echelon ``bases`` and ``codes``,
+    an (N, q^k) array of each one's vector codes sorted along its row, from
+    ``_image_slices`` (each basis, transposed, times every coefficient
+    vector of GF(q)^k).  Read only through ``find`` and ``members``."""
 
     def __init__(self, space, k):
-        self.k = k
+        self.space, self.k = space, k
         self.bases = all_subspaces(space, k)
         cols = MatSpace(k, space.q)._digits.T
         bases_t = np.array(self.bases, dtype=np.intp).transpose(0, 2, 1)
-        self.vecsets = [frozenset(row)
-                        for codes in _image_slices(space.F, bases_t, cols)
-                        for row in codes.tolist()]
-        self.position = {vs: i for i, vs in enumerate(self.vecsets)}
+        self.codes = np.sort(np.concatenate(list(_image_slices(space.F, bases_t, cols))), axis=1)
 
     def __len__(self):
         return len(self.bases)
+
+    def _keys(self, codes):
+        """One int64 per row of sorted codes, distinct for distinct
+        k-subspaces: code order reads coordinate n - 1 first, so the codes at
+        positions q^j, j < k, are an echelon basis, the one at q^j below
+        q^(n - k + j + 1), and they read as one mixed-radix number."""
+        n, q, k = self.space.n, self.space.q, self.k
+        if q ** (k * (n - k) + k * (k + 1) // 2) >= 1 << 63:
+            raise ValueError(f"the {k}-subspaces of GF({q})^{n} have no int64 key")
+        return codes[:, q ** np.arange(k)] @ np.cumprod(np.r_[1, q ** np.arange(n - k + 1, n)])
+
+    def find(self, codes):
+        """Class index of the subspace whose vector codes, in any order, are
+        each row of codes, by one ``searchsorted`` of the rows' keys; raises
+        ValueError where a row is no k-subspace."""
+        codes, keys = np.sort(codes, axis=1), self._keys(self.codes)
+        order = np.argsort(keys)
+        found = order[np.minimum(np.searchsorted(keys[order], self._keys(codes)), len(keys) - 1)]
+        if not np.array_equal(self.codes[found], codes):
+            raise ValueError(f"a row of vector codes is not a {self.k}-subspace")
+        return found
+
+    def members(self, rows):
+        """Boolean (len(rows), q^n) table: does subspace rows[r] hold code c."""
+        table = np.zeros((len(rows), len(self.space._digits)), dtype=bool)
+        table[np.arange(len(rows))[:, None], self.codes[rows]] = True
+        return table
 
 
 class ActionTable:
     """Enumerated point set of one action.
 
-    Subspace-like points are stored as indices into dimension classes, so a
-    point permutation reduces to per-class image indices plus one pass over
-    the points.  The dot-product perp map from class k to class n - k, and
-    the fixed-point plan of each side (see ``_fixed_plan``), are built once
-    per action, on first use.
+    Subspace-like points are stored as indices into dimension classes
+    (``_SubspaceClass``), so a point permutation reduces to per-class image
+    indices; flags and antiflags are read off a class's membership table.
+    The dot-product perp map from class k to class n - k, and the
+    fixed-point plan of each side (see ``_fixed_plan``), are built once per
+    action, on first use.
     """
 
     def __init__(self, space, form, spec):
@@ -1273,7 +1299,6 @@ class ActionTable:
         self.classes = {}
         self.perps = {}
         self.plans = {}
-        self.points = []
         if spec.restrict not in _RESTRICTIONS:
             raise ValueError(f"unknown restrict {spec.restrict!r}")
         self._build()
@@ -1291,16 +1316,16 @@ class ActionTable:
         """Index in class n - k of the dot-product perp of each k-subspace.
         v lies in perp(U) exactly when U's basis maps v to 0, so one
         ``_image_slices`` pass of the bases over every vector of ``_digits``
-        gives the vector set of each perp."""
+        gives the vector codes of each perp, the zero entries of its row,
+        which ``find`` looks up."""
         if k not in self.perps:
             space = self.space
-            position = self._class(space.n - k).position
+            big = self._class(space.n - k)
             bases = np.array(self._class(k).bases, dtype=np.intp)
-            self.perps[k] = [
-                position[frozenset(np.flatnonzero(row).tolist())]
+            self.perps[k] = np.concatenate([
+                big.find(np.nonzero(codes == 0)[1].reshape(len(codes), -1))
                 for codes in _image_slices(space.F, bases, space._digits.T)
-                for row in codes == 0
-            ]
+            ]).tolist()
         return self.perps[k]
 
     def _build(self):
@@ -1312,37 +1337,36 @@ class ActionTable:
             return
         # a k-flag needs k <= n - k, and k-subspaces beyond n/2 repeat by duality
         _check_int("k", k, 1, n // 2 if spec.kind in ("subspace", "flag") else n - 1)
-        small = self._class(k)
-        keep = list(range(len(small)))
-        if spec.restrict != "any":
-            keep = [i for i, t in enumerate(self._types(small.bases)) if t == spec.restrict]
-        if spec.kind == "subspace":
-            self.points = keep
-        elif spec.kind == "flag":
-            big = self._class(n - k)
-            for i in keep:
-                ubasis = small.bases[i]
-                for j, wv in enumerate(big.vecsets):
-                    if all(self.space.vec_code(b) in wv for b in ubasis):
-                        self.points.append((i, j))
-        elif spec.kind == "antiflag":
-            if 2 * k == n:
-                # unordered pairs of complements, both of the kept type
-                vecsets = small.vecsets
-                for a, i in enumerate(keep):
-                    for j in keep[a + 1:]:
-                        if len(vecsets[i] & vecsets[j]) == 1:
-                            self.points.append((i, j))
-            else:
-                big = self._class(n - k)
-                for i in keep:
-                    uv = small.vecsets[i]
-                    for j, wv in enumerate(big.vecsets):
-                        if len(uv & wv) == 1:
-                            self.points.append((i, j))
-        else:
+        if spec.kind not in ("subspace", "flag", "antiflag"):
             raise ValueError(f"unknown action kind {spec.kind!r}")
-        self._check_counts()
+        want = self._count()
+        small = self._class(k)
+        keep = np.arange(len(small))
+        if spec.restrict != "any":
+            keep = np.flatnonzero(np.array(self._types(small.bases)) == spec.restrict)
+        self.points = keep.tolist()
+        if spec.kind != "subspace":
+            # (i, j) in row-major order: W, subspace j of class n - k, holds
+            # every basis vector of U, subspace i, for a flag, and no nonzero
+            # vector of U (0 sorts first) for an antiflag, for 2k = n one of
+            # each unordered pair of kept subspaces; read off W's membership
+            flag, middle = spec.kind == "flag", spec.kind == "antiflag" and 2 * k == n
+            big = small if middle else self._class(n - k)
+            ws = keep if middle else np.arange(len(big))
+            vecs = np.array(small.bases)[keep] @ self.space._powers if flag else small.codes[keep, 1:]
+            pairs = [np.empty((0, 2), dtype=np.intp)]
+            step = _step(len(self.space._digits) + vecs.size)
+            for lo in range(0, len(ws), step):
+                w = ws[lo : lo + step]
+                held = big.members(w)[:, vecs]
+                incident = held.all(axis=2) if flag else ~held.any(axis=2)
+                if middle:
+                    incident &= keep < w[:, None]
+                wj, ui = np.nonzero(incident)
+                pairs.append(np.stack([keep[ui], w[wj]], axis=1))
+            pairs = np.concatenate(pairs)
+            self.points = list(zip(*pairs[np.lexsort(pairs.T[::-1])].T.tolist()))
+        assert want is None or len(self.points) == want, (spec, len(self.points), want)
 
     def _types(self, bases):
         """The point type (one of _RESTRICTIONS) of each k-subspace with
@@ -1368,20 +1392,19 @@ class ActionTable:
                 types.append("nondegenerate" if r == k else "degenerate")
         return types
 
-    def _check_counts(self):
+    def _count(self):
+        """The closed-form point count of an unrestricted subspace, flag or
+        antiflag action; None for a restricted one."""
         spec = self.spec
         n, q, k = self.space.n, self.space.q, spec.k
         if spec.restrict != "any":
-            return
+            return None
         if spec.kind == "subspace":
-            want = gaussian_binomial(n, k, q)
-        elif spec.kind == "flag":
-            want = gaussian_binomial(n, n - k, q) * gaussian_binomial(n - k, k, q)
-        else:
-            want = gaussian_binomial(n, k, q) * q ** (k * (n - k))
-            if 2 * k == n:
-                want //= 2
-        assert len(self.points) == want, (spec, len(self.points), want)
+            return gaussian_binomial(n, k, q)
+        if spec.kind == "flag":
+            return gaussian_binomial(n, n - k, q) * gaussian_binomial(n - k, k, q)
+        want = gaussian_binomial(n, k, q) * q ** (k * (n - k))
+        return want // 2 if 2 * k == n else want
 
     # -- quadratic forms under a symplectic group over GF(2) ----------------
 
@@ -1412,11 +1435,6 @@ class ActionTable:
     def __len__(self):
         return len(self.points)
 
-    @functools.cached_property
-    def position(self):
-        """Point -> its position in points."""
-        return {pt: p for p, pt in enumerate(self.points)}
-
 
 def enumerate_action(table_or_space, spec):
     """The action of a table, under its form, or of a bare MatSpace, under
@@ -1430,78 +1448,57 @@ def enumerate_action(table_or_space, spec):
 # ---------------------------------------------------------------------------
 # Fixed points.
 
-def _class_images(lut, action, k, tau):
-    """Per k-subspace U, the index of g U in class k, or of g perp(U) in
-    class n - k, where lut is g's ``all_vector_images``."""
-    if tau:
-        target = action._class(action.space.n - k)
-        src = [target.vecsets[j] for j in action._perp(k)]
-    else:
-        target = action._class(k)
-        src = target.vecsets
-    position = target.position
-    return [position[frozenset(lut[c] for c in vs)] for vs in src]
+def _parts(action, tau):
+    """Where g (or g tau) sends each point's subspaces when it fixes the
+    point, as alternatives, lists of (d, s, t): subspaces s of class d (with
+    tau their perps) to subspaces t, whose first alternative lists each
+    point's own: a subspace U to U; a flag or an off-middle antiflag (U, W)
+    to (U, W), or with tau, which maps it to (g perp W, g perp U), W and U
+    to U and W; a middle antiflag {U, W} to (U, W) or to (W, U).  Raises
+    ValueError where tau does not act."""
+    n, k = action.space.n, action.spec.k
+    if action.spec.kind == "subspace" and tau and 2 * k != n:
+        raise ValueError("tau moves k-spaces to (n-k)-spaces")
+    points = np.array(action.points).reshape(len(action), -1)
+    i, j = points[:, 0], points[:, -1]
+    if action.spec.kind == "subspace":
+        return [[(k, i, i)]]
+    if action.spec.kind == "antiflag" and 2 * k == n:
+        return [[(k, i, i), (k, j, j)], [(k, i, j), (k, j, i)]]
+    return [[(n - k, j, i), (k, i, j)]] if tau else [[(k, i, i), (n - k, j, j)]]
 
 
 def _fixed_plan(action, tau):
     """The tests that decide, for one side of a subspace-type action, which
-    points an element fixes, built once per (action, tau).
-
-    The source of a subspace X is a basis of X, or with tau of perp(X).  g
-    (or g tau) fixes a point when g maps each listed source into its listed
-    target, a subspace of the same dimension:
-    - a subspace U: the source of U into U;
-    - a flag or an off-middle antiflag (U, W): the sources of U and W into U
-      and W; with tau, which maps it to (g perp W, g perp U), into W and U;
-    - a middle antiflag {U, W}: the sources of U and W into U and W, or
-      into W and U (two alternatives).
-    Returns (cols, slots, mask): the distinct source vectors as the columns
+    points an element fixes, built once per (action, tau): g (or g tau)
+    fixes a point when, in some alternative of ``_parts``, it maps a basis
+    of each listed subspace (of its perp, with tau) into the listed target.
+    Returns (cols, slots, mask): the distinct basis vectors as the columns
     of an (n, V) array; for each point, alternative and basis vector, the
     column index and the row offset of the target in mask; and mask, the
-    flat boolean table of (target subspace, vector code) membership, one
-    row of q^n codes per subspace of the classes the targets come from.
-    Raises ValueError where tau does not act.
+    flat boolean table of (target subspace, vector code) membership, the
+    ``members`` tables of the classes stacked.  Raises ValueError where tau
+    does not act.
     """
     if tau in action.plans:
         return action.plans[tau]
-    space, spec, points = action.space, action.spec, action.points
+    space, spec, alts = action.space, action.spec, _parts(action, tau)
     n, k = space.n, spec.k
-    if spec.kind == "subspace" and tau and 2 * k != n:
-        raise ValueError("tau moves k-spaces to (n-k)-spaces")
     dims = sorted({k, n - k}) if spec.kind != "subspace" else [k]
     offset = {d: sum(len(action._class(e)) for e in dims if e < d) for d in dims}
 
-    def source(d, i):  # of subspace i of class d
-        if not tau:
-            return action._class(d).bases[i]
-        return action._class(n - d).bases[action._perp(d)[i]]
+    def slot(d, s, t):  # basis codes of the sources, and the rows of their targets
+        e = n - d if tau else d  # the class of the sources, and of the targets
+        basis = np.array(action._class(e).bases) @ space._powers
+        src = basis[np.array(action._perp(d))[s] if tau else s]
+        return np.stack([src, np.repeat((offset[e] + t)[:, None], e, axis=1)], axis=-1)
 
-    if spec.kind == "subspace":
-        alts = [[[(source(k, i), (k, i))]] for i in points]
-    elif spec.kind == "antiflag" and 2 * k == n:
-        alts = [[[(source(k, i), (k, i)), (source(k, j), (k, j))],
-                 [(source(k, i), (k, j)), (source(k, j), (k, i))]] for i, j in points]
-    elif tau:
-        alts = [[[(source(n - k, j), (k, i)), (source(k, i), (n - k, j))]]
-                for i, j in points]
-    else:
-        alts = [[[(source(k, i), (k, i)), (source(n - k, j), (n - k, j))]]
-                for i, j in points]
-    Q = space.q**n
-    column = {}
-    slots = np.array(
-        [[[(column.setdefault(space.vec_code(v), len(column)),
-            (offset[d] + t) * Q)
-           for basis, (d, t) in alt for v in basis] for alt in point]
-         for point in alts],
-        dtype=np.intp,
-    )
-    cols = space._digits[list(column)].T
-    mask = np.zeros((offset[dims[-1]] + len(action._class(dims[-1])), Q), dtype=bool)
-    for d in dims:
-        for t, vs in enumerate(action._class(d).vecsets):
-            mask[offset[d] + t, list(vs)] = True
-    action.plans[tau] = plan = (cols, slots, mask.ravel())
+    slots = np.stack([np.concatenate([slot(*x) for x in alt], axis=1) for alt in alts], axis=1)
+    vectors, slots[..., 0] = np.unique(slots[..., 0], return_inverse=True)
+    slots[..., 1] *= space.q**n
+    mask = np.concatenate([action._class(d).members(np.arange(len(action._class(d))))
+                           for d in dims])
+    action.plans[tau] = plan = (space._digits[vectors].T, slots, mask.ravel())
     return plan
 
 
@@ -1698,9 +1695,11 @@ def point_permutation(space, g, action: ActionTable, tau=False):
 
     tau composes U -> perp(U) under the plain dot product with g; it acts on
     flags and antiflags for every k, and on k-subspaces only when 2k = n.
-    The result is a list mapping point positions to point positions;
-    elements that preserve the relevant structure always permute the point
-    set.
+    The result is a list mapping point positions to point positions, each
+    subspace's image found (``_SubspaceClass.find``) from its vector codes
+    mapped through g's vector images; elements that preserve the relevant
+    structure always permute the point set, and any other g raises
+    ValueError, a singular one included.
     """
     spec = action.spec
     if spec.kind == "quadratic_forms":
@@ -1710,22 +1709,21 @@ def point_permutation(space, g, action: ActionTable, tau=False):
         # over GF(2), adding the translation c is XOR on codes
         c = action.base_values[space._encode([g])[0]] @ space._powers
         return (space.all_vector_images(g) ^ c).tolist()
-    n, k = space.n, spec.k
-    pos = action.position
-    lut = space.all_vector_images(g).tolist()
-    if spec.kind == "subspace":
-        if tau and 2 * k != n:
-            raise ValueError("tau moves k-spaces to (n-k)-spaces")
-        img = _class_images(lut, action, k, tau)
-        return [pos[img[i]] for i in action.points]
-    if spec.kind == "antiflag" and 2 * k == n:
-        img = _class_images(lut, action, k, tau)
-        pairs = ((img[i], img[j]) for i, j in action.points)
-        return [pos[(a, b) if a < b else (b, a)] for a, b in pairs]
-    # flags and off-middle antiflags: (U, W) maps to (g U, g W), or with tau
-    # to (g perp W, g perp U)
-    small = _class_images(lut, action, k, tau)
-    big = _class_images(lut, action, n - k, tau)
-    if tau:
-        return [pos[(big[j], small[i])] for i, j in action.points]
-    return [pos[(small[i], big[j])] for i, j in action.points]
+    alts, lut = _parts(action, tau), space.all_vector_images(g)
+
+    def image(d):  # class index of g U, or g perp(U), for each U of class d
+        target = action._class(space.n - d if tau else d)
+        return target.find(lut[target.codes[action._perp(d)] if tau else target.codes])
+
+    images = {d: image(d) for d in {d for d, _, _ in alts[0]}}
+    img = np.stack([images[d][s] for d, s, _ in alts[0]], axis=1)
+    if len(alts) == 2:  # a middle antiflag is an unordered pair, listed as i < j
+        img.sort(axis=1)
+    # points are in row-major order, and class n - k is as large as class k
+    points = np.stack([t for _, _, t in alts[0]], axis=1)
+    shape = (len(action._class(spec.k)),) * points.shape[1]
+    keys, img = np.ravel_multi_index(points.T, shape), np.ravel_multi_index(img.T, shape)
+    pos = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
+    if not np.array_equal(keys[pos], img):
+        raise ValueError("g does not permute the action points")
+    return pos.tolist()

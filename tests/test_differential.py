@@ -1596,7 +1596,8 @@ def test_vector_sets_and_perps_match_scalar_routes(n, q):
     act = enumerate_action(sp, ActionSpec("subspace", 1))
     for k in range(1, n):
         cls, big = act._class(k), act._class(n - k)
-        assert cls.vecsets == [subspace_vectors(sp, b) for b in cls.bases]
+        assert [frozenset(row) for row in cls.codes.tolist()] == \
+            [subspace_vectors(sp, b) for b in cls.bases]
         where = {b: j for j, b in enumerate(big.bases)}
         assert act._perp(k) == [where[perp_basis_dot(sp, b)] for b in cls.bases]
 

@@ -424,6 +424,13 @@ def test_runtime_counts_never_enumerate():
     for name in ("subspace_vectors", "rref_basis", "perp_basis_dot"):
         assert not hasattr(matgroup, name), name
     assert not hasattr(matgroup.ActionTable, "_classify")
+    # one subspace format: sorted vector codes behind one lookup, no
+    # vector sets and no dict keyed by them
+    cls = matgroup.ActionTable(matgroup.MatSpace(3, 2), matgroup.FormSpec("none", 3, 2),
+                               matgroup.ActionSpec("flag", 1))._class(2)
+    for name in ("vecsets", "position"):
+        assert not hasattr(matgroup._SubspaceClass, name), name
+        assert not hasattr(cls, name), name
     # completion, quadratic-form types and the exact Weyl statistic take
     # closed forms, not searches
     assert not hasattr(matgroup, "_full_scan_candidates")

@@ -771,6 +771,34 @@ def test_tau_requires_middle_dimension():
         fixed_point_indices(sp, sp.identity, act, tau=True)
 
 
+def test_flags_and_antiflags_build_without_scalar_codes(monkeypatch):
+    # incidence is read off a membership table, not basis vector by basis vector
+    calls = []
+    real = MatSpace.vec_code
+    monkeypatch.setattr(MatSpace, "vec_code", lambda self, v: calls.append(v) or real(self, v))
+    sp = MatSpace(5, 2)
+    for spec in [ActionSpec("flag", 1), ActionSpec("flag", 2)] + \
+            [ActionSpec("antiflag", k) for k in range(1, 5)]:
+        assert enumerate_action(sp, spec).points
+    assert calls == []
+
+
+@pytest.mark.parametrize("n,spec,tau", [
+    (3, ActionSpec("subspace", 1), False),
+    (4, ActionSpec("subspace", 2), True),
+    (3, ActionSpec("flag", 1), False),
+    (3, ActionSpec("flag", 1), True),
+    (4, ActionSpec("antiflag", 2), False),
+    (4, ActionSpec("antiflag", 1), True),
+])
+def test_point_permutation_rejects_singular_matrices(n, spec, tau):
+    sp = MatSpace(n, 2)
+    act = enumerate_action(sp, spec)
+    singular = (1,) + (0,) * (n * n - 1)
+    with pytest.raises(ValueError, match="subspace"):
+        point_permutation(sp, singular, act, tau=tau)
+
+
 # ---------------------------------------------------------------------------
 # Quadratic-forms action over GF(2).
 
