@@ -1289,7 +1289,9 @@ class ActionTable:
     indices; flags and antiflags are read off a class's membership table.
     The dot-product perp map from class k to class n - k, and the
     fixed-point plan of each side (see ``_fixed_plan``), are built once per
-    action, on first use.
+    action, on first use.  An unrestricted action of more than
+    DEFAULT_ACTION_CAP points, or a subspace class of more, raises
+    ResourceCapExceeded before it is enumerated.
     """
 
     def __init__(self, space, form, spec):
@@ -1309,6 +1311,9 @@ class ActionTable:
 
     def _class(self, k):
         if k not in self.classes:
+            n, q = self.space.n, self.space.q
+            if gaussian_binomial(n, k, q) > DEFAULT_ACTION_CAP:
+                raise ResourceCapExceeded(f"the {k}-subspaces of GF({q})^{n} exceed the action cap")
             self.classes[k] = _SubspaceClass(self.space, k)
         return self.classes[k]
 
@@ -1340,6 +1345,8 @@ class ActionTable:
         if spec.kind not in ("subspace", "flag", "antiflag"):
             raise ValueError(f"unknown action kind {spec.kind!r}")
         want = self._count()
+        if want is not None and want > DEFAULT_ACTION_CAP:
+            raise ResourceCapExceeded(f"{spec} has {want} points, over the action cap")
         small = self._class(k)
         keep = np.arange(len(small))
         if spec.restrict != "any":
@@ -1708,7 +1715,10 @@ def point_permutation(space, g, action: ActionTable, tau=False):
         # points are stored in code order, so a code is its own position;
         # over GF(2), adding the translation c is XOR on codes
         c = action.base_values[space._encode([g])[0]] @ space._powers
-        return (space.all_vector_images(g) ^ c).tolist()
+        perm = space.all_vector_images(g) ^ c
+        if len(np.unique(perm)) < len(perm):
+            raise ValueError("a singular matrix permutes no points")
+        return perm.tolist()
     alts, lut = _parts(action, tau), space.all_vector_images(g)
 
     def image(d):  # class index of g U, or g perp(U), for each U of class d

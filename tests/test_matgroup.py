@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -771,6 +772,18 @@ def test_tau_requires_middle_dimension():
         fixed_point_indices(sp, sp.identity, act, tau=True)
 
 
+@pytest.mark.parametrize("n,q,spec", [
+    (6, 9, ActionSpec("subspace", 3)),  # 441 826 660 subspaces
+    (4, 9, ActionSpec("antiflag", 2)),  # 24 479 091 points
+])
+def test_oversized_actions_fail_fast(n, q, spec):
+    # the closed-form sizes are checked against the cap before enumerating
+    start = time.perf_counter()
+    with pytest.raises(ResourceCapExceeded):
+        enumerate_action(MatSpace(n, q), spec)
+    assert time.perf_counter() - start < 1
+
+
 def test_flags_and_antiflags_build_without_scalar_codes(monkeypatch):
     # incidence is read off a membership table, not basis vector by basis vector
     calls = []
@@ -797,6 +810,23 @@ def test_point_permutation_rejects_singular_matrices(n, spec, tau):
     singular = (1,) + (0,) * (n * n - 1)
     with pytest.raises(ValueError, match="subspace"):
         point_permutation(sp, singular, act, tau=tau)
+
+
+def test_quadratic_form_permutation_rejects_singular_matrices():
+    act = enumerate_action(build_group("Sp", 4, 2), ActionSpec("quadratic_forms"))
+    with pytest.raises(ValueError, match="singular"):
+        point_permutation(act.space, (1,) + (0,) * 15, act)
+
+
+def test_point_permutation_rejects_elements_moving_points_off_the_action():
+    # a transvection of GL4(2) that moves a singular point of O+4(2) to a
+    # nonsingular one
+    tb = build_group("O+", 4, 2)
+    act = enumerate_action(tb, ActionSpec("subspace", 1, restrict="totally_singular"))
+    g = (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+    assert g not in tb.index
+    with pytest.raises(ValueError, match="does not permute"):
+        point_permutation(tb.space, g, act)
 
 
 # ---------------------------------------------------------------------------
