@@ -133,6 +133,18 @@ class RunConfig:
         """The --cap value, or the library default when none was given."""
         return DEFAULT_GROUP_CAP if self.cap is None else self.cap
 
+    @property
+    def tolerance(self):
+        """The --tol value as a positive rational, or the library default
+        when none was given; anything else is a usage error."""
+        try:
+            tol = Fraction(self.tol) if self.tol else DEFAULT_TOL
+        except (ValueError, ZeroDivisionError):
+            tol = 0
+        if tol <= 0:
+            raise ValueError(f"--tol must be a positive rational, not {self.tol!r}")
+        return tol
+
 
 # ---------------------------------------------------------------------------
 # Rendering.
@@ -217,7 +229,7 @@ def _coset_arg(value):
 
 def cmd_limit(cfg):
     fam = LimitFamily(_LIMIT_TAGS[cfg.family], cfg.q, cfg.t)
-    tol = Fraction(cfg.tol) if cfg.tol else DEFAULT_TOL
+    tol = cfg.tolerance
     enc = limit_value(fam, tol / 2)
     lo, hi = _round_outward(enc.lo, enc.hi, tol / 4)
     reference = q_infinity_limit(fam.tag, cfg.t)
@@ -225,7 +237,7 @@ def cmd_limit(cfg):
         "family": fam.tag,
         "q": cfg.q,
         "t": cfg.t,
-        "tol": Fraction(tol),
+        "tol": tol,
         "lo": lo,
         "hi": hi,
         "width": hi - lo,
@@ -328,7 +340,7 @@ def _suite_exactness_bridge(cfg):
 def _suite_bounds(cfg):
     qs = _parse_int_list("--q-list", cfg.q_list, (2, 3, 4, 5, 7, 8, 9))
     ts = _parse_int_list("--t-list", cfg.t_list, (1, 2, 3, 4))
-    tol = Fraction(cfg.tol) if cfg.tol else DEFAULT_TOL
+    tol = cfg.tolerance
     report = bound_suite(qs, ts, tol)
     # exact endpoints have huge numerators; widen them slightly for display
     for entry in report["entries"]:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp as _fexp, factorial
+from math import exp as _fexp, factorial, log1p
+from sys import float_info
 
 from .gf import _check_int, count_irreducibles
 
@@ -175,16 +176,20 @@ def _exp_lower(x):
     return s
 
 
+def _taylor_remainder(x):
+    """Bound on the Taylor terms of e^x past _EXP_TERMS, for 0 <= x <
+    _EXP_TERMS + 2: they are dominated by a geometric series with ratio
+    x / (_EXP_TERMS + 2)."""
+    return x ** (_EXP_TERMS + 1) / factorial(_EXP_TERMS + 1) * (_EXP_TERMS + 2) / (_EXP_TERMS + 2 - x)
+
+
 def _exp_upper(x):
     if x < 0:
         return 1 / _exp_lower(-x)
     if x >= _EXP_TERMS + 2:
         raise ValueError("too few Taylor terms for this argument")
     s = _exp_lower(x)  # the Taylor partial sum, as x >= 0
-    # remaining terms are dominated by a geometric series with ratio x/(_EXP_TERMS+2)
-    rem = x ** (_EXP_TERMS + 1) / factorial(_EXP_TERMS + 1)
-    rem = rem * (_EXP_TERMS + 2) / (_EXP_TERMS + 2 - x)
-    return s + rem
+    return s + _taylor_remainder(x)
 
 
 def exp_enclosure(z):
@@ -225,13 +230,37 @@ def atom_log_enclosure(atom: ProductAtom, q, budget):
     return Enclosure(lo - tail, hi + tail)
 
 
+def _width_floor(atoms, q):
+    """Float estimate of the width that no exp enclosure of the atoms'
+    log-sum s gets below: every one keeps the Taylor remainder R at |s|, so
+    its width exceeds R, or R / (e^|s|)^2 when s < 0 and both ends are
+    reciprocals."""
+    s = 0.0
+    for atom in atoms:
+        first, part, i = q ** -float(atom.step + atom.offset), 0.0, 1
+        while (y := q ** -float(atom.step * i + atom.offset)) >= first * float_info.epsilon:
+            part += log1p(atom.sign * ((-1) ** i if atom.alternating else 1) * y)
+            i += 1
+        s += atom.m * part
+    if abs(s) >= _EXP_TERMS + 2:
+        return 0.0  # _exp_upper refuses the argument
+    rem = _taylor_remainder(abs(s))
+    return rem if s >= 0 else rem * _fexp(2 * s)
+
+
 def limit_value(fam: LimitFamily, tol=DEFAULT_TOL):
-    """Enclosure of the family's limiting proportion, width <= tol."""
+    """Enclosure of the family's limiting proportion, width <= tol.  A tol
+    at or below the width that the Taylor terms of ``exp_enclosure`` can
+    reach (``_width_floor``) raises ValueError before any exact pass."""
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
     atoms = family_atoms(fam)
     half = fam.tag == "O_half"
+    floor = _width_floor(atoms, fam.q) / (2 if half else 1)
+    if tol <= floor:
+        raise ValueError(f"tol {float(tol):.3g} is below the width {floor:.3g} that "
+                         f"{_EXP_TERMS} Taylor terms of exp can reach")
     log_budget = tol / 2  # value <= ~1, so log-space width carries through exp
     while True:
         total = Enclosure(Fraction(0), Fraction(0))

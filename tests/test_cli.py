@@ -45,6 +45,27 @@ def test_limit_encloses_reference_value(tmp_path):
     assert abs(res["q_infinity"] - 0.3678794411714423) < 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit", "--family", "gl", "--q", "2", "--t", "1"],
+    ["verify", "--suite", "bounds", "--q-list", "2", "--t-list", "1"],
+])
+@pytest.mark.parametrize("tol", ["1/0", "0", "-1e-6", "abc"])
+def test_tol_must_be_a_positive_rational(tmp_path, capsys, argv, tol):
+    code, text = run(tmp_path, *argv, f"--tol={tol}")
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert capsys.readouterr().err == \
+        f"classprop: --tol must be a positive rational, not {tol!r}\n"
+
+
+def test_limit_below_the_taylor_floor_is_a_usage_error(tmp_path, capsys):
+    code, text = run(tmp_path, "limit", "--family", "gl", "--q", "2", "--t", "1",
+                     "--tol", "1e-70")
+    assert code == cli.EXIT_USAGE
+    assert text == ""
+    assert "Taylor terms" in capsys.readouterr().err
+
+
 def test_limit_parity_usage_error(tmp_path, capsys):
     code, _ = run(tmp_path, "limit", "--family", "sp-odd", "--q", "2", "--t", "1")
     assert code == cli.EXIT_USAGE

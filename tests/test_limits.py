@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -183,6 +184,15 @@ def test_family_validation():
     assert LimitFamily("O", 4, 1).tag == "O_half"
     with pytest.raises(ValueError):
         limit_value(LimitFamily("GL", 2, 1), 0)
+
+
+def test_limit_value_refuses_tolerances_below_the_taylor_floor():
+    # 48 Taylor terms leave every exp enclosure of the GL q=2 t=1 value
+    # about 5.8e-60 wide, so a narrower target can never be met
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="Taylor terms"):
+        limit_value(LimitFamily("GL", 2, 1), Fraction(1, 10**70))
+    assert time.perf_counter() - start < 1
 
 
 def test_su_atoms_skip_even_degrees():
