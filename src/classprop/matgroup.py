@@ -1241,7 +1241,8 @@ class _SubspaceClass:
     """All k-subspaces of GF(q)^n: their echelon ``bases`` and ``codes``,
     an (N, q^k) array of each one's vector codes sorted along its row, from
     ``_image_slices`` (each basis, transposed, times every coefficient
-    vector of GF(q)^k).  Read only through ``find`` and ``members``."""
+    vector of GF(q)^k).  Its lookups are ``find`` (vector codes to class
+    index) and ``members`` (class index to membership table)."""
 
     def __init__(self, space, k):
         self.space, self.k = space, k
@@ -1353,10 +1354,10 @@ class ActionTable:
             keep = np.flatnonzero(np.array(self._types(small.bases)) == spec.restrict)
         self.points = keep.tolist()
         if spec.kind != "subspace":
-            # (i, j) in row-major order: W, subspace j of class n - k, holds
-            # every basis vector of U, subspace i, for a flag, and no nonzero
-            # vector of U (0 sorts first) for an antiflag, for 2k = n one of
-            # each unordered pair of kept subspaces; read off W's membership
+            # (i, j) in row-major order, read off the membership table of W
+            # (subspace j of class n - k) a slice at a time: W holds every basis
+            # vector of U (subspace i) for a flag, and no nonzero vector of U (0
+            # sorts first) for an antiflag; for 2k = n, each unordered pair once
             flag, middle = spec.kind == "flag", spec.kind == "antiflag" and 2 * k == n
             big = small if middle else self._class(n - k)
             ws = keep if middle else np.arange(len(big))
