@@ -15,6 +15,7 @@ coset of the special linear group.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -182,6 +183,31 @@ def gl_no_small_factor_series(q, t, order):
     out = Series.geometric(order)
     for j in range(1, t + 1):
         out = out * euler_factor_series(q, j, count_irreducibles("N", q, j), order)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _graded_series(q, t, order, m):
+    """Series over Q[C_m], for m dividing q - 1, whose u^n coefficient at
+    e_mu is the proportion of GL_n(q) with det = zeta^s for some s = mu
+    mod m and no charpoly factor of degree <= t.  With m = q - 1 it grades
+    by determinant coset (each coset proportion is q - 1 times e_mu); with
+    m = 1 its e_0 coordinate covers all of GL.
+
+    det is uniform on GL_n for n >= 1, so all of GL grades to
+    1 + E u/(m(1-u)) with E = sum_{s<m} e_s; removing the irreducibles of
+    degree j <= t and det residue s multiplies by
+    prod_{i>=1} (1 - e_s q^{-ij} u^j) once per such irreducible, the
+    exponents of equal (j, s mod m) summed.
+    """
+    ring = CycRing(m)
+    E = sum((ring.zeta_pow(s) for s in range(m)), ring.zero)
+    out = Series([ring.one] + [E * Fraction(1, m)] * order, ring)
+    counts = Counter()
+    for (j, s), c in residue_class_counts(q, t).items():
+        counts[j, s % m] += c
+    for (j, s), c in sorted(counts.items()):
+        out = out * euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring).pow(c)
     return out
 
 

@@ -3,7 +3,9 @@
 Each function here recomputes, by enumeration or by a slower direct
 formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
-the Euler factors (the q-exponential identity), characteristic polynomials
+the Euler factors (the q-exponential identity), the GL no-small-factor
+series (the rational Euler product, against the det-graded product at
+modulus 1), characteristic polynomials
 (Hessenberg reduction and minor sums, against the batched Berkowitz
 kernel), the tau squares g g^-T (one inverse per element, against the
 batched elimination), the coset labels (one det or rank per element, and
@@ -50,6 +52,8 @@ import numpy as np
 from classprop.cyclo import CycRing
 from classprop.gf import (
     Field,
+    _check_int,
+    count_irreducibles,
     has_small_degree_factor,
     pdeg,
     pdivmod,
@@ -72,7 +76,7 @@ from classprop.matgroup import (
     fixed_point_indices,
     point_permutation,
 )
-from classprop.series import Series
+from classprop.series import Series, euler_base_series
 from classprop.stats import PermGroup, _even_negative_cycles_paired
 
 # Largest number of candidate polynomials count_enumerated will sieve.
@@ -257,6 +261,25 @@ def euler_direct_product_series(a, c, j, order, imax, ring=None):
         if j <= order:
             factor.coeffs[j] = -(c * apow) if ring is not None else -Fraction(c) * apow
         out = out * factor
+    return out
+
+
+def euler_factor_series(q, j, m, order):
+    """(prod_{i>=1} (1 - u^j q^{-ij}))^m, m >= 0, with exact rational
+    coefficients."""
+    _check_int("q", q, 2)
+    _check_int("j", j, 1)
+    _check_int("m", m, 0)
+    return euler_base_series(Fraction(1, q**j), 1, j, order).pow(m)
+
+
+def gl_euler_product_series(q, t, order):
+    """The rational product for the no-small-factor proportions of GL:
+    1/(1 - u) times one Euler factor per irreducible of degree j <= t, the
+    reference for the e_0 coordinate of ``series._graded_series`` at m = 1."""
+    out = Series.geometric(order)
+    for j in range(1, t + 1):
+        out = out * euler_factor_series(q, j, count_irreducibles("N", q, j), order)
     return out
 
 

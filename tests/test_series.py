@@ -7,6 +7,7 @@ import pytest
 
 from classprop.cyclo import CycRing
 from classprop.gf import Field, has_small_degree_factor
+from classprop import series
 from classprop.series import (
     Series,
     euler_base_series,
@@ -16,6 +17,7 @@ from classprop.series import (
 )
 from oracles import (
     euler_direct_product_series,
+    gl_euler_product_series,
     residue_product_series,
     unitary_residue_product_series,
 )
@@ -299,6 +301,27 @@ def test_gl_series_monotone_in_t(q):
         cur = gl_no_small_factor_series(q, t, 8)
         assert all(c2 <= c1 for c1, c2 in zip(prev.coeffs, cur.coeffs))
         prev = cur
+
+
+# The graded product at modulus 1 against the rational Euler product: every
+# q of the grid at each t <= 4, to an order that keeps the grid to about a
+# second, and three points at high order.
+GL_ORACLE_ORDERS = {2: 40, 3: 24, 4: 20, 5: 16, 7: 16, 8: 12, 9: 12, 16: 10, 27: 10, 81: 8}
+GL_ORACLE_GRID = [(q, t, order) for q, order in GL_ORACLE_ORDERS.items() for t in range(1, 5)]
+GL_ORACLE_GRID += [(9, 4, 40), (27, 3, 30), (81, 2, 20)]
+
+
+@pytest.mark.parametrize("q,t,order", GL_ORACLE_GRID)
+def test_gl_series_matches_rational_product(q, t, order):
+    graded = series._graded_series(q, t, order, 1)
+    want = gl_euler_product_series(q, t, order).coeffs
+    assert [c.coeffs[0] for c in graded.coeffs] == want
+    assert gl_no_small_factor_series(q, t, order).coeffs == want
+
+
+@pytest.mark.parametrize("q,t", [(3, 2), (4, 3), (5, 2), (7, 2), (9, 2), (16, 1)])
+def test_graded_series_at_q_minus_1_matches_det_graded(q, t):
+    assert series._graded_series(q, t, 8, q - 1) == series._det_graded_series(q, t, 8)
 
 
 def test_gl_series_argument_errors():
