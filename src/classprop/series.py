@@ -6,11 +6,11 @@ prod_{i>=1} (1 - c a^i u^j) through the classical q-exponential identity
     prod_{i>=1} (1 - x a^i) = sum_k (-1)^k a^(k(k+1)/2) x^k / prod_{r<=k} (1 - a^r),
 
 which the test suite verifies against a high-truncation direct product before
-anything else relies on it.  On top of that sit the generating series for the
+anything else relies on it.  On top of that sits one product for the
 proportion of matrices whose characteristic polynomial has no irreducible
-factor of degree <= t, for the full general linear group and, graded by
-the determinant over the group algebra Q[C_{q-1}], for each determinant
-coset of the special linear group.
+factor of degree <= t, graded by the determinant over the group algebra
+Q[C_m]: the full general linear group reads it at modulus 1, and every
+determinant coset of the special linear group at modulus q - 1.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cyclo import CycRing
-from .gf import Field, _check_int, count_irreducibles, prime_power, residue_class_counts
+from .gf import Field, _check_int, prime_power, residue_class_counts
 
 
 class Series:
@@ -95,8 +95,7 @@ class Series:
         return Series(out, self.ring)
 
     def pow(self, k):
-        if k < 0:
-            return self.reciprocal().pow(-k)
+        _check_int("k", k, 0)
         result = Series.one(self.order, self.ring)
         base = self
         while k:
@@ -105,20 +104,6 @@ class Series:
             base = base * base
             k >>= 1
         return result
-
-    def reciprocal(self):
-        """1/self for a rational series with nonzero constant term."""
-        if self.ring is not None:
-            raise ValueError("reciprocal needs rational coefficients")
-        c0 = self.coeffs[0]
-        if c0 == 0:
-            raise ZeroDivisionError("reciprocal of a non-unit series")
-        inv0 = 1 / c0
-        out = [inv0] + [Fraction(0)] * self.order
-        for k in range(1, self.order + 1):
-            acc = sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1))
-            out[k] = -inv0 * acc
-        return Series(out)
 
     def __eq__(self, other):
         return (
@@ -163,27 +148,17 @@ def euler_base_series(a, c, j, order, ring=None):
     return out
 
 
-def euler_factor_series(q, j, m, order):
-    """(prod_{i>=1} (1 - u^j q^{-ij}))^m with exact rational coefficients."""
-    _check_int("q", q, 2)
-    _check_int("j", j, 1)
-    base = euler_base_series(Fraction(1, q**j), 1, j, order)
-    return base.pow(m)
-
-
 # ---------------------------------------------------------------------------
 # No-small-factor generating series.
 
 def gl_no_small_factor_series(q, t, order):
     """Coefficient n is the proportion of GL_n(q) whose characteristic
-    polynomial has no irreducible factor of degree <= t."""
+    polynomial has no irreducible factor of degree <= t: the e_0
+    coordinate of the graded product at modulus 1."""
     prime_power(q)  # the count formulas take any q; GL_n(q) needs a prime power
     _check_int("t", t, 1)
     _check_int("order", order, 0)
-    out = Series.geometric(order)
-    for j in range(1, t + 1):
-        out = out * euler_factor_series(q, j, count_irreducibles("N", q, j), order)
-    return out
+    return Series([c.coeffs[0] for c in _graded_series(q, t, order, 1).coeffs])
 
 
 @lru_cache(maxsize=None)
@@ -211,38 +186,19 @@ def _graded_series(q, t, order, m):
     return out
 
 
-@lru_cache(maxsize=None)
-def _det_graded_series(q, t, order):
-    """Series over Q[C_{q-1}] whose u^n coefficient at e_mu is the proportion
-    of GL_n(q) lying in the det = zeta^mu coset with no charpoly factor of
-    degree <= t (so each coset proportion is q - 1 times it).
-
-    det is uniform on GL_n for n >= 1, so all of GL grades to
-    1 + E u/((q-1)(1-u)) with E = sum_s e_s; removing the irreducibles of
-    degree j <= t and det residue s multiplies by
-    prod_{i>=1} (1 - e_s q^{-ij} u^j) once per such irreducible.
-    """
-    ring = CycRing(q - 1)
-    E = sum((ring.zeta_pow(s) for s in range(q - 1)), ring.zero)
-    out = Series([ring.one] + [E * Fraction(1, q - 1)] * order, ring)
-    for (j, s), c in sorted(residue_class_counts(q, t).items()):
-        out = out * euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring).pow(c)
-    return out
-
-
 def sl_coset_series(q, t, mu, order):
     """Coefficient n (n >= 1) is the proportion, inside the determinant coset
     with det = zeta^mu, of elements with no charpoly factor of degree <= t.
 
-    Read off the det-graded product over Q[C_{q-1}], which every coset of
-    the same (q, t, order) shares.  The constant coefficient is set to 1 by
+    Read off the graded product at modulus q - 1, which every coset of the
+    same (q, t, order) shares.  The constant coefficient is set to 1 by
     convention.
     """
     Field(q)  # validates that q is a prime power
     _check_int("mu", mu, 0, q - 2)
     _check_int("t", t, 1)
     _check_int("order", order, 0)
-    graded = _det_graded_series(q, t, order)
+    graded = _graded_series(q, t, order, q - 1)
     out = Series([(q - 1) * c.coeffs[mu] for c in graded.coeffs])
     out.coeffs[0] = Fraction(1)
     return out

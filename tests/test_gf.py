@@ -393,7 +393,7 @@ ORACLE_NAMES = (
     "scalar_inv", "null_basis", "code_add", "vector_images", "subspace_vectors",
     "rref_basis", "perp_basis_dot", "subspace_type", "form_translation",
     "quadratic_form_permutation", "fixed_rows_lists", "expectation_by_sets",
-    "incidence_points", "_span",
+    "incidence_points", "_span", "euler_factor_series", "gl_euler_product_series",
 )
 
 
@@ -444,6 +444,11 @@ def test_runtime_counts_never_enumerate():
                       (gf.Field, "_vec_neg"), (stats, "_trivial_indices"),
                       (matgroup.MatSpace, "pow"), (stats.ProportionReport, "ci")]:
         assert not hasattr(mod, name), name
+    # one no-small-factor product: GL reads the graded series at modulus 1,
+    # with no rational Euler factor, reciprocal or negative power beside it
+    assert not hasattr(series, "euler_factor_series")
+    assert not hasattr(series, "_det_graded_series")
+    assert not hasattr(series.Series, "reciprocal")
     assert list(inspect.signature(limits.exp_enclosure).parameters) == ["z"]
     assert "label_kind" not in {f.name for f in dataclasses.fields(matgroup.GroupTable)}
     assert list(inspect.signature(gf.Field).parameters) == ["q"]
