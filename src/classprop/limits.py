@@ -328,13 +328,9 @@ def bound_suite(q_range, t_range, tol=DEFAULT_TOL):
                 if tag == "GL":
                     # enc.hi <= lower bound of 1/sqrt(e) proves the bound
                     checks["le_inv_sqrt_e"] = enc.hi <= sqrt_e_inv.lo
-                    per_j_ok = True
-                    for j in range(1, t + 1):
-                        atom = ProductAtom(step=j, sign=-1, m=count_irreducibles("N", q, j))
-                        f_enc = exp_enclosure(atom_log_enclosure(atom, q, Fraction(tol)))
-                        if not f_enc.lo >= floor83.hi:
-                            per_j_ok = False
-                    checks["per_degree_floor"] = per_j_ok
+                    checks["per_degree_floor"] = all(
+                        exp_enclosure(atom_log_enclosure(atom, q, Fraction(tol))).lo >= floor83.hi
+                        for atom in family_atoms(fam))
                 ok = all(checks.values())
                 entry = {
                     "family": fam.tag,
