@@ -308,12 +308,6 @@ class MatSpace:
             raise ZeroDivisionError("matrix is singular")
         return tuple(red[0, pivots[0], n:].ravel().tolist())
 
-    def vec_code(self, v):
-        code = 0
-        for x in reversed(v):
-            code = code * self.q + x
-        return code
-
     def code_vec(self, code):
         v = []
         for _ in range(self.n):
@@ -842,7 +836,8 @@ def relation_classes(space, rows, pairs):
     Each pair maps the rows with ``space._right(b)`` and ``space._left(a)``
     (for a MatSpace, b acts on the row codes and a on the column codes,
     each through one table of vector images), and the index map
-    g -> a g b comes from ``searchsorted`` over the sorted keys.
+    g -> a g b comes from one argsort of the image keys, which must be the
+    sorted keys permuted.
     ``index_orbits`` joins the maps.
     """
     keys = space._keys(rows)
@@ -852,10 +847,12 @@ def relation_classes(space, rows, pairs):
     def maps():
         for a, b in pairs:
             image = space._keys(space._left(a)(space._right([b])(rows)[:, 0]))
-            pos = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-            if not np.array_equal(keys[pos], image):
+            rank = np.argsort(image)
+            if not np.array_equal(image[rank], keys):
                 raise ValueError("a g b is not in the element list")
-            yield order[pos]
+            pos = np.empty_like(order)
+            pos[rank] = order  # image[i] is keys[j] where rank[j] = i
+            yield pos
 
     return index_orbits(len(rows), maps())
 
@@ -1264,13 +1261,20 @@ class _SubspaceClass:
             raise ValueError(f"the {k}-subspaces of GF({q})^{n} have no int64 key")
         return codes[:, q ** np.arange(k)] @ np.cumprod(np.r_[1, q ** np.arange(n - k + 1, n)])
 
+    @functools.cached_property
+    def _sorted(self):
+        """The class's keys in sorted order, and the argsort that sorts
+        them, taken on the first ``find``."""
+        keys = self._keys(self.codes)
+        order = np.argsort(keys)
+        return keys[order], order
+
     def find(self, codes):
         """Class index of the subspace whose vector codes, in any order, are
         each row of codes, by one ``searchsorted`` of the rows' keys; raises
         ValueError where a row is no k-subspace."""
-        codes, keys = np.sort(codes, axis=1), self._keys(self.codes)
-        order = np.argsort(keys)
-        found = order[np.minimum(np.searchsorted(keys[order], self._keys(codes)), len(keys) - 1)]
+        codes, (keys, order) = np.sort(codes, axis=1), self._sorted
+        found = order[np.minimum(np.searchsorted(keys, self._keys(codes)), len(keys) - 1)]
         if not np.array_equal(self.codes[found], codes):
             raise ValueError(f"a row of vector codes is not a {self.k}-subspace")
         return found
@@ -1352,7 +1356,7 @@ class ActionTable:
         keep = np.arange(len(small))
         if spec.restrict != "any":
             keep = np.flatnonzero(np.array(self._types(small.bases)) == spec.restrict)
-        self.points = keep.tolist()
+        self.points, self.indices = keep.tolist(), keep[:, None]
         if spec.kind != "subspace":
             # (i, j) in row-major order, read off the membership table of W
             # (subspace j of class n - k) a slice at a time: W holds every basis
@@ -1373,7 +1377,8 @@ class ActionTable:
                 wj, ui = np.nonzero(incident)
                 pairs.append(np.stack([keep[ui], w[wj]], axis=1))
             pairs = np.concatenate(pairs)
-            self.points = list(zip(*pairs[np.lexsort(pairs.T[::-1])].T.tolist()))
+            self.indices = pairs[np.lexsort(pairs.T[::-1])]
+            self.points = list(zip(*self.indices.T.tolist()))
         assert want is None or len(self.points) == want, (spec, len(self.points), want)
 
     def _types(self, bases):
@@ -1467,8 +1472,7 @@ def _parts(action, tau):
     n, k = action.space.n, action.spec.k
     if action.spec.kind == "subspace" and tau and 2 * k != n:
         raise ValueError("tau moves k-spaces to (n-k)-spaces")
-    points = np.array(action.points).reshape(len(action), -1)
-    i, j = points[:, 0], points[:, -1]
+    i, j = action.indices[:, 0], action.indices[:, -1]
     if action.spec.kind == "subspace":
         return [[(k, i, i)]]
     if action.spec.kind == "antiflag" and 2 * k == n:
@@ -1734,7 +1738,9 @@ def point_permutation(space, g, action: ActionTable, tau=False):
     points = np.stack([t for _, _, t in alts[0]], axis=1)
     shape = (len(action._class(spec.k)),) * points.shape[1]
     keys, img = np.ravel_multi_index(points.T, shape), np.ravel_multi_index(img.T, shape)
-    pos = np.minimum(np.searchsorted(keys, img), len(keys) - 1)
-    if not np.array_equal(keys[pos], img):
+    rank = np.argsort(img)
+    if not np.array_equal(img[rank], keys):
         raise ValueError("g does not permute the action points")
+    pos = np.empty_like(rank)
+    pos[rank] = np.arange(len(rank))
     return pos.tolist()

@@ -325,8 +325,16 @@ def unitary_residue_product_series(q0, a, order):
 
 # ---------------------------------------------------------------------------
 # Scalar linear algebra: one Python elimination per matrix, and vector
-# images, spans and perps built digit by digit (against the batched
+# codes, images, spans and perps built digit by digit (against the batched
 # ``matgroup._gauss_jordan`` and ``matgroup._images``).
+
+def vec_code(space, v):
+    """The code sum_i v[i] q^i of one vector, read one digit at a time."""
+    code = 0
+    for x in reversed(v):
+        code = code * space.q + x
+    return code
+
 
 def elim(space, rows, ncols, *, reduced=True):
     """In-place row echelon of the list of row lists over the first ncols
@@ -453,7 +461,7 @@ def vector_images(space, g):
     for j in range(n):
         col = tuple(g[i * n + j] for i in range(n))
         cols.append(
-            [space.vec_code(tuple(F.mul(c, x) for x in col)) for c in range(q)]
+            [vec_code(space, tuple(F.mul(c, x) for x in col)) for c in range(q)]
         )
     images = [0] * (q**n)
     stride = 1
@@ -481,7 +489,7 @@ def subspace_vectors(space, basis):
             for v in vecs:
                 new.append(tuple(F.add(x, y) for x, y in zip(v, cb)))
         vecs.extend(new)
-    return frozenset(space.vec_code(v) for v in vecs)
+    return frozenset(vec_code(space, v) for v in vecs)
 
 
 _span = functools.lru_cache(maxsize=None)(subspace_vectors)
@@ -505,7 +513,7 @@ def incidence_points(space, form, kind, k, restrict="any"):
     big = [_span(space, b) for b in all_subspaces(space, n - k)]
     if kind == "flag":
         return [(i, j) for i in keep for j, w in enumerate(big)
-                if all(space.vec_code(b) in w for b in small[i])]
+                if all(vec_code(space, b) in w for b in small[i])]
     return [(i, j) for i in keep for j, w in enumerate(big) if len(vecs[i] & w) == 1]
 
 
@@ -569,7 +577,7 @@ def quadratic_form_permutation(space, g, action):
     out = []
     for code, _eps in action.points:
         gv = space.mat_vec(g, space.code_vec(code))
-        out.append(space.vec_code(tuple(space.F.add(x, y) for x, y in zip(gv, c))))
+        out.append(vec_code(space, tuple(space.F.add(x, y) for x, y in zip(gv, c))))
     return out
 
 
@@ -792,7 +800,7 @@ def fixes_some_small_subspace(space, g, t):
     for k in range(1, t + 1):
         for basis in all_subspaces(space, k):
             vecs = subspace_vectors(space, basis)
-            if all(lut[space.vec_code(b)] in vecs for b in basis):
+            if all(lut[vec_code(space, b)] in vecs for b in basis):
                 return True
     return False
 
@@ -864,7 +872,7 @@ def class_fixed(space, g, cls, cache):
     if out is None:
         lut = element_lut(space, g, cache)
         out = [
-            all(lut[space.vec_code(b)] in _span(space, basis) for b in basis)
+            all(lut[vec_code(space, b)] in _span(space, basis) for b in basis)
             for basis in cls.bases
         ]
         cache[key] = out
@@ -883,7 +891,7 @@ def class_images(space, g, cls, cache, tau):
             out.append(
                 rref_basis(
                     space,
-                    [space.code_vec(lut[space.vec_code(v)]) for v in src],
+                    [space.code_vec(lut[vec_code(space, v)]) for v in src],
                 )
             )
         cache[key] = out

@@ -394,6 +394,7 @@ ORACLE_NAMES = (
     "rref_basis", "perp_basis_dot", "subspace_type", "form_translation",
     "quadratic_form_permutation", "fixed_rows_lists", "expectation_by_sets",
     "incidence_points", "_span", "euler_factor_series", "gl_euler_product_series",
+    "vec_code",
 )
 
 
@@ -419,7 +420,7 @@ def test_runtime_counts_never_enumerate():
     # one elimination, matgroup._gauss_jordan, and one product of matrices
     # with vectors, matgroup._images: no scalar elimination, null basis or
     # digit-wise code addition, and no per-basis span, echelon or perp
-    for name in ("_elim", "_null_basis", "code_add"):
+    for name in ("_elim", "_null_basis", "code_add", "vec_code"):
         assert not hasattr(matgroup.MatSpace, name), name
     for name in ("subspace_vectors", "rref_basis", "perp_basis_dot"):
         assert not hasattr(matgroup, name), name

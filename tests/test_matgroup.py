@@ -51,6 +51,7 @@ from oracles import (
     rref_basis,
     subspace_vectors,
     tau_sieve_free,
+    vec_code,
 )
 from test_differential import _sp_words
 
@@ -127,7 +128,7 @@ def test_all_vector_images_agrees_with_mat_vec():
         lut = sp.all_vector_images(g)
         for code in range(q**3):
             v = sp.code_vec(code)
-            assert lut[code] == sp.vec_code(sp.mat_vec(g, v))
+            assert lut[code] == vec_code(sp, sp.mat_vec(g, v))
 
 
 # ---------------------------------------------------------------------------
@@ -785,15 +786,31 @@ def test_oversized_actions_fail_fast(n, q, spec):
 
 
 def test_flags_and_antiflags_build_without_scalar_codes(monkeypatch):
-    # incidence is read off a membership table, not basis vector by basis vector
+    # incidence is read off a membership table, not vector by decoded vector
     calls = []
-    real = MatSpace.vec_code
-    monkeypatch.setattr(MatSpace, "vec_code", lambda self, v: calls.append(v) or real(self, v))
+    real = MatSpace.code_vec
+    monkeypatch.setattr(MatSpace, "code_vec", lambda self, c: calls.append(c) or real(self, c))
     sp = MatSpace(5, 2)
     for spec in [ActionSpec("flag", 1), ActionSpec("flag", 2)] + \
             [ActionSpec("antiflag", k) for k in range(1, 5)]:
         assert enumerate_action(sp, spec).points
     assert calls == []
+
+
+def test_find_keys_the_class_once(monkeypatch):
+    # building a class keys nothing (a class with no int64 key still
+    # builds); the first find keys and sorts the class, and later ones
+    # key only their queries
+    calls = []
+    real = matgroup._SubspaceClass._keys
+    monkeypatch.setattr(matgroup._SubspaceClass, "_keys",
+                        lambda self, codes: calls.append(codes is self.codes) or real(self, codes))
+    cls = matgroup._SubspaceClass(MatSpace(4, 3), 2)
+    assert calls == []
+    want = np.arange(len(cls))[::-1]
+    for _ in range(2):
+        assert np.array_equal(cls.find(cls.codes[want, ::-1]), want)
+    assert calls == [True, False, False]
 
 
 @pytest.mark.parametrize("n,spec,tau", [
