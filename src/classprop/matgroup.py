@@ -1290,8 +1290,10 @@ class ActionTable:
     """Enumerated point set of one action.
 
     Subspace-like points are stored as indices into dimension classes
-    (``_SubspaceClass``), so a point permutation reduces to per-class image
-    indices; flags and antiflags are read off a class's membership table.
+    (``_SubspaceClass``), listed in ``points`` and kept as one (N, 1) or
+    (N, 2) array in ``indices``, so a point permutation reduces to per-class
+    image indices; flags and antiflags are read off a class's membership
+    table.
     The dot-product perp map from class k to class n - k, and the
     fixed-point plan of each side (see ``_fixed_plan``), are built once per
     action, on first use.  An unrestricted action of more than
