@@ -851,7 +851,7 @@ def relation_classes(space, rows, pairs):
             if not np.array_equal(image[rank], keys):
                 raise ValueError("a g b is not in the element list")
             pos = np.empty_like(order)
-            pos[rank] = order  # image[i] is keys[j] where rank[j] = i
+            pos[rank] = order  # a g b for g = rows[rank[j]] is rows[order[j]]
             yield pos
 
     return index_orbits(len(rows), maps())
@@ -1263,8 +1263,7 @@ class _SubspaceClass:
 
     @functools.cached_property
     def _sorted(self):
-        """The class's keys in sorted order, and the argsort that sorts
-        them, taken on the first ``find``."""
+        """The class's keys, sorted, and their argsort: taken on the first ``find``."""
         keys = self._keys(self.codes)
         order = np.argsort(keys)
         return keys[order], order

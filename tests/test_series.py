@@ -7,7 +7,6 @@ import pytest
 
 from classprop.cyclo import CycRing
 from classprop.gf import Field, has_small_degree_factor
-from classprop import series
 from classprop.series import (
     Series,
     euler_base_series,
@@ -299,10 +298,7 @@ GL_ORACLE_GRID += [(9, 4, 40), (27, 3, 30), (81, 2, 20)]
 
 @pytest.mark.parametrize("q,t,order", GL_ORACLE_GRID)
 def test_gl_series_matches_rational_product(q, t, order):
-    graded = series._graded_series(q, t, order, 1)
-    want = gl_euler_product_series(q, t, order).coeffs
-    assert [c.coeffs[0] for c in graded.coeffs] == want
-    assert gl_no_small_factor_series(q, t, order).coeffs == want
+    assert gl_no_small_factor_series(q, t, order) == gl_euler_product_series(q, t, order)
 
 
 def test_gl_series_argument_errors():
