@@ -33,7 +33,9 @@ matrix, and images built digit by digit, against the batched elimination
 and image kernels), and fixed points as one index list per element and the
 expectation record as one set loop (against the batched fixed-point masks
 and the expectation fold), and flag and antiflag points (one scalar test per
-pair of subspaces, against the incidence read off a membership table).  The
+pair of subspaces, against the incidence read off a membership table), and
+the Taylor sums of the log1p and exp enclosures (one normalised Fraction
+per term, against one integer sum and one division per series).  The
 labels, tau squares, minor sums and draws here take their dets, ranks and
 inverses from the scalar eliminations, so they stay independent of the
 runtime ones.
@@ -63,7 +65,8 @@ from classprop.gf import (
     pnorm,
     residue_class_counts,
 )
-from classprop import matgroup
+from classprop import limits, matgroup
+from classprop.limits import _EXP_TERMS, Enclosure
 from classprop.matgroup import (
     ActionTable,
     MatSpace,
@@ -321,6 +324,44 @@ def unitary_residue_product_series(q0, a, order):
             factor.coeffs[step] = -ring.zeta_pow(a * s)
             out = out * factor
     return out
+
+
+# ---------------------------------------------------------------------------
+# Taylor sums of the enclosures, one Fraction addition per term.
+
+def log1p_enclosure_fractions(y, budget):
+    """``limits.log1p_enclosure`` with each partial sum and remainder kept
+    as a Fraction: the term y^k/k is added, and the bound
+    |y|^(k+1) / ((k+1)(1 - |y|)) formed, one normalised Fraction at a time."""
+    y = Fraction(y)
+    if not -1 < y < 1:
+        raise ValueError("need |y| < 1")
+    if y == 0:
+        return Enclosure(Fraction(0), Fraction(0))
+    ay = abs(y)
+    s = Fraction(0)
+    term = Fraction(1)
+    k = 0
+    while True:
+        k += 1
+        term *= y
+        s += term / k if k % 2 else -term / k
+        rem = ay ** (k + 1) / ((k + 1) * (1 - ay))
+        if rem <= budget:
+            return Enclosure(s - rem, s + rem)
+
+
+def exp_lower_fractions(x):
+    """``limits._exp_lower`` with the Taylor partial sum of e^x, for x >= 0,
+    added one Fraction term at a time; below 0 it is 1 / ``_exp_upper(-x)``."""
+    if x < 0:
+        return 1 / limits._exp_upper(-x)
+    s = Fraction(0)
+    term = Fraction(1)
+    for k in range(_EXP_TERMS + 1):
+        s += term
+        term = term * x / (k + 1)
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,7 @@ ORACLE_NAMES = (
     "rref_basis", "perp_basis_dot", "subspace_type", "form_translation",
     "quadratic_form_permutation", "fixed_rows_lists", "expectation_by_sets",
     "incidence_points", "_span", "euler_factor_series", "gl_euler_product_series",
-    "vec_code",
+    "vec_code", "log1p_enclosure_fractions", "exp_lower_fractions",
 )
 
 

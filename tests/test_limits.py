@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from classprop import limits
 from classprop.gf import count_irreducibles
 from classprop.limits import (
     DEFAULT_TOL,
@@ -24,6 +25,7 @@ from classprop.limits import (
     q_infinity_limit,
 )
 from classprop.series import Series, gl_no_small_factor_series, sl_coset_series
+from oracles import exp_lower_fractions, log1p_enclosure_fractions
 
 
 def _contains_mp(enc, mp_value):
@@ -80,6 +82,50 @@ def test_exp_enclosure_against_mpmath():
         assert enc.width < Fraction(1, 10**20)
     enc = exp_enclosure(Enclosure(Fraction(-1), Fraction(1)))
     assert enc.contains(Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# Integer Taylor sums against the Fraction loops they replaced: a Fraction
+# is always in lowest terms, so every endpoint must be equal.
+
+def _via_fraction_loops(fn, *args):
+    """fn(*args) with the log1p and exp Taylor sums of tests/oracles.py."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "log1p_enclosure", log1p_enclosure_fractions)
+        mp.setattr(limits, "_exp_lower", exp_lower_fractions)
+        return fn(*args)
+
+
+def test_bound_suite_matches_fraction_loops():
+    grid = ((2, 3, 4, 5, 7, 8, 9), (1, 2, 3, 4), Fraction(1, 10**9))
+    assert bound_suite(*grid) == _via_fraction_loops(bound_suite, *grid)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9, 16, 27, 101, 1000, 10**4, 10**4 + 1])
+def test_limit_value_matches_fraction_loops(q):
+    for tag in ("GL", "SU", "Sp", "O"):
+        for t in (1, 2, 3, 4):
+            for tol in (Fraction(1, 10**6), Fraction(1, 10**9), Fraction(1, 10**12)):
+                fam = LimitFamily(tag, q, t)
+                assert limit_value(fam, tol) == _via_fraction_loops(limit_value, fam, tol), \
+                    (fam, tol)
+
+
+def test_random_enclosures_match_fraction_loops():
+    rng = random.Random(31)
+    for _ in range(200):
+        if rng.random() < 0.5:
+            y = Fraction(rng.randint(-500, 500), 1000)
+        else:
+            y = Fraction(rng.choice((-1, 1)), rng.randint(2, 10**4) ** rng.randint(1, 6))
+        budget = Fraction(rng.randint(1, 999), 10 ** rng.randint(3, 40))
+        assert log1p_enclosure(y, budget) == log1p_enclosure_fractions(y, budget), (y, budget)
+    for _ in range(200):
+        lo = Fraction(rng.randint(-600, 300), 100) + Fraction(rng.randint(-10**6, 10**6),
+                                                              10 ** rng.randint(6, 30))
+        z = Enclosure(lo, lo + Fraction(rng.randint(0, 10**6), 10 ** rng.randint(6, 30)))
+        assert exp_enclosure(z) == _via_fraction_loops(exp_enclosure, z), z
+        assert exp_enclosure(z.lo) == _via_fraction_loops(exp_enclosure, z.lo), z.lo
 
 
 # ---------------------------------------------------------------------------
