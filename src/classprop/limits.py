@@ -10,7 +10,10 @@ log(1+y) via bracketed alternating series, the i > I tail via
     |log prod_{i>I}| <= 2|m| q^{-e(I+1)} / (1 - q^{-step}),
 
 valid because every q^{-e(i)} here is <= 1/2, and exp via Taylor sums with a
-geometric remainder cap.  The returned interval provably contains the exact
+geometric remainder cap.  Each Taylor partial sum is formed over the integers,
+on the common denominator of its terms, and normalised into one Fraction at
+the end; a Fraction is always in lowest terms, so the endpoints are those of
+the term-by-term sum.  The returned interval provably contains the exact
 infinite product and has width at most the requested tolerance.
 
 q only needs to be an integer >= 2 (the irreducible-count formulas are
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp as _fexp, factorial, log1p
+from math import exp as _fexp, factorial, lcm, log1p
 from sys import float_info
 
 from .gf import _check_int, count_irreducibles
@@ -152,28 +155,36 @@ def log1p_enclosure(y, budget):
         raise ValueError("need |y| < 1")
     if y == 0:
         return Enclosure(Fraction(0), Fraction(0))
-    ay = abs(y)
-    s = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    while True:
-        k += 1
-        term *= y
-        s += term / k if k % 2 else -term / k
-        rem = ay ** (k + 1) / ((k + 1) * (1 - ay))
-        if rem <= budget:
-            return Enclosure(s - rem, s + rem)
+    # y = a/b: stop at the first k whose remainder |y|^(k+1) / ((k+1)(1-|y|))
+    # = c^(k+1) / ((k+1)(b-c) b^k), c = |a|, is within the budget
+    a, b = y.numerator, y.denominator
+    c, budget = abs(a), Fraction(budget)
+    k, ck, bk = 1, c * c, b
+    while ck * budget.denominator > budget.numerator * (k + 1) * (b - c) * bk:
+        k, ck, bk = k + 1, ck * c, bk * b
+    # the partial sum s = sum_{j<=k} (-1)^(j+1) a^j b^(k-j) (L/j) / (b^k L),
+    # L = lcm(1..k), by Horner in a with b^(k-j) built up alongside
+    L = lcm(*range(1, k + 1))
+    num, bj = 0, 1
+    for j in range(k, 0, -1):
+        num = num * a + (-1) ** (j + 1) * (L // j) * bj
+        bj *= b
+    s, rem = Fraction(num * a, bk * L), Fraction(ck, (k + 1) * (b - c) * bk)
+    return Enclosure(s - rem, s + rem)
 
 
 def _exp_lower(x):
     if x < 0:
         return 1 / _exp_upper(-x)
-    s = Fraction(0)
-    term = Fraction(1)
-    for k in range(_EXP_TERMS + 1):
+    # x = a/b: the terms x^k/k! over the common denominator b^K K!, K =
+    # _EXP_TERMS, are the integers a^k b^(K-k) K!/k!, each exactly the last
+    # times a / (b k)
+    a, b = x.numerator, x.denominator
+    term = s = den = b**_EXP_TERMS * factorial(_EXP_TERMS)
+    for k in range(1, _EXP_TERMS + 1):
+        term = term * a // (b * k)
         s += term
-        term = term * x / (k + 1)
-    return s
+    return Fraction(s, den)
 
 
 def _taylor_remainder(x):
