@@ -1,8 +1,14 @@
-"""End-to-end tests of the command line frontend (in-process)."""
+"""End-to-end tests of the command line frontend (in-process, apart from
+one console run of a refused series order)."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +153,48 @@ def test_enumerate_rejects_dimension_zero(tmp_path, capsys):
                   "--q", "2")
     assert code == cli.EXIT_USAGE
     assert "at least 1" in capsys.readouterr().err
+
+
+def test_series_order_above_the_cap_exits_3_at_once(tmp_path):
+    # order 200 would take about 8 s before the cap; a console run pays the
+    # interpreter start and the imports too
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(classprop.__file__).parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "classprop.cli", "series", "--family", "gl",
+                           "--q", "2", "--t", "1", "--order", "200", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == cli.EXIT_RESOURCE
+    assert proc.stdout == "" and not out.exists()
+    assert proc.stderr == \
+        f"classprop: resource cap exceeded: series order 200 is above the cap of {cli.SERIES_ORDER_CAP}\n"
+
+
+def test_series_at_the_cap_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SERIES_ORDER_CAP", 5)
+    assert run(tmp_path, "series", "--family", "gl", "--q", "2", "--t", "1",
+               "--order", "5")[0] == cli.EXIT_OK
+    assert run(tmp_path, "series", "--family", "sl", "--q", "3", "--t", "1",
+               "--order", "6")[0] == cli.EXIT_RESOURCE
+
+
+def test_fractions_render_past_the_int_string_limit():
+    # str() refuses ints over 4300 digits; the report writes every digit,
+    # across the 600-digit blocks and their zero padding
+    assert cli._jsonable(Fraction(10**5000 + 7, 3)) == "1" + "0" * 4999 + "7/3"
+    assert cli._jsonable(Fraction(-(10**1200 + 10**600), 7)) == \
+        "-1" + "0" * 599 + "1" + "0" * 600 + "/7"
+    x = Fraction(3**20000 + 1, 2**30001)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"{x.numerator}/{x.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert cli._jsonable(x) == want
+    assert cli._jsonable(Fraction(-5, 12)) == "-5/12"
+    assert cli._jsonable(Fraction(0)) == "0/1"
 
 
 def test_series_rejects_coset_for_gl(tmp_path, capsys):
