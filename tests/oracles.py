@@ -16,6 +16,8 @@ per-element sieve and tau tests and the no-small-invariant-subspace sets
 (the scans over batched characteristic polynomials), the kernels, perps
 and restrictions of the orthogonal sets (factor conditions on the
 characteristic polynomial), GF(2) invertibility (the bit-sliced kernel),
+the word-major bit-slice and the packed sampler's growing chunks (against
+the lane-major slice and the fixed 4 096-row blocks),
 fixed subspaces (the batched fixed-point kernel), and action orbits and
 (twisted) conjugacy classes (a depth-first search, and one union-find
 over index maps, against the vectorised min-label propagation), and
@@ -80,7 +82,7 @@ from classprop.matgroup import (
     point_permutation,
 )
 from classprop.series import Series, euler_base_series
-from classprop.stats import PermGroup, _even_negative_cycles_paired
+from classprop.stats import PermGroup, _even_negative_cycles_paired, gf2_nonsingular_batch
 
 # Largest number of candidate polynomials count_enumerated will sieve.
 DEFAULT_ENUM_CAP = 30_000
@@ -962,6 +964,53 @@ def gf2_nonsingular_elimination(rows):
         below[:, : j + 1] = False
         a ^= np.where(below, a[:, j : j + 1], zero)
     return ~singular
+
+
+def bitslice_word_major(rows):
+    """Bit-sliced copy of a batch of bit-packed GF(2) matrices, word-major.
+
+    rows has shape (batch, n) and a w-bit unsigned dtype with n <= w; bit j
+    of rows[b, i] is entry (i, j) of matrix b.  Returns s of shape
+    (n, n, ceil(batch / w)) in the same dtype, where bit l of s[i, j, c] is
+    entry (i, j) of matrix w*c + l; padding matrices are zero.  Each swap
+    round works on runs of k*n words.
+    """
+    batch, n = rows.shape
+    dt = rows.dtype.type
+    w = 8 * rows.dtype.itemsize
+    x = np.zeros((-(-batch // w) * w, n), dtype=dt)
+    x[:batch] = rows
+    k = w // 2
+    while k:
+        # swap the high k bits of word l with the low k bits of word l + k
+        low = dt(sum(((1 << k) - 1) << p for p in range(0, w, 2 * k)))
+        pairs = x.reshape(-1, 2, k * n)
+        a, b = pairs[:, 0], pairs[:, 1]
+        swap = ((a >> k) ^ b) & low
+        b ^= swap
+        a ^= swap << k
+        k //= 2
+    return np.ascontiguousarray(x.reshape(-1, w, n)[:, :n].transpose(2, 1, 0))
+
+
+def mc_gl2_t1_chunked(n, trials, seed):
+    """Hits of ``stats._mc_gl2_t1(n, trials, seed)`` drawn in chunks that
+    grow with the trials still wanted: max(4 096, 4 * need) rows, at most
+    65 536, each through ``stats.gf2_nonsingular_batch``."""
+    dtype = np.uint32 if n <= 32 else np.uint64
+    rng = np.random.Generator(np.random.PCG64(seed))
+    eye = np.array([1 << i for i in range(n)], dtype=dtype)
+    accepted = hits = 0
+    while accepted < trials:
+        need = trials - accepted
+        chunk = min(1 << 16, max(1 << 12, 4 * need))
+        raw = rng.integers(0, 1 << n, size=(chunk, n), dtype=dtype)
+        in_gl = gf2_nonsingular_batch(raw)
+        if int(in_gl.sum()) > need:
+            in_gl &= np.cumsum(in_gl) <= need
+        accepted += int(in_gl.sum())
+        hits += int(gf2_nonsingular_batch(raw[in_gl] ^ eye).sum())
+    return hits
 
 
 # ---------------------------------------------------------------------------

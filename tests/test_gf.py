@@ -395,6 +395,7 @@ ORACLE_NAMES = (
     "quadratic_form_permutation", "fixed_rows_lists", "expectation_by_sets",
     "incidence_points", "_span", "euler_factor_series", "gl_euler_product_series",
     "vec_code", "log1p_enclosure_fractions", "exp_lower_fractions",
+    "mc_gl2_t1_chunked", "bitslice_word_major",
 )
 
 

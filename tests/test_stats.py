@@ -40,7 +40,12 @@ from classprop.stats import (
     wilson_interval,
     _mc_gl2_t1,
 )
-from oracles import fixed_points_by_type, gf2_nonsingular_elimination, permutation_group
+from oracles import (
+    fixed_points_by_type,
+    gf2_nonsingular_elimination,
+    mc_gl2_t1_chunked,
+    permutation_group,
+)
 from test_differential import _ref_probe
 
 
@@ -266,6 +271,15 @@ def test_montecarlo_scan_takes_no_determinant(monkeypatch):
 def test_packed_sampler_hits_frozen(trials, seed, hits):
     # the draws and their acceptance order fix these counts for each seed
     assert _mc_gl2_t1(20, trials, seed) == hits
+
+
+@pytest.mark.parametrize("n", GF2_SIZES)
+@pytest.mark.parametrize("trials", [1, 1000, 1181, 10**4, 10**5])
+def test_packed_sampler_matches_chunked_draws(n, trials):
+    # the accepted draws are the first `trials` nonsingular rows of one PCG64
+    # stream, however the stream is cut into batches
+    for seed in (0, 5, 2**40 + 3):
+        assert _mc_gl2_t1(n, trials, seed) == mc_gl2_t1_chunked(n, trials, seed)
 
 
 def test_packed_sampler_agrees_with_scan_sampler():
