@@ -182,11 +182,11 @@ def _bitslice(rows):
     """Bit-sliced copy of a batch of bit-packed GF(2) matrices.
 
     rows has shape (batch, n) and a w-bit unsigned dtype with n <= w; bit j
-    of rows[b, i] is entry (i, j) of matrix b.  Returns s of shape
-    (n, n, ceil(batch / w)) in the same dtype, where bit l of s[i, j, c] is
-    entry (i, j) of matrix w*c + l; padding matrices are zero.  Row i of w
-    consecutive matrices is a w x w bit matrix, and log2(w) rounds of masked
-    block swaps transpose all of them at once.
+    of rows[b, i] is entry (i, j) of matrix b.  Returns s of shape (n, n, C),
+    C = ceil(batch / w), in the same dtype, where bit l of s[i, j, c] is
+    entry (i, j) of matrix l*C + c; padding matrices are zero.  Row i of the
+    matrices c, C + c, ... is a w x w bit matrix, and log2(w) rounds of
+    masked block swaps on runs of k*C*n words transpose all of them at once.
     """
     batch, n = rows.shape
     dt = rows.dtype.type
@@ -197,13 +197,13 @@ def _bitslice(rows):
     while k:
         # swap the high k bits of word l with the low k bits of word l + k
         low = dt(sum(((1 << k) - 1) << p for p in range(0, w, 2 * k)))
-        pairs = x.reshape(-1, 2, k * n)
+        pairs = x.reshape(-1, 2, k * x.size // w)
         a, b = pairs[:, 0], pairs[:, 1]
         swap = ((a >> k) ^ b) & low
         b ^= swap
         a ^= swap << k
         k //= 2
-    return np.ascontiguousarray(x.reshape(-1, w, n)[:, :n].transpose(2, 1, 0))
+    return np.ascontiguousarray(x.reshape(w, -1, n)[:n].transpose(2, 0, 1))
 
 
 def gf2_nonsingular_batch(rows):
@@ -217,7 +217,8 @@ def gf2_nonsingular_batch(rows):
     XOR-reduce adds that row into row j in the lanes where row j has a 0,
     and row j then clears column j below it.  Both steps skip column j
     itself, which no later column reads.  Adding rows keeps the rank, so a
-    lane stays nonsingular while every pivot is 1.
+    lane stays nonsingular while every pivot is 1.  Lane l of word c is
+    matrix l*C + c, so the mask reads the lanes l-major.
     """
     s = _bitslice(rows)
     n = s.shape[0]
@@ -231,7 +232,7 @@ def gf2_nonsingular_batch(rows):
         pivot ^= np.bitwise_xor.reduce(s[j + 1:, j + 1:] & first[:, None], axis=0)
         s[j + 1:, j + 1:] ^= s[j + 1:, j, None] & pivot
     lanes = np.arange(8 * ok.itemsize, dtype=ok.dtype)
-    return ((ok[:, None] >> lanes) & 1).ravel()[: rows.shape[0]].astype(bool)
+    return ((ok >> lanes[:, None]) & 1).ravel()[: rows.shape[0]].astype(bool)
 
 
 def _mc_gl2_t1(n, trials, seed):
@@ -240,7 +241,9 @@ def _mc_gl2_t1(n, trials, seed):
     Over GF(2) the only admissible linear factor of the characteristic
     polynomial is z - 1, so the sieve reduces to a second invertibility test,
     run only on the draws that land in GL.  Rejection sampling on packed
-    random matrices keeps the draw exactly uniform over GL.
+    random matrices keeps the draw exactly uniform over GL.  It draws blocks
+    of 4 096 rows, so its memory does not grow with trials; the accepted
+    draws are the first trials nonsingular rows of one PCG64 stream.
     """
     _check_int("n", n, 1, 62)  # one machine word per packed row
     dtype = np.uint32 if n <= 32 else np.uint64
@@ -249,9 +252,7 @@ def _mc_gl2_t1(n, trials, seed):
     accepted = hits = 0
     while accepted < trials:
         need = trials - accepted
-        # |GL|/q^(n^2) is about 0.289 at q=2; oversample slightly
-        chunk = min(1 << 16, max(1 << 12, 4 * need))
-        raw = rng.integers(0, 1 << n, size=(chunk, n), dtype=dtype)
+        raw = rng.integers(0, 1 << n, size=(1 << 12, n), dtype=dtype)
         in_gl = gf2_nonsingular_batch(raw)
         if int(in_gl.sum()) > need:
             in_gl &= np.cumsum(in_gl) <= need

@@ -2,8 +2,13 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +46,7 @@ from classprop.stats import (
     _mc_gl2_t1,
 )
 from oracles import (
+    bitslice_word_major,
     fixed_points_by_type,
     gf2_nonsingular_elimination,
     mc_gl2_t1_chunked,
@@ -245,14 +251,37 @@ def test_gf2_batch_identity_and_zero(n):
     assert gf2_nonsingular_elimination(rows).tolist() == want
 
 
-@pytest.mark.parametrize("batch", [1000, 4096, 65536])
-def test_gf2_batch_matches_row_elimination_on_sampler_chunks(batch):
-    # the packed sampler's chunks at the benchmark's n = 20: 4 096 rows for
-    # short runs, 65 536 for long ones, and the accepted rows after either
+def _gf2_batch_matches_row_elimination_at_n20(batch):
     rng = np.random.Generator(np.random.PCG64(batch))
     raw = rng.integers(0, 1 << 20, size=(batch, 20), dtype=np.uint32)
     for rows in (raw, raw ^ _gf2_eye(20)):
         assert np.array_equal(gf2_nonsingular_batch(rows), gf2_nonsingular_elimination(rows))
+
+
+@pytest.mark.parametrize("batch", [1000, 4096])
+def test_gf2_batch_matches_row_elimination_on_sampler_chunks(batch):
+    # the packed sampler's 4 096-row block at the benchmark's n = 20, and
+    # about as many accepted rows as one block yields
+    _gf2_batch_matches_row_elimination_at_n20(batch)
+
+
+def test_gf2_batch_matches_row_elimination_on_a_large_batch():
+    # the kernel alone: 65 536 rows at n = 20 are 1 024 words per lane row
+    _gf2_batch_matches_row_elimination_at_n20(1 << 16)
+
+
+@pytest.mark.parametrize("n", GF2_SIZES)
+@pytest.mark.parametrize("batch", [1, 63, 64, 65, 4096, 4097])
+def test_bitslice_is_the_word_major_slice_under_the_lane_map(n, batch):
+    # matrix l*C + c sits in lane l of word c; the word-major slice puts
+    # matrix w*c + l there, so feeding it the rows in that order agrees
+    rng = np.random.Generator(np.random.PCG64(7 * n + batch))
+    rows = rng.integers(0, 1 << n, size=(batch, n), dtype=_gf2_dtype(n))
+    w = 8 * rows.itemsize
+    padded = np.zeros((-(-batch // w) * w, n), dtype=rows.dtype)
+    padded[:batch] = rows
+    by_word = padded.reshape(w, -1, n).transpose(1, 0, 2).reshape(-1, n)
+    assert np.array_equal(stats._bitslice(rows), bitslice_word_major(by_word))
 
 
 def test_montecarlo_scan_takes_no_determinant(monkeypatch):
@@ -280,6 +309,25 @@ def test_packed_sampler_matches_chunked_draws(n, trials):
     # stream, however the stream is cut into batches
     for seed in (0, 5, 2**40 + 3):
         assert _mc_gl2_t1(n, trials, seed) == mc_gl2_t1_chunked(n, trials, seed)
+
+
+def test_packed_sampler_memory_does_not_grow_with_trials():
+    # after a one-block warm-up, 10^5 samples draw the same 4 096-row blocks.
+    # The peak is the child's VmHWM: its ru_maxrss would start at this
+    # process's peak, which a fork hands on across exec.
+    script = textwrap.dedent("""
+        from classprop.stats import proportion
+        def run(trials):
+            proportion(("GL", 20, 2), 1, method="montecarlo", trials=trials, seed=1)
+            with open("/proc/self/status") as f:
+                return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+        print(run(10**3), run(10**5))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(stats.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    warm, peak = map(int, proc.stdout.split())
+    assert peak - warm < 4 * 1024  # kB
 
 
 def test_packed_sampler_agrees_with_scan_sampler():
