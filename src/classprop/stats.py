@@ -189,14 +189,12 @@ def _bitslice(rows):
     masked block swaps on runs of k*C*n words transpose all of them at once.
     """
     batch, n = rows.shape
-    dt = rows.dtype.type
     w = 8 * rows.dtype.itemsize
-    x = np.zeros((-(-batch // w) * w, n), dtype=dt)
-    x[:batch] = rows
+    x = np.pad(rows, ((0, -batch % w), (0, 0)))
     k = w // 2
     while k:
         # swap the high k bits of word l with the low k bits of word l + k
-        low = dt(sum(((1 << k) - 1) << p for p in range(0, w, 2 * k)))
+        low = x.dtype.type(sum(((1 << k) - 1) << p for p in range(0, w, 2 * k)))
         pairs = x.reshape(-1, 2, k * x.size // w)
         a, b = pairs[:, 0], pairs[:, 1]
         swap = ((a >> k) ^ b) & low
@@ -241,9 +239,8 @@ def _mc_gl2_t1(n, trials, seed):
     Over GF(2) the only admissible linear factor of the characteristic
     polynomial is z - 1, so the sieve reduces to a second invertibility test,
     run only on the draws that land in GL.  Rejection sampling on packed
-    random matrices keeps the draw exactly uniform over GL.  It draws blocks
-    of 4 096 rows, so its memory does not grow with trials; the accepted
-    draws are the first trials nonsingular rows of one PCG64 stream.
+    random matrices keeps the draw exactly uniform over GL.  Fixed blocks of
+    4 096 rows keep the memory flat in trials; the first trials in GL stay.
     """
     _check_int("n", n, 1, 62)  # one machine word per packed row
     dtype = np.uint32 if n <= 32 else np.uint64
@@ -251,11 +248,9 @@ def _mc_gl2_t1(n, trials, seed):
     eye = np.array([1 << i for i in range(n)], dtype=dtype)
     accepted = hits = 0
     while accepted < trials:
-        need = trials - accepted
         raw = rng.integers(0, 1 << n, size=(1 << 12, n), dtype=dtype)
         in_gl = gf2_nonsingular_batch(raw)
-        if int(in_gl.sum()) > need:
-            in_gl &= np.cumsum(in_gl) <= need
+        in_gl &= np.cumsum(in_gl) <= trials - accepted
         accepted += int(in_gl.sum())
         hits += int(gf2_nonsingular_batch(raw[in_gl] ^ eye).sum())
     return hits
