@@ -41,7 +41,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import __version__
-from .gf import _check_int
+from .gf import Field, _check_int, prime_power
 from .limits import (
     DEFAULT_TOL,
     LimitFamily,
@@ -79,7 +79,7 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # The exact series grow about as order^5.5: 1.9 s at order 150 for GL at
-# q = 2, t = 1, 8 s at 200 and 74 s at 300.
+# q = 2, t = 1, 8 s at 200 and 74 s at 300; cmd_series scales it to (family, q).
 SERIES_ORDER_CAP = 150
 
 _LIMIT_TAGS = {
@@ -227,9 +227,7 @@ def _round_outward(lo, hi, slack):
     scale = 1
     while Fraction(1, scale) > slack:
         scale *= 10
-    lo2 = Fraction(math.floor(lo * scale), scale)
-    hi2 = Fraction(math.ceil(hi * scale), scale)
-    return lo2, hi2
+    return Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale)
 
 
 def _coset_arg(value):
@@ -273,8 +271,13 @@ def cmd_limit(cfg):
 
 def cmd_series(cfg):
     _check_int("series order", cfg.order, 2)
-    if cfg.order > SERIES_ORDER_CAP:
-        raise ResourceCapExceeded(f"series order {cfg.order} is above the cap of {SERIES_ORDER_CAP}")
+    # check q, then cap the order: time grows as order^2 log q (a coefficient's
+    # digits) times m^(4/5) on the ring Q[C_m], m = q - 1 for sl (fitted)
+    (prime_power if cfg.family == "gl" else Field)(cfg.q)
+    weight = math.log2(cfg.q) * (cfg.q - 1 if cfg.family == "sl" else 1) ** 0.8
+    cap = math.isqrt(int(SERIES_ORDER_CAP**2 / weight))
+    if cfg.order > cap:
+        raise ResourceCapExceeded(f"series order {cfg.order} is above the cap of {cap}")
     if cfg.family == "gl":
         if cfg.coset is not None:
             raise ValueError("gl series take no coset")

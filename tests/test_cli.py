@@ -179,6 +179,32 @@ def test_series_at_the_cap_runs(tmp_path, monkeypatch):
                "--order", "6")[0] == cli.EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("family,q,cap", [("gl", 3, 119), ("gl", 1000003, 33), ("sl", 3, 90),
+                                          ("sl", 27, 18), ("sl", 81, 10)])
+def test_series_cap_scales_with_q_and_the_ring(tmp_path, capsys, family, q, cap):
+    # each edge took 1.2-3.6 s in process; one order more is refused before
+    # any work (at q = 27 and 1000003 order 40 took 17 s and 7 s)
+    for order in (cap + 1, 40):
+        start = time.perf_counter()
+        code, text = run(tmp_path, "series", "--family", family, "--q", str(q), "--t", "1",
+                         "--order", str(order))
+        assert time.perf_counter() - start < 0.5
+        if order > cap:
+            assert code == cli.EXIT_RESOURCE and text == ""
+            assert capsys.readouterr().err == ("classprop: resource cap exceeded: series order "
+                                               f"{order} is above the cap of {cap}\n")
+
+
+@pytest.mark.parametrize("family,q,edge", [("gl", 2, 12), ("gl", 5, 7), ("sl", 3, 7),
+                                           ("sl", 4, 5), ("sl", 9, 2)])
+def test_series_runs_at_its_scaled_cap(tmp_path, monkeypatch, family, q, edge):
+    # with the order cap at 12, every (family, q) keeps its own edge
+    monkeypatch.setattr(cli, "SERIES_ORDER_CAP", 12)
+    argv = ["series", "--family", family, "--q", str(q), "--t", "1", "--order"]
+    assert run(tmp_path, *argv, str(edge))[0] == cli.EXIT_OK
+    assert run(tmp_path, *argv, str(edge + 1))[0] == cli.EXIT_RESOURCE
+
+
 def test_fractions_render_past_the_int_string_limit():
     # str() refuses ints over 4300 digits; the report writes every digit,
     # across the 600-digit blocks and their zero padding
