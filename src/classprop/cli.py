@@ -227,7 +227,9 @@ def _round_outward(lo, hi, slack):
     scale = 1
     while Fraction(1, scale) > slack:
         scale *= 10
-    return Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale)
+    lo2 = Fraction(math.floor(lo * scale), scale)
+    hi2 = Fraction(math.ceil(hi * scale), scale)
+    return lo2, hi2
 
 
 def _coset_arg(value):

@@ -215,8 +215,7 @@ def gf2_nonsingular_batch(rows):
     XOR-reduce adds that row into row j in the lanes where row j has a 0,
     and row j then clears column j below it.  Both steps skip column j
     itself, which no later column reads.  Adding rows keeps the rank, so a
-    lane stays nonsingular while every pivot is 1.  Lane l of word c is
-    matrix l*C + c, so the mask reads the lanes l-major.
+    lane stays nonsingular while every pivot is 1; the mask reads lanes l-major.
     """
     s = _bitslice(rows)
     n = s.shape[0]
