@@ -261,7 +261,7 @@ def _gf2_batch_matches_row_elimination_at_n20(batch):
 @pytest.mark.parametrize("batch", [1000, 4096])
 def test_gf2_batch_matches_row_elimination_on_sampler_chunks(batch):
     # the packed sampler's 4 096-row block at the benchmark's n = 20, and
-    # about as many accepted rows as one block yields
+    # 1 000 accepted rows, about what one block yields
     _gf2_batch_matches_row_elimination_at_n20(batch)
 
 
