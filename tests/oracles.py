@@ -288,6 +288,24 @@ def gl_euler_product_series(q, t, order):
     return out
 
 
+def graded_product_series(q, t, order, m):
+    """The det-graded no-small-factor series over Q[C_m] as one product:
+    1 + E u/(m(1 - u)) times, for each (j, s mod m) class of irreducibles of
+    degree j <= t, the Euler product prod_{i>=1} (1 - e_s q^(-ij) u^j)
+    raised to the class count, each expanded by the q-exponential identity.
+    The counts come at modulus q - 1 and are folded mod m here, the
+    reference for ``series._graded_series``."""
+    ring = CycRing(m)
+    E = sum((ring.zeta_pow(s) for s in range(m)), ring.zero)
+    out = Series([ring.one] + [E * Fraction(1, m)] * order, ring)
+    counts = Counter()
+    for (j, s), c in residue_class_counts(q, t).items():
+        counts[j, s % m] += c
+    for (j, s), c in sorted(counts.items()):
+        out = out * euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring).pow(c)
+    return out
+
+
 def residue_product_series(q, a, order):
     """prod over monic irreducibles phi (nonzero constant term, any degree)
     of (1 - e_{a r(phi)} u^{deg phi}) over Q[C_{q-1}], truncated."""

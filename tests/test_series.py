@@ -7,6 +7,7 @@ import pytest
 
 from classprop.cyclo import CycRing
 from classprop.gf import Field, has_small_degree_factor
+from classprop import series
 from classprop.series import (
     Series,
     euler_base_series,
@@ -17,6 +18,7 @@ from oracles import (
     euler_direct_product_series,
     euler_factor_series,
     gl_euler_product_series,
+    graded_product_series,
     residue_product_series,
     unitary_residue_product_series,
 )
@@ -299,6 +301,18 @@ GL_ORACLE_GRID += [(9, 4, 40), (27, 3, 30), (81, 2, 20)]
 @pytest.mark.parametrize("q,t,order", GL_ORACLE_GRID)
 def test_gl_series_matches_rational_product(q, t, order):
     assert gl_no_small_factor_series(q, t, order) == gl_euler_product_series(q, t, order)
+
+
+# The graded series at modulus q - 1 against the product oracle, over the
+# coset cases, and at a proper divisor m of q - 1 where its counts fold.
+GRADED_ORACLE_CASES = [(5, 2, 8, 4), (7, 2, 12, 6), (7, 1, 12, 6), (5, 1, 8, 4),
+                       (9, 2, 12, 8), (4, 3, 20, 3), (13, 2, 12, 12),
+                       (9, 2, 12, 2), (13, 2, 12, 4), (7, 3, 10, 3)]
+
+
+@pytest.mark.parametrize("q,t,order,m", GRADED_ORACLE_CASES)
+def test_graded_series_matches_product_oracle(q, t, order, m):
+    assert series._graded_series(q, t, order, m) == graded_product_series(q, t, order, m)
 
 
 def test_gl_series_argument_errors():
