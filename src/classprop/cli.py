@@ -78,8 +78,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# The exact series grow about as order^5.5: 1.9 s at order 150 for GL at
-# q = 2, t = 1, 8 s at 200 and 74 s at 300; cmd_series scales it to (family, q).
+# The exact series grow about as order^5: 0.9 s at order 150 for GL at
+# q = 2, t = 1, 3.6 s at 200 and 34 s at 300; cmd_series scales it to (family, q).
 SERIES_ORDER_CAP = 150
 
 _LIMIT_TAGS = {
@@ -274,7 +274,8 @@ def cmd_limit(cfg):
 def cmd_series(cfg):
     _check_int("series order", cfg.order, 2)
     # check q, then cap the order: time grows as order^2 log q (a coefficient's
-    # digits) times m^(4/5) on the ring Q[C_m], m = q - 1 for sl (fitted)
+    # digits) times m^(4/5) on the ring Q[C_m], m = q - 1 for sl (fitted; it
+    # overrates gl at large q, whose edge at q = 1000003 takes 0.08 s)
     (prime_power if cfg.family == "gl" else Field)(cfg.q)
     weight = math.log2(cfg.q) * (cfg.q - 1 if cfg.family == "sl" else 1) ** 0.8
     cap = math.isqrt(int(SERIES_ORDER_CAP**2 / weight))

@@ -347,9 +347,9 @@ def _sieve(F, f, t):
 # "Ntilde" over GF(q^2), fixed by the tilde conjugate
 # "Mtilde" unordered pairs {f, tilde(f)} over GF(q^2) with f != tilde(f)
 #
-# residue_class_counts further splits "N" by det residue, the discrete log
-# of (-1)^j f(0) to the base Field(q).zeta.  Every count comes from a closed
-# form; nothing here enumerates polynomials.  The test-side oracles recount
+# residue_class_counts further splits "N" by det residue mod m, the discrete
+# log of (-1)^j f(0) to the base Field(q).zeta, reduced mod m.  Every count
+# comes from a closed form; nothing here enumerates polynomials.  The test-side oracles recount
 # by enumeration wherever the candidate space is small enough.
 
 def count_monic_irreducible(q, j):
@@ -402,27 +402,35 @@ def count_irreducibles(family, q, j):
     raise ValueError(f"unknown family {family!r}")
 
 
-def residue_class_counts(q, jmax):
-    """Map (j, s) -> number of monic irreducibles of degree j over GF(q) with
-    nonzero constant term and det residue s, for j = 1..jmax; zero counts
-    are left out.
+def residue_class_counts(q, jmax, m):
+    """Map (j, r) -> number of monic irreducibles of degree j over GF(q) with
+    nonzero constant term and det residue r mod m, for j = 1..jmax and m
+    dividing q - 1; zero counts are left out.
 
     A root of such an irreducible generates GF(q^j), and its minimal
     polynomial's det residue is the discrete log of its norm.  An element of
     the subfield GF(q^(j/d)) has norm N(x)^d, and the norm is onto, so by
-    Moebius inversion over the subfields
+    Moebius inversion over the subfields the count at residue s mod q - 1 is
 
-        c(j, s) = (1/j) sum_{d | j} mu(d) [g_d | s] g_d (q^(j/d) - 1)/(q - 1)
+        (1/j) sum_{d | j} mu(d) [g_d | s] g_d (q^(j/d) - 1)/(q - 1)
 
-    with g_d = gcd(d, q - 1).
+    with g_d = gcd(d, q - 1).  Of the q - 1 residues s, those with s = r
+    mod m and g_d | s number (q - 1) h_d/(m g_d) with h_d = gcd(m, d) when
+    h_d | r, and none otherwise, so
+
+        c(j, r) = (1/j) sum_{d | j, h_d | r} mu(d) h_d (q^(j/d) - 1)/m.
+
+    That is one sum over the divisors of j for each of the m residues r.
     """
-    m = q - 1
+    _check_int("m", m, 1)
+    if (q - 1) % m:
+        raise ValueError(f"m={m} does not divide q - 1 = {q - 1}")
     counts = {}
     for j in range(1, jmax + 1):
-        terms = [(mobius(d), gcd(d, m), (q ** (j // d) - 1) // m)
+        terms = [(mobius(d), gcd(m, d), (q ** (j // d) - 1) // m)
                  for d in range(1, j + 1) if j % d == 0]
-        for s in range(m):
-            c = sum(mu * g * n for mu, g, n in terms if s % g == 0) // j
+        for r in range(m):
+            c = sum(mu * h * n for mu, h, n in terms if r % h == 0) // j
             if c:
-                counts[(j, s)] = c
+                counts[(j, r)] = c
     return counts

@@ -1,21 +1,18 @@
 """Truncated power series with exact coefficients over Q or Q[C_m].
 
-The series here expand infinite products of the shape
-prod_{i>=1} (1 - c a^i u^j) through the classical q-exponential identity
-
-    prod_{i>=1} (1 - x a^i) = sum_k (-1)^k a^(k(k+1)/2) x^k / prod_{r<=k} (1 - a^r),
-
-which the test suite verifies against a high-truncation direct product before
-anything else relies on it.  On top of that sits one product for the
-proportion of matrices whose characteristic polynomial has no irreducible
-factor of degree <= t, graded by the determinant over the group algebra
-Q[C_m]: the full general linear group reads it at modulus 1, and every
-determinant coset of the special linear group at modulus q - 1.
+The one series built here gives the proportion of matrices whose
+characteristic polynomial has no irreducible factor of degree <= t,
+graded by the determinant over the group algebra Q[C_m]: the full general
+linear group reads it at modulus 1, and every determinant coset of the
+special linear group at modulus q - 1.  It is an infinite product of
+Euler factors whose log has a closed form, so it is formed as the exp of
+that log by one recurrence on the coefficients (Flajolet and Sedgewick,
+"Analytic Combinatorics", 2009, ch. II).  The test suite checks it against
+the product itself, each factor expanded by the q-exponential identity.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -94,17 +91,6 @@ class Series:
                         out[i + j] = out[i + j] + a * b
         return Series(out, self.ring)
 
-    def pow(self, k):
-        _check_int("k", k, 0)
-        result = Series.one(self.order, self.ring)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def __eq__(self, other):
         return (
             isinstance(other, Series)
@@ -118,43 +104,12 @@ class Series:
 
 
 # ---------------------------------------------------------------------------
-# Euler factors.
-
-def euler_base_series(a, c, j, order, ring=None):
-    """prod_{i>=1} (1 - c a^i u^j), truncated to the given order.
-
-    ``a`` is a Fraction with |a| < 1; ``c`` is a rational or ring element.
-    """
-    a = Fraction(a)
-    if not -1 < a < 1:
-        raise ValueError("need |a| < 1")
-    out = Series.one(order, ring)
-    if ring is not None:
-        c = ring.coerce(c)
-    else:
-        c = Fraction(c)
-    kmax = order // j
-    poch = Fraction(1)  # prod_{r<=k} (1 - a^r)
-    apow = Fraction(1)  # a^k
-    tri = Fraction(1)  # a^(k(k+1)/2)
-    cpow = Fraction(1) if ring is None else ring.one
-    for k in range(1, kmax + 1):
-        apow *= a
-        tri *= apow
-        poch *= 1 - apow
-        cpow = cpow * c
-        coeff = Fraction((-1) ** k) * tri / poch
-        out.coeffs[j * k] = out.coeffs[j * k] + cpow * coeff
-    return out
-
-
-# ---------------------------------------------------------------------------
 # No-small-factor generating series.
 
 def gl_no_small_factor_series(q, t, order):
     """Coefficient n is the proportion of GL_n(q) whose characteristic
     polynomial has no irreducible factor of degree <= t: the e_0
-    coordinate of the graded product at modulus 1."""
+    coordinate of the graded series at modulus 1."""
     prime_power(q)  # the count formulas take any q; GL_n(q) needs a prime power
     _check_int("t", t, 1)
     _check_int("order", order, 0)
@@ -170,27 +125,31 @@ def _graded_series(q, t, order, m):
     m = 1 its e_0 coordinate covers all of GL.
 
     det is uniform on GL_n for n >= 1, so all of GL grades to
-    1 + E u/(m(1-u)) with E = sum_{s<m} e_s; removing the irreducibles of
-    degree j <= t and det residue s multiplies by
-    prod_{i>=1} (1 - e_s q^{-ij} u^j) once per such irreducible, the
-    exponents of equal (j, s mod m) summed.
+    1 + e u/(1 - u), where e = E/m with E = sum_{s<m} e_s is idempotent:
+    its log is e sum_k u^k/k.  Removing the c irreducibles of degree
+    j <= t and det residue s mod m multiplies by
+    prod_{i>=1} (1 - e_s q^(-ij) u^j)^c, whose log, summed over i, is
+    -c sum_k e_(sk) u^(jk) / (k (q^(jk) - 1)).  The series g is the exp of
+    the summed log L, by n g_n = sum_{k=1..n} k L_k g_(n-k) from g_0 = 1.
     """
     ring = CycRing(m)
-    E = sum((ring.zeta_pow(s) for s in range(m)), ring.zero)
-    out = Series([ring.one] + [E * Fraction(1, m)] * order, ring)
-    counts = Counter()
-    for (j, s), c in residue_class_counts(q, t).items():
-        counts[j, s % m] += c
-    for (j, s), c in sorted(counts.items()):
-        out = out * euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring).pow(c)
-    return out
+    e = sum((ring.zeta_pow(s) for s in range(m)), ring.zero) * Fraction(1, m)
+    kL = [ring.zero] + [e] * order  # kL[n] = n L_n
+    for (j, s), c in residue_class_counts(q, t, m).items():
+        for k in range(1, order // j + 1):
+            n = j * k
+            kL[n] = kL[n] - ring.zeta_pow(s * k) * Fraction(c * j, q**n - 1)
+    g = [ring.one]
+    for n in range(1, order + 1):
+        g.append(sum((kL[k] * g[n - k] for k in range(1, n + 1)), ring.zero) * Fraction(1, n))
+    return Series(g, ring)
 
 
 def sl_coset_series(q, t, mu, order):
     """Coefficient n (n >= 1) is the proportion, inside the determinant coset
     with det = zeta^mu, of elements with no charpoly factor of degree <= t.
 
-    Read off the graded product at modulus q - 1, which every coset of the
+    Read off the graded series at modulus q - 1, which every coset of the
     same (q, t, order) shares.  The constant coefficient is set to 1 by
     convention.
     """

@@ -3,9 +3,11 @@
 Each function here recomputes, by enumeration or by a slower direct
 formula, a quantity that ``classprop`` computes by one runtime route: the
 irreducible counts and det-residue class counts (closed forms at runtime),
-the Euler factors (the q-exponential identity), the GL no-small-factor
-series (the rational Euler product, against the det-graded product at
-modulus 1), characteristic polynomials
+the det-graded no-small-factor series (the Euler product, each factor
+expanded by the q-exponential identity and raised to its count by square
+and multiply, against the exp of its closed-form log), the GL
+no-small-factor series (the rational Euler product, against the graded
+series at modulus 1), characteristic polynomials
 (Hessenberg reduction and minor sums, against the batched Berkowitz
 kernel), the tau squares g g^-T (one inverse per element, against the
 batched elimination), the coset labels (one det or rank per element, and
@@ -81,7 +83,7 @@ from classprop.matgroup import (
     fixed_point_indices,
     point_permutation,
 )
-from classprop.series import Series, euler_base_series
+from classprop.series import Series
 from classprop.stats import PermGroup, _even_negative_cycles_paired, gf2_nonsingular_batch
 
 # Largest number of candidate polynomials count_enumerated will sieve.
@@ -247,11 +249,55 @@ def residue_class_counts_sieve(F, jmax):
 
 
 # ---------------------------------------------------------------------------
-# Series: the direct Euler product, and the telescoping residue products
-# over Q[C_m].  With E = sum_k e_k the full products over irreducibles are
+# Series: powers by square and multiply, the Euler factors by the
+# q-exponential identity, the graded product they build, the direct Euler
+# product, and the telescoping residue products over Q[C_m].  With E = sum_k e_k the full products over irreducibles are
 # 1 - E u/(1 - u) (linear) and 1 - E u/(1 + u) (unitary); the weight a sends
 # e_k to e_{ak}, and E to sum_k e_{ak}.  These builders expose the truncated
 # partial products so the identities can be checked exactly.
+
+def series_pow(s, k):
+    """s^k, k >= 0, by square and multiply."""
+    _check_int("k", k, 0)
+    result = Series.one(s.order, s.ring)
+    while k:
+        if k & 1:
+            result = result * s
+        s = s * s
+        k >>= 1
+    return result
+
+
+def euler_base_series(a, c, j, order, ring=None):
+    """prod_{i>=1} (1 - c a^i u^j), truncated to the given order, by the
+    q-exponential identity
+
+        prod_{i>=1} (1 - x a^i) = sum_k (-1)^k a^(k(k+1)/2) x^k / prod_{r<=k} (1 - a^r).
+
+    ``a`` is a Fraction with |a| < 1; ``c`` is a rational or ring element.
+    """
+    a = Fraction(a)
+    if not -1 < a < 1:
+        raise ValueError("need |a| < 1")
+    out = Series.one(order, ring)
+    if ring is not None:
+        c = ring.coerce(c)
+    else:
+        c = Fraction(c)
+    kmax = order // j
+    poch = Fraction(1)  # prod_{r<=k} (1 - a^r)
+    apow = Fraction(1)  # a^k
+    tri = Fraction(1)  # a^(k(k+1)/2)
+    cpow = Fraction(1) if ring is None else ring.one
+    for k in range(1, kmax + 1):
+        apow *= a
+        tri *= apow
+        poch *= 1 - apow
+        cpow = cpow * c
+        coeff = Fraction((-1) ** k) * tri / poch
+        out.coeffs[j * k] = out.coeffs[j * k] + cpow * coeff
+    return out
+
 
 def euler_direct_product_series(a, c, j, order, imax, ring=None):
     """Truncated prod_{i=1..imax} (1 - c a^i u^j), the cross-check oracle."""
@@ -275,7 +321,7 @@ def euler_factor_series(q, j, m, order):
     _check_int("q", q, 2)
     _check_int("j", j, 1)
     _check_int("m", m, 0)
-    return euler_base_series(Fraction(1, q**j), 1, j, order).pow(m)
+    return series_pow(euler_base_series(Fraction(1, q**j), 1, j, order), m)
 
 
 def gl_euler_product_series(q, t, order):
@@ -299,10 +345,11 @@ def graded_product_series(q, t, order, m):
     E = sum((ring.zeta_pow(s) for s in range(m)), ring.zero)
     out = Series([ring.one] + [E * Fraction(1, m)] * order, ring)
     counts = Counter()
-    for (j, s), c in residue_class_counts(q, t).items():
+    for (j, s), c in residue_class_counts(q, t, q - 1).items():
         counts[j, s % m] += c
     for (j, s), c in sorted(counts.items()):
-        out = out * euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring).pow(c)
+        factor = euler_base_series(Fraction(1, q**j), ring.zeta_pow(s), j, order, ring)
+        out = out * series_pow(factor, c)
     return out
 
 
@@ -310,12 +357,12 @@ def residue_product_series(q, a, order):
     """prod over monic irreducibles phi (nonzero constant term, any degree)
     of (1 - e_{a r(phi)} u^{deg phi}) over Q[C_{q-1}], truncated."""
     ring = CycRing(q - 1)
-    counts = residue_class_counts(q, order)
+    counts = residue_class_counts(q, order, q - 1)
     out = Series.one(order, ring)
     for (d, s), c in sorted(counts.items()):
         factor = Series.one(order, ring)
         factor.coeffs[d] = -ring.zeta_pow(a * s)
-        out = out * factor.pow(c)
+        out = out * series_pow(factor, c)
     return out
 
 

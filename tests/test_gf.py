@@ -281,8 +281,8 @@ def test_det_residue_linear():
 
 
 def test_residue_class_counts_gf4_gf5():
-    assert residue_class_counts(4, 1) == {(1, 0): 1, (1, 1): 1, (1, 2): 1}
-    counts5 = residue_class_counts(5, 2)
+    assert residue_class_counts(4, 1, 3) == {(1, 0): 1, (1, 1): 1, (1, 2): 1}
+    counts5 = residue_class_counts(5, 2, 4)
     assert counts5[(2, 0)] == 2 and counts5[(2, 2)] == 2
     assert counts5[(2, 1)] == 3 and counts5[(2, 3)] == 3
     assert sum(v for (j, _), v in counts5.items() if j == 2) == 10
@@ -395,7 +395,8 @@ ORACLE_NAMES = (
     "quadratic_form_permutation", "fixed_rows_lists", "expectation_by_sets",
     "incidence_points", "_span", "euler_factor_series", "gl_euler_product_series",
     "vec_code", "log1p_enclosure_fractions", "exp_lower_fractions",
-    "mc_gl2_t1_chunked", "bitslice_word_major",
+    "mc_gl2_t1_chunked", "bitslice_word_major", "euler_base_series",
+    "graded_product_series", "series_pow",
 )
 
 
@@ -451,6 +452,9 @@ def test_runtime_counts_never_enumerate():
     assert not hasattr(series, "euler_factor_series")
     assert not hasattr(series, "_det_graded_series")
     assert not hasattr(series.Series, "reciprocal")
+    # and one way to form it: the exp of its log, with no Euler factor
+    # expanded or raised to its count
+    assert not hasattr(series.Series, "pow")
     assert list(inspect.signature(limits.exp_enclosure).parameters) == ["z"]
     assert "label_kind" not in {f.name for f in dataclasses.fields(matgroup.GroupTable)}
     assert list(inspect.signature(gf.Field).parameters) == ["q"]
@@ -482,7 +486,7 @@ RESIDUE_SIEVE_GRID = [
 
 @pytest.mark.parametrize("q,jmax", RESIDUE_SIEVE_GRID)
 def test_residue_counts_closed_form_matches_sieve(q, jmax):
-    assert residue_class_counts(q, jmax) == residue_class_counts_sieve(Field(q), jmax)
+    assert residue_class_counts(q, jmax, q - 1) == residue_class_counts_sieve(Field(q), jmax)
 
 
 def test_residue_counts_sum_to_irreducible_counts():
@@ -492,8 +496,40 @@ def test_residue_counts_sum_to_irreducible_counts():
             gf.prime_power(q)
         except ValueError:
             continue
-        counts = residue_class_counts(q, 6)
+        counts = residue_class_counts(q, 6, q - 1)
         assert all(c > 0 and 0 <= s < q - 1 for (_, s), c in counts.items())
         for j in range(1, 7):
             total = sum(c for (jj, _), c in counts.items() if jj == j)
             assert total == count_irreducibles("N", q, j), (q, j)
+
+
+RESIDUE_MODULI_GRID = [
+    (q, m) for q in (3, 4, 5, 7, 8, 9, 13, 16) for m in range(1, q) if (q - 1) % m == 0
+]
+
+
+@pytest.mark.parametrize("q,m", RESIDUE_MODULI_GRID)
+def test_residue_counts_match_folded_sieve(q, m):
+    folded = {}
+    for (j, s), c in residue_class_counts_sieve(Field(q), 4).items():
+        folded[j, s % m] = folded.get((j, s % m), 0) + c
+    assert residue_class_counts(q, 4, m) == folded
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 16])
+def test_residue_counts_at_modulus_one_are_irreducible_counts(q):
+    assert residue_class_counts(q, 4, 1) == {
+        (j, 0): count_irreducibles("N", q, j) for j in range(1, 5)}
+
+
+def test_residue_counts_at_modulus_one_skip_the_residues():
+    # one entry per degree, however large q - 1 is
+    counts = residue_class_counts(10**9 + 7, 3, 1)
+    assert len(counts) <= 3
+    assert counts[1, 0] == 10**9 + 6
+
+
+def test_residue_counts_modulus_validated():
+    for m in (0, 5, 2.0):
+        with pytest.raises(ValueError):
+            residue_class_counts(9, 2, m)

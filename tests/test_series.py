@@ -10,16 +10,17 @@ from classprop.gf import Field, has_small_degree_factor
 from classprop import series
 from classprop.series import (
     Series,
-    euler_base_series,
     gl_no_small_factor_series,
     sl_coset_series,
 )
 from oracles import (
+    euler_base_series,
     euler_direct_product_series,
     euler_factor_series,
     gl_euler_product_series,
     graded_product_series,
     residue_product_series,
+    series_pow,
     unitary_residue_product_series,
 )
 
@@ -83,13 +84,13 @@ def test_pow_matches_repeated_mul():
     s = Series([1, 2, 3, 4, 5])
     p = Series.one(4)
     for k in range(5):
-        assert s.pow(k) == p
+        assert series_pow(s, k) == p
         p = p * s
 
 
 def test_pow_rejects_negative_exponent():
     with pytest.raises(ValueError, match="k must be at least 0"):
-        Series([1, 2, 3]).pow(-1)
+        series_pow(Series([1, 2, 3]), -1)
 
 
 # ---------------------------------------------------------------------------
