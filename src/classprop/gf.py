@@ -348,9 +348,9 @@ def _sieve(F, f, t):
 # "Mtilde" unordered pairs {f, tilde(f)} over GF(q^2) with f != tilde(f)
 #
 # residue_class_counts further splits "N" by det residue mod m, the discrete
-# log of (-1)^j f(0) to the base Field(q).zeta, reduced mod m.  Every count
-# comes from a closed form; nothing here enumerates polynomials.  The test-side oracles recount
-# by enumeration wherever the candidate space is small enough.
+# log of (-1)^j f(0) to the base Field(q).zeta.  Every count comes from a
+# closed form; nothing here enumerates polynomials.  The test-side oracles
+# recount by enumeration wherever the candidate space is small enough.
 
 def count_monic_irreducible(q, j):
     """All monic irreducibles of degree j over GF(q), z included."""
@@ -410,21 +410,13 @@ def residue_class_counts(q, jmax, m):
     A root of such an irreducible generates GF(q^j), and its minimal
     polynomial's det residue is the discrete log of its norm.  An element of
     the subfield GF(q^(j/d)) has norm N(x)^d, and the norm is onto, so by
-    Moebius inversion over the subfields the count at residue s mod q - 1 is
-
-        (1/j) sum_{d | j} mu(d) [g_d | s] g_d (q^(j/d) - 1)/(q - 1)
-
-    with g_d = gcd(d, q - 1).  Of the q - 1 residues s, those with s = r
-    mod m and g_d | s number (q - 1) h_d/(m g_d) with h_d = gcd(m, d) when
-    h_d | r, and none otherwise, so
+    Moebius inversion over the subfields, with h_d = gcd(m, d),
 
         c(j, r) = (1/j) sum_{d | j, h_d | r} mu(d) h_d (q^(j/d) - 1)/m.
-
-    That is one sum over the divisors of j for each of the m residues r.
     """
     _check_int("m", m, 1)
     if (q - 1) % m:
-        raise ValueError(f"m={m} does not divide q - 1 = {q - 1}")
+        raise ValueError(f"m={m} must divide q - 1")
     counts = {}
     for j in range(1, jmax + 1):
         terms = [(mobius(d), gcd(m, d), (q ** (j // d) - 1) // m)

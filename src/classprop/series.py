@@ -134,14 +134,14 @@ def _graded_series(q, t, order, m):
     """
     ring = CycRing(m)
     e = sum((ring.zeta_pow(s) for s in range(m)), ring.zero) * Fraction(1, m)
-    kL = [ring.zero] + [e] * order  # kL[n] = n L_n
+    nL = [ring.zero] + [e] * order  # nL[n] = n L_n
     for (j, s), c in residue_class_counts(q, t, m).items():
         for k in range(1, order // j + 1):
             n = j * k
-            kL[n] = kL[n] - ring.zeta_pow(s * k) * Fraction(c * j, q**n - 1)
+            nL[n] = nL[n] - ring.zeta_pow(s * k) * Fraction(c * j, q**n - 1)
     g = [ring.one]
     for n in range(1, order + 1):
-        g.append(sum((kL[k] * g[n - k] for k in range(1, n + 1)), ring.zero) * Fraction(1, n))
+        g.append(sum((nL[k] * g[n - k] for k in range(1, n + 1)), ring.zero) * Fraction(1, n))
     return Series(g, ring)
 
 

@@ -501,6 +501,9 @@ def test_residue_counts_sum_to_irreducible_counts():
         for j in range(1, 7):
             total = sum(c for (jj, _), c in counts.items() if jj == j)
             assert total == count_irreducibles("N", q, j), (q, j)
+        # modulus 1 keeps one class per degree
+        assert residue_class_counts(q, 6, 1) == {
+            (j, 0): count_irreducibles("N", q, j) for j in range(1, 7)}, q
 
 
 RESIDUE_MODULI_GRID = [
@@ -514,12 +517,6 @@ def test_residue_counts_match_folded_sieve(q, m):
     for (j, s), c in residue_class_counts_sieve(Field(q), 4).items():
         folded[j, s % m] = folded.get((j, s % m), 0) + c
     assert residue_class_counts(q, 4, m) == folded
-
-
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 13, 16])
-def test_residue_counts_at_modulus_one_are_irreducible_counts(q):
-    assert residue_class_counts(q, 4, 1) == {
-        (j, 0): count_irreducibles("N", q, j) for j in range(1, 5)}
 
 
 def test_residue_counts_at_modulus_one_skip_the_residues():
