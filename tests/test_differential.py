@@ -63,6 +63,7 @@ from classprop.stats import (
     proportion,
     psl2,
     subset_expectation,
+    three_halves_generation,
     weyl_negative_cycle_statistic,
     wilson_interval,
 )
@@ -548,7 +549,20 @@ def test_probe_matches_per_draw_on_every_x_of_psl27(g7_generates):
         assert generation_probe(g7, x) == _ref_probe(g7, x, generates=table)
 
 
-@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_three_halves_matches_per_draw_exhaustively(p):
+    # every group of order at most 1 000: each class representative's exact
+    # proportion against one closure per partner
+    group = psl2(p)
+    records = three_halves_generation(group)
+    assert len(records) == len(group.conjugacy_classes()) - 1
+    for rec in records:
+        x = group.elements[rec["representative"]]
+        ref = _ref_probe(group, x)
+        assert (rec["element_order"], rec["proportion"]) == (ref.x_order, ref.value)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
 def test_probe_matches_per_draw_at_every_element_order(p):
     group = psl2(p)
     reps = {}
@@ -556,7 +570,9 @@ def test_probe_matches_per_draw_at_every_element_order(p):
         x = group.elements[cls[0]]
         reps.setdefault(group.element_order(x), x)
     del reps[1]
-    assert len(reps) == 5
+    # the element orders of PSL(2,p) above 1: p and the divisors of (p -+ 1)/2
+    halves = ((p - 1) // 2, (p + 1) // 2)
+    assert sorted(reps) == sorted({p} | {d for h in halves for d in range(2, h + 1) if h % d == 0})
     for order, x in sorted(reps.items()):
         seed = 100 * p + order
         assert (generation_probe(group, x, trials=300, seed=seed)
