@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from math import gcd
+from math import gcd, isqrt
 
 MAX_Q = 81
 
@@ -45,18 +45,16 @@ def _check_int(name, value, lo, hi=None):
 
 def prime_power(q):
     """Return (p, e) with q = p^e, or raise ValueError."""
-    _check_int("q", q, 1)  # q = 1 falls through to the not-a-prime-power error
-    for p in range(2, q + 1):
-        if q % p == 0:  # the least divisor above 1 is a prime
-            e = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                e += 1
-            if m != 1:
-                raise ValueError(f"q={q} is not a prime power")
-            return p, e
-    raise ValueError(f"q={q} is not a prime power")
+    _check_int("q", q, 1)
+    # the least divisor above 1 is a prime; with none up to isqrt(q), q is prime
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    e, m = 0, q
+    while m > 1 and m % p == 0:
+        m //= p
+        e += 1
+    if m != 1 or e == 0:  # e = 0 only at q = 1
+        raise ValueError(f"q={q} is not a prime power")
+    return p, e
 
 
 def mobius(n):

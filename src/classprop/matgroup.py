@@ -180,6 +180,7 @@ class MatSpace:
         self.n = n
         self.F = Field(q)
         self.q = q
+        self._flat = (n * n, q)  # length and base of a flat code tuple
         self._powers = q ** np.arange(n, dtype=np.int64)  # digit weights of a row code
         self.identity = tuple(
             1 if i == j else 0 for i in range(n) for j in range(n)
@@ -887,10 +888,11 @@ class _Elements(Sequence):
 
 
 class _Index(Mapping):
-    """Element tuple -> its position in a table of row codes.  The key of
-    a flat code tuple g is sum g[k] q^k, the same int64 as ``_keys`` of
-    its rows, and it is looked up by ``searchsorted`` in the sorted keys,
-    which are taken on first use; no dict is built."""
+    """Element tuple -> its position in an array of rows, found by one
+    ``searchsorted`` of the space's ``_keys`` in the sorted keys, taken on
+    first use; no dict is built.  A tuple is looked up when it fits the
+    space's ``_flat`` (length, base): (n^2, q) of a MatSpace, (degree,
+    degree) of a stats.PermGroup."""
 
     def __init__(self, space, rows):
         self._space, self._rows = space, rows
@@ -901,22 +903,22 @@ class _Index(Mapping):
         order = np.argsort(keys)
         return keys[order], order
 
+    def find(self, rows):
+        """Position of each row in the table, or -1 where it is absent."""
+        (sorted_keys, order), keys = self._sorted, self._space._keys(rows)
+        i = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+        return np.where(sorted_keys[i] == keys, order[i], -1)
+
     def __getitem__(self, g):
-        n, q = self._space.n, self._space.q
+        width, base = self._space._flat
         try:
-            valid = len(g) == n * n and all(0 <= x < q for x in g)
+            valid = len(g) == width and all(0 <= x < base for x in g)
         except TypeError:
             valid = False
-        if not valid:
+        i = int(self.find(self._space._encode([g]))[0]) if valid else -1
+        if i < 0:
             raise KeyError(g)
-        key = 0
-        for x in reversed(g):
-            key = key * q + x
-        keys, order = self._sorted
-        i = int(np.searchsorted(keys, key))
-        if i == len(keys) or keys[i] != key:
-            raise KeyError(g)
-        return int(order[i])
+        return i
 
     def __len__(self):
         return len(self._rows)
@@ -1247,6 +1249,7 @@ class _SubspaceClass:
         cols = MatSpace(k, space.q)._digits.T
         bases_t = np.array(self.bases, dtype=np.intp).transpose(0, 2, 1)
         self.codes = np.sort(np.concatenate(list(_image_slices(space.F, bases_t, cols))), axis=1)
+        self._index = _Index(self, self.codes)
 
     def __len__(self):
         return len(self.bases)
@@ -1261,19 +1264,12 @@ class _SubspaceClass:
             raise ValueError(f"the {k}-subspaces of GF({q})^{n} have no int64 key")
         return codes[:, q ** np.arange(k)] @ np.cumprod(np.r_[1, q ** np.arange(n - k + 1, n)])
 
-    @functools.cached_property
-    def _sorted(self):
-        """The class's keys, sorted, and their argsort: taken on the first ``find``."""
-        keys = self._keys(self.codes)
-        order = np.argsort(keys)
-        return keys[order], order
-
     def find(self, codes):
         """Class index of the subspace whose vector codes, in any order, are
-        each row of codes, by one ``searchsorted`` of the rows' keys; raises
+        each row of codes, by one ``_Index.find`` of the rows' keys; raises
         ValueError where a row is no k-subspace."""
-        codes, (keys, order) = np.sort(codes, axis=1), self._sorted
-        found = order[np.minimum(np.searchsorted(keys, self._keys(codes)), len(keys) - 1)]
+        codes = np.sort(codes, axis=1)
+        found = self._index.find(codes)
         if not np.array_equal(self.codes[found], codes):
             raise ValueError(f"a row of vector codes is not a {self.k}-subspace")
         return found

@@ -25,6 +25,8 @@ from .matgroup import (
     GroupTable,
     MatSpace,
     ResourceCapExceeded,
+    _Elements,
+    _Index,
     _PRODUCT_CHUNK,
     _fixed_rows,
     _product_tables,
@@ -662,17 +664,21 @@ def weyl_negative_cycle_statistic(m, trials=None, seed=None):
 class PermGroup:
     """A finite permutation group enumerated from generators, sorted.
 
-    It has the ``identity`` and the row methods (``_encode``, ``_decode``,
-    ``_keys``, ``_right``, ``_left``) that ``bfs_closure`` and
-    ``relation_classes`` ask of a space: a batch of elements is an
-    (N, degree) array of permutations, one byte per point up to degree 256
-    and two above, keyed by each row's bytes.
+    Its elements are ``rows``, an (N, degree) array of permutations (one
+    byte per point up to degree 256, two above, keyed by each row's bytes),
+    read-only and sorted lexicographically, behind the ``elements`` and
+    ``index`` views of a ``GroupTable``.  It has the ``identity`` and the
+    row methods (``_encode``, ``_decode``, ``_keys``, ``_right``,
+    ``_left``) that ``bfs_closure`` and the views ask of a space.  No
+    proper subgroup is larger than ``subgroup_bound``: |G|/2, or less where
+    the group's maker knows better (``psl2``).
     """
 
     def __init__(self, degree, gens, name=""):
         self.degree = degree
         self.name = name
         self._dtype = np.uint8 if degree <= 256 else np.uint16
+        self._flat = (degree, degree)  # length and base of a permutation tuple
         ident = tuple(range(degree))
         self.identity = ident
         self.gens = [tuple(g) for g in gens]
@@ -680,18 +686,17 @@ class PermGroup:
             if sorted(g) != list(ident):
                 raise ValueError("generator is not a permutation")
         rows = bfs_closure(self, self.gens, PERM_GROUP_CAP)[0]
-        self.elements = sorted(self._decode(rows))
-        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.rows = rows[np.argsort(self._keys(rows))]
+        self.rows.flags.writeable = False  # shared by the views
+        self.index = _Index(self, self.rows)
+        self.elements = _Elements(self, self.rows, self.index)
+        self.subgroup_bound = len(rows) // 2
 
     def order(self):
-        return len(self.elements)
+        return len(self.rows)
 
     def mul(self, a, b):
         return tuple(map(a.__getitem__, b))
-
-    def products(self, frontier, gens):
-        """Every mul(g, h) for g in frontier and h in gens, frontier-major."""
-        return self._decode(self._right(gens)(self._encode(frontier)).reshape(-1, self.degree))
 
     def _encode(self, perms):
         return np.asarray(perms, dtype=self._dtype).reshape(-1, self.degree)
@@ -700,7 +705,8 @@ class PermGroup:
         return list(map(tuple, rows.tolist()))
 
     def _keys(self, rows):
-        rows = np.ascontiguousarray(rows)
+        # big-endian points, so that the keys sort in tuple order
+        rows = np.ascontiguousarray(rows, dtype=np.dtype(self._dtype).newbyteorder(">"))
         return rows.view(np.dtype((np.void, rows.itemsize * self.degree))).ravel()
 
     def _right(self, gens):
@@ -714,10 +720,7 @@ class PermGroup:
         return np.asarray(a, dtype=self._dtype).__getitem__
 
     def inv(self, a):
-        out = [0] * self.degree
-        for i, ai in enumerate(a):
-            out[ai] = i
-        return tuple(out)
+        return tuple(np.argsort(a).tolist())  # a[inv[i]] = i
 
     def element_order(self, a):
         k, x = 1, a
@@ -729,7 +732,7 @@ class PermGroup:
     def conjugacy_classes(self):
         """Element indices grouped by conjugacy, ordered by smallest member."""
         pairs = [(self.inv(s), s) for s in self.gens]
-        return relation_classes(self, self._encode(self.elements), pairs)
+        return relation_classes(self, self.rows, pairs)
 
 
 def psl2(p):
@@ -738,7 +741,10 @@ def psl2(p):
     Points 0..p-1 are the field elements and point p is infinity; the
     generators are z -> z+1 and z -> -1/z.  An order p(p^2-1)/2 above
     PERM_GROUP_CAP raises ResourceCapExceeded before the closure starts, and
-    the closure order is checked against it.
+    the closure order is checked against it.  Its ``subgroup_bound`` is
+    |G|/p: by Galois's theorem every proper subgroup of PSL(2,p), p >= 5,
+    has index at least p (Dickson, "Linear Groups", 1901; Huppert,
+    "Endliche Gruppen I", 1967, II.8.28).
     """
     _check_int("p", p, 5)
     if not is_prime(p):
@@ -758,6 +764,7 @@ def psl2(p):
     group = PermGroup(p + 1, [shift, tuple(flip)], name=f"PSL(2,{p})")
     if group.order() != order:
         raise AssertionError("projective line closure has the wrong order")
+    group.subgroup_bound = order // p
     return group
 
 
@@ -786,29 +793,32 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
     Fraction; an integer samples uniformly and returns a float with a 99%
     Wilson interval.  The identity is rejected.
 
-    A partner s is decided once, by closing <x, s> until it passes half the
-    order (a proper subgroup has index at least 2), and the verdict is
-    shared: <x, x^i s x^j> = <x, s>, so every partner of the double coset
+    A partner s is decided once, by closing <x, s> until it passes
+    ``group.subgroup_bound`` (no proper subgroup is larger), and the verdict
+    is shared: <x, x^i s x^j> = <x, s>, so every partner of the double coset
     <x>s<x> generates with x; a closure that stops short is the proper
-    subgroup H = <x, s>, and <x, s'> lies in H for every s' in H.
+    subgroup H = <x, s>, and <x, s'> lies in H for every s' in H.  Verdicts
+    sit in an int8 array by element index, one ``index.find`` per double
+    coset or subgroup.
     """
     if isinstance(x, (tuple, list)):
-        x = tuple(x)
-        if x not in group.index:
-            raise ValueError(f"x {x} is not an element of {group.name}")
-        xi = group.index[x]
+        xi = group.index.get(tuple(x), -1)
+        if xi < 0:
+            raise ValueError(f"x {tuple(x)} is not an element of {group.name}")
     else:
         _check_int("x index", x, 0, group.order() - 1)
         xi = x
-        x = group.elements[xi]
+    x = group.elements[xi]
     if x == group.identity:
         raise ValueError("x must be nontrivial")
-    pool = list(group.elements) if coset is None else [tuple(s) for s in coset]
+    pool = range(group.order())  # partners by element index
+    if coset is not None:
+        coset = [tuple(s) for s in coset]
+        pool = [group.index.get(s, -1) for s in coset]
+        if -1 in pool:
+            raise ValueError(f"partner {coset[pool.index(-1)]} is not an element of {group.name}")
     if not pool:
         raise ValueError("empty partner pool")
-    stray = next((s for s in pool if s not in group.index), None)
-    if stray is not None:
-        raise ValueError(f"partner {stray} is not an element of {group.name}")
     xo = group.element_order(x)
     exhaustive = trials == "exhaustive"
     if exhaustive:
@@ -818,24 +828,23 @@ def generation_probe(group, x, coset=None, trials="exhaustive", seed=None):
         _check_int("seed", seed, 0)
         rng = random.Random(seed)
         draws = (pool[rng.randrange(len(pool))] for _ in range(trials))
-    half = group.order() // 2
-    powers = list(itertools.accumulate(itertools.repeat(x, xo - 1), group.mul,
-                                       initial=group.identity))
-    verdict = {}  # partner -> whether it generates with x
-    hits = 0
-    witness = None
+    bound = group.subgroup_bound
+    powers = group._encode(list(itertools.accumulate(
+        itertools.repeat(x, xo - 1), group.mul, initial=group.identity)))
+    verdict = np.zeros(group.order(), dtype=np.int8)
+    hits, witness = 0, None
     for s in draws:
-        if s not in verdict:
-            closure = bfs_closure(group, (x, s), stop_over=half)[0]
-            if len(closure) > half:
-                left = list(group.products(powers, [s]))
-                verdict.update(dict.fromkeys(group.products(left, powers), True))
+        if not verdict[s]:
+            closure = bfs_closure(group, (x, group.rows[s]), stop_over=bound)[0]
+            if len(closure) > bound:  # mark x^i s x^j for all i, j
+                left = group._right([group.rows[s]])(powers)[:, 0]
+                verdict[group.index.find(group._right(powers)(left).reshape(-1, group.degree))] = 1
             else:
-                verdict.update(dict.fromkeys(group._decode(closure), False))
-        if verdict[s]:
+                verdict[group.index.find(closure)] = -1
+        if verdict[s] > 0:
             hits += 1
             if witness is None:
-                witness = group.index[s]
+                witness = s
     if exhaustive:
         return GenerationReport(group.name, xi, xo, len(pool), "exhaustive",
                                 trials, hits, Fraction(hits, trials),
@@ -853,11 +862,8 @@ def three_halves_generation(group):
     holds exactly when every proportion is positive.
     """
     out = []
-    for cls in group.conjugacy_classes():
-        rep = group.elements[cls[0]]
-        if rep == group.identity:
-            continue
-        report = generation_probe(group, rep)
+    for cls in group.conjugacy_classes()[1:]:  # the identity is element 0
+        report = generation_probe(group, cls[0])
         out.append({
             "representative": cls[0],
             "class_size": len(cls),

@@ -1167,15 +1167,25 @@ def permutation_group(table, action):
     return group
 
 
+def _perm_mul(a, b):
+    return tuple(map(a.__getitem__, b))
+
+
+def perm_products(frontier, gens):
+    """Every product g h of permutation tuples, g in frontier and h in gens,
+    frontier-major, one tuple map each."""
+    return [_perm_mul(g, h) for g in frontier for h in gens]
+
+
 def relation_classes_loop(space, elements, index, pairs):
     """Classes of g ~ a g b, one (a, b) per pair: union-find over the two
     index maps g -> g b and h -> a h of each pair, joined in one loop; the
-    products come from ``mat_products`` or ``PermGroup.products``."""
+    products come from ``mat_products`` or ``perm_products``."""
     if isinstance(space, MatSpace):
         def products(frontier, gens):
             return mat_products(space, frontier, gens)
     else:
-        products = space.products
+        products = perm_products
     parent = list(range(len(elements)))
 
     def find(i):

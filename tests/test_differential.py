@@ -70,6 +70,7 @@ from classprop.stats import (
 from oracles import (
     _cofactor_free,
     _generates,
+    _perm_mul,
     batched_dickson_labels,
     charpoly_hessenberg,
     class_fixed,
@@ -88,6 +89,7 @@ from oracles import (
     mat_add,
     mat_products,
     mc_scan_per_draw,
+    perm_products,
     perp_basis_dot,
     perp_basis_form,
     quadratic_form_permutation,
@@ -143,10 +145,6 @@ def _same_closure(got, want):
     return all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
-def _perm_mul(a, b):
-    return tuple(map(a.__getitem__, b))
-
-
 def _is_prime_power(q):
     try:
         prime_power(q)
@@ -180,8 +178,9 @@ def test_permutation_products_match_mul(chunk, monkeypatch):
     rng = random.Random(11)
     frontier = rng.sample(g11.elements, 9)
     gens = rng.sample(g11.elements, 2)
-    got = list(g11.products(frontier, gens))
-    assert got == [_perm_mul(g, h) for g in frontier for h in gens]
+    # the row gather g[s] of the closures and class maps, one tuple map each
+    got = g11._decode(g11._right(gens)(g11._encode(frontier)).reshape(-1, g11.degree))
+    assert got == perm_products(frontier, gens)
     assert all(type(x) is int for p in got for x in p)
 
 
@@ -449,7 +448,7 @@ def test_tables_match_the_tuple_route(key):
 def test_permutation_closure_matches():
     g7 = psl2(7)
     ref = _ref_closure(g7.identity, _perm_mul, g7.gens)
-    assert g7.elements == sorted(ref)
+    assert list(g7.elements) == sorted(ref)
     assert g7._decode(bfs_closure(g7, g7.gens)[0]) == ref
 
 
@@ -474,7 +473,7 @@ def test_degree_18_closure_and_classes_match():
     assert g17._decode(rows) == _ref_closure(g17.identity, _perm_mul, g17.gens)
     pairs = [(g17.inv(s), s) for s in g17.gens]
     assert g17.conjugacy_classes() == relation_classes_loop(
-        g17, g17.elements, g17.index, pairs)
+        g17, list(g17.elements), g17.index, pairs)
 
 
 def test_closure_refuses_matrices_without_an_int64_code():
@@ -915,9 +914,9 @@ def test_psl2_byte_rows_match_references():
     got = bfs_closure(group, group.gens)
     assert got[0].dtype == np.uint8
     assert _same_closure(got, slice_closure(group, group.gens, 64))
-    assert sorted(group._decode(got[0])) == group.elements
+    assert sorted(group._decode(got[0])) == list(group.elements)
     pairs = [(group.inv(s), s) for s in group.gens]
-    want = relation_classes_loop(group, group.elements, group.index, pairs)
+    want = relation_classes_loop(group, list(group.elements), group.index, pairs)
     assert group.conjugacy_classes() == want
 
 
@@ -933,7 +932,7 @@ def test_perm_rows_above_degree_256_take_two_bytes():
 def test_psl2_classes_match_two_map_loop(p):
     group = psl2(p)
     pairs = [(group.inv(s), s) for s in group.gens]
-    want = relation_classes_loop(group, group.elements, group.index, pairs)
+    want = relation_classes_loop(group, list(group.elements), group.index, pairs)
     assert group.conjugacy_classes() == want
 
 

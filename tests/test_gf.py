@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,13 @@ def test_prime_power_validation():
         gf.prime_power(6)
     with pytest.raises(ValueError):
         Field(12)
+    # the divisor scan stops at isqrt(q): a prime near 10^9 takes about
+    # 3 * 10^4 divisions, and a product of two primes near 10^6 is caught
+    start = time.perf_counter()
+    assert gf.prime_power(10**9 + 7) == (10**9 + 7, 1)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="not a prime power"):
+        gf.prime_power(1000003 * 1000033)
     with pytest.raises(ValueError):
         Field(128)  # over the table cap
 
@@ -396,7 +404,7 @@ ORACLE_NAMES = (
     "incidence_points", "_span", "euler_factor_series", "gl_euler_product_series",
     "vec_code", "log1p_enclosure_fractions", "exp_lower_fractions",
     "mc_gl2_t1_chunked", "bitslice_word_major", "euler_base_series",
-    "graded_product_series", "series_pow",
+    "graded_product_series", "series_pow", "perm_products",
 )
 
 

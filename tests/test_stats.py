@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from classprop import stats
+from classprop import matgroup, stats
 from classprop.matgroup import (
     ActionSpec,
     MatSpace,
@@ -802,6 +802,34 @@ def test_perm_group_basics(monkeypatch):
     monkeypatch.setattr(stats, "PERM_GROUP_CAP", 3)
     with pytest.raises(ResourceCapExceeded):
         PermGroup(5, [(1, 2, 3, 4, 0)])
+
+
+def test_psl2_is_one_sorted_row_array_behind_the_table_views():
+    g7 = psl2(7)
+    assert type(g7.elements) is matgroup._Elements
+    assert type(g7.index) is matgroup._Index
+    assert not g7.rows.flags.writeable
+    assert not hasattr(g7, "products")
+    assert list(g7.elements) == sorted(g7.elements)
+    assert g7.index.find(g7.rows[::-1]).tolist() == list(range(167, -1, -1))
+    assert g7.index.find(g7._encode([tuple(reversed(range(8)))])).tolist() == [-1]
+    # every proper subgroup of PSL(2,p) has index at least p
+    assert (g7.subgroup_bound, PermGroup(3, [(1, 2, 0)]).subgroup_bound) == (168 // 7, 1)
+
+
+def test_psl2_build_memory_stays_under_400_mb():
+    # 515 100 elements of 102 bytes; the peak is the child's VmHWM, as in
+    # test_packed_sampler_memory_does_not_grow_with_trials
+    script = textwrap.dedent("""
+        from classprop.stats import psl2
+        assert psl2(101).order() == 515100
+        with open("/proc/self/status") as f:
+            print(next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(stats.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(proc.stdout) < 400 * 1024  # kB
 
 
 def test_permutation_group_conversion_and_faithfulness():
