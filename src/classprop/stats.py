@@ -689,6 +689,7 @@ class PermGroup:
         self.rows = rows[np.argsort(self._keys(rows))]
         self.rows.flags.writeable = False  # shared by the views
         self.index = _Index(self, self.rows)
+        self.index._sorted = self._keys(self.rows), np.arange(len(rows))  # already in key order
         self.elements = _Elements(self, self.rows, self.index)
         self.subgroup_bound = len(rows) // 2
 
@@ -720,7 +721,10 @@ class PermGroup:
         return np.asarray(a, dtype=self._dtype).__getitem__
 
     def inv(self, a):
-        return tuple(np.argsort(a).tolist())  # a[inv[i]] = i
+        out = [0] * self.degree
+        for i, ai in enumerate(a):
+            out[ai] = i
+        return tuple(out)
 
     def element_order(self, a):
         k, x = 1, a
