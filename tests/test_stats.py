@@ -813,6 +813,11 @@ def test_psl2_is_one_sorted_row_array_behind_the_table_views():
     assert list(g7.elements) == sorted(g7.elements)
     assert g7.index.find(g7.rows[::-1]).tolist() == list(range(167, -1, -1))
     assert g7.index.find(g7._encode([tuple(reversed(range(8)))])).tolist() == [-1]
+    assert np.shares_memory(g7.index._sorted[0], g7.rows)  # the index holds no sorted copy
+    # two bytes per point: the keys still sort in tuple order
+    g300 = PermGroup(300, [tuple(range(1, 300)) + (0,)])
+    assert list(g300.elements) == sorted(g300.elements)
+    assert [g300.index[e] for e in g300.elements] == list(range(300))
     # every proper subgroup of PSL(2,p) has index at least p
     assert (g7.subgroup_bound, PermGroup(3, [(1, 2, 0)]).subgroup_bound) == (168 // 7, 1)
 
